@@ -369,8 +369,7 @@ def mutual_info_converse_check(e_on_b: ConditionalExpectation,
     rho_b = rho.marginal("B")
     e_rho_b = e_on_b.apply(rho_b)
     # the bound applies only when (Id x E)(rho) = rho_A x omega for some omega
-    id_x_e = _right_factor_superop(e_on_b.superop, rho.dim_a)
-    e_joint = id_x_e.apply_matrix(joint)
+    e_joint = channels.apply_on_factor(e_on_b, joint, (rho.dim_a, rho.dim_b), 1)
     target = matcore.tensor(rho_a.matrix, e_rho_b.matrix)
     if float(np.abs(e_joint - target).max()) > 1e-9:
         raise ValueError("(Id x E)(rho) is not of product form rho_A x omega")
@@ -407,16 +406,6 @@ def mutual_info_converse_check(e_on_b: ConditionalExpectation,
         lhs=i_post, rhs=factor * i_pre, factor=factor, params=resolved,
         extra={"branch": branch, "iPre": i_pre},
     )
-
-
-def _right_factor_superop(sup: channels.SuperOperator, left_dim: int) -> channels.SuperOperator:
-    """Id on a left factor tensor the given map on the right factor."""
-    d, a = sup.dim, left_dim
-    m4 = sup.matrix.reshape(d, d, d, d)
-    eye = np.eye(a, dtype=complex)
-    j8 = np.einsum("lkji,mn,op->mloknjpi", m4, eye, eye)
-    da = d * a
-    return channels.SuperOperator(da, j8.reshape(da * da, da * da))
 
 
 def decayed_state_bound_check(rho: DensityMatrix, sigma: DensityMatrix,

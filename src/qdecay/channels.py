@@ -113,8 +113,7 @@ class KrausChannel:
         return {
             "dimIn": self.dim_in,
             "dimOut": self.dim_out,
-            "kraus": [[[_fmt(z.real), _fmt(z.imag)] for z in k.reshape(-1)]
-                      for k in self.kraus],
+            "kraus": [[[z.real, z.imag] for z in k.reshape(-1)] for k in self.kraus],
         }
 
     def to_json(self) -> str:
@@ -132,11 +131,6 @@ class KrausChannel:
     @classmethod
     def from_json(cls, text: str) -> "KrausChannel":
         return cls.from_json_dict(json.loads(text))
-
-
-def _fmt(x: float) -> float:
-    # round-trip through the 17-significant-digit decimal form used on disk
-    return float(f"{x:.17g}")
 
 
 @dataclass(frozen=True)
@@ -195,16 +189,37 @@ def apply_channel(channel, rho: DensityMatrix) -> DensityMatrix:
     return channel.apply(rho)
 
 
-def apply_to_b(channel: KrausChannel, rho: BipartiteDensity) -> BipartiteDensity:
-    """Apply a channel to the B factor of a bipartite density."""
-    if channel.dim_in != rho.dim_b:
-        raise ValueError(f"channel expects dim {channel.dim_in}, got B dim {rho.dim_b}")
-    da, db, dout = rho.dim_a, rho.dim_b, channel.dim_out
-    r = rho.state.matrix.reshape(da, db, da, db)
-    out = np.zeros((da, dout, da, dout), dtype=complex)
-    for k in channel.kraus:
-        out += np.einsum("ab,ibjc,dc->iajd", k, r, k.conj())
-    return BipartiteDensity.from_matrix(out.reshape(da * dout, da * dout), da, dout)
+def apply_on_factor(channel, m: np.ndarray, dims, which: int) -> np.ndarray:
+    """Apply a map to one tensor factor of an operator on C^dims[0] x C^dims[1]
+    and the identity to the other; which = 0 is the left factor, 1 the right.
+
+    The map is a KrausChannel (possibly non-square), a SuperOperator or a
+    ConditionalExpectation.  Each Kraus operator, or the column-stacked
+    superoperator viewed as the 4-tensor M[l, k, j, i] (output column,
+    output row, input column, input row), is contracted with the acted-on
+    indices of m; the extended map is never built.
+    """
+    if isinstance(channel, ConditionalExpectation):
+        channel = channel.superop
+    d_in = channel.dim_in if isinstance(channel, KrausChannel) else channel.dim
+    if dims[which] != d_in:
+        raise ValueError(f"map expects dim {d_in}, got factor {which} of dim {dims[which]}")
+    r = np.asarray(m, dtype=complex).reshape(dims[0], dims[1], dims[0], dims[1])
+    if isinstance(channel, KrausChannel):
+        spec = "ai,ibjc,dj->abdc" if which == 0 else "ab,ibjc,dc->iajd"
+        out = sum(np.einsum(spec, k, r, k.conj()) for k in channel.kraus)
+    else:
+        m4 = channel.matrix.reshape(d_in, d_in, d_in, d_in)
+        out = np.einsum("lkji,ibjc->kblc" if which == 0 else "lkji,aibj->akbl", m4, r)
+    n = out.shape[0] * out.shape[1]
+    return out.reshape(n, n)
+
+
+def apply_to_b(channel, rho: BipartiteDensity) -> BipartiteDensity:
+    """Apply a KrausChannel, SuperOperator or ConditionalExpectation to the
+    B factor of a bipartite density."""
+    out = apply_on_factor(channel, rho.state.matrix, (rho.dim_a, rho.dim_b), 1)
+    return BipartiteDensity.from_matrix(out, rho.dim_a, out.shape[0] // rho.dim_a)
 
 
 def depolarizing(d: int, lam: float) -> KrausChannel:
@@ -454,14 +469,8 @@ def choi_matrix(channel) -> np.ndarray:
     if isinstance(channel, (SuperOperator, ConditionalExpectation)):
         sup = channel.superop if isinstance(channel, ConditionalExpectation) else channel
         d = sup.dim
-        c = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = 1.0
-                out = sup.apply_matrix(e)
-                c += np.kron(out, e)
-        return c
+        # C[(k, i), (l, j)] = Phi(|i><j|)[k, l] = M[l, k, j, i]
+        return sup.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
     raise TypeError(f"cannot build a Choi matrix from {type(channel)!r}")
 
 
@@ -540,10 +549,10 @@ def diamond_norm_estimate(delta: SuperOperator, restarts: int = 8,
             psi = psi / np.linalg.norm(psi)
         val = _trace_norm_of_extended(delta, psi, d)
         for _ in range(iters):
-            out = _apply_extended(delta, psi, d)
+            out = apply_on_factor(delta, np.outer(psi, psi.conj()), (d, d), 0)
             w, v = matcore.jacobi_eigh_batch(matcore.as_hermitian(out, atol=1e-7)[None])
             sign = (v[0] * np.sign(w[0])) @ v[0].conj().T
-            witness = _apply_extended(adj, None, d, operator=sign)
+            witness = apply_on_factor(adj, sign, (d, d), 0)
             ww, wv = matcore.jacobi_eigh_batch(matcore.as_hermitian(witness, atol=1e-7)[None])
             cand = wv[0][:, -1]
             cand_val = _trace_norm_of_extended(delta, cand, d)
@@ -565,20 +574,7 @@ def _conjugation_matrix(d: int) -> np.ndarray:
     return s
 
 
-def _apply_extended(sup: SuperOperator, psi: np.ndarray | None, d: int,
-                    operator: np.ndarray | None = None) -> np.ndarray:
-    """(map kron Id) applied to |psi><psi| or to an explicit operator."""
-    if operator is None:
-        operator = np.outer(psi, psi.conj())
-    r = operator.reshape(d, d, d, d)
-    out = np.zeros((d, d, d, d), dtype=complex)
-    for b in range(d):
-        for bp in range(d):
-            out[:, b, :, bp] = sup.apply_matrix(r[:, b, :, bp])
-    return out.reshape(d * d, d * d)
-
-
 def _trace_norm_of_extended(sup: SuperOperator, psi: np.ndarray, d: int) -> float:
-    out = _apply_extended(sup, psi, d)
+    out = apply_on_factor(sup, np.outer(psi, psi.conj()), (d, d), 0)
     w, _ = matcore.jacobi_eigh_batch(matcore.as_hermitian(out, atol=1e-7)[None])
     return float(np.abs(w[0]).sum())

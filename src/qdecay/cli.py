@@ -30,9 +30,12 @@ def _seed_from_env(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("QDECAY_SEED")
-    if env is not None:
+    if env is None:
+        return DEFAULT_SEED
+    try:
         return int(env)
-    return DEFAULT_SEED
+    except ValueError:
+        raise ValueError(f"QDECAY_SEED must be an integer, got {env!r}") from None
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -81,14 +84,17 @@ def cmd_sudden_decay(args) -> int:
 def cmd_g_table(args) -> int:
     try:
         times = [float(x) for x in args.t.split(",") if x]
-        if not times or any(t <= 0 for t in times):
-            raise ValueError("need positive comma-separated times")
+        if not times or not all(0.0 < t < math.inf for t in times):
+            raise ValueError("need positive finite comma-separated times")
+        zetas = [1.0 - math.exp(-3.0 * t) for t in times]
+        if max(zetas) == 1.0:
+            raise ValueError(f"t = {max(times)!r} is too large: "
+                             "zeta = 1 - exp(-3 t) rounds to 1")
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     rows = []
-    for t in times:
-        zeta = 1.0 - math.exp(-3.0 * t)
+    for t, zeta in zip(times, zetas):
         g, tau = bounds.g_factor(zeta, 4.0, variant=args.variant)
         rows.append((t, zeta, g, tau))
     result = exp.SweepResult(
@@ -101,7 +107,13 @@ def cmd_g_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _seed_from_env(args.seed)
+    try:
+        seed = _seed_from_env(args.seed)
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     names = "all" if args.suite == "all" else [args.suite]
     try:
         report = verify.run_suites(names, args.samples, seed)

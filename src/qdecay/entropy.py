@@ -56,23 +56,27 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return _entropy_of_spectrum(rho.eigenvalues)
 
 
+def _compress_to_support(rho: DensityMatrix, sigma: DensityMatrix):
+    """rho compressed to supp(sigma) in sigma's eigenbasis, the support
+    eigenvalues of sigma, and the weight of rho outside supp(sigma)."""
+    mask = sigma.eigenvalues > ENTROPY_SUPPORT_RTOL * sigma.eigenvalues[-1]
+    vs = sigma.eigenvectors[:, mask]
+    compressed = vs.conj().T @ rho.matrix @ vs
+    leak = float(np.trace(rho.matrix).real - np.real(np.trace(compressed)))
+    return compressed, sigma.eigenvalues[mask], leak
+
+
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> EntropyValue:
     """Umegaki relative entropy tr rho (ln rho - ln sigma).
 
     Computed on supp(sigma); if rho carries weight outside supp(sigma)
     the result is the infinite flag.
     """
-    mask = sigma.eigenvalues > ENTROPY_SUPPORT_RTOL * sigma.eigenvalues[-1]
-    vs = sigma.eigenvectors[:, mask]
-    ws = sigma.eigenvalues[mask]
-    # weight of rho outside supp(sigma)
-    leak = float(np.trace(rho.matrix).real - np.real(
-        np.trace(vs.conj().T @ rho.matrix @ vs)))
+    compressed, ws, leak = _compress_to_support(rho, sigma)
     if leak > 1e-12:
         return EntropyValue.infinite()
     tr_rho_log_rho = float((rho.eigenvalues[rho.eigenvalues > ZERO_CLIP]
                             * np.log(rho.eigenvalues[rho.eigenvalues > ZERO_CLIP])).sum())
-    compressed = vs.conj().T @ rho.matrix @ vs
     tr_rho_log_sigma = float(np.real((np.diagonal(compressed) * np.log(ws)).sum()))
     value = tr_rho_log_rho - tr_rho_log_sigma
     if value < -1e-10:
@@ -167,15 +171,19 @@ def pinsker_check(rho: DensityMatrix, sigma: DensityMatrix,
 
 
 def _log_mean_weights(w: np.ndarray) -> np.ndarray:
-    """Matrix of (ln a - ln b)/(a - b) over an eigenvalue vector, with the
-    continuous value 1/a on the diagonal and for nearly equal pairs."""
-    a = w[:, None]
-    b = w[None, :]
+    """Matrices of (ln a - ln b)/(a - b) over the last axis of an eigenvalue
+    array (one vector or a stack), with the continuous value 1/a on the
+    diagonal and for nearly equal pairs.  Nonpositive eigenvalues are
+    clamped to the smallest normal double before the logarithm."""
+    a = w[..., :, None]
+    b = w[..., None, :]
     diff = a - b
     close = np.abs(diff) <= 1e-12 * np.maximum(a, b)
     safe = np.where(close, 1.0, diff)
+    tiny = np.finfo(float).tiny
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(close, 2.0 / (a + b), (np.log(a) - np.log(b)) / safe)
+        lam = np.where(close, 2.0 / np.maximum(a + b, tiny),
+                       (np.log(np.maximum(a, tiny)) - np.log(np.maximum(b, tiny))) / safe)
     return lam
 
 
@@ -210,11 +218,7 @@ def relative_entropy_integral_form(rho: DensityMatrix, sigma: DensityMatrix,
     """
     if quad_points < 8:
         raise ValueError("quad_points must be at least 8")
-    mask = sigma.eigenvalues > ENTROPY_SUPPORT_RTOL * sigma.eigenvalues[-1]
-    vs = sigma.eigenvectors[:, mask]
-    leak = float(np.trace(rho.matrix).real
-                 - np.real(np.trace(vs.conj().T @ rho.matrix @ vs)))
-    if leak > 1e-12:
+    if _compress_to_support(rho, sigma)[2] > 1e-12:
         raise ValueError("support violation: ker(sigma) is not contained in ker(rho)")
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     s = 0.5 * (nodes + 1.0)
@@ -225,15 +229,7 @@ def relative_entropy_integral_form(rho: DensityMatrix, sigma: DensityMatrix,
     omegas = (1.0 - t)[:, None, None] * sigma.matrix + t[:, None, None] * rho.matrix
     w, v = matcore.jacobi_eigh_batch(omegas)
     xt = np.einsum("nji,jk,nkl->nil", v.conj(), x, v)
-    a = w[:, :, None]
-    b = w[:, None, :]
-    diff = a - b
-    close = np.abs(diff) <= 1e-12 * np.maximum(a, b)
-    safe = np.where(close, 1.0, diff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(close, 2.0 / np.maximum(a + b, np.finfo(float).tiny),
-                       (np.log(np.maximum(a, np.finfo(float).tiny))
-                        - np.log(np.maximum(b, np.finfo(float).tiny))) / safe)
+    lam = _log_mean_weights(w)
     integrand = np.real((np.abs(xt) ** 2 * lam).sum(axis=(1, 2)))
     return float((wts * integrand).sum())
 

@@ -250,7 +250,7 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
         big[d:, d:] = 0.5 * np.outer(minus, minus.conj())
         omega = BipartiteDensity.from_matrix(big, 2, d)
         i_pre = entropy.mutual_information(omega)
-        evolved = _apply_right_superop(phi_t, omega)
+        evolved = channels.apply_to_b(phi_t, omega)
         i_post = entropy.mutual_information(evolved)
         rows.append((theta, i_pre, i_post, i_pre / i_post))
     meta = {
@@ -264,18 +264,6 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
     return SweepResult(
         columns=("theta", "i_pre", "i_post", "ratio_pre_over_post"),
         rows=tuple(rows), metadata=meta)
-
-
-def _apply_right_superop(sup: channels.SuperOperator,
-                         rho: BipartiteDensity) -> BipartiteDensity:
-    """Apply a superoperator to the B factor of a bipartite density."""
-    da, db = rho.dim_a, rho.dim_b
-    r = rho.state.matrix.reshape(da, db, da, db)
-    out = np.zeros_like(r)
-    for ia in range(da):
-        for ja in range(da):
-            out[ia, :, ja, :] = sup.apply_matrix(r[ia, :, ja, :])
-    return BipartiteDensity.from_matrix(out.reshape(da * db, da * db), da, db)
 
 
 def flagged_channel(lam: float, p: float, noise: str = "dephasing-y") -> KrausChannel:

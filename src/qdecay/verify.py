@@ -20,15 +20,29 @@ from .rng import Rng
 SLACK = 1e-10
 
 
-def _report(name: str, samples: int, seed: int, violations: list,
-            worst_margin: float, extra: dict | None = None) -> dict:
+def _run(name: str, samples: int, seed: int, case, extra: dict | None = None) -> dict:
+    """Run one suite and build its report.
+
+    case(sub, k) draws sample k from its substream sub and yields
+    (margin, violation) pairs, where violation is None or a dict of details;
+    each violation is recorded with its counter k, and the report keeps the
+    smallest margin.
+    """
+    rng = Rng(seed)
+    violations = []
+    worst = math.inf
+    for k in range(samples):
+        for margin, violation in case(rng.substream(k), k):
+            if violation is not None:
+                violations.append({"counter": k, **violation})
+            worst = min(worst, margin)
     out = {
         "suite": name,
         "samples": samples,
         "seed": seed,
         "violations": violations,
         "violationCount": len(violations),
-        "worstMargin": worst_margin,
+        "worstMargin": worst,
         "passed": not violations,
     }
     if extra:
@@ -48,36 +62,23 @@ def _rand_commuting_pair(rng: Rng, d: int, floor: float = 0.01):
 
 def pinsker_suite(samples: int, seed: int) -> dict:
     """Both Pinsker forms on commuting pairs, the basic form on arbitrary pairs."""
-    rng = Rng(seed)
-    violations = []
-    worst = math.inf
-    for k in range(samples):
-        sub = rng.substream(k)
+    def case(sub, k):
         d = 2 + (k % 2)
-        rho, sigma = _rand_commuting_pair(sub, d)
-        rep = entropy.pinsker_check(rho, sigma)
-        if not rep.passed:
-            violations.append({"counter": k, "kind": "commuting"})
-        worst = min(worst,
-                    rep.relative_entropy - rep.basic_bound,
-                    rep.relative_entropy - (rep.refined_bound or 0.0))
-        rho2 = matcore.random_density(sub, d)
-        sigma2 = matcore.random_density(sub, d, mix=0.05)
-        rep2 = entropy.pinsker_check(rho2, sigma2)
-        if not rep2.basic_holds:
-            violations.append({"counter": k, "kind": "general"})
-        worst = min(worst, rep2.relative_entropy - rep2.basic_bound)
-    return _report("pinsker", samples, seed, violations, worst)
+        rep = entropy.pinsker_check(*_rand_commuting_pair(sub, d))
+        yield (rep.relative_entropy - rep.basic_bound,
+               None if rep.passed else {"kind": "commuting"})
+        yield rep.relative_entropy - (rep.refined_bound or 0.0), None
+        rep2 = entropy.pinsker_check(matcore.random_density(sub, d),
+                                     matcore.random_density(sub, d, mix=0.05))
+        yield (rep2.relative_entropy - rep2.basic_bound,
+               None if rep2.basic_holds else {"kind": "general"})
+    return _run("pinsker", samples, seed, case)
 
 
 def almost_concavity_suite(samples: int, seed: int) -> dict:
     """Joint convexity defect bound
     D(mix || mix) >= p D1 + (1-p) D2 - f_m(p) on commuting tuples."""
-    rng = Rng(seed)
-    violations = []
-    worst = math.inf
-    for k in range(samples):
-        sub = rng.substream(k)
+    def case(sub, k):
         d = 3
         basis = matcore.eigh(matcore.random_hermitian(sub, d)).eigenvectors
         def diag_density(vals):
@@ -94,37 +95,26 @@ def almost_concavity_suite(samples: int, seed: int) -> dict:
         d1 = entropy.relative_entropy(diag_density(rho1), diag_density(sigma1)).unwrap()
         d2 = entropy.relative_entropy(diag_density(rho2), diag_density(sigma2)).unwrap()
         rhs = p * d1 + (1 - p) * d2 - entropy.f_almost_concavity(p, m_tilde)
-        if lhs < rhs - SLACK:
-            violations.append({"counter": k, "lhs": lhs, "rhs": rhs})
-        worst = min(worst, lhs - rhs)
-    return _report("almost-concavity", samples, seed, violations, worst)
+        yield lhs - rhs, ({"lhs": lhs, "rhs": rhs} if lhs < rhs - SLACK else None)
+    return _run("almost-concavity", samples, seed, case)
 
 
 def gaorouze_suite(samples: int, seed: int) -> dict:
     """Order-to-entropy sandwich on comparable full-rank pairs."""
-    rng = Rng(seed)
-    violations = []
-    worst = math.inf
-    for k in range(samples):
-        sub = rng.substream(k)
+    def case(sub, k):
         d = 2 + (k % 2)
         rho = matcore.random_density(sub, d, mix=0.1)
         sigma = matcore.random_density(sub, d, mix=0.1)
         rep = entropy.gaorouze_sandwich_check(rho, sigma)
-        if not rep.passed:
-            violations.append({"counter": k})
-        worst = min(worst, rep.lower_slack, rep.upper_slack)
-    return _report("gaorouze", samples, seed, violations, worst)
+        yield rep.lower_slack, (None if rep.passed else {})
+        yield rep.upper_slack, None
+    return _run("gaorouze", samples, seed, case)
 
 
 def normcomp_suite(samples: int, seed: int) -> dict:
     """sigma <= c omega implies ||X||^2_{omega} <= c ||X||^2_{sigma} for the
     resolvent-weighted norms."""
-    rng = Rng(seed)
-    violations = []
-    worst = math.inf
-    for k in range(samples):
-        sub = rng.substream(k)
+    def case(sub, k):
         d = 2 + (k % 2)
         sigma = matcore.random_density(sub, d, mix=0.1)
         omega = matcore.random_density(sub, d, mix=0.1)
@@ -132,31 +122,24 @@ def normcomp_suite(samples: int, seed: int) -> dict:
         x = matcore.random_hermitian(sub, d)
         lhs = entropy.weighted_norm_sq(x, omega)
         rhs = c * entropy.weighted_norm_sq(x, sigma)
-        if lhs > rhs + SLACK * max(1.0, abs(rhs)):
-            violations.append({"counter": k, "lhs": lhs, "rhs": rhs})
-        worst = min(worst, rhs - lhs)
-    return _report("normcomp", samples, seed, violations, worst)
+        bad = lhs > rhs + SLACK * max(1.0, abs(rhs))
+        yield rhs - lhs, ({"lhs": lhs, "rhs": rhs} if bad else None)
+    return _run("normcomp", samples, seed, case)
 
 
 def integral_form_suite(samples: int, seed: int, quad_points: int = 64,
                         tol: float = 1e-6) -> dict:
     """Quadrature path vs eigendecomposition path for relative entropy."""
-    rng = Rng(seed)
-    violations = []
-    worst = -math.inf
-    for k in range(samples):
-        sub = rng.substream(k)
+    def case(sub, k):
         d = 2 + (k % 2)
         rho = matcore.random_density(sub, d, mix=0.1)
         sigma = matcore.random_density(sub, d, mix=0.1)
         de = entropy.relative_entropy(rho, sigma).unwrap()
         di = entropy.relative_entropy_integral_form(rho, sigma, quad_points)
         err = abs(de - di)
-        if err > tol:
-            violations.append({"counter": k, "error": err})
-        worst = max(worst, err)
-    return _report("integral-form", samples, seed, violations, -worst,
-                   extra={"quadPoints": quad_points, "tolerance": tol})
+        yield -err, ({"error": err} if err > tol else None)
+    return _run("integral-form", samples, seed, case,
+                extra={"quadPoints": quad_points, "tolerance": tol})
 
 
 def _qubit_depolarizing_lindbladian() -> channels.Lindbladian:
@@ -172,49 +155,34 @@ def clsi_converse_suite(samples: int, seed: int,
     """Fixed-point converse for the qubit depolarizing semigroup, bare and
     with a dim-2 untouched auxiliary."""
     lind = _qubit_depolarizing_lindbladian()
-    rng = Rng(seed)
-    violations = []
-    worst = math.inf
     factors = {}
     for t in times:
         zeta = 1.0 - math.exp(-t * lind.pp_index * lind.diamond_upper)
         for variant in variants:
-            g, tau = bounds.g_factor(zeta, lind.pp_index, variant=variant)
-            factors[(t, variant)] = (g, tau)
+            factors[(t, variant)] = bounds.g_factor(zeta, lind.pp_index, variant=variant)[0]
     semis = {t: lind.semigroup(t) for t in times}
-    semis_ext = {t: semis[t].tensor_identity(2) for t in times} if extended else {}
-    e_ext = lind.fixed_point.superop.tensor_identity(2) if extended else None
-    for k in range(samples):
-        sub = rng.substream(k)
-        rho = matcore.random_density(sub, 2)
-        e_rho = lind.fixed_point.apply(rho)
-        d_pre = entropy.relative_entropy(rho, e_rho).unwrap()
-        for t in times:
-            evolved = semis[t].apply(rho)
-            d_post = entropy.relative_entropy(evolved, e_rho).unwrap()
-            for variant in variants:
-                g, _ = factors[(t, variant)]
-                if d_post < g * d_pre - SLACK:
-                    violations.append({"counter": k, "t": t, "variant": variant,
-                                       "kind": "bare"})
-                worst = min(worst, d_post - g * d_pre)
-        if extended:
-            rho4 = matcore.random_density(sub, 4)
-            e_rho4 = DensityMatrix.from_matrix(e_ext.apply_matrix(rho4.matrix))
-            d_pre4 = entropy.relative_entropy(rho4, e_rho4).unwrap()
+    kinds = [("bare", 2, lind.fixed_point.superop, semis)]
+    if extended:
+        kinds.append(("extended", 4, lind.fixed_point.superop.tensor_identity(2),
+                      {t: semis[t].tensor_identity(2) for t in times}))
+
+    def case(sub, k):
+        for kind, dim, e, evolve in kinds:
+            rho = matcore.random_density(sub, dim)
+            e_rho = DensityMatrix.from_matrix(e.apply_matrix(rho.matrix))
+            d_pre = entropy.relative_entropy(rho, e_rho).unwrap()
             for t in times:
-                ev4 = DensityMatrix.from_matrix(semis_ext[t].apply_matrix(rho4.matrix))
-                d_post4 = entropy.relative_entropy(ev4, e_rho4).unwrap()
+                evolved = DensityMatrix.from_matrix(evolve[t].apply_matrix(rho.matrix))
+                d_post = entropy.relative_entropy(evolved, e_rho).unwrap()
                 for variant in variants:
-                    g, _ = factors[(t, variant)]
-                    if d_post4 < g * d_pre4 - SLACK:
-                        violations.append({"counter": k, "t": t, "variant": variant,
-                                           "kind": "extended"})
-                    worst = min(worst, d_post4 - g * d_pre4)
-    return _report("clsi-converse", samples, seed, violations, worst,
-                   extra={"c": lind.pp_index, "diamond": lind.diamond_upper,
-                          "times": list(times), "variants": list(variants),
-                          "extended": extended})
+                    g = factors[(t, variant)]
+                    bad = d_post < g * d_pre - SLACK
+                    yield d_post - g * d_pre, (
+                        {"t": t, "variant": variant, "kind": kind} if bad else None)
+    return _run("clsi-converse", samples, seed, case,
+                extra={"c": lind.pp_index, "diamond": lind.diamond_upper,
+                       "times": list(times), "variants": list(variants),
+                       "extended": extended})
 
 
 # weak replacement coupling keeps the (a, eps, m_tilde) triple feasible at
@@ -232,12 +200,9 @@ def classical_converse_suite(samples: int, seed: int,
     e = channels.depolarizing_projection(2)
     lind = channels.replacement_lindbladian(e, coupling=CLASSICAL_SUITE_COUPLING,
                                             pp_index=4.0)
-    rng = Rng(seed)
-    violations = []
-    worst = math.inf
     branches = {"large-D": 0, "small-D": 0}
-    for k in range(samples):
-        sub = rng.substream(k)
+
+    def case(sub, k):
         s0 = sub.uniform(CLASSICAL_SIGMA_FLOOR, 1.0 - CLASSICAL_SIGMA_FLOOR)
         sigma = DensityMatrix.diagonal([s0, 1.0 - s0])
         if k % 2 == 0:
@@ -254,13 +219,11 @@ def classical_converse_suite(samples: int, seed: int,
                 m_tilde=m_tilde, g_tilde=g_tilde)
             rep = bounds.classical_converse_check(e, rho, sigma, params)
             branches[rep.extra["branch"]] += 1
-            if not rep.passed:
-                violations.append({"counter": k, "t": t})
-            worst = min(worst, rep.margin)
-    return _report("classical", samples, seed, violations, worst,
-                   extra={"coupling": CLASSICAL_SUITE_COUPLING,
-                          "c": lind.pp_index, "diamond": lind.diamond_upper,
-                          "times": list(times), "branches": branches})
+            yield rep.margin, (None if rep.passed else {"t": t})
+    return _run("classical", samples, seed, case,
+                extra={"coupling": CLASSICAL_SUITE_COUPLING,
+                       "c": lind.pp_index, "diamond": lind.diamond_upper,
+                       "times": list(times), "branches": branches})
 
 
 def classical_mutinfo_suite(samples: int, seed: int,
@@ -270,54 +233,40 @@ def classical_mutinfo_suite(samples: int, seed: int,
     e = channels.depolarizing_projection(2)
     c = 4.0
     diamond = 2.0 * MUTINFO_SUITE_COUPLING
-    rng = Rng(seed)
-    violations = []
-    worst = math.inf
     branches = {"large-D": 0, "small-D": 0}
-    for k in range(samples):
-        sub = rng.substream(k)
+
+    def case(sub, k):
         cells = matcore.random_probability_vector(sub, 4, floor=MUTINFO_CELL_FLOOR)
         joint = BipartiteDensity.from_matrix(np.diag(cells.astype(complex)), 2, 2)
         for t in times:
             params = bounds.ConverseBoundParams.from_semigroup(t, c, diamond)
             rep = bounds.mutual_info_converse_check(e, joint, params=params)
             branches[rep.extra["branch"]] += 1
-            if not rep.passed:
-                violations.append({"counter": k, "t": t})
-            worst = min(worst, rep.margin)
-    return _report("classical-mutinfo", samples, seed, violations, worst,
-                   extra={"coupling": MUTINFO_SUITE_COUPLING, "c": c,
-                          "diamond": diamond, "times": list(times),
-                          "branches": branches})
+            yield rep.margin, (None if rep.passed else {"t": t})
+    return _run("classical-mutinfo", samples, seed, case,
+                extra={"coupling": MUTINFO_SUITE_COUPLING, "c": c,
+                       "diamond": diamond, "times": list(times),
+                       "branches": branches})
 
 
 def decayed_state_suite(samples: int, seed: int) -> dict:
     """Partial-replacement comparison with theta = omega = I/2 and c = 1."""
-    rng = Rng(seed)
-    violations = []
-    worst = math.inf
     mixed = DensityMatrix.maximally_mixed(2)
-    for k in range(samples):
-        sub = rng.substream(k)
+
+    def case(sub, k):
         rho, sigma = _rand_commuting_pair(sub, 2)
         zeta = sub.uniform(0.01, 0.5)
         eps = sub.uniform(zeta + 1e-4, 0.95)
         rep = bounds.decayed_state_bound_check(rho, sigma, mixed, mixed,
                                                eps=eps, zeta=zeta, c=1.0)
-        if not rep.passed:
-            violations.append({"counter": k})
-        worst = min(worst, rep.margin)
-    return _report("decayed-state", samples, seed, violations, worst)
+        yield rep.margin, (None if rep.passed else {})
+    return _run("decayed-state", samples, seed, case)
 
 
 def origcompare_suite(samples: int, seed: int) -> dict:
     """Upper comparison of D(rho||sigma) through the mixed pair, on
     commuting qubit tuples with rho >= (1-zeta) sigma by construction."""
-    rng = Rng(seed)
-    violations = []
-    worst = math.inf
-    for k in range(samples):
-        sub = rng.substream(k)
+    def case(sub, k):
         s0 = sub.uniform(0.05, 0.95)
         sigma = DensityMatrix.diagonal([s0, 1.0 - s0])
         zeta = sub.uniform(0.05, 0.9)
@@ -331,20 +280,14 @@ def origcompare_suite(samples: int, seed: int) -> dict:
             omega = DensityMatrix.diagonal([o0, 1.0 - o0])
         eps = sub.uniform(0.02, 0.9)
         rep = bounds.origcompare_check(rho, sigma, omega, eps=eps, zeta=zeta)
-        if not rep.passed:
-            violations.append({"counter": k})
-        worst = min(worst, rep.margin)
-    return _report("origcompare", samples, seed, violations, worst)
+        yield rep.margin, (None if rep.passed else {})
+    return _run("origcompare", samples, seed, case)
 
 
 def data_processing_suite(samples: int, seed: int) -> dict:
     """D(Phi rho || Phi sigma) <= D(rho || sigma) for the channel
     constructors of the package."""
-    rng = Rng(seed)
-    violations = []
-    worst = math.inf
-    for k in range(samples):
-        sub = rng.substream(k)
+    def case(sub, k):
         rho = matcore.random_density(sub, 2, mix=0.02)
         sigma = matcore.random_density(sub, 2, mix=0.02)
         d_pre = entropy.relative_entropy(rho, sigma).unwrap()
@@ -355,10 +298,8 @@ def data_processing_suite(samples: int, seed: int) -> dict:
         ]
         for idx, ch in enumerate(chans):
             d_post = entropy.relative_entropy(ch.apply(rho), ch.apply(sigma)).unwrap()
-            if d_post > d_pre + SLACK:
-                violations.append({"counter": k, "channel": idx})
-            worst = min(worst, d_pre - d_post)
-    return _report("data-processing", samples, seed, violations, worst)
+            yield d_pre - d_post, ({"channel": idx} if d_post > d_pre + SLACK else None)
+    return _run("data-processing", samples, seed, case)
 
 
 def _random_flagged_channel(sub: Rng):
@@ -369,22 +310,16 @@ def _random_flagged_channel(sub: Rng):
 
 def channel_validity_suite(samples: int, seed: int) -> dict:
     """Channels map random densities to valid densities (PSD, unit trace)."""
-    rng = Rng(seed)
-    violations = []
-    worst = math.inf
-    for k in range(samples):
-        sub = rng.substream(k)
+    def case(sub, k):
         d = 2 + (k % 3)
         rho = matcore.random_density(sub, d)
         ch = channels.depolarizing(d, sub.uniform(0.0, 1.0))
         out = ch.apply_matrix(rho.matrix)
         w, _ = matcore.eigh(out)
         tr = float(np.trace(out).real)
-        defect = min(float(w[0]), 1e-9 - abs(tr - 1.0))
-        if w[0] < -1e-9 or abs(tr - 1.0) > 1e-9:
-            violations.append({"counter": k})
-        worst = min(worst, defect)
-    return _report("channel-validity", samples, seed, violations, worst)
+        bad = w[0] < -1e-9 or abs(tr - 1.0) > 1e-9
+        yield min(float(w[0]), 1e-9 - abs(tr - 1.0)), ({} if bad else None)
+    return _run("channel-validity", samples, seed, case)
 
 
 SUITES = {

@@ -324,6 +324,37 @@ def test_extension_preserves_channel_structure(rng):
     assert np.abs(out - expect).max() < 1e-12
 
 
+def test_apply_on_factor_matches_extended_maps(rng):
+    maps = (depolarizing(2, 0.4).to_superoperator(), pinching(2),
+            complementary_channel(depolarizing(2, 0.3)))  # last one is 2 -> 5
+    units = np.eye(3)
+    for m in maps:
+        joint = matcore.random_density(rng, 6).matrix
+        left = channels.apply_on_factor(m, joint, (2, 3), 0)
+        right = channels.apply_on_factor(m, joint, (3, 2), 1)
+        if not isinstance(m, KrausChannel):
+            sup = m if isinstance(m, SuperOperator) else m.superop
+            assert np.abs(left - sup.tensor_identity(3).apply_matrix(joint)).max() < 1e-14
+        # the extended maps by linearity over the blocks of the untouched factor
+        blocks_l = joint.reshape(2, 3, 2, 3)
+        expect_l = sum(np.kron(m.apply_matrix(blocks_l[:, a, :, b]), np.outer(units[a], units[b]))
+                       for a in range(3) for b in range(3))
+        blocks_r = joint.reshape(3, 2, 3, 2)
+        expect_r = sum(np.kron(np.outer(units[a], units[b]), m.apply_matrix(blocks_r[a, :, b, :]))
+                       for a in range(3) for b in range(3))
+        assert left.shape == expect_l.shape and right.shape == expect_r.shape
+        assert np.abs(left - expect_l).max() < 1e-14
+        assert np.abs(right - expect_r).max() < 1e-14
+
+
+def test_apply_on_factor_rejects_dimension_mismatch():
+    sup = depolarizing(2, 0.4).to_superoperator()
+    with pytest.raises(ValueError, match="dim"):
+        channels.apply_on_factor(sup, np.eye(6), (3, 2), 0)
+    with pytest.raises(ValueError, match="dim"):
+        channels.apply_on_factor(depolarizing(3, 0.1), np.eye(6), (3, 2), 1)
+
+
 def test_kraus_json_roundtrip_bit_exact(rng):
     ch = depolarizing(2, 1 / 3)
     text = ch.to_json()

@@ -189,3 +189,36 @@ def test_units_conversion_to_bits(tmp_path, capsys):
     assert abs(float(row_b[1]) - float(row_n[1]) / math.log(2)) < 1e-15
     # ratios are unit-free
     assert row_b[3] == row_n[3]
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_nonpositive_samples_exits_2(tmp_path, capsys, samples):
+    out = tmp_path / "r.json"
+    code, _, err = run(["verify", "--suite", "pinsker", "--samples", samples,
+                        "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_non_integer_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("QDECAY_SEED", "abc")
+    code, _, err = run(["verify", "--suite", "pinsker", "--samples", "2"], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "QDECAY_SEED" in err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "1e-2,nan"])
+def test_g_table_non_finite_t_exits_2(capsys, t):
+    code, out, err = run(["g-table", "--t", t], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_g_table_t_with_zeta_rounding_to_one_exits_2(capsys):
+    # 1 - exp(-60) is exactly 1.0 in double precision
+    code, out, err = run(["g-table", "--t", "1e-2,20"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "zeta" in err
