@@ -101,6 +101,19 @@ def _pinched(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix.from_matrix(np.diag(np.diagonal(rho.matrix)))
 
 
+def _theta_grid(grid) -> tuple:
+    """Validate a sweep's theta grid: non-empty, every theta in (0, pi/4],
+    strictly decreasing.  Returns it as a tuple of floats."""
+    thetas = tuple(float(t) for t in grid)
+    if not thetas:
+        raise ValueError("theta grid is empty")
+    if any(not 0.0 < t <= math.pi / 4 for t in thetas):
+        raise ValueError("theta values must lie in (0, pi/4]")
+    if any(b >= a for a, b in zip(thetas, thetas[1:])):
+        raise ValueError("theta grid must be strictly decreasing")
+    return thetas
+
+
 @dataclass(frozen=True)
 class SuddenDecayConfig:
     theta_grid: tuple
@@ -109,18 +122,13 @@ class SuddenDecayConfig:
     noise: str = "depolarizing"
 
     def __post_init__(self):
-        thetas = tuple(float(t) for t in self.theta_grid)
-        if not thetas:
-            raise ValueError("theta grid is empty")
-        if any(not 0.0 < t <= math.pi / 4 for t in thetas):
-            raise ValueError("theta values must lie in (0, pi/4]")
-        if any(b >= a for a, b in zip(thetas, thetas[1:])):
-            raise ValueError("theta grid must be strictly decreasing")
+        object.__setattr__(self, "theta_grid", _theta_grid(self.theta_grid))
+        if self.dim < 2:
+            raise ValueError(f"dimension must be at least 2, got {self.dim}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}")
-        object.__setattr__(self, "theta_grid", thetas)
 
     @classmethod
     def logspace(cls, theta_max: float, theta_min: float, points: int,
@@ -319,8 +327,7 @@ class PrivateRateConfig:
             raise ValueError("lambda must lie in (0, 1)")
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}")
-        object.__setattr__(self, "theta_grid",
-                           tuple(float(t) for t in self.theta_grid))
+        object.__setattr__(self, "theta_grid", _theta_grid(self.theta_grid))
 
 
 def private_rate_lower_bound(cfg: PrivateRateConfig) -> SweepResult:

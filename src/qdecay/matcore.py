@@ -1,9 +1,9 @@
 """Dense complex Hermitian linear algebra.
 
 Everything downstream (entropies, channels, bound checks) sits on this
-module: a cyclic Jacobi eigensolver for complex Hermitian matrices,
-matrix functions through the eigenbasis, tensor and partial-trace
-structure, trace norms, and Loewner-order queries.
+module: a batched complex Hermitian eigensolver (LAPACK, through
+numpy.linalg.eigh), matrix functions through the eigenbasis, tensor and
+partial-trace structure, trace norms, and Loewner-order queries.
 
 Conventions fixed here and used globally:
   * matrices are numpy complex arrays, row-major;
@@ -26,13 +26,6 @@ DENSITY_EIG_FLOOR = -1e-10
 DENSITY_TRACE_ATOL = 1e-10
 SUPPORT_RTOL = 1e-12
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_TOL_FACTOR = 1e-13
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Raised when the cyclic Jacobi sweep cap is hit before convergence."""
-
 
 def as_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Validate that m is Hermitian within tolerance and return (m + m†)/2."""
@@ -51,67 +44,23 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray  # unitary, columns match eigenvalues
 
 
-def jacobi_eigh_batch(stack: np.ndarray,
-                      max_sweeps: int = JACOBI_MAX_SWEEPS,
-                      tol_factor: float = JACOBI_TOL_FACTOR) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a stack of Hermitian matrices.
+def jacobi_eigh_batch(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a stack of Hermitian matrices.
 
-    Applies the same cyclic (p, q) rotation schedule to every matrix in
-    the (n, d, d) stack, with rotation angles computed elementwise, until
-    each off-diagonal Frobenius norm falls below tol_factor times the
-    matrix Frobenius norm.  Returns (eigenvalues, eigenvectors) with
-    eigenvalues ascending per matrix.
+    One LAPACK call (numpy.linalg.eigh) on the (n, d, d) complex stack;
+    returns (eigenvalues, eigenvectors) with eigenvalues ascending per
+    matrix and eigenvector columns matching them.  Non-finite entries
+    are rejected here, since every eigensolve passes through this
+    function and LAPACK would otherwise return NaN spectra silently.
+    The name predates the LAPACK solver; callers and the benchmark's
+    tracing (perfbench/tracing.py) refer to it by this name.
     """
-    A = np.array(stack, dtype=complex)
+    A = np.asarray(stack, dtype=complex)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {A.shape}")
-    n, d, _ = A.shape
-    V = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)).copy()
-    if d == 1:
-        return A[:, 0, 0].real.reshape(n, 1), V
-    norm_f = np.sqrt((np.abs(A) ** 2).sum(axis=(1, 2)))
-    tol = tol_factor * np.maximum(norm_f, np.finfo(float).tiny)
-    off_mask = ~np.eye(d, dtype=bool)
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.sqrt((np.abs(A[:, off_mask]) ** 2).sum(axis=1))
-        if np.all(off <= tol):
-            converged = True
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[:, p, q].copy()
-                mag = np.abs(apq)
-                active = mag > np.finfo(float).tiny
-                safe_mag = np.where(active, mag, 1.0)
-                phase = np.where(active, apq / safe_mag, 1.0 + 0.0j)
-                tau = (A[:, q, q].real - A[:, p, p].real) / (2.0 * safe_mag)
-                t = np.where(active,
-                             np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau)),
-                             0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s_ph = (t * c) * phase
-                # right-multiply columns p,q of A and V, left-multiply rows of A
-                colp, colq = A[:, :, p].copy(), A[:, :, q].copy()
-                A[:, :, p] = c[:, None] * colp - np.conj(s_ph)[:, None] * colq
-                A[:, :, q] = s_ph[:, None] * colp + c[:, None] * colq
-                rowp, rowq = A[:, p, :].copy(), A[:, q, :].copy()
-                A[:, p, :] = c[:, None] * rowp - s_ph[:, None] * rowq
-                A[:, q, :] = np.conj(s_ph)[:, None] * rowp + c[:, None] * rowq
-                colp, colq = V[:, :, p].copy(), V[:, :, q].copy()
-                V[:, :, p] = c[:, None] * colp - np.conj(s_ph)[:, None] * colq
-                V[:, :, q] = s_ph[:, None] * colp + c[:, None] * colq
-    if not converged:
-        off = np.sqrt((np.abs(A[:, off_mask]) ** 2).sum(axis=1))
-        worst = int(np.argmax(off / np.maximum(tol, np.finfo(float).tiny)))
-        raise JacobiConvergenceError(
-            f"Jacobi did not converge after {max_sweeps} sweeps for a "
-            f"{d}x{d} matrix (off-diagonal residual {off[worst]:.3e})")
-    w = np.diagonal(A, axis1=1, axis2=2).real.copy()
-    order = np.argsort(w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
-    V = np.take_along_axis(V, order[:, None, :], axis=2)
-    return w, V
+    if not np.isfinite(A).all():
+        raise ValueError("cannot diagonalize a matrix with non-finite entries")
+    return np.linalg.eigh(A)
 
 
 def eigh(h: np.ndarray) -> EigenDecomposition:

@@ -222,3 +222,22 @@ def test_g_table_t_with_zeta_rounding_to_one_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "zeta" in err
+
+
+@pytest.mark.parametrize("theta_max", ["2", "nan"])
+def test_private_rate_theta_outside_range_exits_2(tmp_path, capsys, theta_max):
+    out = tmp_path / "rate.csv"
+    code, _, err = run(["private-rate", "--p", "0.3", "--lambda", "0.2",
+                        "--theta-max", theta_max, "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sudden_decay_dim_one_exits_2(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(["sudden-decay", "--lambda", "0.1", "--dim", "1",
+                        "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_unitary
 from qdecay import matcore
 from qdecay.matcore import BipartiteDensity, DensityMatrix
 from qdecay.rng import Rng
@@ -38,6 +39,44 @@ def test_eigh_batch_reconstruction(d, rng):
     assert np.abs(recon - stack).max() < 1e-10 * scale
     ref = np.linalg.eigvalsh(stack)
     assert np.abs(w - ref).max() < 1e-9 * scale
+
+
+def _mp_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the float matrix h computed by mpmath at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in h])
+        e = mpmath.eighe(a, eigvals_only=True)
+        return np.array(sorted(float(x) for x in e))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_eigh_matches_mpmath_oracle(d, rng):
+    for _ in range(3):
+        h = matcore.random_hermitian(rng, d)
+        w, _ = matcore.eigh(h)
+        ref = _mp_eigenvalues(matcore.as_hermitian(h))
+        assert np.abs(w - ref).max() < 1e-13 * max(1.0, float(np.abs(h).max()))
+
+
+def test_eigh_graded_density_matches_mpmath_oracle(rng):
+    u = random_unitary(rng, 16)
+    h = matcore.as_hermitian((u * np.logspace(0, -15, 16)) @ u.conj().T)
+    w, _ = matcore.eigh(h)
+    ref = _mp_eigenvalues(h)
+    assert np.abs(w - ref).max() < 1e-13 * max(1.0, float(np.abs(h).max()))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_eigensolver_rejects_non_finite_entries(bad):
+    m = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        matcore.eigh(m)
+    with pytest.raises(ValueError, match="non-finite"):
+        matcore.jacobi_eigh_batch(m[None])
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix.from_matrix(m)
 
 
 def test_eigh_rejects_non_hermitian():
