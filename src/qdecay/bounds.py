@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -33,13 +33,12 @@ class InfeasibleParamsError(ValueError):
     """The (a, eps, m_tilde) triple violates the case-combination condition."""
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                tol: float) -> tuple[float, float]:
+def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > TAU_REFINE_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -54,15 +53,14 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
 
 def maximize_on_unit_interval(f: Callable[[float], float],
                               grid_min: float = TAU_GRID_MIN,
-                              grid_points: int = TAU_GRID_POINTS,
-                              tol: float = TAU_REFINE_TOL) -> tuple[float, float]:
+                              grid_points: int = TAU_GRID_POINTS) -> tuple[float, float]:
     """Global grid bracket on (0, 1) followed by golden-section refinement."""
     grid = np.logspace(math.log10(grid_min), math.log10(1.0 - grid_min), grid_points)
     vals = np.array([f(t) for t in grid])
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    x, fx = _golden_max(f, lo, hi, tol)
+    x, fx = _golden_max(f, lo, hi)
     if vals[i] > fx:
         return float(grid[i]), float(vals[i])
     return float(x), float(fx)
@@ -108,7 +106,7 @@ class ConverseBoundParams:
     fixed-point converse; eps is the mixing weight of the commuting-case
     replacement step, derived as 1 - exp(-t c diamond / 2) (the keep
     amplitude exp(-t c diamond / 2) is epsilon_keep).  a defaults to the
-    midpoint of its feasible interval and tau to \"optimize\".
+    midpoint of its feasible interval.
     """
 
     t: float = 0.0
@@ -119,7 +117,6 @@ class ConverseBoundParams:
     a: float | None = None
     m_tilde: float = 1.0
     g_tilde: float = 1.0
-    tau: float | str = "optimize"
 
     @property
     def eps_keep(self) -> float:
@@ -158,13 +155,12 @@ class ConverseBoundParams:
             "t": self.t, "c": self.c, "diamond": self.diamond,
             "zeta": self.zeta, "eps": self.eps,
             "a": self.a, "mTilde": self.m_tilde, "gTilde": self.g_tilde,
-            "tau": self.tau,
         }
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Both sides of one bound evaluation; pass means lhs >= rhs - slack."""
+    """Both sides of one bound evaluation; pass means lhs >= rhs - PASS_SLACK."""
 
     name: str
     lhs: float
@@ -173,12 +169,11 @@ class BoundReport:
     params: ConverseBoundParams | None = None
     tau_star: float | None = None
     g_star: float | None = None
-    slack: float = PASS_SLACK
     extra: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return self.lhs >= self.rhs - self.slack
+        return self.lhs >= self.rhs - PASS_SLACK
 
     @property
     def margin(self) -> float:
@@ -191,7 +186,7 @@ class BoundReport:
             "rhs": self.rhs,
             "factor": self.factor,
             "pass": self.passed,
-            "slack": self.slack,
+            "slack": PASS_SLACK,
         }
         if self.params is not None:
             out["params"] = self.params.to_json_dict()
@@ -291,11 +286,11 @@ def classical_converse_factor(params: ConverseBoundParams, branch: str) -> float
     raise ValueError(f"unknown branch {branch!r}")
 
 
-def _check_commuting(*mats: np.ndarray, atol: float = 1e-10) -> None:
+def _check_commuting(*mats: np.ndarray) -> None:
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             dev = float(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]).max())
-            if dev > atol:
+            if dev > matcore.COMMUTE_ATOL:
                 raise ValueError(f"matrices {i} and {j} do not commute: |[.,.]| = {dev:.3e}")
 
 
@@ -324,10 +319,7 @@ def classical_converse_check(e: ConditionalExpectation, rho: DensityMatrix,
     d_post = entropy.relative_entropy(mixed_rho, mixed_sigma).unwrap()
     a = params.resolved_a()
     branch = "large-D" if d_pre >= a * params.m_tilde ** 2 / 2.0 else "small-D"
-    resolved = ConverseBoundParams(
-        t=params.t, c=params.c, diamond=params.diamond, zeta=params.zeta,
-        eps=eps, a=a, m_tilde=params.m_tilde, g_tilde=params.g_tilde,
-        tau=params.tau)
+    resolved = replace(params, a=a)
     factor = classical_converse_factor(resolved, branch)
     return BoundReport(
         name=f"classical-converse[{branch}]",
@@ -385,10 +377,7 @@ def mutual_info_converse_check(e_on_b: ConditionalExpectation,
         params = ConverseBoundParams.from_semigroup(
             t, c, diamond, m_tilde=m_tilde, g_tilde=g_tilde)
     else:
-        params = ConverseBoundParams(
-            t=params.t, c=params.c, diamond=params.diamond, zeta=params.zeta,
-            eps=params.eps, a=params.a, m_tilde=m_tilde, g_tilde=g_tilde,
-            tau=params.tau)
+        params = replace(params, m_tilde=m_tilde, g_tilde=g_tilde)
     i_pre = entropy.mutual_information(rho)
     eps = params.eps
     mixed = DensityMatrix.from_matrix(
@@ -397,9 +386,7 @@ def mutual_info_converse_check(e_on_b: ConditionalExpectation,
         BipartiteDensity(rho.dim_a, rho.dim_b, mixed))
     a = params.resolved_a()
     branch = "large-D" if i_pre >= a * m_tilde ** 2 / 2.0 else "small-D"
-    resolved = ConverseBoundParams(
-        t=params.t, c=params.c, diamond=params.diamond, zeta=params.zeta,
-        eps=eps, a=a, m_tilde=m_tilde, g_tilde=g_tilde, tau=params.tau)
+    resolved = replace(params, a=a)
     factor = classical_converse_factor(resolved, branch)
     return BoundReport(
         name=f"mutual-info-converse[{branch}]",

@@ -26,6 +26,9 @@ KRAUS_COMPLETENESS_ATOL = 1e-10
 IDEMPOTENCE_ATOL = 1e-10
 EXPM_TAYLOR_ORDER = 12
 EXPM_SQUARING_THRESHOLD = 0.5
+FIXED_POINT_GAP_TOL = 1e-8
+DIAMOND_SEED = 2024
+DIAMOND_MAX_ITERS = 200
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -33,24 +36,22 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
-    cols = rows if cols is None else cols
-    return np.asarray(v, dtype=complex).reshape(rows, cols, order="F")
+def unvec(v: np.ndarray, rows: int) -> np.ndarray:
+    return np.asarray(v, dtype=complex).reshape(rows, rows, order="F")
 
 
-def expm_taylor(m: np.ndarray, order: int = EXPM_TAYLOR_ORDER,
-                threshold: float = EXPM_SQUARING_THRESHOLD) -> np.ndarray:
+def expm_taylor(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring over a truncated Taylor
     series; works for arbitrary (non-Hermitian) square matrices."""
     m = np.asarray(m, dtype=complex)
     norm = float(np.linalg.norm(m, 1))
     squarings = 0
-    if norm > threshold:
-        squarings = int(math.ceil(math.log2(norm / threshold)))
+    if norm > EXPM_SQUARING_THRESHOLD:
+        squarings = int(math.ceil(math.log2(norm / EXPM_SQUARING_THRESHOLD)))
         m = m / (2.0 ** squarings)
     out = np.eye(m.shape[0], dtype=complex)
     term = np.eye(m.shape[0], dtype=complex)
-    for k in range(1, order + 1):
+    for k in range(1, EXPM_TAYLOR_ORDER + 1):
         term = term @ m / k
         out = out + term
     for _ in range(squarings):
@@ -170,10 +171,10 @@ class SuperOperator:
         da = d * a
         return SuperOperator(da, j8.reshape(da * da, da * da))
 
-    def is_trace_preserving(self, atol: float = 1e-9) -> bool:
+    def is_trace_preserving(self) -> bool:
         d = self.dim
         tr_row = vec(np.eye(d)).conj() @ self.matrix
-        return bool(np.abs(tr_row - vec(np.eye(d)).conj()).max() <= atol)
+        return bool(np.abs(tr_row - vec(np.eye(d)).conj()).max() <= 1e-9)
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -182,11 +183,6 @@ def identity_channel(d: int) -> KrausChannel:
 
 def identity_superoperator(d: int) -> SuperOperator:
     return SuperOperator(d, np.eye(d * d, dtype=complex))
-
-
-def apply_channel(channel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply a KrausChannel or SuperOperator to a density."""
-    return channel.apply(rho)
 
 
 def apply_on_factor(channel, m: np.ndarray, dims, which: int) -> np.ndarray:
@@ -261,7 +257,6 @@ class ConditionalExpectation:
     """Idempotent trace-preserving projection onto a fixed-point subalgebra."""
 
     superop: SuperOperator
-    blocks: tuple = ()  # optional (projector, (dim_b, dim_c)) descriptors
 
     def __post_init__(self):
         m = self.superop.matrix
@@ -299,15 +294,13 @@ def pinching(basis: np.ndarray | int) -> ConditionalExpectation:
     for l in range(d):
         p = np.outer(u[:, l], u[:, l].conj())
         m += np.kron(p.conj(), p)
-    blocks = tuple((np.outer(u[:, l], u[:, l].conj()), (1, 1)) for l in range(d))
-    return ConditionalExpectation(SuperOperator(d, m), blocks)
+    return ConditionalExpectation(SuperOperator(d, m))
 
 
 def depolarizing_projection(d: int) -> ConditionalExpectation:
     """Projection onto the trivial algebra: rho -> tr(rho) I/d."""
     m = np.outer(vec(np.eye(d, dtype=complex) / d), vec(np.eye(d, dtype=complex)).conj())
-    blocks = ((np.eye(d, dtype=complex), (1, d)),)
-    return ConditionalExpectation(SuperOperator(d, m), blocks)
+    return ConditionalExpectation(SuperOperator(d, m))
 
 
 def replacement_semigroup(e: ConditionalExpectation, t: float) -> SuperOperator:
@@ -422,14 +415,14 @@ def group_lindbladian(g: GroupLindbladian) -> Lindbladian:
     )
 
 
-def fixed_point_projection(gen: SuperOperator, gap_tol: float = 1e-8) -> ConditionalExpectation:
+def fixed_point_projection(gen: SuperOperator) -> ConditionalExpectation:
     """Spectral projection onto the fixed points of exp(-t gen).
 
     Requires the superoperator matrix of the generator to be Hermitian
     (true for all generator families used here: pinching, depolarizing,
     group averages and replacement generators).  The projector onto the
     kernel of the generator is assembled from its eigenbasis; a spectral
-    gap below gap_tol is reported as non-convergence.
+    gap below FIXED_POINT_GAP_TOL is reported as non-convergence.
     """
     m = gen.matrix
     dev = float(np.abs(m - m.conj().T).max())
@@ -439,11 +432,11 @@ def fixed_point_projection(gen: SuperOperator, gap_tol: float = 1e-8) -> Conditi
             "projection analytically")
     w, v = matcore.jacobi_eigh_batch(matcore.as_hermitian(m, atol=1e-9)[None])
     w, v = w[0], v[0]
-    fixed = np.abs(w) <= gap_tol
+    fixed = np.abs(w) <= FIXED_POINT_GAP_TOL
     moving = ~fixed
     if not fixed.any():
         raise ValueError("generator has no fixed point within tolerance")
-    if moving.any() and float(np.abs(w[moving]).min()) < 10 * gap_tol:
+    if moving.any() and float(np.abs(w[moving]).min()) < 10 * FIXED_POINT_GAP_TOL:
         raise ValueError(
             f"spectral gap {float(np.abs(w[moving]).min()):.3e} below resolution; "
             "supply the fixed-point projection analytically")
@@ -519,8 +512,7 @@ def complementary_channel(channel: KrausChannel) -> KrausChannel:
     return KrausChannel.from_kraus(ops)
 
 
-def diamond_norm_estimate(delta: SuperOperator, restarts: int = 8,
-                          seed: int = 2024, iters: int = 200) -> float:
+def diamond_norm_estimate(delta: SuperOperator, restarts: int = 8) -> float:
     """Certified lower estimate of the diamond norm of a Hermiticity-
     preserving map.
 
@@ -537,7 +529,7 @@ def diamond_norm_estimate(delta: SuperOperator, restarts: int = 8,
         raise ValueError("map is not Hermiticity-preserving")
     if float(np.abs(m).max()) == 0.0:
         return 0.0
-    rng = Rng(seed)
+    rng = Rng(DIAMOND_SEED)
     best = 0.0
     adj = SuperOperator(d, m.conj().T)
     for r in range(restarts):
@@ -545,10 +537,10 @@ def diamond_norm_estimate(delta: SuperOperator, restarts: int = 8,
         if r == 0:
             psi = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)  # maximally entangled
         else:
-            psi = np.array([sub.normal() + 1j * sub.normal() for _ in range(d * d)])
+            psi = matcore.random_complex_normal(sub, (d * d,))
             psi = psi / np.linalg.norm(psi)
         val = _trace_norm_of_extended(delta, psi, d)
-        for _ in range(iters):
+        for _ in range(DIAMOND_MAX_ITERS):
             out = apply_on_factor(delta, np.outer(psi, psi.conj()), (d, d), 0)
             w, v = matcore.jacobi_eigh_batch(matcore.as_hermitian(out, atol=1e-7)[None])
             sign = (v[0] * np.sign(w[0])) @ v[0].conj().T

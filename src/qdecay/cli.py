@@ -2,8 +2,8 @@
 
 Subcommands mirror the package's experiments and verification suites;
 identical (command, flags, seed) invocations write byte-identical files.
-Exit codes: 0 success, 1 numerical failure, 2 bad flags, 3 verification
-suite violation.
+Exit codes: 0 success, 1 numerical failure, 2 bad flags or an unwritable
+--out path, 3 verification suite violation.
 """
 
 from __future__ import annotations
@@ -38,6 +38,14 @@ def _seed_from_env(value: int | None) -> int:
         raise ValueError(f"QDECAY_SEED must be an integer, got {env!r}") from None
 
 
+def _error(err: Exception, code: int) -> int:
+    """Print err as a one-line message and return the exit code."""
+    # str() of a KeyError quotes its message
+    msg = err.args[0] if isinstance(err, KeyError) else err
+    print(f"error: {msg}", file=sys.stderr)
+    return code
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -67,13 +75,11 @@ def cmd_sudden_decay(args) -> int:
             theta_max=args.theta_max, theta_min=args.theta_min,
             points=args.points, lam=args.lam, dim=args.dim, noise=args.noise)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err, 2)
     try:
         result = exp.sudden_decay_sweep(cfg)
     except Exception as err:  # numerical failure
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err, 1)
     result = _convert_units(result, args.units, ("d_pre", "d_post"))
     _write_output(_sweep_text(result, args.format), args.out)
     for w in result.warnings:
@@ -91,8 +97,7 @@ def cmd_g_table(args) -> int:
             raise ValueError(f"t = {max(times)!r} is too large: "
                              "zeta = 1 - exp(-3 t) rounds to 1")
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err, 2)
     rows = []
     for t, zeta in zip(times, zetas):
         g, tau = bounds.g_factor(zeta, 4.0, variant=args.variant)
@@ -112,17 +117,14 @@ def cmd_verify(args) -> int:
         if args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err, 2)
     names = "all" if args.suite == "all" else [args.suite]
     try:
         report = verify.run_suites(names, args.samples, seed)
     except KeyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err, 2)
     except Exception as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err, 1)
     text = json.dumps(report, sort_keys=True, indent=1) + "\n"
     _write_output(text, args.out)
     for suite in report["suites"]:
@@ -140,13 +142,11 @@ def cmd_private_rate(args) -> int:
                                     theta_grid=tuple(float(t) for t in grid),
                                     noise=args.noise)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err, 2)
     try:
         result = exp.private_rate_lower_bound(cfg)
     except Exception as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err, 1)
     result = _convert_units(result, args.units,
                             ("i_kept", "i_env", "rate_lower_bound"))
     _write_output(_sweep_text(result, args.format), args.out)
@@ -214,7 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as err:  # an --out path that cannot be written
+        return _error(err, 2)
 
 
 if __name__ == "__main__":

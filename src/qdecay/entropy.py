@@ -18,6 +18,7 @@ from . import matcore
 from .matcore import BipartiteDensity, DensityMatrix
 
 ZERO_CLIP = 1e-18
+PINSKER_SLACK = 1e-12
 
 # Entropy formulas must resolve genuinely tiny spectrum (the sweeps push
 # eigenvalues toward theta^2 ~ 1e-13); the rank rule used for Loewner
@@ -135,15 +136,13 @@ class PinskerReport:
     refined_bound: float | None    # max{-ln(1 - ||.||_1^2/4), basic} when commuting
     basic_holds: bool
     refined_holds: bool | None
-    slack: float = 1e-12
 
     @property
     def passed(self) -> bool:
         return self.basic_holds and (self.refined_holds is not False)
 
 
-def pinsker_check(rho: DensityMatrix, sigma: DensityMatrix,
-                  slack: float = 1e-12, comm_atol: float = 1e-10) -> PinskerReport:
+def pinsker_check(rho: DensityMatrix, sigma: DensityMatrix) -> PinskerReport:
     """Evaluate both sides of the Pinsker bound and, for commuting pairs,
     of its refinement max{ -ln(1 - ||.||_1^2 / 4), ||.||_1^2 / 2 }."""
     d = relative_entropy(rho, sigma)
@@ -151,22 +150,21 @@ def pinsker_check(rho: DensityMatrix, sigma: DensityMatrix,
     basic = 0.5 * tn * tn
     dval = float(d)
     comm = float(np.abs(rho.matrix @ sigma.matrix
-                        - sigma.matrix @ rho.matrix).max()) <= comm_atol
+                        - sigma.matrix @ rho.matrix).max()) <= matcore.COMMUTE_ATOL
     refined = None
     refined_holds = None
     if comm:
         arg = 1.0 - 0.25 * tn * tn
         refined = math.inf if arg <= 0 else max(-math.log(arg), basic)
-        refined_holds = dval >= refined - slack
+        refined_holds = dval >= refined - PINSKER_SLACK
     return PinskerReport(
         relative_entropy=dval,
         trace_distance=tn,
         basic_bound=basic,
         commuting=comm,
         refined_bound=refined,
-        basic_holds=dval >= basic - slack,
+        basic_holds=dval >= basic - PINSKER_SLACK,
         refined_holds=refined_holds,
-        slack=slack,
     )
 
 

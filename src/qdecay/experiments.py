@@ -91,8 +91,6 @@ def _noise_channel(kind: str, lam: float, d: int) -> KrausChannel:
     if kind == "depolarizing":
         return channels.depolarizing(d, lam)
     if kind == "dephasing-y":
-        if d != 2:
-            raise ValueError("dephasing-y noise is a qubit channel")
         return channels.dephasing_y(lam)
     raise ValueError(f"unknown noise kind {kind!r}; choose from {NOISE_KINDS}")
 
@@ -114,6 +112,14 @@ def _theta_grid(grid) -> tuple:
     return thetas
 
 
+def _precision_warnings(thetas) -> tuple:
+    """One warning per distinct theta below THETA_PRECISION_WARNING, sorted."""
+    return tuple(sorted({
+        f"theta={t:g} is below {THETA_PRECISION_WARNING:g}; "
+        "values sit near the double-precision cancellation floor"
+        for t in thetas if t < THETA_PRECISION_WARNING}))
+
+
 @dataclass(frozen=True)
 class SuddenDecayConfig:
     theta_grid: tuple
@@ -129,6 +135,8 @@ class SuddenDecayConfig:
             raise ValueError("lambda must lie in [0, 1]")
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}")
+        if self.noise == "dephasing-y" and self.dim != 2:
+            raise ValueError(f"dephasing-y noise is a qubit channel; got dimension {self.dim}")
 
     @classmethod
     def logspace(cls, theta_max: float, theta_min: float, points: int,
@@ -142,13 +150,8 @@ def sudden_decay_sweep(cfg: SuddenDecayConfig) -> SweepResult:
     """Per theta: exact pre-noise and post-noise relative entropy to the
     computational-basis pinching, their ratio, and ratio * ln(1/theta)."""
     rows = []
-    warns = []
     noise = None if cfg.lam == 0 else _noise_channel(cfg.noise, cfg.lam, cfg.dim)
     for theta in cfg.theta_grid:
-        if theta < THETA_PRECISION_WARNING:
-            warns.append(
-                f"theta={theta:g} is below {THETA_PRECISION_WARNING:g}; "
-                "values sit near the double-precision cancellation floor")
         pre_state = rho_theta_lambda(theta, 0.0, cfg.dim)
         d_pre = entropy.relative_entropy(pre_state, _pinched(pre_state)).unwrap()
         if noise is None:
@@ -168,7 +171,7 @@ def sudden_decay_sweep(cfg: SuddenDecayConfig) -> SweepResult:
     }
     return SweepResult(
         columns=("theta", "d_pre", "d_post", "ratio", "ratio_times_log_inv_theta"),
-        rows=tuple(rows), metadata=meta, warnings=tuple(sorted(set(warns))))
+        rows=tuple(rows), metadata=meta, warnings=_precision_warnings(cfg.theta_grid))
 
 
 def expansion_quadratic_coefficient(lam: float, d: int = 2) -> float:
@@ -342,13 +345,8 @@ def private_rate_lower_bound(cfg: PrivateRateConfig) -> SweepResult:
     """
     comp = channels.complementary_channel(_noise_channel(cfg.noise, cfg.lam, 2))
     rows = []
-    warns = []
     best = None
     for theta in cfg.theta_grid:
-        if theta < THETA_PRECISION_WARNING:
-            warns.append(
-                f"theta={theta:g} is below {THETA_PRECISION_WARNING:g}; "
-                "values sit near the double-precision cancellation floor")
         omega = omega_theta_lambda(theta, 0.0)
         i_kept = entropy.mutual_information(omega)
         env_state = channels.apply_to_b(comp, omega)
@@ -369,4 +367,4 @@ def private_rate_lower_bound(cfg: PrivateRateConfig) -> SweepResult:
     }
     return SweepResult(
         columns=("theta", "i_kept", "i_env", "rate_lower_bound"),
-        rows=tuple(rows), metadata=meta, warnings=tuple(sorted(set(warns))))
+        rows=tuple(rows), metadata=meta, warnings=_precision_warnings(cfg.theta_grid))

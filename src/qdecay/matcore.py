@@ -14,6 +14,7 @@ Conventions fixed here and used globally:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -25,14 +26,20 @@ HERMITIAN_ATOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
 DENSITY_TRACE_ATOL = 1e-10
 SUPPORT_RTOL = 1e-12
+# largest entry of a commutator [A, B] for A and B to count as commuting
+COMMUTE_ATOL = 1e-10
 
 
 def as_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate that m is Hermitian within tolerance and return (m + m†)/2."""
+    """Validate that m is finite and Hermitian within tolerance and return
+    (m + m†)/2."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
+    top = float(np.abs(m).max()) if m.size else 1.0
+    if not math.isfinite(top):
+        raise ValueError("matrix has non-finite entries")
+    scale = max(1.0, top)
     dev = float(np.abs(m - m.conj().T).max())
     if dev > atol * scale:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dagger| = {dev:.3e}")
@@ -178,9 +185,6 @@ class DensityMatrix:
         top = self.eigenvalues[-1]
         return self.eigenvalues > SUPPORT_RTOL * max(top, np.finfo(float).tiny)
 
-    def support_rank(self) -> int:
-        return int(self.support_mask().sum())
-
     def support_projector(self) -> np.ndarray:
         vs = self.eigenvectors[:, self.support_mask()]
         return vs @ vs.conj().T
@@ -239,15 +243,14 @@ def loewner_min_coefficient(rho, sigma, strict: bool = False) -> float:
     return float(w[0][-1])
 
 
-def commuting_order_floor(rho: DensityMatrix, sigma: DensityMatrix,
-                          comm_atol: float = 1e-10) -> float:
+def commuting_order_floor(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """For commuting densities, eps = || (rho - sigma)|_supp(sigma) ||_inf.
 
     Asserts the order floor rho - sigma + eps * P_sigma >= -1e-12 before
     returning.  Non-commuting inputs are a precondition error.
     """
     comm = rho.matrix @ sigma.matrix - sigma.matrix @ rho.matrix
-    if float(np.abs(comm).max()) > comm_atol:
+    if float(np.abs(comm).max()) > COMMUTE_ATOL:
         raise ValueError("inputs do not commute within tolerance")
     p = sigma.support_projector()
     diff = p @ (rho.matrix - sigma.matrix) @ p
@@ -259,22 +262,23 @@ def commuting_order_floor(rho: DensityMatrix, sigma: DensityMatrix,
     return eps
 
 
-def random_hermitian(rng: Rng, d: int, scale: float = 1.0) -> np.ndarray:
+def random_complex_normal(rng: Rng, shape) -> np.ndarray:
+    """Standard complex normals drawn entry by entry, row-major, real part
+    first: the one draw order the seeded complex Gaussian streams rely on."""
+    n = math.prod(shape)
+    return np.array([rng.normal() + 1j * rng.normal() for _ in range(n)]).reshape(shape)
+
+
+def random_hermitian(rng: Rng, d: int) -> np.ndarray:
     """Gaussian Hermitian matrix (GUE-style up to normalization)."""
-    g = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            g[i, j] = rng.normal() + 1j * rng.normal()
-    return scale * (g + g.conj().T) / 2
+    g = random_complex_normal(rng, (d, d))
+    return (g + g.conj().T) / 2
 
 
 def random_density(rng: Rng, d: int, mix: float = 0.0) -> DensityMatrix:
     """Hilbert-Schmidt random density: G G^dagger normalized, optionally
     mixed with I/d to keep the spectrum away from zero."""
-    g = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            g[i, j] = rng.normal() + 1j * rng.normal()
+    g = random_complex_normal(rng, (d, d))
     r = g @ g.conj().T
     r = r / np.trace(r).real
     if mix:

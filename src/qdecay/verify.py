@@ -18,6 +18,12 @@ from .matcore import BipartiteDensity, DensityMatrix
 from .rng import Rng
 
 SLACK = 1e-10
+# integral-form: quadrature order and the largest accepted |quadrature - eigenbasis|
+INTEGRAL_QUAD_POINTS = 64
+INTEGRAL_TOL = 1e-6
+# clsi-converse: the times and g-factor variants of the worked qubit-depolarizing table
+CLSI_TIMES = (1e-3, 1e-2, 1e-1, 1.0)
+CLSI_VARIANTS = ("theorem", "paper-example")
 
 
 def _run(name: str, samples: int, seed: int, case, extra: dict | None = None) -> dict:
@@ -50,11 +56,11 @@ def _run(name: str, samples: int, seed: int, case, extra: dict | None = None) ->
     return out
 
 
-def _rand_commuting_pair(rng: Rng, d: int, floor: float = 0.01):
+def _rand_commuting_pair(rng: Rng, d: int):
     """Simultaneously diagonalizable pair in a random eigenbasis."""
     basis = matcore.eigh(matcore.random_hermitian(rng, d)).eigenvectors
-    p = matcore.random_probability_vector(rng, d, floor=floor)
-    q = matcore.random_probability_vector(rng, d, floor=floor)
+    p = matcore.random_probability_vector(rng, d, floor=0.01)
+    q = matcore.random_probability_vector(rng, d, floor=0.01)
     rho = DensityMatrix.from_matrix((basis * p) @ basis.conj().T)
     sigma = DensityMatrix.from_matrix((basis * q) @ basis.conj().T)
     return rho, sigma
@@ -127,19 +133,18 @@ def normcomp_suite(samples: int, seed: int) -> dict:
     return _run("normcomp", samples, seed, case)
 
 
-def integral_form_suite(samples: int, seed: int, quad_points: int = 64,
-                        tol: float = 1e-6) -> dict:
+def integral_form_suite(samples: int, seed: int) -> dict:
     """Quadrature path vs eigendecomposition path for relative entropy."""
     def case(sub, k):
         d = 2 + (k % 2)
         rho = matcore.random_density(sub, d, mix=0.1)
         sigma = matcore.random_density(sub, d, mix=0.1)
         de = entropy.relative_entropy(rho, sigma).unwrap()
-        di = entropy.relative_entropy_integral_form(rho, sigma, quad_points)
+        di = entropy.relative_entropy_integral_form(rho, sigma, INTEGRAL_QUAD_POINTS)
         err = abs(de - di)
-        yield -err, ({"error": err} if err > tol else None)
+        yield -err, ({"error": err} if err > INTEGRAL_TOL else None)
     return _run("integral-form", samples, seed, case,
-                extra={"quadPoints": quad_points, "tolerance": tol})
+                extra={"quadPoints": INTEGRAL_QUAD_POINTS, "tolerance": INTEGRAL_TOL})
 
 
 def _qubit_depolarizing_lindbladian() -> channels.Lindbladian:
@@ -148,53 +153,49 @@ def _qubit_depolarizing_lindbladian() -> channels.Lindbladian:
     return channels.replacement_lindbladian(e, diamond_upper=0.75, pp_index=4.0)
 
 
-def clsi_converse_suite(samples: int, seed: int,
-                        times=(1e-3, 1e-2, 1e-1, 1.0),
-                        variants=("theorem", "paper-example"),
-                        extended: bool = True) -> dict:
+def clsi_converse_suite(samples: int, seed: int) -> dict:
     """Fixed-point converse for the qubit depolarizing semigroup, bare and
     with a dim-2 untouched auxiliary."""
     lind = _qubit_depolarizing_lindbladian()
     factors = {}
-    for t in times:
+    for t in CLSI_TIMES:
         zeta = 1.0 - math.exp(-t * lind.pp_index * lind.diamond_upper)
-        for variant in variants:
+        for variant in CLSI_VARIANTS:
             factors[(t, variant)] = bounds.g_factor(zeta, lind.pp_index, variant=variant)[0]
-    semis = {t: lind.semigroup(t) for t in times}
-    kinds = [("bare", 2, lind.fixed_point.superop, semis)]
-    if extended:
-        kinds.append(("extended", 4, lind.fixed_point.superop.tensor_identity(2),
-                      {t: semis[t].tensor_identity(2) for t in times}))
+    semis = {t: lind.semigroup(t) for t in CLSI_TIMES}
+    kinds = [("bare", 2, lind.fixed_point.superop, semis),
+             ("extended", 4, lind.fixed_point.superop.tensor_identity(2),
+              {t: semis[t].tensor_identity(2) for t in CLSI_TIMES})]
 
     def case(sub, k):
         for kind, dim, e, evolve in kinds:
             rho = matcore.random_density(sub, dim)
             e_rho = DensityMatrix.from_matrix(e.apply_matrix(rho.matrix))
             d_pre = entropy.relative_entropy(rho, e_rho).unwrap()
-            for t in times:
+            for t in CLSI_TIMES:
                 evolved = DensityMatrix.from_matrix(evolve[t].apply_matrix(rho.matrix))
                 d_post = entropy.relative_entropy(evolved, e_rho).unwrap()
-                for variant in variants:
+                for variant in CLSI_VARIANTS:
                     g = factors[(t, variant)]
                     bad = d_post < g * d_pre - SLACK
                     yield d_post - g * d_pre, (
                         {"t": t, "variant": variant, "kind": kind} if bad else None)
     return _run("clsi-converse", samples, seed, case,
                 extra={"c": lind.pp_index, "diamond": lind.diamond_upper,
-                       "times": list(times), "variants": list(variants),
-                       "extended": extended})
+                       "times": list(CLSI_TIMES), "variants": list(CLSI_VARIANTS),
+                       "extended": True})
 
 
 # weak replacement coupling keeps the (a, eps, m_tilde) triple feasible at
 # the sampled m_tilde floor for both suite times; see ConverseBoundParams
+CLASSICAL_SUITE_TIMES = (0.01, 0.1)
 CLASSICAL_SUITE_COUPLING = 0.01
 CLASSICAL_SIGMA_FLOOR = 0.35
 MUTINFO_SUITE_COUPLING = 2.5e-4
 MUTINFO_CELL_FLOOR = 0.16
 
 
-def classical_converse_suite(samples: int, seed: int,
-                             times=(0.01, 0.1)) -> dict:
+def classical_converse_suite(samples: int, seed: int) -> dict:
     """Commuting-pair converse under the weakly-coupled replacement
     semigroup toward the qubit depolarizing projection."""
     e = channels.depolarizing_projection(2)
@@ -213,7 +214,7 @@ def classical_converse_suite(samples: int, seed: int,
         e_sigma = e.apply(sigma)
         m_tilde = bounds.smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma)
         g_tilde = matcore.loewner_min_coefficient(e_sigma, sigma)
-        for t in times:
+        for t in CLASSICAL_SUITE_TIMES:
             params = bounds.ConverseBoundParams.from_semigroup(
                 t, lind.pp_index, lind.diamond_upper,
                 m_tilde=m_tilde, g_tilde=g_tilde)
@@ -223,11 +224,10 @@ def classical_converse_suite(samples: int, seed: int,
     return _run("classical", samples, seed, case,
                 extra={"coupling": CLASSICAL_SUITE_COUPLING,
                        "c": lind.pp_index, "diamond": lind.diamond_upper,
-                       "times": list(times), "branches": branches})
+                       "times": list(CLASSICAL_SUITE_TIMES), "branches": branches})
 
 
-def classical_mutinfo_suite(samples: int, seed: int,
-                            times=(0.01, 0.1)) -> dict:
+def classical_mutinfo_suite(samples: int, seed: int) -> dict:
     """Mutual-information converse on random 2x2 classical joints with
     B-side replacement noise toward the depolarizing projection."""
     e = channels.depolarizing_projection(2)
@@ -238,14 +238,14 @@ def classical_mutinfo_suite(samples: int, seed: int,
     def case(sub, k):
         cells = matcore.random_probability_vector(sub, 4, floor=MUTINFO_CELL_FLOOR)
         joint = BipartiteDensity.from_matrix(np.diag(cells.astype(complex)), 2, 2)
-        for t in times:
+        for t in CLASSICAL_SUITE_TIMES:
             params = bounds.ConverseBoundParams.from_semigroup(t, c, diamond)
             rep = bounds.mutual_info_converse_check(e, joint, params=params)
             branches[rep.extra["branch"]] += 1
             yield rep.margin, (None if rep.passed else {"t": t})
     return _run("classical-mutinfo", samples, seed, case,
                 extra={"coupling": MUTINFO_SUITE_COUPLING, "c": c,
-                       "diamond": diamond, "times": list(times),
+                       "diamond": diamond, "times": list(CLASSICAL_SUITE_TIMES),
                        "branches": branches})
 
 

@@ -77,11 +77,11 @@ def test_criterion_03_mutual_information_identity():
 
 def test_criterion_04_fixed_point_converse_suite():
     t0 = time.perf_counter()
-    rep = verify.clsi_converse_suite(1000, SEED,
-                                     times=(1e-3, 1e-2, 1e-1, 1.0),
-                                     variants=("theorem", "paper-example"),
-                                     extended=True)
+    rep = verify.clsi_converse_suite(1000, SEED)
     elapsed = time.perf_counter() - t0
+    assert rep["params"]["times"] == [1e-3, 1e-2, 1e-1, 1.0]
+    assert rep["params"]["variants"] == ["theorem", "paper-example"]
+    assert rep["params"]["extended"] is True
     ok = rep["passed"] and elapsed < 30.0
     report("criterion 4 (fixed-point converse suite)", ok,
            f"{rep['violationCount']} violations in {rep['samples']} samples "
@@ -90,7 +90,9 @@ def test_criterion_04_fixed_point_converse_suite():
 
 
 def test_criterion_05_integral_form_oracle():
-    rep = verify.integral_form_suite(100, SEED, quad_points=64, tol=1e-6)
+    rep = verify.integral_form_suite(100, SEED)
+    assert rep["params"]["quadPoints"] == 64
+    assert rep["params"]["tolerance"] == 1e-6
     ok = rep["passed"]
     report("criterion 5 (integral-form oracle)", ok,
            f"worst |quadrature - eigen| = {-rep['worstMargin']:.2e} over "
@@ -114,7 +116,8 @@ def test_criterion_07_almost_concavity_suite():
 
 
 def test_criterion_08_commuting_converse_suite():
-    rep = verify.classical_converse_suite(1000, SEED, times=(0.01, 0.1))
+    rep = verify.classical_converse_suite(1000, SEED)
+    assert rep["params"]["times"] == [0.01, 0.1]
     branches = rep["params"]["branches"]
     ok = rep["passed"] and branches["large-D"] > 0 and branches["small-D"] > 0
     report("criterion 8 (commuting-state converse suite)", ok,

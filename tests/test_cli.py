@@ -241,3 +241,33 @@ def test_sudden_decay_dim_one_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sudden-decay", "--lambda", "0.1", "--points", "2"],
+    ["g-table", "--t", "1e-2"],
+    ["verify", "--suite", "pinsker", "--samples", "1"],
+    ["private-rate", "--p", "0.3", "--lambda", "0.2", "--points", "2"],
+])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.csv"
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(out) in err
+
+
+def test_verify_unknown_suite_message_is_unquoted(capsys):
+    code, _, err = run(["verify", "--suite", "nope"], capsys)
+    assert code == 2
+    assert err.startswith("error: unknown suite 'nope'; choose from [")
+    assert err.count("\n") == 1
+
+
+def test_sudden_decay_dephasing_y_needs_dim_2(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(["sudden-decay", "--lambda", "0.1", "--noise", "dephasing-y",
+                        "--dim", "3", "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()

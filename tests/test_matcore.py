@@ -67,10 +67,12 @@ def test_eigh_graded_density_matches_mpmath_oracle(rng):
     assert np.abs(w - ref).max() < 1e-13 * max(1.0, float(np.abs(h).max()))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_eigensolver_rejects_non_finite_entries(bad):
     m = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        matcore.as_hermitian(m)
     with pytest.raises(ValueError, match="non-finite"):
         matcore.eigh(m)
     with pytest.raises(ValueError, match="non-finite"):
