@@ -46,6 +46,19 @@ def _error(err: Exception, code: int) -> int:
     return code
 
 
+def _check_out_dir(path: str | None) -> None:
+    """Reject an --out path whose directory is missing or not writable.
+
+    The file itself is not opened, so an existing report is never
+    truncated by a run that may fail."""
+    if path is None or path == "-":
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise ValueError(f"cannot write --out {path}: "
+                         f"{parent} is not a writable directory")
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -116,6 +129,7 @@ def cmd_verify(args) -> int:
         seed = _seed_from_env(args.seed)
         if args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
+        _check_out_dir(args.out)
     except ValueError as err:
         return _error(err, 2)
     names = "all" if args.suite == "all" else [args.suite]

@@ -179,9 +179,10 @@ def _log_mean_weights(w: np.ndarray) -> np.ndarray:
     close = np.abs(diff) <= 1e-12 * np.maximum(a, b)
     safe = np.where(close, 1.0, diff)
     tiny = np.finfo(float).tiny
+    logw = np.log(np.maximum(w, tiny))
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(close, 2.0 / np.maximum(a + b, tiny),
-                       (np.log(np.maximum(a, tiny)) - np.log(np.maximum(b, tiny))) / safe)
+                       (logw[..., :, None] - logw[..., None, :]) / safe)
     return lam
 
 
@@ -213,6 +214,10 @@ def relative_entropy_integral_form(rho: DensityMatrix, sigma: DensityMatrix,
     D = int_0^1 int_0^s || rho - sigma ||^2_{((1-t) sigma + t rho)^-1} dt ds,
     with the inner variable substituted t = s u and tensor Gauss-Legendre
     nodes on the (s, u) unit square.
+
+    The integrand depends on t = s_i s_j only, which is symmetric in the
+    node pair (i, j), so each of the q (q + 1) / 2 distinct nodes i <= j is
+    evaluated once, carrying the weight of both orderings.
     """
     if quad_points < 8:
         raise ValueError("quad_points must be at least 8")
@@ -222,11 +227,13 @@ def relative_entropy_integral_form(rho: DensityMatrix, sigma: DensityMatrix,
     s = 0.5 * (nodes + 1.0)
     ws = 0.5 * weights
     x = rho.matrix - sigma.matrix
-    t = (s[:, None] * s[None, :]).reshape(-1)          # t = s*u on the grid
-    wts = (ws[:, None] * ws[None, :] * s[:, None]).reshape(-1)  # jacobian s
+    i, j = np.triu_indices(quad_points)
+    t = s[i] * s[j]                                    # t = s*u on the grid
+    # jacobian s, summed over (i, j) and (j, i); once on the diagonal
+    wts = ws[i] * ws[j] * np.where(i == j, s[i], s[i] + s[j])
     omegas = (1.0 - t)[:, None, None] * sigma.matrix + t[:, None, None] * rho.matrix
     w, v = matcore.jacobi_eigh_batch(omegas)
-    xt = np.einsum("nji,jk,nkl->nil", v.conj(), x, v)
+    xt = v.conj().swapaxes(1, 2) @ (x @ v)
     lam = _log_mean_weights(w)
     integrand = np.real((np.abs(xt) ** 2 * lam).sum(axis=(1, 2)))
     return float((wts * integrand).sum())

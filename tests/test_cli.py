@@ -271,3 +271,30 @@ def test_sudden_decay_dephasing_y_needs_dim_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_verify_rejects_unwritable_out_before_running(tmp_path, capsys, monkeypatch):
+    from qdecay import verify
+
+    calls = []
+    monkeypatch.setattr(verify, "run_suites", lambda *a: calls.append(a))
+    out = tmp_path / "missing" / "r.json"
+    code, _, err = run(["verify", "--suite", "all", "--out", str(out)], capsys)
+    assert calls == []
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(out) in err
+
+
+def test_verify_out_check_keeps_existing_report(tmp_path, capsys, monkeypatch):
+    from qdecay import verify
+
+    def failing_run(*args):
+        raise RuntimeError("numerical failure")
+
+    out = tmp_path / "r.json"
+    out.write_text("previous report\n")
+    monkeypatch.setattr(verify, "run_suites", failing_run)
+    code, _, _ = run(["verify", "--suite", "pinsker", "--out", str(out)], capsys)
+    assert code == 1
+    assert out.read_text() == "previous report\n"

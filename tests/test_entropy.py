@@ -267,6 +267,79 @@ def test_integral_form_rejects_few_nodes(rng):
         relative_entropy_integral_form(rho, rho, 4)
 
 
+def _full_tensor_rule(rho, sigma, q):
+    """The q x q tensor Gauss-Legendre rule evaluated node by node, with no
+    use of the symmetry in t = s*u: every ordered node pair is its own
+    matrix in the stack, and each log is taken once per eigenvalue pair."""
+    nodes, weights = np.polynomial.legendre.leggauss(q)
+    s = 0.5 * (nodes + 1.0)
+    ws = 0.5 * weights
+    x = rho.matrix - sigma.matrix
+    t = (s[:, None] * s[None, :]).reshape(-1)
+    wts = (ws[:, None] * ws[None, :] * s[:, None]).reshape(-1)
+    omegas = (1.0 - t)[:, None, None] * sigma.matrix + t[:, None, None] * rho.matrix
+    w, v = np.linalg.eigh(omegas)
+    xt = np.einsum("nji,jk,nkl->nil", v.conj(), x, v)
+    a = w[:, :, None]
+    b = w[:, None, :]
+    diff = a - b
+    close = np.abs(diff) <= 1e-12 * np.maximum(a, b)
+    safe = np.where(close, 1.0, diff)
+    tiny = np.finfo(float).tiny
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(close, 2.0 / np.maximum(a + b, tiny),
+                       (np.log(np.maximum(a, tiny)) - np.log(np.maximum(b, tiny))) / safe)
+    integrand = np.real((np.abs(xt) ** 2 * lam).sum(axis=(1, 2)))
+    off_diagonal_close = bool((close & ~np.eye(w.shape[1], dtype=bool)).any())
+    return float((wts * integrand).sum()), off_diagonal_close
+
+
+def _nearly_degenerate_pair(rng, d):
+    """I/d moved by 1e-13 along two traceless directions: every mixture has
+    eigenvalues within about 1e-13 of 1/d, which log-mean weights treat as equal."""
+    def near_identity():
+        h = matcore.random_hermitian(rng, d)
+        h = h - np.trace(h) / d * np.eye(d)
+        return DensityMatrix.from_matrix(np.eye(d) / d + 1e-13 * h / np.abs(h).max())
+    return near_identity(), near_identity()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("q", [8, 16, 64])
+def test_integral_form_matches_full_tensor_rule(rng, d, q):
+    pairs = [(matcore.random_density(rng, d, mix=0.1),
+              matcore.random_density(rng, d, mix=0.1)) for _ in range(3)]
+    p = matcore.random_probability_vector(rng, d, floor=0.05)
+    r = matcore.random_probability_vector(rng, d, floor=0.05)
+    pairs.append((DensityMatrix.diagonal(p), DensityMatrix.diagonal(r)))
+    degenerate = _nearly_degenerate_pair(rng, d)
+    pairs.append(degenerate)
+    for rho, sigma in pairs:
+        expect, _ = _full_tensor_rule(rho, sigma, q)
+        assert abs(relative_entropy_integral_form(rho, sigma, q) - expect) < 1e-14
+    # the nearly degenerate pair reaches the equal-eigenvalue branch off the
+    # diagonal, and agrees there to rounding, not only to 1e-14
+    expect, off_diagonal_close = _full_tensor_rule(*degenerate, q)
+    assert off_diagonal_close
+    assert expect > 0
+    assert relative_entropy_integral_form(*degenerate, q) == pytest.approx(expect, rel=1e-9)
+
+
+def test_integral_form_one_eigensolve_on_distinct_nodes(rng, monkeypatch):
+    rho = matcore.random_density(rng, 3, mix=0.1)
+    sigma = matcore.random_density(rng, 3, mix=0.1)
+    stacks = []
+    solve = matcore.jacobi_eigh_batch
+
+    def counting_solve(stack):
+        stacks.append(stack.shape[0])
+        return solve(stack)
+
+    monkeypatch.setattr(matcore, "jacobi_eigh_batch", counting_solve)
+    relative_entropy_integral_form(rho, sigma, 64)
+    assert stacks == [2080]  # 64 * 65 / 2 node pairs i <= j, not 64 * 64
+
+
 def test_gaorouze_equal_states(rng):
     rho = matcore.random_density(rng, 2, mix=0.2)
     rep = entropy.gaorouze_sandwich_check(rho, rho)
