@@ -2,8 +2,8 @@
 
 Everything downstream (entropies, channels, bound checks) sits on this
 module: a batched complex Hermitian eigensolver (LAPACK, through
-numpy.linalg.eigh), matrix functions through the eigenbasis, tensor and
-partial-trace structure, trace norms, and Loewner-order queries.
+numpy.linalg.eigh), tensor and partial-trace structure, trace norms,
+and Loewner-order queries.
 
 Conventions fixed here and used globally:
   * matrices are numpy complex arrays, row-major;
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,24 +77,6 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(w[0], v[0])
 
 
-def matrix_function(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
-                    domain: Callable[[np.ndarray], np.ndarray] | None = None,
-                    name: str = "f") -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its eigenbasis.
-
-    domain, when given, maps eigenvalues to a boolean validity mask; the
-    first invalid eigenvalue is reported in the error.
-    """
-    w, v = eigh(h)
-    if domain is not None:
-        ok = np.asarray(domain(w), dtype=bool)
-        if not ok.all():
-            bad = float(w[~ok][0])
-            raise ValueError(f"{name} is undefined at eigenvalue {bad!r}")
-    fw = np.asarray(f(w), dtype=float)
-    return (v * fw) @ v.conj().T
-
-
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, left factor major (matches BipartiteDensity order)."""
     return np.kron(np.asarray(a), np.asarray(b))
@@ -118,12 +100,6 @@ def trace_norm(m: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     w, _ = eigh(m)
     return float(np.abs(w).sum())
-
-
-def operator_norm(m: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a Hermitian matrix."""
-    w, _ = eigh(m)
-    return float(np.abs(w).max())
 
 
 @dataclass(frozen=True)
@@ -241,25 +217,6 @@ def loewner_min_coefficient(rho, sigma, strict: bool = False) -> float:
     whitened = scale[:, None] * compressed * scale[None, :]
     w, _ = jacobi_eigh_batch(as_hermitian(whitened, atol=1e-8)[None])
     return float(w[0][-1])
-
-
-def commuting_order_floor(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """For commuting densities, eps = || (rho - sigma)|_supp(sigma) ||_inf.
-
-    Asserts the order floor rho - sigma + eps * P_sigma >= -1e-12 before
-    returning.  Non-commuting inputs are a precondition error.
-    """
-    comm = rho.matrix @ sigma.matrix - sigma.matrix @ rho.matrix
-    if float(np.abs(comm).max()) > COMMUTE_ATOL:
-        raise ValueError("inputs do not commute within tolerance")
-    p = sigma.support_projector()
-    diff = p @ (rho.matrix - sigma.matrix) @ p
-    eps = operator_norm(diff)
-    floor = rho.matrix - sigma.matrix + eps * p
-    wmin = float(eigh(floor)[0][0])
-    if wmin < -1e-12:
-        raise AssertionError(f"order floor violated: min eigenvalue {wmin!r}")
-    return eps
 
 
 def random_complex_normal(rng: Rng, shape) -> np.ndarray:

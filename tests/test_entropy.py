@@ -340,6 +340,85 @@ def test_integral_form_one_eigensolve_on_distinct_nodes(rng, monkeypatch):
     assert stacks == [2080]  # 64 * 65 / 2 node pairs i <= j, not 64 * 64
 
 
+@pytest.mark.parametrize("d", [6, 8])
+def test_integral_form_matches_full_tensor_rule_wide(rng, d):
+    # the basis change accumulates d rank-one terms; the workloads stop at d = 4
+    pairs = [(matcore.random_density(rng, d, mix=0.1),
+              matcore.random_density(rng, d, mix=0.1)) for _ in range(3)]
+    for rho, sigma in pairs:
+        expect, _ = _full_tensor_rule(rho, sigma, 16)
+        assert abs(relative_entropy_integral_form(rho, sigma, 16) - expect) < 1e-14
+
+
+@pytest.mark.parametrize("bad", [64.0, 8.5, "64"])
+def test_integral_form_rejects_non_integer_node_count(rng, bad):
+    rho = matcore.random_density(rng, 2, mix=0.2)
+    with pytest.raises(ValueError, match="quad_points"):
+        relative_entropy_integral_form(rho, rho, bad)
+
+
+def test_integral_form_accepts_numpy_integer_node_count(rng):
+    rho = matcore.random_density(rng, 2, mix=0.2)
+    sigma = matcore.random_density(rng, 2, mix=0.2)
+    assert (relative_entropy_integral_form(rho, sigma, np.int64(16))
+            == relative_entropy_integral_form(rho, sigma, 16))
+
+
+def test_gauss_rule_built_once_per_node_count(rng, monkeypatch):
+    rho = matcore.random_density(rng, 2, mix=0.2)
+    sigma = matcore.random_density(rng, 2, mix=0.2)
+    builds = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting_leggauss(q):
+        builds.append(q)
+        return leggauss(q)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    entropy._symmetric_gauss_rule.cache_clear()
+    first = relative_entropy_integral_form(rho, sigma, 16)
+    assert relative_entropy_integral_form(rho, sigma, 16) == first
+    assert builds == [16]
+    t, wts = entropy._symmetric_gauss_rule(16)
+    assert not t.flags.writeable and not wts.flags.writeable
+
+
+def _log_mean_weights_where(w):
+    """The two-pass np.where form of the log-mean weights, kept as the
+    reference the in-place version must match bit for bit."""
+    a = w[..., :, None]
+    b = w[..., None, :]
+    diff = a - b
+    close = np.abs(diff) <= 1e-12 * np.maximum(a, b)
+    safe = np.where(close, 1.0, diff)
+    tiny = np.finfo(float).tiny
+    logw = np.log(np.maximum(w, tiny))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(close, 2.0 / np.maximum(a + b, tiny),
+                        (logw[..., :, None] - logw[..., None, :]) / safe)
+
+
+def test_log_mean_weights_bit_identical_to_where_form():
+    vector = np.array([0.5, 0.5, 0.25 * (1 + 3e-13), 0.25, 1e-3, 0.0, -1e-17])
+    stack = np.array([
+        [0.3, 0.3, 0.3, 0.1],                          # exact ties
+        [0.25, 0.25 * (1 + 5e-13), 0.25 * (1 - 5e-13), 0.25],  # near ties
+        [-2e-16, 0.0, 0.4, 0.6],                       # clamped to tiny
+        [1e-14, 2e-14, 0.2, 0.8],                      # distinct
+    ])
+    for w in (vector, stack):
+        expect = _log_mean_weights_where(w)
+        lam = entropy._log_mean_weights(w)
+        # compare bit patterns: signed zeros count, and the NaN that a
+        # negative eigenvalue puts on its own diagonal entry must match too
+        assert np.array_equal(lam.view(np.uint64), expect.view(np.uint64))
+        off = ~np.eye(w.shape[-1], dtype=bool)
+        a, b = w[..., :, None], w[..., None, :]
+        close = np.abs(a - b) <= 1e-12 * np.maximum(a, b)
+        assert (close & off).any()             # ties off the diagonal are reached
+        assert (np.maximum(a, b) <= 0).any()   # as is the clamp to tiny
+
+
 def test_gaorouze_equal_states(rng):
     rho = matcore.random_density(rng, 2, mix=0.2)
     rep = entropy.gaorouze_sandwich_check(rho, rho)

@@ -86,30 +86,6 @@ def test_eigh_rejects_non_hermitian():
         matcore.eigh(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
-def test_matrix_function_exp_of_zero():
-    out = matcore.matrix_function(np.zeros((3, 3), dtype=complex), np.exp)
-    assert np.abs(out - np.eye(3)).max() < 1e-14
-
-
-def test_matrix_function_log_diagonal():
-    out = matcore.matrix_function(np.diag([1.0, math.e]).astype(complex), np.log,
-                                  domain=lambda w: w > 0, name="log")
-    assert np.abs(out - np.diag([0.0, 1.0])).max() < 1e-12
-
-
-def test_matrix_function_roundtrip_exp_log(rng):
-    rho = matcore.random_density(rng, 3, mix=0.2)
-    logr = matcore.matrix_function(rho.matrix, np.log, domain=lambda w: w > 0, name="log")
-    back = matcore.matrix_function(logr, np.exp)
-    assert np.abs(back - rho.matrix).max() < 1e-10
-
-
-def test_matrix_function_domain_error():
-    with pytest.raises(ValueError, match="log is undefined at eigenvalue"):
-        matcore.matrix_function(np.diag([1.0, -2.0]).astype(complex), np.log,
-                                domain=lambda w: w > 0, name="log")
-
-
 def test_tensor_identity_matrices():
     assert np.array_equal(matcore.tensor(np.eye(2), np.eye(2)), np.eye(4))
 
@@ -198,32 +174,6 @@ def test_loewner_order_certificate(rng):
         c = matcore.loewner_min_coefficient(rho, sigma)
         gap = c * sigma.matrix - rho.matrix
         assert matcore.eigh(gap)[0][0] > -1e-9
-
-
-def test_commuting_order_floor_equal_states(rng):
-    rho = matcore.random_density(rng, 2, mix=0.1)
-    assert matcore.commuting_order_floor(rho, rho) < 1e-12
-
-
-def test_commuting_order_floor_diagonal():
-    rho = DensityMatrix.diagonal([0.6, 0.4])
-    sigma = DensityMatrix.diagonal([0.5, 0.5])
-    eps = matcore.commuting_order_floor(rho, sigma)
-    assert abs(eps - 0.1) < 1e-12
-
-
-def test_commuting_order_floor_support_restricted():
-    sigma = DensityMatrix.diagonal([1.0, 0.0])
-    rho = DensityMatrix.diagonal([0.9, 0.1])
-    eps = matcore.commuting_order_floor(rho, sigma)
-    assert abs(eps - 0.1) < 1e-12
-
-
-def test_commuting_order_floor_rejects_noncommuting():
-    rho = DensityMatrix.pure([1, 1])
-    sigma = DensityMatrix.diagonal([0.7, 0.3])
-    with pytest.raises(ValueError, match="commute"):
-        matcore.commuting_order_floor(rho, sigma)
 
 
 def test_density_clamps_small_negative_eigenvalues():
