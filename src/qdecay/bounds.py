@@ -223,29 +223,6 @@ def clsi_converse_check(lind: Lindbladian, rho: DensityMatrix, t: float,
     )
 
 
-def clsi_converse_extended_check(lind: Lindbladian, rho: BipartiteDensity, t: float,
-                                 variant: str = "theorem") -> BoundReport:
-    """Tensor-stability of the fixed-point converse: the same factor with the
-    channel extended by an untouched auxiliary (noise on the left factor)."""
-    if rho.dim_a != lind.dim:
-        raise ValueError("noise acts on the left (A) factor of the bipartite input")
-    e_ext = lind.fixed_point.superop.tensor_identity(rho.dim_b)
-    e_rho = DensityMatrix.from_matrix(e_ext.apply_matrix(rho.state.matrix))
-    d_pre = entropy.relative_entropy(rho.state, e_rho).unwrap()
-    phi_ext = lind.semigroup(t).tensor_identity(rho.dim_b)
-    evolved = DensityMatrix.from_matrix(phi_ext.apply_matrix(rho.state.matrix))
-    d_post = entropy.relative_entropy(evolved, e_rho).unwrap()
-    zeta = 1.0 - math.exp(-t * lind.pp_index * lind.diamond_upper)
-    g, tau_star = g_factor(zeta, lind.pp_index, variant=variant)
-    params = ConverseBoundParams(t=t, c=lind.pp_index, diamond=lind.diamond_upper,
-                                 zeta=zeta)
-    return BoundReport(
-        name=f"clsi-converse-extended[{variant}]",
-        lhs=d_post, rhs=g * d_pre, factor=g,
-        params=params, tau_star=tau_star, g_star=g,
-    )
-
-
 def replacement_converse_factor(zeta: float, c: float,
                                 tau: float | str = "optimize") -> float:
     """Factor of D((1-zeta) rho + zeta sigma || sigma) >= factor * D(rho||sigma)

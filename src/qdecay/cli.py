@@ -9,12 +9,11 @@ Exit codes: 0 success, 1 numerical failure, 2 bad flags or an unwritable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import bounds, verify
 from . import experiments as exp
@@ -150,10 +149,8 @@ def cmd_verify(args) -> int:
 
 def cmd_private_rate(args) -> int:
     try:
-        grid = np.logspace(math.log10(args.theta_max), math.log10(args.theta_min),
-                           args.points)
-        cfg = exp.PrivateRateConfig(p=args.p, lam=args.lam,
-                                    theta_grid=tuple(float(t) for t in grid),
+        grid = exp.theta_logspace(args.theta_max, args.theta_min, args.points)
+        cfg = exp.PrivateRateConfig(p=args.p, lam=args.lam, theta_grid=grid,
                                     noise=args.noise)
     except ValueError as err:
         return _error(err, 2)
@@ -173,6 +170,7 @@ def cmd_private_rate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdecay",

@@ -237,7 +237,9 @@ def relative_entropy_integral_form(rho: DensityMatrix, sigma: DensityMatrix,
     The integrand depends on t = s_i s_j only, which is symmetric in the
     node pair (i, j), so each of the q (q + 1) / 2 distinct nodes i <= j is
     evaluated once, carrying the weight of both orderings.  The rule is
-    built once per node count.  All nodes share one eigensolve; the basis
+    built once per node count.  A singular sigma is handled on its
+    support: both states are compressed to supp(sigma) first, which keeps
+    every omega_t positive definite.  All nodes share one eigensolve; the basis
     change V^H X V takes one BLAS product X [V_1 ... V_n] and d broadcast
     rank-one terms for V^H.
     """
@@ -247,15 +249,20 @@ def relative_entropy_integral_form(rho: DensityMatrix, sigma: DensityMatrix,
         raise ValueError(f"quad_points must be an integer, got {quad_points!r}") from None
     if quad_points < 8:
         raise ValueError("quad_points must be at least 8")
-    if _compress_to_support(rho, sigma)[2] > 1e-12:
+    compressed, ws, leak = _compress_to_support(rho, sigma)
+    if leak > 1e-12:
         raise ValueError("support violation: ker(sigma) is not contained in ker(rho)")
+    r, s = rho.matrix, sigma.matrix
+    if ws.size < sigma.dim:
+        # off supp(sigma) every omega_t is singular and its log-mean weights 0/0
+        r, s = compressed, np.diag(ws)
     t, wts = _symmetric_gauss_rule(quad_points)
-    omegas = (1.0 - t)[:, None, None] * sigma.matrix + t[:, None, None] * rho.matrix
+    omegas = (1.0 - t)[:, None, None] * s + t[:, None, None] * r
     w, v = matcore.jacobi_eigh_batch(omegas)
     del omegas
     n, d = w.shape
     # y[k, m] = (X V_m)[k, :], all nodes in one (d, d) @ (d, n d) product
-    y = (rho.matrix - sigma.matrix) @ v.transpose(1, 0, 2).reshape(d, n * d)
+    y = (r - s) @ v.transpose(1, 0, 2).reshape(d, n * d)
     y = y.reshape(d, n, d)
     xt = v[:, 0, :, None].conj() * y[0, :, None, :]
     for k in range(1, d):

@@ -112,6 +112,15 @@ def _theta_grid(grid) -> tuple:
     return thetas
 
 
+def theta_logspace(theta_max: float, theta_min: float, points: int) -> tuple:
+    """points thetas from theta_max down to theta_min, evenly spaced in log."""
+    for name, value in (("theta_max", theta_max), ("theta_min", theta_min)):
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+    grid = np.logspace(math.log10(theta_max), math.log10(theta_min), points)
+    return tuple(float(t) for t in grid)
+
+
 def _precision_warnings(thetas) -> tuple:
     """One warning per distinct theta below THETA_PRECISION_WARNING, sorted."""
     return tuple(sorted({
@@ -142,8 +151,7 @@ class SuddenDecayConfig:
     def logspace(cls, theta_max: float, theta_min: float, points: int,
                  lam: float = 0.1, dim: int = 2,
                  noise: str = "depolarizing") -> "SuddenDecayConfig":
-        grid = np.logspace(math.log10(theta_max), math.log10(theta_min), points)
-        return cls(tuple(float(t) for t in grid), lam, dim, noise)
+        return cls(theta_logspace(theta_max, theta_min, points), lam, dim, noise)
 
 
 def sudden_decay_sweep(cfg: SuddenDecayConfig) -> SweepResult:

@@ -40,10 +40,11 @@ def as_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     if not math.isfinite(top):
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, top)
-    dev = float(np.abs(m - m.conj().T).max())
+    m_dag = m.conj().T
+    dev = float(np.abs(m - m_dag).max())
     if dev > atol * scale:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dagger| = {dev:.3e}")
-    return (m + m.conj().T) / 2
+    return (m + m_dag) / 2
 
 
 class EigenDecomposition(NamedTuple):
@@ -119,15 +120,15 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "DensityMatrix":
         h = as_hermitian(m)
-        tr = float(np.trace(h).real)
+        tr = float(h.trace().real)
         if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
             raise ValueError(f"density trace {tr!r} is not 1 within {DENSITY_TRACE_ATOL}")
         w, v = jacobi_eigh_batch(h[None])
         w, v = w[0], v[0]
         if w[0] < DENSITY_EIG_FLOOR:
             raise ValueError(f"matrix is not positive semidefinite: eigenvalue {w[0]!r}")
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
+        w = np.maximum(w, 0.0)
+        w /= w.sum()
         rebuilt = (v * w) @ v.conj().T
         rebuilt = (rebuilt + rebuilt.conj().T) / 2
         rebuilt.setflags(write=False)

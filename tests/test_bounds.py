@@ -10,7 +10,6 @@ from qdecay.bounds import (
     classical_converse_check,
     classical_converse_factor,
     clsi_converse_check,
-    clsi_converse_extended_check,
     decayed_state_bound_check,
     g_factor,
     mutual_info_converse_check,
@@ -133,14 +132,6 @@ def test_clsi_converse_random_sample(rng):
         for t in (1e-3, 1e-1, 1.0):
             for variant in ("theorem", "paper-example"):
                 assert clsi_converse_check(lind, rho, t, variant=variant).passed
-
-
-def test_clsi_converse_extended(rng):
-    lind = qubit_depolarizing_lindbladian()
-    for _ in range(10):
-        rho4 = BipartiteDensity(2, 2, matcore.random_density(rng, 4))
-        for t in (1e-2, 1.0):
-            assert clsi_converse_extended_check(lind, rho4, t).passed
 
 
 def test_replacement_converse_factor_no_replacement():

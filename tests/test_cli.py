@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -298,3 +302,51 @@ def test_verify_out_check_keeps_existing_report(tmp_path, capsys, monkeypatch):
     code, _, _ = run(["verify", "--suite", "pinsker", "--out", str(out)], capsys)
     assert code == 1
     assert out.read_text() == "previous report\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sudden-decay", "--lambda", "0.1", "--theta-min", "0"], "theta_min"),
+    (["sudden-decay", "--lambda", "0.1", "--theta-max=-1e-3"], "theta_max"),
+    (["private-rate", "--p", "0.3", "--lambda", "0.2", "--theta-min", "-1"], "theta_min"),
+    (["private-rate", "--p", "0.3", "--lambda", "0.2", "--theta-max", "0"], "theta_max"),
+])
+def test_non_positive_theta_bound_is_named(tmp_path, capsys, argv, name):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {name} must be positive") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_repeated_main_calls_match_a_cold_process(tmp_path):
+    argvs = [
+        ["verify", "--suite", "clsi-converse", "--samples", "2", "--seed", "5"],
+        ["g-table", "--variant", "theorem", "--t", "1e-2,1e-1"],
+        ["sudden-decay", "--lambda", "0.1", "--points", "3", "--format", "json"],
+        ["verify", "--suite", "pinsker", "--samples", "3", "--seed", "6"],
+        ["private-rate", "--p", "0.3", "--lambda", "0.2", "--points", "2"],
+        ["verify", "--suite", "clsi-converse", "--samples", "2", "--seed", "5"],
+    ]
+    warm = []
+    for k, argv in enumerate(argvs):
+        out = tmp_path / f"warm{k}"
+        main(argv + ["--out", str(out)])
+        warm.append(out.read_bytes())
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for k, argv in enumerate(argvs):
+        out = tmp_path / f"cold{k}"
+        subprocess.run([sys.executable, "-m", "qdecay", *argv, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        assert out.read_bytes() == warm[k], argv
+    assert warm[0] == warm[-1]
+
+
+def test_verify_seed_fallback_after_explicit_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("QDECAY_SEED", "11")
+    argv = ["verify", "--suite", "pinsker", "--samples", "1", "--out"]
+    assert main(argv + [str(tmp_path / "a.json"), "--seed", "5"]) == 0
+    assert main(argv + [str(tmp_path / "b.json")]) == 0
+    assert json.loads((tmp_path / "a.json").read_text())["seed"] == 5
+    assert json.loads((tmp_path / "b.json").read_text())["seed"] == 11

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_unitary
 from qdecay import entropy, matcore
 from qdecay.entropy import (
     binary_entropy,
@@ -259,6 +260,23 @@ def test_integral_form_rejects_support_violation():
     with pytest.raises(ValueError, match="support"):
         relative_entropy_integral_form(DensityMatrix.pure([0, 1]),
                                        DensityMatrix.pure([1, 0]))
+
+
+def test_integral_form_rank_deficient_sigma(rng):
+    # rank-2 pairs on one random plane of C^3, each mixed within the plane
+    values = []
+    for _ in range(12):
+        plane = random_unitary(rng, 3)[:, :2]
+        rho, sigma = (DensityMatrix.from_matrix(
+            plane @ matcore.random_density(rng, 2, mix=0.1).matrix @ plane.conj().T)
+            for _ in range(2))
+        assert sigma.eigenvalues[0] < 1e-15
+        di = relative_entropy_integral_form(rho, sigma, 64)
+        values.append(di)
+        assert abs(di - relative_entropy(rho, sigma).unwrap()) < 1e-10
+    assert min(values) > 1e-6
+    with pytest.raises(ValueError, match="support"):
+        relative_entropy_integral_form(matcore.random_density(rng, 3, mix=0.1), sigma)
 
 
 def test_integral_form_rejects_few_nodes(rng):

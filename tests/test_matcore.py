@@ -193,6 +193,71 @@ def test_density_rejects_bad_trace():
         DensityMatrix.from_matrix(np.eye(2, dtype=complex))
 
 
+def _parent_as_hermitian(m, atol=matcore.HERMITIAN_ATOL):
+    """as_hermitian as it was before the conjugate transpose was shared."""
+    m = np.asarray(m, dtype=complex)
+    top = float(np.abs(m).max())
+    assert math.isfinite(top)
+    dev = float(np.abs(m - m.conj().T).max())
+    assert dev <= atol * max(1.0, top)
+    return (m + m.conj().T) / 2
+
+
+def _parent_from_matrix(m):
+    """DensityMatrix.from_matrix's arithmetic as it was before the trim:
+    np.trace, np.clip and a renormalised copy.  Also returns the unclamped
+    smallest eigenvalue."""
+    h = _parent_as_hermitian(m)
+    assert abs(float(np.trace(h).real) - 1.0) <= matcore.DENSITY_TRACE_ATOL
+    w, v = np.linalg.eigh(h[None])
+    w, v = w[0], v[0]
+    smallest = float(w[0])
+    w = np.clip(w, 0.0, None)
+    w = w / w.sum()
+    rebuilt = (v * w) @ v.conj().T
+    rebuilt = (rebuilt + rebuilt.conj().T) / 2
+    return rebuilt, w, v, smallest
+
+
+def _density_inputs(rng, d):
+    """Matrices that from_matrix accepts: Hilbert-Schmidt draws with and
+    without a mixed part and a tiny anti-Hermitian part, a pure state, a
+    degenerate spectrum and one with eigenvalues in [-1e-10, 0)."""
+    u = random_unitary(rng, d)
+    g = matcore.random_complex_normal(rng, (d, d))
+    hs = g @ g.conj().T
+    hs = hs / np.trace(hs).real
+    skew = matcore.random_hermitian(rng, d) * 1j * 1e-12
+    vec = matcore.random_complex_normal(rng, (d,))
+    vec = vec / np.linalg.norm(vec)
+    out = [hs, hs + skew, 0.9 * hs + 0.1 * np.eye(d) / d, np.outer(vec, vec.conj())]
+    spectra = [np.where(np.arange(d) < d // 2, 2.0, 1.0)]
+    if d > 1:
+        spectra.append(np.linspace(1.0, 2.0, d))
+        spectra[-1][: d // 2] = -1e-10
+    for p in spectra:
+        out.append((u * (p / p.sum())) @ u.conj().T)
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_density_construction_bit_identical_to_parent(rng, d):
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    clamped = 0
+    for m in _density_inputs(rng, d):
+        assert np.array_equal(bits(matcore.as_hermitian(m)), bits(_parent_as_hermitian(m)))
+        rho = DensityMatrix.from_matrix(m)
+        rebuilt, w, v, smallest = _parent_from_matrix(m)
+        clamped += smallest < 0
+        assert np.array_equal(bits(rho.matrix), bits(rebuilt))
+        assert np.array_equal(bits(rho.eigenvalues), bits(w))
+        assert np.array_equal(bits(rho.eigenvectors), bits(v))
+    if d > 1:
+        assert clamped >= 1
+
+
 def test_bipartite_dimension_check():
     with pytest.raises(ValueError, match="does not match"):
         BipartiteDensity(2, 2, DensityMatrix.maximally_mixed(6))
