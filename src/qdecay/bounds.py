@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -105,8 +105,8 @@ class ConverseBoundParams:
     zeta = 1 - exp(-t c diamond) is the replacement weight of the
     fixed-point converse; eps is the mixing weight of the commuting-case
     replacement step, derived as 1 - exp(-t c diamond / 2) (the keep
-    amplitude exp(-t c diamond / 2) is epsilon_keep).  a defaults to the
-    midpoint of its feasible interval.
+    amplitude exp(-t c diamond / 2) is epsilon_keep), both through expm1.
+    a defaults to the midpoint of its feasible interval.
     """
 
     t: float = 0.0
@@ -130,8 +130,8 @@ class ConverseBoundParams:
             raise ValueError("need t >= 0, c >= 1, diamond > 0")
         return cls(
             t=t, c=c, diamond=diamond,
-            zeta=1.0 - math.exp(-t * c * diamond),
-            eps=1.0 - math.exp(-t * c * diamond / 2.0),
+            zeta=-math.expm1(-t * c * diamond),
+            eps=-math.expm1(-t * c * diamond / 2.0),
             a=a, m_tilde=m_tilde, g_tilde=g_tilde,
         )
 
@@ -212,7 +212,7 @@ def clsi_converse_check(lind: Lindbladian, rho: DensityMatrix, t: float,
             "D(rho || E rho) infinite although c E >= Id; inconsistent fixed point")
     evolved = channels.semigroup_apply(lind, t, rho)
     d_post = entropy.relative_entropy(evolved, e_rho).unwrap()
-    zeta = 1.0 - math.exp(-t * lind.pp_index * lind.diamond_upper)
+    zeta = -math.expm1(-t * lind.pp_index * lind.diamond_upper)
     g, tau_star = g_factor(zeta, lind.pp_index, variant=variant)
     params = ConverseBoundParams(t=t, c=lind.pp_index, diamond=lind.diamond_upper,
                                  zeta=zeta)
@@ -271,10 +271,25 @@ def _check_commuting(*mats: np.ndarray) -> None:
                 raise ValueError(f"matrices {i} and {j} do not commute: |[.,.]| = {dev:.3e}")
 
 
+def _branch_report(name: str, params: ConverseBoundParams, lhs: float,
+                   pre: float, pre_key: str) -> BoundReport:
+    """Report lhs against factor * pre on the branch that pre selects."""
+    a = params.resolved_a()
+    branch = "large-D" if pre >= a * params.m_tilde ** 2 / 2.0 else "small-D"
+    resolved = replace(params, a=a)
+    factor = classical_converse_factor(resolved, branch)
+    return BoundReport(
+        name=f"{name}[{branch}]",
+        lhs=lhs, rhs=factor * pre, factor=factor, params=resolved,
+        extra={"branch": branch, pre_key: pre},
+    )
+
+
 def classical_converse_check(e: ConditionalExpectation, rho: DensityMatrix,
-                             sigma: DensityMatrix,
-                             params: ConverseBoundParams) -> BoundReport:
-    """Commuting-state converse under the replacement semigroup.
+                             sigma: DensityMatrix, times: Sequence[float], c: float,
+                             diamond: float) -> tuple[BoundReport, ...]:
+    """Commuting-state converse under the replacement semigroup, one report
+    per time; m_tilde and g_tilde come from sigma and E(sigma).
 
     Noise keeps amplitude eps_keep = 1 - eps on the state and mixes in the
     shared fixed point E(rho) = E(sigma) with weight eps; the exact decayed
@@ -288,21 +303,18 @@ def classical_converse_check(e: ConditionalExpectation, rho: DensityMatrix,
     if img_dev > 1e-10:
         raise ValueError(f"E(rho) != E(sigma): trace distance {img_dev:.3e}")
     d_pre = entropy.relative_entropy(rho, sigma).unwrap()
-    eps = params.eps
-    mixed_rho = DensityMatrix.from_matrix(
-        (1 - eps) * rho.matrix + eps * e_rho.matrix)
-    mixed_sigma = DensityMatrix.from_matrix(
-        (1 - eps) * sigma.matrix + eps * e_sigma.matrix)
-    d_post = entropy.relative_entropy(mixed_rho, mixed_sigma).unwrap()
-    a = params.resolved_a()
-    branch = "large-D" if d_pre >= a * params.m_tilde ** 2 / 2.0 else "small-D"
-    resolved = replace(params, a=a)
-    factor = classical_converse_factor(resolved, branch)
-    return BoundReport(
-        name=f"classical-converse[{branch}]",
-        lhs=d_post, rhs=factor * d_pre, factor=factor, params=resolved,
-        extra={"branch": branch, "dPre": d_pre},
-    )
+    m_tilde = smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma)
+    g_tilde = matcore.loewner_min_coefficient(e_sigma, sigma)
+    reports = []
+    for t in times:
+        params = ConverseBoundParams.from_semigroup(t, c, diamond, m_tilde=m_tilde,
+                                                    g_tilde=g_tilde)
+        eps = params.eps
+        mixed_rho = DensityMatrix.from_matrix((1 - eps) * rho.matrix + eps * e_rho.matrix)
+        mixed_sigma = DensityMatrix.from_matrix((1 - eps) * sigma.matrix + eps * e_sigma.matrix)
+        d_post = entropy.relative_entropy(mixed_rho, mixed_sigma).unwrap()
+        reports.append(_branch_report("classical-converse", params, d_post, d_pre, "dPre"))
+    return tuple(reports)
 
 
 def smallest_nonzero_eigenvalue_direct_sum(sigma: DensityMatrix,
@@ -319,12 +331,10 @@ def smallest_nonzero_eigenvalue_direct_sum(sigma: DensityMatrix,
 
 
 def mutual_info_converse_check(e_on_b: ConditionalExpectation,
-                               rho: BipartiteDensity,
-                               params: ConverseBoundParams | None = None,
-                               t: float = 0.0, c: float | None = None,
-                               diamond: float | None = None) -> BoundReport:
+                               rho: BipartiteDensity, times: Sequence[float], c: float,
+                               diamond: float) -> tuple[BoundReport, ...]:
     """Mutual-information converse for classical-classical states under
-    replacement noise on the B side.
+    replacement noise on the B side, one report per time.
 
     m_tilde and g_tilde are computed from the pre-noise marginals; the
     underlying comparison is the commuting-state converse applied to
@@ -346,30 +356,16 @@ def mutual_info_converse_check(e_on_b: ConditionalExpectation,
     m_tilde = smallest_nonzero_eigenvalue_direct_sum(
         sigma, DensityMatrix.from_matrix(target))
     g_tilde = matcore.loewner_min_coefficient(e_rho_b, rho_b)
-    if params is None:
-        if c is None:
-            c = channels.pimsner_popa_index(e_on_b)
-        if diamond is None:
-            diamond = 2.0
-        params = ConverseBoundParams.from_semigroup(
-            t, c, diamond, m_tilde=m_tilde, g_tilde=g_tilde)
-    else:
-        params = replace(params, m_tilde=m_tilde, g_tilde=g_tilde)
     i_pre = entropy.mutual_information(rho)
-    eps = params.eps
-    mixed = DensityMatrix.from_matrix(
-        (1 - eps) * joint + eps * e_joint)
-    i_post = entropy.mutual_information(
-        BipartiteDensity(rho.dim_a, rho.dim_b, mixed))
-    a = params.resolved_a()
-    branch = "large-D" if i_pre >= a * m_tilde ** 2 / 2.0 else "small-D"
-    resolved = replace(params, a=a)
-    factor = classical_converse_factor(resolved, branch)
-    return BoundReport(
-        name=f"mutual-info-converse[{branch}]",
-        lhs=i_post, rhs=factor * i_pre, factor=factor, params=resolved,
-        extra={"branch": branch, "iPre": i_pre},
-    )
+    reports = []
+    for t in times:
+        params = ConverseBoundParams.from_semigroup(t, c, diamond, m_tilde=m_tilde,
+                                                    g_tilde=g_tilde)
+        eps = params.eps
+        mixed = DensityMatrix.from_matrix((1 - eps) * joint + eps * e_joint)
+        i_post = entropy.mutual_information(BipartiteDensity(rho.dim_a, rho.dim_b, mixed))
+        reports.append(_branch_report("mutual-info-converse", params, i_post, i_pre, "iPre"))
+    return tuple(reports)
 
 
 def decayed_state_bound_check(rho: DensityMatrix, sigma: DensityMatrix,

@@ -340,17 +340,16 @@ def semigroup_apply(lind: Lindbladian, t: float, rho: DensityMatrix) -> DensityM
     return lind.semigroup(t).apply(rho)
 
 
-def replacement_lindbladian(e: ConditionalExpectation, coupling: float = 1.0,
-                            diamond_upper: float | None = None,
+def replacement_lindbladian(e: ConditionalExpectation, diamond_upper: float | None = None,
                             pp_index: float | None = None) -> Lindbladian:
-    """L = coupling * (Id - E); ||L||_diamond <= 2 * coupling by triangle
-    inequality since Id and E both have diamond norm one."""
+    """L = Id - E; ||L||_diamond <= 2 by triangle inequality since Id and E
+    both have diamond norm one."""
     d = e.dim
-    gen = SuperOperator(d, coupling * (np.eye(d * d, dtype=complex) - e.superop.matrix))
+    gen = SuperOperator(d, np.eye(d * d, dtype=complex) - e.superop.matrix)
     return Lindbladian(
         generator=gen,
         fixed_point=e,
-        diamond_upper=2.0 * coupling if diamond_upper is None else diamond_upper,
+        diamond_upper=2.0 if diamond_upper is None else diamond_upper,
         pp_index=pimsner_popa_index(e) if pp_index is None else pp_index,
     )
 

@@ -104,7 +104,7 @@ def cmd_g_table(args) -> int:
         times = [float(x) for x in args.t.split(",") if x]
         if not times or not all(0.0 < t < math.inf for t in times):
             raise ValueError("need positive finite comma-separated times")
-        zetas = [1.0 - math.exp(-3.0 * t) for t in times]
+        zetas = [-math.expm1(-3.0 * t) for t in times]
         if max(zetas) == 1.0:
             raise ValueError(f"t = {max(times)!r} is too large: "
                              "zeta = 1 - exp(-3 t) rounds to 1")

@@ -49,24 +49,22 @@ class EntropyValue:
         return EntropyValue(math.inf, finite=False)
 
 
-def _entropy_of_spectrum(w: np.ndarray) -> float:
-    w = w[w > ZERO_CLIP]
-    return float(-(w * np.log(w)).sum())
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """H(rho) = -sum lambda_i ln lambda_i, with 0 ln 0 = 0."""
-    return _entropy_of_spectrum(rho.eigenvalues)
+    w = rho.eigenvalues
+    w = w[w > ZERO_CLIP]
+    return float(-(w * np.log(w)).sum())
 
 
 def _compress_to_support(rho: DensityMatrix, sigma: DensityMatrix):
     """rho compressed to supp(sigma) in sigma's eigenbasis, the support
     eigenvalues of sigma, and the weight of rho outside supp(sigma)."""
-    mask = sigma.eigenvalues > ENTROPY_SUPPORT_RTOL * sigma.eigenvalues[-1]
+    ws = sigma.eigenvalues
+    mask = ws > ENTROPY_SUPPORT_RTOL * ws[-1]
     vs = sigma.eigenvectors[:, mask]
     compressed = vs.conj().T @ rho.matrix @ vs
-    leak = float(np.trace(rho.matrix).real - np.real(np.trace(compressed)))
-    return compressed, sigma.eigenvalues[mask], leak
+    leak = float(rho.matrix.trace().real - compressed.trace().real)
+    return compressed, ws[mask], leak
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> EntropyValue:
@@ -78,21 +76,25 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> EntropyValue:
     compressed, ws, leak = _compress_to_support(rho, sigma)
     if leak > 1e-12:
         return EntropyValue.infinite()
-    tr_rho_log_rho = float((rho.eigenvalues[rho.eigenvalues > ZERO_CLIP]
-                            * np.log(rho.eigenvalues[rho.eigenvalues > ZERO_CLIP])).sum())
-    tr_rho_log_sigma = float(np.real((np.diagonal(compressed) * np.log(ws)).sum()))
-    value = tr_rho_log_rho - tr_rho_log_sigma
+    tr_rho_log_sigma = float((compressed.diagonal() * np.log(ws)).sum().real)
+    return EntropyValue(_nonnegative(-von_neumann_entropy(rho) - tr_rho_log_sigma,
+                                     "relative entropy"))
+
+
+def _nonnegative(value: float, what: str) -> float:
+    """Clamp round-off below zero to 0; a value below -1e-10 is an error."""
     if value < -1e-10:
-        raise AssertionError(f"relative entropy evaluated negative: {value!r}")
-    return EntropyValue(max(value, 0.0) if value < 0 else value)
+        raise AssertionError(f"{what} evaluated negative: {value!r}")
+    return max(value, 0.0)
 
 
 def mutual_information(rho: BipartiteDensity) -> float:
-    """I[A:B] = D(rho_AB || rho_A x rho_B)."""
-    ra = rho.marginal("A")
-    rb = rho.marginal("B")
-    product = DensityMatrix.from_matrix(matcore.tensor(ra.matrix, rb.matrix))
-    return relative_entropy(rho.state, product).unwrap()
+    """I[A:B] = S(A) + S(B) - S(AB) from the cached joint spectrum and the two
+    marginals; no product state is formed whose tiny eigenvalues could be cut."""
+    value = (von_neumann_entropy(rho.marginal("A"))
+             + von_neumann_entropy(rho.marginal("B"))
+             - von_neumann_entropy(rho.state))
+    return _nonnegative(value, "mutual information")
 
 
 def binary_entropy(p: float) -> float:

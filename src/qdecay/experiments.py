@@ -24,6 +24,7 @@ NOISE_KINDS = ("depolarizing", "dephasing-y")
 # below this angle the pre-noise relative entropy (~ theta^2 ln(1/theta))
 # sits within a few decades of the double-precision cancellation floor
 THETA_PRECISION_WARNING = 1e-7
+MAX_THETA_POINTS = 10_000  # largest grid theta_logspace builds: the CLI's --points limit
 
 
 def _fmt17(x: float) -> str:
@@ -117,6 +118,9 @@ def theta_logspace(theta_max: float, theta_min: float, points: int) -> tuple:
     for name, value in (("theta_max", theta_max), ("theta_min", theta_min)):
         if value <= 0:
             raise ValueError(f"{name} must be positive, got {value!r}")
+    if points > MAX_THETA_POINTS:
+        raise ValueError(f"points must be at most MAX_THETA_POINTS = "
+                         f"{MAX_THETA_POINTS}, got {points!r}")
     grid = np.logspace(math.log10(theta_max), math.log10(theta_min), points)
     return tuple(float(t) for t in grid)
 

@@ -130,7 +130,8 @@ class DensityMatrix:
         w = np.maximum(w, 0.0)
         w /= w.sum()
         rebuilt = (v * w) @ v.conj().T
-        rebuilt = (rebuilt + rebuilt.conj().T) / 2
+        rebuilt += rebuilt.conj().T
+        rebuilt *= 0.5
         rebuilt.setflags(write=False)
         w.setflags(write=False)
         v.setflags(write=False)

@@ -157,7 +157,7 @@ def _clsi_tables():
     lind = channels.replacement_lindbladian(channels.depolarizing_projection(2),
                                             diamond_upper=0.75, pp_index=4.0)
     factors = tuple(
-        tuple(bounds.g_factor(1.0 - math.exp(-t * lind.pp_index * lind.diamond_upper),
+        tuple(bounds.g_factor(-math.expm1(-t * lind.pp_index * lind.diamond_upper),
                               lind.pp_index, variant=variant)[0]
               for variant in CLSI_VARIANTS)
         for t in CLSI_TIMES)
@@ -200,12 +200,20 @@ MUTINFO_SUITE_COUPLING = 2.5e-4
 MUTINFO_CELL_FLOOR = 0.16
 
 
+def _tally(reports, branches: dict):
+    """(margin, violation) pairs of the per-time converse reports, counting
+    each report's branch."""
+    for t, rep in zip(CLASSICAL_SUITE_TIMES, reports):
+        branches[rep.extra["branch"]] += 1
+        yield rep.margin, (None if rep.passed else {"t": t})
+
+
 def classical_converse_suite(samples: int, seed: int) -> dict:
     """Commuting-pair converse under the weakly-coupled replacement
     semigroup toward the qubit depolarizing projection."""
     e = channels.depolarizing_projection(2)
-    lind = channels.replacement_lindbladian(e, coupling=CLASSICAL_SUITE_COUPLING,
-                                            pp_index=4.0)
+    c = 4.0
+    diamond = 2.0 * CLASSICAL_SUITE_COUPLING
     branches = {"large-D": 0, "small-D": 0}
 
     def case(sub, k):
@@ -216,20 +224,12 @@ def classical_converse_suite(samples: int, seed: int) -> dict:
         else:
             r0 = min(max(s0 + 0.08 * sub.normal(), 1e-4), 1 - 1e-4)
         rho = DensityMatrix.diagonal([r0, 1.0 - r0])
-        e_sigma = e.apply(sigma)
-        m_tilde = bounds.smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma)
-        g_tilde = matcore.loewner_min_coefficient(e_sigma, sigma)
-        for t in CLASSICAL_SUITE_TIMES:
-            params = bounds.ConverseBoundParams.from_semigroup(
-                t, lind.pp_index, lind.diamond_upper,
-                m_tilde=m_tilde, g_tilde=g_tilde)
-            rep = bounds.classical_converse_check(e, rho, sigma, params)
-            branches[rep.extra["branch"]] += 1
-            yield rep.margin, (None if rep.passed else {"t": t})
+        return _tally(bounds.classical_converse_check(
+            e, rho, sigma, CLASSICAL_SUITE_TIMES, c, diamond), branches)
     return _run("classical", samples, seed, case,
-                extra={"coupling": CLASSICAL_SUITE_COUPLING,
-                       "c": lind.pp_index, "diamond": lind.diamond_upper,
-                       "times": list(CLASSICAL_SUITE_TIMES), "branches": branches})
+                extra={"coupling": CLASSICAL_SUITE_COUPLING, "c": c,
+                       "diamond": diamond, "times": list(CLASSICAL_SUITE_TIMES),
+                       "branches": branches})
 
 
 def classical_mutinfo_suite(samples: int, seed: int) -> dict:
@@ -243,11 +243,8 @@ def classical_mutinfo_suite(samples: int, seed: int) -> dict:
     def case(sub, k):
         cells = matcore.random_probability_vector(sub, 4, floor=MUTINFO_CELL_FLOOR)
         joint = BipartiteDensity.from_matrix(np.diag(cells.astype(complex)), 2, 2)
-        for t in CLASSICAL_SUITE_TIMES:
-            params = bounds.ConverseBoundParams.from_semigroup(t, c, diamond)
-            rep = bounds.mutual_info_converse_check(e, joint, params=params)
-            branches[rep.extra["branch"]] += 1
-            yield rep.margin, (None if rep.passed else {"t": t})
+        return _tally(bounds.mutual_info_converse_check(
+            e, joint, CLASSICAL_SUITE_TIMES, c, diamond), branches)
     return _run("classical-mutinfo", samples, seed, case,
                 extra={"coupling": MUTINFO_SUITE_COUPLING, "c": c,
                        "diamond": diamond, "times": list(CLASSICAL_SUITE_TIMES),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qdecay.bounds import (
 )
 from qdecay.channels import depolarizing_projection, replacement_lindbladian
 from qdecay.matcore import BipartiteDensity, DensityMatrix
+from qdecay.rng import Rng
 
 PAPER_TABLE = [
     (1e-3, 0.81, 0.0302),
@@ -190,9 +192,7 @@ def test_classical_factor_feasibility_interval():
 def test_classical_converse_check_equal_states():
     e = depolarizing_projection(2)
     sigma = DensityMatrix.diagonal([0.6, 0.4])
-    params = ConverseBoundParams.from_semigroup(0.01, 4.0, 0.02, m_tilde=0.4,
-                                                g_tilde=1.25)
-    rep = classical_converse_check(e, sigma, sigma, params)
+    rep, = classical_converse_check(e, sigma, sigma, (0.01,), 4.0, 0.02)
     assert rep.passed and rep.lhs < 1e-12
 
 
@@ -200,10 +200,7 @@ def test_classical_converse_check_worked_pair():
     e = depolarizing_projection(2)
     rho = DensityMatrix.diagonal([0.7, 0.3])
     sigma = DensityMatrix.diagonal([0.5, 0.5])
-    g_tilde = matcore.loewner_min_coefficient(e.apply(sigma), sigma)
-    params = ConverseBoundParams.from_semigroup(0.01, 4.0, 0.02, m_tilde=0.5,
-                                                g_tilde=g_tilde)
-    rep = classical_converse_check(e, rho, sigma, params)
+    rep, = classical_converse_check(e, rho, sigma, (0.01,), 4.0, 0.02)
     assert rep.passed
     assert rep.extra["branch"] == "large-D"
 
@@ -212,18 +209,16 @@ def test_classical_converse_check_rejects_noncommuting():
     e = depolarizing_projection(2)
     rho = DensityMatrix.pure([1, 1])
     sigma = DensityMatrix.diagonal([0.6, 0.4])
-    params = ConverseBoundParams.from_semigroup(0.01, 4.0, 0.02, m_tilde=0.4)
     with pytest.raises(ValueError, match="commute"):
-        classical_converse_check(e, rho, sigma, params)
+        classical_converse_check(e, rho, sigma, (0.01,), 4.0, 0.02)
 
 
 def test_classical_converse_check_rejects_mismatched_images():
     e = channels.pinching(2)
     rho = DensityMatrix.diagonal([0.7, 0.3])
     sigma = DensityMatrix.diagonal([0.5, 0.5])
-    params = ConverseBoundParams.from_semigroup(0.01, 2.0, 0.02, m_tilde=0.3)
     with pytest.raises(ValueError, match="E\\(rho\\)"):
-        classical_converse_check(e, rho, sigma, params)
+        classical_converse_check(e, rho, sigma, (0.01,), 2.0, 0.02)
 
 
 def test_mutual_info_converse_product_state(rng):
@@ -232,7 +227,7 @@ def test_mutual_info_converse_product_state(rng):
     pb = matcore.random_probability_vector(rng, 2, floor=0.2)
     joint = BipartiteDensity.from_matrix(
         np.diag(np.kron(pa, pb).astype(complex)), 2, 2)
-    rep = mutual_info_converse_check(e, joint, t=0.01, c=4.0, diamond=5e-4)
+    rep, = mutual_info_converse_check(e, joint, (0.01,), 4.0, 5e-4)
     assert rep.passed
     assert rep.lhs < 1e-10 and abs(rep.rhs) < 1e-10
 
@@ -243,7 +238,7 @@ def test_mutual_info_converse_correlated_bits():
     # joint rank-deficient; keep a small leak for full support)
     cells = np.array([0.48, 0.02, 0.02, 0.48])
     joint = BipartiteDensity.from_matrix(np.diag(cells.astype(complex)), 2, 2)
-    rep = mutual_info_converse_check(e, joint, t=0.01, c=4.0, diamond=5e-4)
+    rep, = mutual_info_converse_check(e, joint, (0.01,), 4.0, 5e-4)
     assert rep.passed
     assert rep.factor < 1.0
     assert rep.lhs <= rep.extra["iPre"] + 1e-12
@@ -255,7 +250,7 @@ def test_mutual_info_converse_rejects_quantum_input():
     bell[0] = bell[3] = 1 / math.sqrt(2)
     joint = BipartiteDensity.from_matrix(np.outer(bell, bell.conj()), 2, 2)
     with pytest.raises(ValueError, match="classical"):
-        mutual_info_converse_check(e, joint, t=0.01)
+        mutual_info_converse_check(e, joint, (0.01,), 4.0, 2.0)
 
 
 def test_decayed_state_same_mixture_factor():
@@ -359,7 +354,118 @@ def test_mutual_info_converse_exactly_correlated_bits():
     e = depolarizing_projection(2)
     cells = np.array([0.5, 0.0, 0.0, 0.5])
     joint = BipartiteDensity.from_matrix(np.diag(cells.astype(complex)), 2, 2)
-    rep = mutual_info_converse_check(e, joint, t=0.01, c=4.0, diamond=5e-4)
+    rep, = mutual_info_converse_check(e, joint, (0.01,), 4.0, 5e-4)
     assert rep.passed
     ratio = rep.lhs / rep.extra["iPre"]
     assert rep.factor < ratio <= 1.0 + 1e-12
+
+
+def _parent_classical_check(e, rho, sigma, params):
+    """classical_converse_check as it was before it took a sequence of
+    times: one time, given through params, and every step redone."""
+    e_rho = e.apply(rho)
+    e_sigma = e.apply(sigma)
+    bounds._check_commuting(rho.matrix, sigma.matrix)
+    bounds._check_commuting(rho.matrix, e_rho.matrix)
+    assert matcore.trace_norm(e_rho.matrix - e_sigma.matrix) <= 1e-10
+    d_pre = entropy.relative_entropy(rho, sigma).unwrap()
+    eps = params.eps
+    mixed_rho = DensityMatrix.from_matrix((1 - eps) * rho.matrix + eps * e_rho.matrix)
+    mixed_sigma = DensityMatrix.from_matrix((1 - eps) * sigma.matrix + eps * e_sigma.matrix)
+    d_post = entropy.relative_entropy(mixed_rho, mixed_sigma).unwrap()
+    a = params.resolved_a()
+    branch = "large-D" if d_pre >= a * params.m_tilde ** 2 / 2.0 else "small-D"
+    resolved = replace(params, a=a)
+    factor = classical_converse_factor(resolved, branch)
+    return bounds.BoundReport(
+        name=f"classical-converse[{branch}]", lhs=d_post, rhs=factor * d_pre,
+        factor=factor, params=resolved, extra={"branch": branch, "dPre": d_pre})
+
+
+def _parent_mutual_info_check(e_on_b, rho, params):
+    """mutual_info_converse_check's params form as it was before it took a
+    sequence of times."""
+    joint = rho.state.matrix
+    rho_a = rho.marginal("A")
+    rho_b = rho.marginal("B")
+    e_rho_b = e_on_b.apply(rho_b)
+    e_joint = channels.apply_on_factor(e_on_b, joint, (rho.dim_a, rho.dim_b), 1)
+    target = matcore.tensor(rho_a.matrix, e_rho_b.matrix)
+    sigma = DensityMatrix.from_matrix(matcore.tensor(rho_a.matrix, rho_b.matrix))
+    m_tilde = bounds.smallest_nonzero_eigenvalue_direct_sum(
+        sigma, DensityMatrix.from_matrix(target))
+    g_tilde = matcore.loewner_min_coefficient(e_rho_b, rho_b)
+    params = replace(params, m_tilde=m_tilde, g_tilde=g_tilde)
+    i_pre = entropy.mutual_information(rho)
+    eps = params.eps
+    mixed = DensityMatrix.from_matrix((1 - eps) * joint + eps * e_joint)
+    i_post = entropy.mutual_information(BipartiteDensity(rho.dim_a, rho.dim_b, mixed))
+    a = params.resolved_a()
+    branch = "large-D" if i_pre >= a * m_tilde ** 2 / 2.0 else "small-D"
+    resolved = replace(params, a=a)
+    factor = classical_converse_factor(resolved, branch)
+    return bounds.BoundReport(
+        name=f"mutual-info-converse[{branch}]", lhs=i_post, rhs=factor * i_pre,
+        factor=factor, params=resolved, extra={"branch": branch, "iPre": i_pre})
+
+
+def _report_bits(rep):
+    """Name, extra keys and the bit patterns of every float in a report."""
+    p = rep.params
+    pre_key = "dPre" if "dPre" in rep.extra else "iPre"
+    floats = [rep.lhs, rep.rhs, rep.factor, rep.extra[pre_key], p.t, p.c, p.diamond,
+              p.zeta, p.eps, p.a, p.m_tilde, p.g_tilde]
+    return (rep.name, sorted(rep.extra.items()),
+            np.array(floats, dtype=float).view(np.uint64).tolist())
+
+
+def test_multi_time_converse_checks_bit_identical_to_single_time_form():
+    times = (0.01, 0.1)
+    e = depolarizing_projection(2)
+    root = Rng(8)
+    seen = {"classical": set(), "mutual-info": set()}
+    for k in range(24):
+        sub = root.substream(k)
+        s0 = sub.uniform(0.35, 0.65)
+        if k % 2:
+            r0 = sub.uniform(0.001, 0.999)
+        else:
+            r0 = min(max(s0 + 0.08 * sub.normal(), 1e-4), 1 - 1e-4)
+        sigma = DensityMatrix.diagonal([s0, 1.0 - s0])
+        rho = DensityMatrix.diagonal([r0, 1.0 - r0])
+        e_sigma = e.apply(sigma)
+        m_tilde = bounds.smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma)
+        g_tilde = matcore.loewner_min_coefficient(e_sigma, sigma)
+        reps = classical_converse_check(e, rho, sigma, times, 4.0, 0.02)
+        assert len(reps) == len(times)
+        for t, rep in zip(times, reps):
+            params = ConverseBoundParams.from_semigroup(t, 4.0, 0.02, m_tilde=m_tilde,
+                                                        g_tilde=g_tilde)
+            assert _report_bits(rep) == _report_bits(
+                _parent_classical_check(e, rho, sigma, params))
+            seen["classical"].add(rep.extra["branch"])
+
+        cells = matcore.random_probability_vector(sub, 4, floor=0.16)
+        joint = BipartiteDensity.from_matrix(np.diag(cells.astype(complex)), 2, 2)
+        reps = mutual_info_converse_check(e, joint, times, 4.0, 5e-4)
+        assert len(reps) == len(times)
+        for t, rep in zip(times, reps):
+            params = ConverseBoundParams.from_semigroup(t, 4.0, 5e-4)
+            assert _report_bits(rep) == _report_bits(
+                _parent_mutual_info_check(e, joint, params))
+            seen["mutual-info"].add(rep.extra["branch"])
+    assert seen == {"classical": {"large-D", "small-D"},
+                    "mutual-info": {"large-D", "small-D"}}
+
+
+def test_zeta_and_eps_exact_at_small_times():
+    # 1 - exp(-x) cancels for small x: at x = 3e-17 it gave 0, at 3e-13 a
+    # relative error of 6e-5
+    for t in (1e-17, 1e-13):
+        p = ConverseBoundParams.from_semigroup(t, 4.0, 0.75)
+        assert math.isclose(p.zeta, 3.0 * t, rel_tol=1e-12)
+        assert math.isclose(p.eps, 1.5 * t, rel_tol=1e-12)
+    rep = clsi_converse_check(qubit_depolarizing_lindbladian(),
+                              DensityMatrix.diagonal([0.9, 0.1]), 1e-17)
+    assert rep.params.zeta == -math.expm1(-3e-17) > 0
+    assert rep.tau_star > 1e-12

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from qdecay import experiments as exp
 from qdecay.cli import main
 
 
@@ -350,3 +351,30 @@ def test_verify_seed_fallback_after_explicit_seed(tmp_path, monkeypatch):
     assert main(argv + [str(tmp_path / "b.json")]) == 0
     assert json.loads((tmp_path / "a.json").read_text())["seed"] == 5
     assert json.loads((tmp_path / "b.json").read_text())["seed"] == 11
+
+
+def test_g_table_zeta_exact_at_tiny_t(capsys):
+    # zeta = 1 - exp(-3 t) by subtraction printed 0 at t = 1e-17, with
+    # tau_star stuck at the 1e-12 grid edge
+    code, out, _ = run(["g-table", "--t", "1e-17,1e-13"], capsys)
+    assert code == 0
+    for line in out.splitlines()[1:]:
+        t, zeta, g, tau = (float(x) for x in line.split(","))
+        assert zeta == -math.expm1(-3.0 * t)
+        assert math.isclose(zeta, 3.0 * t, rel_tol=1e-12)
+        assert tau > 1e-12 and g < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sudden-decay", "--lambda", "0.1"],
+    ["private-rate", "--p", "0.3", "--lambda", "0.2"],
+])
+def test_points_above_limit_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "sweep.csv"
+    points = str(exp.MAX_THETA_POINTS + 1)
+    code, _, err = run(argv + ["--points", points, "--out", str(out)], capsys)
+    assert code == 2
+    assert err == (f"error: points must be at most MAX_THETA_POINTS = "
+                   f"{exp.MAX_THETA_POINTS}, got {points}\n")
+    assert not out.exists()
+    assert len(exp.theta_logspace(1e-2, 1e-6, exp.MAX_THETA_POINTS)) == exp.MAX_THETA_POINTS

@@ -103,6 +103,15 @@ def test_mutual_information_equals_pinched_relative_entropy():
             assert abs(mutual_information(omega) - d) < 1e-10
 
 
+def test_mutual_information_resolves_tiny_correlation():
+    # I of the flag-correlated pair is h(sin^2 theta) ~ 3.3e-13 at theta = 1e-7;
+    # as D(rho_AB || rho_A x rho_B) it lost the product state's ~1e-15
+    # eigenvalues to the support cut and read 3.2e-15
+    for theta in (1e-3, 1e-5, 1e-7):
+        want = binary_entropy(math.sin(theta) ** 2)
+        assert abs(mutual_information(omega_theta_lambda(theta, 0.0)) - want) <= 1e-2 * want
+
+
 def test_mutual_information_data_processing_partial_trace(rng):
     # I[A:BC] >= I[A:B] after tracing out C
     for _ in range(50):
@@ -457,3 +466,30 @@ def test_gaorouze_random_pairs(rng):
         sigma = matcore.random_density(rng, d, mix=0.1)
         rep = entropy.gaorouze_sandwich_check(rho, sigma)
         assert rep.lower_slack >= -1e-10 and rep.upper_slack >= -1e-10
+
+
+def test_one_eigensolve_per_call(monkeypatch, rng):
+    """Every eigensolve goes through matcore.jacobi_eigh_batch, once per
+    DensityMatrix build, eigh, Loewner query and integral-form evaluation,
+    so the benchmark's traced eigensolver counts stay truthful."""
+    rho = matcore.random_density(rng, 3, mix=0.1)
+    sigma = matcore.random_density(rng, 3, mix=0.1)
+    singular = DensityMatrix.diagonal([0.5, 0.5, 0.0])
+    inside = DensityMatrix.diagonal([0.3, 0.7, 0.0])
+    m = rho.matrix.copy()
+    raw = matcore.jacobi_eigh_batch
+    calls = []
+
+    def counted(stack):
+        calls.append(np.shape(stack))
+        return raw(stack)
+
+    monkeypatch.setattr(matcore, "jacobi_eigh_batch", counted)
+    for run in (lambda: DensityMatrix.from_matrix(m),
+                lambda: matcore.eigh(m),
+                lambda: matcore.loewner_min_coefficient(rho, sigma),
+                lambda: relative_entropy_integral_form(rho, sigma, 16),
+                lambda: relative_entropy_integral_form(inside, singular, 16)):
+        calls.clear()
+        run()
+        assert len(calls) == 1

@@ -263,3 +263,13 @@ def test_sweep_result_json_metadata():
     data = json.loads(sweep.to_json())
     assert data["metadata"]["lambda"] == 0.3
     assert len(data["rows"]) == 3
+
+
+def test_private_rate_depolarizing_weak_keep_has_no_positive_bound():
+    # at p = lambda = 0.01 the ratio i_kept / i_env stays below the 99 that
+    # positivity needs on the whole default grid; the old D(rho_AB || rho_A x
+    # rho_B) form lost i_env below theta = 1e-6 and printed a bound of 2.9e-13
+    cfg = exp.PrivateRateConfig(p=0.01, lam=0.01, noise="depolarizing")
+    sweep = exp.private_rate_lower_bound(cfg)
+    assert not sweep.metadata["positiveFound"]
+    assert all(i_env > 0 for i_env in sweep.column("i_env"))
