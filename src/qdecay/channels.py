@@ -11,7 +11,6 @@ norm.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -109,29 +108,6 @@ class KrausChannel:
         if self.dim_in != self.dim_out:
             raise ValueError("square superoperator form needs dim_in == dim_out")
         return SuperOperator(self.dim_in, self.superoperator_matrix())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimIn": self.dim_in,
-            "dimOut": self.dim_out,
-            "kraus": [[[z.real, z.imag] for z in k.reshape(-1)] for k in self.kraus],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "KrausChannel":
-        din, dout = int(data["dimIn"]), int(data["dimOut"])
-        ops = []
-        for entries in data["kraus"]:
-            flat = np.array([complex(float(re), float(im)) for re, im in entries])
-            ops.append(flat.reshape(dout, din))
-        return cls.from_kraus(ops)
-
-    @classmethod
-    def from_json(cls, text: str) -> "KrausChannel":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -308,8 +284,9 @@ def replacement_semigroup(e: ConditionalExpectation, t: float) -> SuperOperator:
     if t < 0:
         raise ValueError("time must be nonnegative")
     d = e.dim
-    w = math.exp(-t)
-    return SuperOperator(d, w * np.eye(d * d, dtype=complex) + (1.0 - w) * e.superop.matrix)
+    # the weight on E through expm1: 1 - e^-t cancels at small t
+    return SuperOperator(d, math.exp(-t) * np.eye(d * d, dtype=complex)
+                         - math.expm1(-t) * e.superop.matrix)
 
 
 @dataclass(frozen=True)

@@ -186,8 +186,12 @@ class BipartiteDensity:
         return cls(dim_a, dim_b, DensityMatrix.from_matrix(m))
 
     def marginal(self, keep: str) -> DensityMatrix:
-        red = partial_trace(self.state.matrix, self.dim_a, self.dim_b, keep)
-        return DensityMatrix.from_matrix(red)
+        """Reduced state on A or B, built once and kept in the instance __dict__."""
+        key = "_marginal_" + keep
+        if key not in self.__dict__:
+            red = partial_trace(self.state.matrix, self.dim_a, self.dim_b, keep)
+            self.__dict__[key] = DensityMatrix.from_matrix(red)
+        return self.__dict__[key]
 
 
 def loewner_min_coefficient(rho, sigma, strict: bool = False) -> float:
@@ -222,10 +226,9 @@ def loewner_min_coefficient(rho, sigma, strict: bool = False) -> float:
 
 
 def random_complex_normal(rng: Rng, shape) -> np.ndarray:
-    """Standard complex normals drawn entry by entry, row-major, real part
-    first: the one draw order the seeded complex Gaussian streams rely on."""
-    n = math.prod(shape)
-    return np.array([rng.normal() + 1j * rng.normal() for _ in range(n)]).reshape(shape)
+    """Standard complex normals in one draw, row-major, real part first: the
+    one draw order the seeded complex Gaussian streams rely on."""
+    return np.array(rng.normals(2 * math.prod(shape))).view(complex).reshape(shape)
 
 
 def random_hermitian(rng: Rng, d: int) -> np.ndarray:

@@ -56,11 +56,21 @@ class Rng:
         return ((self._next_word() >> 11) + 1) * (2.0 ** -53)
 
     def normal(self) -> float:
-        # Box-Muller, one value per pair of draws (second value discarded
-        # to keep each output a function of a fixed number of counters)
-        u1 = self.uniform_open()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        return self.normals(1)[0]
+
+    def normals(self, n: int) -> list[float]:
+        """n standard normals, the bits of n normal() calls: Box-Muller on word
+        pairs, u1 in (0, 1] as uniform_open and u2 in [0, 1) as uniform, the
+        second value discarded so each output depends on two counters only."""
+        seed, first = self.seed, self._counter + 1
+        log, cos, sqrt, two_pi = math.log, math.cos, math.sqrt, 2.0 * math.pi
+        out = []
+        for k in range(first, first + 2 * n, 2):
+            u1 = ((mix64((seed + k * _GAMMA) & _MASK) >> 11) + 1) * (2.0 ** -53)
+            u2 = (mix64((seed + (k + 1) * _GAMMA) & _MASK) >> 11) * (2.0 ** -53)
+            out.append(sqrt(-2.0 * log(u1)) * cos(two_pi * u2))
+        self._counter += 2 * n
+        return out
 
     def integer(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection on the top bits."""

@@ -101,6 +101,86 @@ def test_g_factor_grid_doubling_stability():
         assert abs(g1 - g2) < 1e-6
 
 
+def _numpy_scalar_g_factor(zeta, c, variant):
+    """g_factor with its objective on np.float64 grid scalars: the reference
+    the Python-float loop must match bit for bit."""
+    denom = (entropy.kappa(c) if variant == "theorem"
+             else (9.0 * math.log(9.0) - 8.0) / 9.0)
+
+    def f(tau):
+        return ((1.0 - zeta) ** 2 * tau / (tau + zeta)
+                * (1.0 - tau * (1.0 - math.log(tau)) / denom))
+
+    grid_min = min(1e-4, max(zeta * 1e-2, 1e-12))
+    grid = np.logspace(math.log10(grid_min), math.log10(1.0 - grid_min), 2000)
+    vals = np.array([f(t) for t in grid])
+    i = int(np.argmax(vals))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    f_lo, f_hi = f(lo), f(hi)
+    while b - a > 1e-8:
+        if f_lo > f_hi:
+            b, hi, f_hi = hi, lo, f_lo
+            lo = b - inv_phi * (b - a)
+            f_lo = f(lo)
+        else:
+            a, lo, f_lo = lo, hi, f_hi
+            hi = a + inv_phi * (b - a)
+            f_hi = f(hi)
+    x = 0.5 * (a + b)
+    tau, g = (float(grid[i]), float(vals[i])) if vals[i] > f(x) else (float(x), float(f(x)))
+    return max(g, 0.0), tau
+
+
+GRID_ZETAS = (1e-17, 1e-16, 1e-13, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1,
+              0.3, 0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-12)
+
+
+@pytest.mark.parametrize("variant", ["theorem", "paper-example"])
+@pytest.mark.parametrize("c", [1.5, 4.0, 10.0])
+def test_g_factor_bit_identical_to_numpy_scalar_loop(variant, c):
+    for zeta in GRID_ZETAS:
+        got = np.array(g_factor(zeta, c, variant=variant)).view(np.uint64)
+        want = np.array(_numpy_scalar_g_factor(zeta, c, variant)).view(np.uint64)
+        assert np.array_equal(got, want), zeta
+
+
+@pytest.mark.parametrize("c", [1.5, 4.0, 10.0])
+def test_replacement_converse_factor_bit_identical_to_numpy_scalar_loop(c):
+    kappa = entropy.kappa(c)
+    for zeta in GRID_ZETAS:
+        got = np.array([replacement_converse_factor(zeta, c)]).view(np.uint64)
+        want = np.array([_numpy_scalar_g_factor(zeta, c, "theorem")[0]]).view(np.uint64)
+        assert np.array_equal(got, want), zeta
+        for tau in (1e-9, 1e-3, 0.05, 0.5, 0.999):
+            fixed = replacement_converse_factor(zeta, c, tau=tau)
+            by_hand = max(((1.0 - zeta) ** 2 * tau / (tau + zeta)
+                           * (1.0 - tau * (1.0 - math.log(tau)) / kappa)), 0.0)
+            assert np.array([fixed]).view(np.uint64) == np.array([by_hand]).view(np.uint64)
+
+
+def test_optimizer_calls_objective_with_python_floats(monkeypatch):
+    calls = []
+
+    def checked(f):
+        def wrapper(tau):
+            assert type(tau) is float, type(tau)
+            calls.append(tau)
+            return f(tau)
+        return wrapper
+
+    tau, val = bounds.maximize_on_unit_interval(checked(lambda x: x * (1.0 - x)))
+    assert type(tau) is float and type(val) is float
+    assert abs(tau - 0.5) < 1e-8 and len(calls) > bounds.TAU_GRID_POINTS
+    objective = bounds._g_objective
+    monkeypatch.setattr(bounds, "_g_objective", lambda *a: checked(objective(*a)))
+    calls.clear()
+    g, tau = g_factor(1e-3, 4.0)
+    assert type(g) is float and type(tau) is float
+    assert len(calls) > bounds.TAU_GRID_POINTS
+
+
 def test_g_factor_domain_errors():
     with pytest.raises(ValueError):
         g_factor(1.0, 4.0)
@@ -242,6 +322,35 @@ def test_mutual_info_converse_correlated_bits():
     assert rep.passed
     assert rep.factor < 1.0
     assert rep.lhs <= rep.extra["iPre"] + 1e-12
+
+
+def test_mutual_info_converse_builds_each_marginal_once(monkeypatch):
+    raw = vars(DensityMatrix)["from_matrix"].__func__
+    built = []
+
+    def counting(cls, m):
+        built.append(1)
+        return raw(cls, m)
+
+    def uncached_marginal(self, keep):
+        return DensityMatrix.from_matrix(
+            matcore.partial_trace(self.state.matrix, self.dim_a, self.dim_b, keep))
+
+    def count_one_check():
+        cells = np.array([0.4, 0.1, 0.15, 0.35])
+        joint = BipartiteDensity.from_matrix(np.diag(cells.astype(complex)), 2, 2)
+        built.clear()
+        reports = mutual_info_converse_check(depolarizing_projection(2), joint,
+                                             (0.01, 0.1), 4.0, 5e-4)
+        return len(built), [r.to_json() for r in reports]
+
+    monkeypatch.setattr(DensityMatrix, "from_matrix", classmethod(counting))
+    cached, cached_out = count_one_check()
+    monkeypatch.setattr(BipartiteDensity, "marginal", uncached_marginal)
+    uncached, uncached_out = count_one_check()
+    # I_pre reuses rho_A and rho_B instead of building them again
+    assert uncached - cached == 2
+    assert cached_out == uncached_out
 
 
 def test_mutual_info_converse_rejects_quantum_input():

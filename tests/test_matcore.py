@@ -271,3 +271,50 @@ def test_rng_determinism_and_substreams():
     s2 = Rng(42).substream(3)
     assert s1.uniform() == s2.uniform()
     assert Rng(42).substream(3).uniform() != Rng(42).substream(4).uniform()
+
+
+def _word_by_word_normal(r):
+    """Box-Muller from one uniform_open and one uniform draw: the reference
+    for normals(n)."""
+    u1 = r.uniform_open()
+    u2 = r.uniform()
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 32])
+def test_rng_normals_match_successive_normal_draws(n):
+    for seed in (0, 1, 2024, 2 ** 64 - 1):
+        a, b, c = Rng(seed).substream(3), Rng(seed).substream(3), Rng(seed).substream(3)
+        a.uniform()
+        b.uniform()
+        c.uniform()
+        batch = np.array(a.normals(n))
+        one_by_one = np.array([b.normal() for _ in range(n)])
+        reference = np.array([_word_by_word_normal(c) for _ in range(n)])
+        assert np.array_equal(batch.view(np.uint64), one_by_one.view(np.uint64))
+        assert np.array_equal(batch.view(np.uint64), reference.view(np.uint64))
+        assert a._counter == b._counter == c._counter == 1 + 2 * n
+        assert a.uniform() == b.uniform()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_random_complex_normal_matches_entry_by_entry_draws(d):
+    a, b = Rng(77 + d), Rng(77 + d)
+    for shape in ((d, d), (d,)):
+        got = matcore.random_complex_normal(a, shape)
+        want = np.array([_word_by_word_normal(b) + 1j * _word_by_word_normal(b)
+                         for _ in range(math.prod(shape))]).reshape(shape)
+        assert got.shape == shape and got.dtype == complex
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert a._counter == b._counter
+
+
+def test_bipartite_marginal_built_once():
+    bip = BipartiteDensity.from_matrix(np.diag([0.4, 0.1, 0.15, 0.35]).astype(complex), 2, 2)
+    rho_a = bip.marginal("A")
+    assert bip.marginal("A") is rho_a
+    assert bip.marginal("B") is bip.marginal("B")
+    assert np.array_equal(rho_a.matrix, np.diag([0.5, 0.5]).astype(complex))
+    assert bip == BipartiteDensity(2, 2, bip.state)
+    with pytest.raises(ValueError, match="keep"):
+        bip.marginal("C")
