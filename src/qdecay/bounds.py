@@ -301,8 +301,8 @@ def classical_converse_check(e: ConditionalExpectation, rho: DensityMatrix,
     shared fixed point E(rho) = E(sigma) with weight eps; the exact decayed
     relative entropy is compared against the branch factor.
     """
-    e_rho = e.apply(rho)
-    e_sigma = e.apply(sigma)
+    e_rho, e_sigma = DensityMatrix.from_matrices(
+        [e.apply_matrix(rho.matrix), e.apply_matrix(sigma.matrix)])
     _check_commuting(rho.matrix, sigma.matrix)
     _check_commuting(rho.matrix, e_rho.matrix)
     img_dev = matcore.trace_norm(e_rho.matrix - e_sigma.matrix)
@@ -311,16 +311,15 @@ def classical_converse_check(e: ConditionalExpectation, rho: DensityMatrix,
     d_pre = entropy.relative_entropy(rho, sigma).unwrap()
     m_tilde = smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma)
     g_tilde = matcore.loewner_min_coefficient(e_sigma, sigma)
-    reports = []
-    for t in times:
-        params = ConverseBoundParams.from_semigroup(t, c, diamond, m_tilde=m_tilde,
-                                                    g_tilde=g_tilde)
-        eps = params.eps
-        mixed_rho = DensityMatrix.from_matrix((1 - eps) * rho.matrix + eps * e_rho.matrix)
-        mixed_sigma = DensityMatrix.from_matrix((1 - eps) * sigma.matrix + eps * e_sigma.matrix)
-        d_post = entropy.relative_entropy(mixed_rho, mixed_sigma).unwrap()
-        reports.append(_branch_report("classical-converse", params, d_post, d_pre, "dPre"))
-    return tuple(reports)
+    params = [ConverseBoundParams.from_semigroup(t, c, diamond, m_tilde=m_tilde,
+                                                 g_tilde=g_tilde) for t in times]
+    mixed = DensityMatrix.from_matrices([(1 - p.eps) * x.matrix + p.eps * e_x.matrix
+                                         for p in params
+                                         for x, e_x in ((rho, e_rho), (sigma, e_sigma))])
+    return tuple(
+        _branch_report("classical-converse", p,
+                       entropy.relative_entropy(m_rho, m_sigma).unwrap(), d_pre, "dPre")
+        for p, m_rho, m_sigma in zip(params, mixed[::2], mixed[1::2]))
 
 
 def smallest_nonzero_eigenvalue_direct_sum(sigma: DensityMatrix,
@@ -358,20 +357,20 @@ def mutual_info_converse_check(e_on_b: ConditionalExpectation,
     target = matcore.tensor(rho_a.matrix, e_rho_b.matrix)
     if float(np.abs(e_joint - target).max()) > 1e-9:
         raise ValueError("(Id x E)(rho) is not of product form rho_A x omega")
-    sigma = DensityMatrix.from_matrix(matcore.tensor(rho_a.matrix, rho_b.matrix))
-    m_tilde = smallest_nonzero_eigenvalue_direct_sum(
-        sigma, DensityMatrix.from_matrix(target))
+    sigma, e_sigma = DensityMatrix.from_matrices(
+        [matcore.tensor(rho_a.matrix, rho_b.matrix), target])
+    m_tilde = smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma)
     g_tilde = matcore.loewner_min_coefficient(e_rho_b, rho_b)
     i_pre = entropy.mutual_information(rho)
-    reports = []
-    for t in times:
-        params = ConverseBoundParams.from_semigroup(t, c, diamond, m_tilde=m_tilde,
-                                                    g_tilde=g_tilde)
-        eps = params.eps
-        mixed = DensityMatrix.from_matrix((1 - eps) * joint + eps * e_joint)
-        i_post = entropy.mutual_information(BipartiteDensity(rho.dim_a, rho.dim_b, mixed))
-        reports.append(_branch_report("mutual-info-converse", params, i_post, i_pre, "iPre"))
-    return tuple(reports)
+    params = [ConverseBoundParams.from_semigroup(t, c, diamond, m_tilde=m_tilde,
+                                                 g_tilde=g_tilde) for t in times]
+    mixed = DensityMatrix.from_matrices([(1 - p.eps) * joint + p.eps * e_joint
+                                         for p in params])
+    return tuple(
+        _branch_report("mutual-info-converse", p,
+                       entropy.mutual_information(BipartiteDensity(rho.dim_a, rho.dim_b, m)),
+                       i_pre, "iPre")
+        for p, m in zip(params, mixed))
 
 
 def decayed_state_bound_check(rho: DensityMatrix, sigma: DensityMatrix,
@@ -395,10 +394,9 @@ def decayed_state_bound_check(rho: DensityMatrix, sigma: DensityMatrix,
             raise ValueError(f"order precondition fails: smallest valid c is {w!r}")
     if not (0.0 < zeta <= eps < 1.0):
         raise ValueError("need 0 < zeta <= eps < 1")
-    lhs_rho = DensityMatrix.from_matrix((1 - eps) * rho.matrix + eps * theta_dens.matrix)
-    lhs_sigma = DensityMatrix.from_matrix((1 - eps) * sigma.matrix + eps * theta_dens.matrix)
-    rhs_rho = DensityMatrix.from_matrix((1 - zeta) * rho.matrix + zeta * omega.matrix)
-    rhs_sigma = DensityMatrix.from_matrix((1 - zeta) * sigma.matrix + zeta * omega.matrix)
+    lhs_rho, lhs_sigma, rhs_rho, rhs_sigma = DensityMatrix.from_matrices(
+        [(1 - w) * x.matrix + w * y.matrix
+         for w, y in ((eps, theta_dens), (zeta, omega)) for x in (rho, sigma)])
     lhs = entropy.relative_entropy(lhs_rho, lhs_sigma).unwrap()
     d_rhs = entropy.relative_entropy(rhs_rho, rhs_sigma).unwrap()
     factor = (zeta / (c * eps)) * ((1 - eps) / (1 - zeta)) ** 2
@@ -423,8 +421,8 @@ def origcompare_check(rho: DensityMatrix, sigma: DensityMatrix,
     g = matcore.loewner_min_coefficient(p @ omega.matrix @ p, sigma)
     factor = (1.0 + eps * (g / (1 - zeta) - 1.0)) / (1 - eps) ** 2
     d_orig = entropy.relative_entropy(rho, sigma).unwrap()
-    mixed_rho = DensityMatrix.from_matrix((1 - eps) * rho.matrix + eps * omega.matrix)
-    mixed_sigma = DensityMatrix.from_matrix((1 - eps) * sigma.matrix + eps * omega.matrix)
+    mixed_rho, mixed_sigma = DensityMatrix.from_matrices(
+        [(1 - eps) * x.matrix + eps * omega.matrix for x in (rho, sigma)])
     d_mixed = entropy.relative_entropy(mixed_rho, mixed_sigma).unwrap()
     # report in lhs >= rhs form: factor * D_mixed >= D_orig
     params = ConverseBoundParams(zeta=zeta, eps=eps, g_tilde=g)

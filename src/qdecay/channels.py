@@ -126,11 +126,11 @@ class SuperOperator:
         object.__setattr__(self, "matrix", m)
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
+        if np.shape(m) != (self.dim, self.dim):
+            raise ValueError(f"superoperator expects dim {self.dim}, got shape {np.shape(m)}")
         return unvec(self.matrix @ vec(m), self.dim)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        if rho.dim != self.dim:
-            raise ValueError(f"superoperator expects dim {self.dim}, got {rho.dim}")
         return DensityMatrix.from_matrix(self.apply_matrix(rho.matrix))
 
     def compose(self, other: "SuperOperator") -> "SuperOperator":

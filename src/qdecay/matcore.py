@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,20 +31,32 @@ COMMUTE_ATOL = 1e-10
 
 
 def as_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate that m is finite and Hermitian within tolerance and return
-    (m + m†)/2."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    top = float(np.abs(m).max()) if m.size else 1.0
-    if not math.isfinite(top):
-        raise ValueError("matrix has non-finite entries")
-    scale = max(1.0, top)
-    m_dag = m.conj().T
-    dev = float(np.abs(m - m_dag).max())
-    if dev > atol * scale:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dagger| = {dev:.3e}")
-    return (m + m_dag) / 2
+    """Validate that m, a square matrix or an (n, d, d) stack of them, is finite
+    and Hermitian within atol times max(1, max |M|) of each matrix, and return
+    (M + M†)/2.  Each test is one numpy reduction and a check on Python floats."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    s = a if a.ndim == 3 else a[None]
+    top = np.maximum.reduce(np.abs(s), axis=(1, 2)).tolist()
+    if not math.isfinite(sum(top)):
+        _reject([not math.isfinite(x) for x in top], lambda i: "matrix has non-finite entries")
+    s_dag = s.conj().transpose(0, 2, 1)
+    dev = np.maximum.reduce(np.abs(s - s_dag), axis=(1, 2)).tolist()
+    if max(dev, default=0.0) > atol:  # else no matrix fails: its scale is at least 1
+        _reject([e > atol * max(1.0, x) for e, x in zip(dev, top)],
+                lambda i: f"matrix is not Hermitian: max |M - M^dagger| = {dev[i]:.3e}")
+    h = s + s_dag
+    h *= 0.5
+    return h if a.ndim == 3 else h[0]
+
+
+def _reject(bad: list, message: Callable[[int], str]) -> None:
+    """Raise message(i) for the first flagged matrix i of a stack, naming i when
+    the stack has more than one matrix."""
+    if True in bad:
+        i = bad.index(True)
+        raise ValueError((f"stack member {i}: " if len(bad) > 1 else "") + message(i))
 
 
 class EigenDecomposition(NamedTuple):
@@ -66,7 +78,7 @@ def jacobi_eigh_batch(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A = np.asarray(stack, dtype=complex)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    if np.count_nonzero(np.isfinite(A)) != A.size:
         raise ValueError("cannot diagonalize a matrix with non-finite entries")
     return np.linalg.eigh(A)
 
@@ -119,23 +131,35 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "DensityMatrix":
-        h = as_hermitian(m)
-        tr = float(h.trace().real)
-        if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
-            raise ValueError(f"density trace {tr!r} is not 1 within {DENSITY_TRACE_ATOL}")
-        w, v = jacobi_eigh_batch(h[None])
-        w, v = w[0], v[0]
-        if w[0] < DENSITY_EIG_FLOOR:
-            raise ValueError(f"matrix is not positive semidefinite: eigenvalue {w[0]!r}")
-        w = np.maximum(w, 0.0)
-        w /= w.sum()
-        rebuilt = (v * w) @ v.conj().T
-        rebuilt += rebuilt.conj().T
+        return cls.from_matrices(np.asarray(m)[None])[0]
+
+    @classmethod
+    def from_matrices(cls, stack) -> tuple["DensityMatrix", ...]:
+        """One density per matrix of an (n, d, d) stack, with one eigensolve; each
+        member is accepted or rejected as from_matrix alone would judge it."""
+        if len(stack) == 0:
+            return ()
+        h = as_hermitian(stack)
+        if h.ndim != 3:
+            raise ValueError(f"expected a stack of square matrices, got shape {h.shape}")
+        tr = h.trace(0, 1, 2).real.tolist()
+        if max(tr) - 1.0 > DENSITY_TRACE_ATOL or 1.0 - min(tr) > DENSITY_TRACE_ATOL:
+            _reject([abs(t - 1.0) > DENSITY_TRACE_ATOL for t in tr], lambda i: (
+                f"density trace {tr[i]!r} is not 1 within {DENSITY_TRACE_ATOL}"))
+        w, v = jacobi_eigh_batch(h)
+        low = min(w[:, 0].tolist())
+        if low < DENSITY_EIG_FLOOR:
+            _reject((w[:, 0] < DENSITY_EIG_FLOOR).tolist(), lambda i: (
+                f"matrix is not positive semidefinite: eigenvalue {w[i, 0]!r}"))
+        if low <= 0.0:  # clamping a positive spectrum would change no bit
+            np.maximum(w, 0.0, out=w)
+        w /= np.add.reduce(w, axis=1, keepdims=True)
+        rebuilt = (v * w[:, None]) @ v.conj().transpose(0, 2, 1)
+        rebuilt += rebuilt.conj().transpose(0, 2, 1)
         rebuilt *= 0.5
-        rebuilt.setflags(write=False)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        return cls(rebuilt, w, v)
+        for out in (rebuilt, w, v):
+            out.setflags(write=False)
+        return tuple([cls(rebuilt[i], w[i], v[i]) for i in range(len(w))])
 
     @classmethod
     def pure(cls, vec: np.ndarray) -> "DensityMatrix":
@@ -237,15 +261,21 @@ def random_hermitian(rng: Rng, d: int) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
+def random_densities(rng: Rng, d: int, mixes: tuple[float, ...]) -> tuple[DensityMatrix, ...]:
+    """Hilbert-Schmidt random densities G G^dagger / tr, each mixed with I/d by
+    its entry of mixes; all are drawn first, in order, then built together."""
+    stack = []
+    for mix in mixes:
+        g = random_complex_normal(rng, (d, d))
+        r = g @ g.conj().T
+        r = r / np.trace(r).real
+        stack.append((1 - mix) * r + mix * np.eye(d) / d if mix else r)
+    return DensityMatrix.from_matrices(stack)
+
+
 def random_density(rng: Rng, d: int, mix: float = 0.0) -> DensityMatrix:
-    """Hilbert-Schmidt random density: G G^dagger normalized, optionally
-    mixed with I/d to keep the spectrum away from zero."""
-    g = random_complex_normal(rng, (d, d))
-    r = g @ g.conj().T
-    r = r / np.trace(r).real
-    if mix:
-        r = (1 - mix) * r + mix * np.eye(d) / d
-    return DensityMatrix.from_matrix(r)
+    """One Hilbert-Schmidt random density; see random_densities."""
+    return random_densities(rng, d, (mix,))[0]
 
 
 def random_probability_vector(rng: Rng, d: int, floor: float = 0.0) -> np.ndarray:

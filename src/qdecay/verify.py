@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from . import bounds, channels, entropy, matcore
+from . import bounds, channels, entropy, experiments, matcore
 from .matcore import BipartiteDensity, DensityMatrix
 from .rng import Rng
 
@@ -62,9 +62,7 @@ def _rand_commuting_pair(rng: Rng, d: int):
     basis = matcore.eigh(matcore.random_hermitian(rng, d)).eigenvectors
     p = matcore.random_probability_vector(rng, d, floor=0.01)
     q = matcore.random_probability_vector(rng, d, floor=0.01)
-    rho = DensityMatrix.from_matrix((basis * p) @ basis.conj().T)
-    sigma = DensityMatrix.from_matrix((basis * q) @ basis.conj().T)
-    return rho, sigma
+    return DensityMatrix.from_matrices([(basis * x) @ basis.conj().T for x in (p, q)])
 
 
 def pinsker_suite(samples: int, seed: int) -> dict:
@@ -75,8 +73,7 @@ def pinsker_suite(samples: int, seed: int) -> dict:
         yield (rep.relative_entropy - rep.basic_bound,
                None if rep.passed else {"kind": "commuting"})
         yield rep.relative_entropy - (rep.refined_bound or 0.0), None
-        rep2 = entropy.pinsker_check(matcore.random_density(sub, d),
-                                     matcore.random_density(sub, d, mix=0.05))
+        rep2 = entropy.pinsker_check(*matcore.random_densities(sub, d, (0.0, 0.05)))
         yield (rep2.relative_entropy - rep2.basic_bound,
                None if rep2.basic_holds else {"kind": "general"})
     return _run("pinsker", samples, seed, case)
@@ -88,19 +85,19 @@ def almost_concavity_suite(samples: int, seed: int) -> dict:
     def case(sub, k):
         d = 3
         basis = matcore.eigh(matcore.random_hermitian(sub, d)).eigenvectors
-        def diag_density(vals):
-            return DensityMatrix.from_matrix((basis * vals) @ basis.conj().T)
         sigma1 = matcore.random_probability_vector(sub, d, floor=0.02)
         sigma2 = matcore.random_probability_vector(sub, d, floor=0.02)
         rho1 = matcore.random_probability_vector(sub, d)
         rho2 = matcore.random_probability_vector(sub, d)
         p = sub.uniform(0.001, 0.999)
         m_tilde = float(min(sigma1.min(), sigma2.min()))
-        lhs = entropy.relative_entropy(
-            diag_density(p * rho1 + (1 - p) * rho2),
-            diag_density(p * sigma1 + (1 - p) * sigma2)).unwrap()
-        d1 = entropy.relative_entropy(diag_density(rho1), diag_density(sigma1)).unwrap()
-        d2 = entropy.relative_entropy(diag_density(rho2), diag_density(sigma2)).unwrap()
+        mix_r, mix_s, r1, s1, r2, s2 = DensityMatrix.from_matrices([
+            (basis * vals) @ basis.conj().T
+            for vals in (p * rho1 + (1 - p) * rho2, p * sigma1 + (1 - p) * sigma2,
+                         rho1, sigma1, rho2, sigma2)])
+        lhs = entropy.relative_entropy(mix_r, mix_s).unwrap()
+        d1 = entropy.relative_entropy(r1, s1).unwrap()
+        d2 = entropy.relative_entropy(r2, s2).unwrap()
         rhs = p * d1 + (1 - p) * d2 - entropy.f_almost_concavity(p, m_tilde)
         yield lhs - rhs, ({"lhs": lhs, "rhs": rhs} if lhs < rhs - SLACK else None)
     return _run("almost-concavity", samples, seed, case)
@@ -110,9 +107,7 @@ def gaorouze_suite(samples: int, seed: int) -> dict:
     """Order-to-entropy sandwich on comparable full-rank pairs."""
     def case(sub, k):
         d = 2 + (k % 2)
-        rho = matcore.random_density(sub, d, mix=0.1)
-        sigma = matcore.random_density(sub, d, mix=0.1)
-        rep = entropy.gaorouze_sandwich_check(rho, sigma)
+        rep = entropy.gaorouze_sandwich_check(*matcore.random_densities(sub, d, (0.1, 0.1)))
         yield rep.lower_slack, (None if rep.passed else {})
         yield rep.upper_slack, None
     return _run("gaorouze", samples, seed, case)
@@ -123,8 +118,7 @@ def normcomp_suite(samples: int, seed: int) -> dict:
     resolvent-weighted norms."""
     def case(sub, k):
         d = 2 + (k % 2)
-        sigma = matcore.random_density(sub, d, mix=0.1)
-        omega = matcore.random_density(sub, d, mix=0.1)
+        sigma, omega = matcore.random_densities(sub, d, (0.1, 0.1))
         c = matcore.loewner_min_coefficient(sigma, omega)
         x = matcore.random_hermitian(sub, d)
         lhs = entropy.weighted_norm_sq(x, omega)
@@ -138,8 +132,7 @@ def integral_form_suite(samples: int, seed: int) -> dict:
     """Quadrature path vs eigendecomposition path for relative entropy."""
     def case(sub, k):
         d = 2 + (k % 2)
-        rho = matcore.random_density(sub, d, mix=0.1)
-        sigma = matcore.random_density(sub, d, mix=0.1)
+        rho, sigma = matcore.random_densities(sub, d, (0.1, 0.1))
         de = entropy.relative_entropy(rho, sigma).unwrap()
         di = entropy.relative_entropy_integral_form(rho, sigma, INTEGRAL_QUAD_POINTS)
         err = abs(de - di)
@@ -176,11 +169,11 @@ def clsi_converse_suite(samples: int, seed: int) -> dict:
     def case(sub, k):
         for kind, dim, e, evolve in kinds:
             rho = matcore.random_density(sub, dim)
-            e_rho = DensityMatrix.from_matrix(e.apply_matrix(rho.matrix))
+            e_rho, *evolved = DensityMatrix.from_matrices(
+                [m.apply_matrix(rho.matrix) for m in (e, *evolve)])
             d_pre = entropy.relative_entropy(rho, e_rho).unwrap()
-            for t, phi, g_t in zip(CLSI_TIMES, evolve, factors):
-                evolved = DensityMatrix.from_matrix(phi.apply_matrix(rho.matrix))
-                d_post = entropy.relative_entropy(evolved, e_rho).unwrap()
+            for t, phi_rho, g_t in zip(CLSI_TIMES, evolved, factors):
+                d_post = entropy.relative_entropy(phi_rho, e_rho).unwrap()
                 for variant, g in zip(CLSI_VARIANTS, g_t):
                     bad = d_post < g * d_pre - SLACK
                     yield d_post - g * d_pre, (
@@ -290,24 +283,18 @@ def data_processing_suite(samples: int, seed: int) -> dict:
     """D(Phi rho || Phi sigma) <= D(rho || sigma) for the channel
     constructors of the package."""
     def case(sub, k):
-        rho = matcore.random_density(sub, 2, mix=0.02)
-        sigma = matcore.random_density(sub, 2, mix=0.02)
+        rho, sigma = matcore.random_densities(sub, 2, (0.02, 0.02))
         d_pre = entropy.relative_entropy(rho, sigma).unwrap()
         chans = [
             channels.depolarizing(2, sub.uniform(0.0, 1.0)),
             channels.dephasing_y(sub.uniform(0.0, 1.0)),
-            _random_flagged_channel(sub),
+            experiments.flagged_channel(sub.uniform(0.05, 0.95), sub.uniform(0.05, 0.95)),
         ]
         for idx, ch in enumerate(chans):
-            d_post = entropy.relative_entropy(ch.apply(rho), ch.apply(sigma)).unwrap()
+            d_post = entropy.relative_entropy(*DensityMatrix.from_matrices(
+                [ch.apply_matrix(rho.matrix), ch.apply_matrix(sigma.matrix)])).unwrap()
             yield d_pre - d_post, ({"channel": idx} if d_post > d_pre + SLACK else None)
     return _run("data-processing", samples, seed, case)
-
-
-def _random_flagged_channel(sub: Rng):
-    from . import experiments
-    return experiments.flagged_channel(sub.uniform(0.05, 0.95),
-                                       sub.uniform(0.05, 0.95))
 
 
 def channel_validity_suite(samples: int, seed: int) -> dict:

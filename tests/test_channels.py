@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdecay import channels, entropy, matcore
+from qdecay import bounds, channels, entropy, matcore
 from qdecay.channels import (
     ConditionalExpectation,
     GroupLindbladian,
@@ -27,6 +27,7 @@ from qdecay.channels import (
     semigroup_apply,
 )
 from qdecay.matcore import BipartiteDensity, DensityMatrix
+from qdecay.rng import Rng
 from qdecay.experiments import omega_theta_lambda, rho_theta_lambda
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -386,3 +387,41 @@ def test_lindbladian_fixed_point_absorbs_semigroup(rng):
     for t in (0.1, 1.0, 5.0):
         comp = e @ lind.semigroup(t).matrix
         assert np.abs(comp - e).max() < 1e-8
+
+
+def _expm_oracle_inputs():
+    """Random complex matrices at d = 2, 4, 8 scaled to 1-norms from 0.1 to 5,
+    and the replacement and group Lindbladian generators at t = 0.3 and 3."""
+    rng = Rng(4242)
+    out = []
+    for d in (2, 4, 8):
+        for norm in (0.1, 0.5, 1.0, 2.5, 5.0):
+            g = matcore.random_complex_normal(rng, (d, d))
+            out.append(g * (norm / np.linalg.norm(g, 1)))
+    lindbladians = (replacement_lindbladian(depolarizing_projection(2)),
+                    replacement_lindbladian(pinching(3)),
+                    group_lindbladian(GroupLindbladian.from_generators([X, Z], [0.5, 0.5])),
+                    group_lindbladian(GroupLindbladian.from_generators([X, Y, Z], [0.2, 0.3, 0.5])))
+    for lind in lindbladians:
+        for t in (0.3, 3.0):
+            out.append(-t * lind.generator.matrix)
+    return out
+
+
+def test_expm_taylor_matches_scipy_expm():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    for m in _expm_oracle_inputs():
+        want = scipy_linalg.expm(m)
+        got = expm_taylor(m)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, float(np.abs(want).max()))
+
+
+def test_superoperator_checks_the_input_dimension():
+    e = depolarizing_projection(2)
+    for apply in (lambda: e.superop.apply_matrix(np.eye(3) / 3),
+                  lambda: e.apply(DensityMatrix.maximally_mixed(3)),
+                  lambda: bounds.classical_converse_check(
+                      e, DensityMatrix.maximally_mixed(3), DensityMatrix.maximally_mixed(3),
+                      (0.1,), 4.0, 0.02)):
+        with pytest.raises(ValueError, match="expects dim 2"):
+            apply()

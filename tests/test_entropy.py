@@ -470,8 +470,9 @@ def test_gaorouze_random_pairs(rng):
 
 def test_one_eigensolve_per_call(monkeypatch, rng):
     """Every eigensolve goes through matcore.jacobi_eigh_batch, once per
-    DensityMatrix build, eigh, Loewner query and integral-form evaluation,
-    so the benchmark's traced eigensolver counts stay truthful."""
+    DensityMatrix build or stack of builds, eigh, Loewner query and
+    integral-form evaluation, so the benchmark's traced eigensolver counts
+    stay truthful."""
     rho = matcore.random_density(rng, 3, mix=0.1)
     sigma = matcore.random_density(rng, 3, mix=0.1)
     singular = DensityMatrix.diagonal([0.5, 0.5, 0.0])
@@ -486,6 +487,8 @@ def test_one_eigensolve_per_call(monkeypatch, rng):
 
     monkeypatch.setattr(matcore, "jacobi_eigh_batch", counted)
     for run in (lambda: DensityMatrix.from_matrix(m),
+                lambda: DensityMatrix.from_matrices(np.stack([m, sigma.matrix, m])),
+                lambda: matcore.random_densities(rng, 3, (0.1, 0.0, 0.2)),
                 lambda: matcore.eigh(m),
                 lambda: matcore.loewner_min_coefficient(rho, sigma),
                 lambda: relative_entropy_integral_form(rho, sigma, 16),

@@ -244,6 +244,20 @@ def test_private_rate_depolarizing_variant_reports_honestly():
     assert not sweep.metadata["positiveFound"]
 
 
+def test_private_rate_positive_on_every_row_with_depolarizing_leak():
+    # unlike criterion 10's dephasing-y case, whose complement sees only
+    # tr(Y rho) of a real input (i_env = 0), the environment here learns
+    # something at every theta, and the kept branch still outweighs it
+    cfg = exp.PrivateRateConfig(p=0.3, lam=0.2, theta_grid=(1e-1, 1e-2, 1e-3, 1e-4),
+                                noise="depolarizing")
+    sweep = exp.private_rate_lower_bound(cfg)
+    assert len(sweep.rows) == 4
+    for _, _, i_env, bound in sweep.rows:
+        assert i_env > 0
+        assert bound > 0
+    assert sweep.metadata["positiveFound"]
+
+
 def test_sweep_result_csv_shape():
     cfg = exp.SuddenDecayConfig.logspace(1e-2, 1e-4, 5, lam=0.3)
     sweep = exp.sudden_decay_sweep(cfg)

@@ -318,3 +318,104 @@ def test_bipartite_marginal_built_once():
     assert bip == BipartiteDensity(2, 2, bip.state)
     with pytest.raises(ValueError, match="keep"):
         bip.marginal("C")
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_from_matrices_bit_identical_to_single_builds(rng, d):
+    inputs = _density_inputs(rng, d)
+    stacked = DensityMatrix.from_matrices(np.stack(inputs))
+    assert len(stacked) == len(inputs)
+    clamped = 0
+    for m, rho in zip(inputs, stacked):
+        alone = DensityMatrix.from_matrix(m)
+        rebuilt, w, v, smallest = _parent_from_matrix(m)
+        clamped += smallest < 0
+        for got, want in ((rho.matrix, alone.matrix), (rho.eigenvalues, alone.eigenvalues),
+                          (rho.eigenvectors, alone.eigenvectors), (rho.matrix, rebuilt),
+                          (rho.eigenvalues, w), (rho.eigenvectors, v)):
+            assert np.array_equal(_bits(got), _bits(want))
+    assert clamped >= 1
+    # a list of matrices is stacked the same way
+    listed = DensityMatrix.from_matrices(inputs)
+    assert all(np.array_equal(_bits(a.matrix), _bits(b.matrix))
+               for a, b in zip(listed, stacked))
+
+
+def _bad_members(d):
+    """One matrix per way from_matrix rejects: non-finite, non-Hermitian,
+    trace off 1, and an eigenvalue below -1e-10."""
+    nan = np.eye(d, dtype=complex) / d
+    nan[0, 1] = nan[1, 0] = math.nan
+    skew = np.eye(d, dtype=complex) / d
+    skew[0, 1] = 1e-6
+    negative = np.diag([1.0 + 1e-9] + [0.0] * (d - 2) + [-1e-9]).astype(complex)
+    return {"non-finite": nan, "Hermitian": skew, "trace": np.eye(d, dtype=complex),
+            "positive semidefinite": negative}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["non-finite", "Hermitian", "trace", "positive semidefinite"])
+def test_from_matrices_names_the_rejected_member(rng, kind):
+    d = 3
+    bad = _bad_members(d)[kind]
+    with pytest.raises(ValueError, match=kind) as alone:
+        DensityMatrix.from_matrix(bad)
+    good = [matcore.random_density(rng, d, mix=0.1).matrix for _ in range(4)]
+    for index in (0, 2, 4):
+        stack = good[:index] + [bad] + good[index:]
+        with pytest.raises(ValueError) as stacked:
+            DensityMatrix.from_matrices(np.stack(stack))
+        assert str(stacked.value) == f"stack member {index}: {alone.value}"
+    with pytest.raises(ValueError) as single:
+        DensityMatrix.from_matrices(bad[None])
+    assert str(single.value) == str(alone.value)
+
+
+def test_from_matrices_outputs_are_read_only(rng):
+    stack = [matcore.random_density(rng, 3).matrix for _ in range(3)]
+    for rho in DensityMatrix.from_matrices(stack):
+        for a in (rho.matrix, rho.eigenvalues, rho.eigenvectors):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
+
+
+def test_from_matrices_empty_and_shape_checks():
+    assert DensityMatrix.from_matrices([]) == ()
+    assert DensityMatrix.from_matrices(np.zeros((0, 2, 2))) == ()
+    assert matcore.as_hermitian(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+    with pytest.raises(ValueError, match="stack of square matrices"):
+        DensityMatrix.from_matrices(np.eye(2) / 2)
+    with pytest.raises(ValueError, match="square"):
+        DensityMatrix.from_matrices(np.zeros((2, 2, 3)))
+
+
+def test_random_densities_match_successive_random_density_draws():
+    for mixes in ((0.1, 0.1), (0.0, 0.05), (0.02,)):
+        a, b = Rng(11), Rng(11)
+        together = matcore.random_densities(a, 3, mixes)
+        one_by_one = [matcore.random_density(b, 3, mix) for mix in mixes]
+        assert a._counter == b._counter
+        for x, y in zip(together, one_by_one):
+            assert np.array_equal(_bits(x.matrix), _bits(y.matrix))
+
+
+def test_as_hermitian_judges_each_stack_member_on_its_own_scale():
+    big = np.diag([1e4, -1e4]).astype(complex)
+    big[0, 1] = 1e-7  # inside 1e-10 * 1e4
+    small = np.eye(2, dtype=complex) / 2
+    small[0, 1] = 1e-8  # outside 1e-10 * 1
+    with pytest.raises(ValueError) as alone:
+        matcore.as_hermitian(small)
+    with pytest.raises(ValueError) as stacked:
+        matcore.as_hermitian(np.stack([big, small]))
+    assert str(stacked.value) == f"stack member 1: {alone.value}"
+    h = matcore.as_hermitian(np.stack([big, big.T, np.eye(2) / 2]))
+    for m, got in zip((big, big.T), h):
+        assert np.array_equal(_bits(got), _bits(matcore.as_hermitian(m)))
