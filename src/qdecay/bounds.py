@@ -291,141 +291,160 @@ def _branch_report(name: str, params: ConverseBoundParams, lhs: float,
     )
 
 
-def classical_converse_check(e: ConditionalExpectation, rho: DensityMatrix,
-                             sigma: DensityMatrix, times: Sequence[float], c: float,
-                             diamond: float) -> tuple[BoundReport, ...]:
+def classical_converse_check(e: ConditionalExpectation, rho, sigma, times: Sequence[float],
+                             c: float, diamond: float):
     """Commuting-state converse under the replacement semigroup, one report
     per time; m_tilde and g_tilde come from sigma and E(sigma).
 
     Noise keeps amplitude eps_keep = 1 - eps on the state and mixes in the
     shared fixed point E(rho) = E(sigma) with weight eps; the exact decayed
-    relative entropy is compared against the branch factor.
+    relative entropy is compared against the branch factor.  For two
+    equal-length sequences of states, a list of the per-time reports.
     """
-    e_rho, e_sigma = DensityMatrix.from_matrices(
-        [e.apply_matrix(rho.matrix), e.apply_matrix(sigma.matrix)])
-    _check_commuting(rho.matrix, sigma.matrix)
-    _check_commuting(rho.matrix, e_rho.matrix)
-    img_dev = matcore.trace_norm(e_rho.matrix - e_sigma.matrix)
+    (rhos, one), (sigmas, _) = matcore.batch(rho), matcore.batch(sigma)
+    r = matcore.stack([x.matrix for x in rhos])
+    s = matcore.stack([x.matrix for x in sigmas])
+    n = len(r)
+    images = DensityMatrix.from_matrices(e.apply_matrix(np.concatenate([r, s])))
+    er = np.stack([x.matrix for x in images[:n]])
+    es = np.stack([x.matrix for x in images[n:]])
+    _check_commuting(r, s)
+    _check_commuting(r, er)
+    img_dev = float(matcore.trace_norm(er - es).max())
     if img_dev > 1e-10:
         raise ValueError(f"E(rho) != E(sigma): trace distance {img_dev:.3e}")
-    d_pre = entropy.relative_entropy(rho, sigma).unwrap()
-    m_tilde = smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma)
-    g_tilde = matcore.loewner_min_coefficient(e_sigma, sigma)
-    params = [ConverseBoundParams.from_semigroup(t, c, diamond, m_tilde=m_tilde,
-                                                 g_tilde=g_tilde) for t in times]
-    mixed = DensityMatrix.from_matrices([(1 - p.eps) * x.matrix + p.eps * e_x.matrix
-                                         for p in params
-                                         for x, e_x in ((rho, e_rho), (sigma, e_sigma))])
-    return tuple(
-        _branch_report("classical-converse", p,
-                       entropy.relative_entropy(m_rho, m_sigma).unwrap(), d_pre, "dPre")
-        for p, m_rho, m_sigma in zip(params, mixed[::2], mixed[1::2]))
+    d_pre = entropy.unwrap(entropy.relative_entropy(rhos, sigmas))
+    params = _converse_params(times, c, diamond, smallest_nonzero_eigenvalue_direct_sum(
+        sigmas, images[n:]), matcore.loewner_min_coefficient(es, sigmas, False))
+    mixed = DensityMatrix.from_matrices(np.concatenate(
+        [(1 - p.eps) * x + p.eps * e_x for p in params[0] for x, e_x in ((r, er), (s, es))]))
+    d_post = entropy.unwrap(entropy.relative_entropy(
+        [m for i in range(0, len(mixed), 2 * n) for m in mixed[i:i + n]],
+        [m for i in range(n, len(mixed), 2 * n) for m in mixed[i:i + n]]))
+    out = [tuple(_branch_report("classical-converse", p, d_post[j * n + i], d_pre[i], "dPre")
+                 for j, p in enumerate(row)) for i, row in enumerate(params)]
+    return out[0] if one else out
 
 
-def smallest_nonzero_eigenvalue_direct_sum(sigma: DensityMatrix,
-                                           e_sigma: DensityMatrix) -> float:
+def _converse_params(times, c, diamond, m_tilde, g_tilde) -> list:
+    """Per sample, the semigroup parameters at each time."""
+    return [[ConverseBoundParams.from_semigroup(t, c, diamond, m_tilde=m, g_tilde=g)
+             for t in times] for m, g in zip(m_tilde.tolist(), g_tilde.tolist())]
+
+
+def smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma):
     """m_tilde: smallest nonzero eigenvalue of sigma (+) E(sigma) compressed
-    to supp(sigma)."""
-    vals = list(sigma.eigenvalues[sigma.support_mask()])
-    p = sigma.support_projector()
-    compressed = p @ e_sigma.matrix @ p
-    w, _ = matcore.eigh(compressed)
-    top = max(float(w[-1]), np.finfo(float).tiny)
-    vals.extend(w[w > matcore.SUPPORT_RTOL * top])
-    return float(min(vals))
+    to supp(sigma); an array of them for two sequences of states."""
+    (sigmas, one), (e_sigmas, _) = matcore.batch(sigma), matcore.batch(e_sigma)
+    p = matcore.support_projectors(sigmas)
+    w, _ = matcore.jacobi_eigh_batch(matcore.as_hermitian(
+        p @ matcore.stack([x.matrix for x in e_sigmas]) @ p))
+    tiny = np.finfo(float).tiny
+    out = np.minimum(*(np.where(x > matcore.SUPPORT_RTOL * np.maximum(x[:, -1:], tiny),
+                                x, math.inf).min(axis=1)
+                       for x in (matcore.stack([x.eigenvalues for x in sigmas]), w)))
+    return float(out[0]) if one else out
 
 
-def mutual_info_converse_check(e_on_b: ConditionalExpectation,
-                               rho: BipartiteDensity, times: Sequence[float], c: float,
-                               diamond: float) -> tuple[BoundReport, ...]:
+def mutual_info_converse_check(e_on_b: ConditionalExpectation, rho, times: Sequence[float],
+                               c: float, diamond: float):
     """Mutual-information converse for classical-classical states under
     replacement noise on the B side, one report per time.
 
     m_tilde and g_tilde are computed from the pre-noise marginals; the
     underlying comparison is the commuting-state converse applied to
-    sigma = rho_A x rho_B.
+    sigma = rho_A x rho_B.  For a sequence of states of one split, a list
+    of the per-time reports.
     """
-    joint = rho.state.matrix
-    off = float(np.abs(joint - np.diag(np.diagonal(joint))).max())
-    if off > 1e-10:
+    states, one = matcore.batch(rho)
+    da, db = states[0].dim_a, states[0].dim_b
+    joints = matcore.stack([x.state.matrix for x in states])
+    n = len(joints)
+    if float(np.abs(joints[:, ~np.eye(da * db, dtype=bool)]).max()) > 1e-10:
         raise ValueError("input is not classical-classical (off-diagonal weight present)")
-    rho_a = rho.marginal("A")
-    rho_b = rho.marginal("B")
-    e_rho_b = e_on_b.apply(rho_b)
+    rho_a, rho_b = BipartiteDensity.marginals(states)
+    e_rho_b = DensityMatrix.from_matrices(
+        e_on_b.apply_matrix(np.stack([x.matrix for x in rho_b])))
     # the bound applies only when (Id x E)(rho) = rho_A x omega for some omega
-    e_joint = channels.apply_on_factor(e_on_b, joint, (rho.dim_a, rho.dim_b), 1)
-    target = matcore.tensor(rho_a.matrix, e_rho_b.matrix)
-    if float(np.abs(e_joint - target).max()) > 1e-9:
+    e_joint = [channels.apply_on_factor(e_on_b, j, (da, db), 1) for j in joints]
+    target = [matcore.tensor(a.matrix, b.matrix) for a, b in zip(rho_a, e_rho_b)]
+    if max(float(np.abs(x - y).max()) for x, y in zip(e_joint, target)) > 1e-9:
         raise ValueError("(Id x E)(rho) is not of product form rho_A x omega")
-    sigma, e_sigma = DensityMatrix.from_matrices(
-        [matcore.tensor(rho_a.matrix, rho_b.matrix), target])
-    m_tilde = smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma)
-    g_tilde = matcore.loewner_min_coefficient(e_rho_b, rho_b)
-    i_pre = entropy.mutual_information(rho)
-    params = [ConverseBoundParams.from_semigroup(t, c, diamond, m_tilde=m_tilde,
-                                                 g_tilde=g_tilde) for t in times]
-    mixed = DensityMatrix.from_matrices([(1 - p.eps) * joint + p.eps * e_joint
-                                         for p in params])
-    return tuple(
-        _branch_report("mutual-info-converse", p,
-                       entropy.mutual_information(BipartiteDensity(rho.dim_a, rho.dim_b, m)),
-                       i_pre, "iPre")
-        for p, m in zip(params, mixed))
+    built = DensityMatrix.from_matrices(
+        [matcore.tensor(a.matrix, b.matrix) for a, b in zip(rho_a, rho_b)] + target)
+    params = _converse_params(times, c, diamond, smallest_nonzero_eigenvalue_direct_sum(
+        built[:n], built[n:]), matcore.loewner_min_coefficient(
+            np.stack([x.matrix for x in e_rho_b]), rho_b, False))
+    i_pre = entropy.mutual_information(states).tolist()
+    mixed = DensityMatrix.from_matrices([(1 - p.eps) * j + p.eps * e_j
+                                         for p in params[0] for j, e_j in zip(joints, e_joint)])
+    i_post = entropy.mutual_information([BipartiteDensity(da, db, m) for m in mixed]).tolist()
+    out = [tuple(_branch_report("mutual-info-converse", p, i_post[j * n + i], i_pre[i], "iPre")
+                 for j, p in enumerate(row)) for i, row in enumerate(params)]
+    return out[0] if one else out
 
 
-def decayed_state_bound_check(rho: DensityMatrix, sigma: DensityMatrix,
-                              theta_dens: DensityMatrix, omega: DensityMatrix,
-                              eps: float, zeta: float,
-                              c: float | None = None) -> BoundReport:
+def decayed_state_bound_check(rho, sigma, theta_dens: DensityMatrix, omega: DensityMatrix,
+                              eps, zeta, c: float | None = None):
     """Partial-replacement comparison
     D((1-eps) rho + eps theta || (1-eps) sigma + eps theta)
       >= (zeta / (c eps)) ((1-eps)/(1-zeta))^2
          D((1-zeta) rho + zeta omega || (1-zeta) sigma + zeta omega)
-    for theta <= c omega and eps >= zeta."""
+    for theta <= c omega and eps >= zeta.  For equal-length sequences of rho,
+    sigma, eps and zeta, with theta and omega shared, a list of reports."""
+    (rhos, one), (sigmas, _) = matcore.batch(rho), matcore.batch(sigma)
+    eps, zeta = ([eps], [zeta]) if one else (eps, zeta)
+    check = matcore.loewner_min_coefficient(theta_dens, omega, strict=True)
     if c is None:
-        c = matcore.loewner_min_coefficient(theta_dens, omega, strict=True)
-        if not math.isfinite(c):
+        if not math.isfinite(check):
             raise ValueError("theta has weight outside supp(omega)")
-        c = max(c, 1.0)
-    else:
-        check = matcore.loewner_min_coefficient(theta_dens, omega, strict=True)
-        if check > c * (1 + 1e-9):
-            w = check
-            raise ValueError(f"order precondition fails: smallest valid c is {w!r}")
-    if not (0.0 < zeta <= eps < 1.0):
+        c = max(check, 1.0)
+    elif check > c * (1 + 1e-9):
+        raise ValueError(f"order precondition fails: smallest valid c is {check!r}")
+    if not all(0.0 < z <= e < 1.0 for e, z in zip(eps, zeta)):
         raise ValueError("need 0 < zeta <= eps < 1")
-    lhs_rho, lhs_sigma, rhs_rho, rhs_sigma = DensityMatrix.from_matrices(
-        [(1 - w) * x.matrix + w * y.matrix
-         for w, y in ((eps, theta_dens), (zeta, omega)) for x in (rho, sigma)])
-    lhs = entropy.relative_entropy(lhs_rho, lhs_sigma).unwrap()
-    d_rhs = entropy.relative_entropy(rhs_rho, rhs_sigma).unwrap()
-    factor = (zeta / (c * eps)) * ((1 - eps) / (1 - zeta)) ** 2
-    params = ConverseBoundParams(c=c, zeta=zeta, eps=eps)
-    return BoundReport(name="decayed-state", lhs=lhs, rhs=factor * d_rhs,
-                       factor=factor, params=params, extra={"dRhs": d_rhs})
+    n = len(rhos)
+    built = DensityMatrix.from_matrices(np.concatenate([
+        (1 - w) * matcore.stack([x.matrix for x in xs]) + w * y.matrix
+        for w, y in ((np.array(eps)[:, None, None], theta_dens),
+                     (np.array(zeta)[:, None, None], omega)) for xs in (rhos, sigmas)]))
+    lhs = entropy.unwrap(entropy.relative_entropy(built[:n], built[n:2 * n]))
+    d_rhs = entropy.unwrap(entropy.relative_entropy(built[2 * n:3 * n], built[3 * n:]))
+    out = []
+    for e, z, left, right in zip(eps, zeta, lhs, d_rhs):
+        factor = (z / (c * e)) * ((1 - e) / (1 - z)) ** 2
+        out.append(BoundReport(name="decayed-state", lhs=left, rhs=factor * right,
+                               factor=factor, params=ConverseBoundParams(c=c, zeta=z, eps=e),
+                               extra={"dRhs": right}))
+    return out[0] if one else out
 
 
-def origcompare_check(rho: DensityMatrix, sigma: DensityMatrix,
-                      omega: DensityMatrix, eps: float, zeta: float) -> BoundReport:
+def origcompare_check(rho, sigma, omega, eps, zeta):
     """Upper comparison of the original relative entropy by the mixed one:
     D(rho||sigma) <= (1/(1-eps)^2) (1 + eps (g/(1-zeta) - 1))
                      D((1-eps) rho + eps omega || (1-eps) sigma + eps omega)
-    under rho >= (1-zeta) sigma."""
-    if not (0.0 <= eps < 1.0 and 0.0 <= zeta < 1.0):
+    under rho >= (1-zeta) sigma.  For equal-length sequences of the states,
+    eps and zeta, a list of reports."""
+    (rhos, one), (sigmas, _), (omegas, _) = map(matcore.batch, (rho, sigma, omega))
+    eps, zeta = ([eps], [zeta]) if one else (eps, zeta)
+    if not all(0.0 <= e < 1.0 and 0.0 <= z < 1.0 for e, z in zip(eps, zeta)):
         raise ValueError("eps and zeta must lie in [0, 1)")
-    floor = rho.matrix - (1 - zeta) * sigma.matrix
-    wmin = float(matcore.eigh(floor)[0][0])
+    r, s, o = (matcore.stack([x.matrix for x in xs]) for xs in (rhos, sigmas, omegas))
+    e_a, z_a = (np.array(x)[:, None, None] for x in (eps, zeta))
+    wmin = float(matcore.jacobi_eigh_batch(matcore.as_hermitian(r - (1 - z_a) * s))[0][:, 0].min())
     if wmin < -1e-10:
         raise ValueError(f"precondition rho >= (1-zeta) sigma fails by {wmin!r}")
-    p = sigma.support_projector()
-    g = matcore.loewner_min_coefficient(p @ omega.matrix @ p, sigma)
-    factor = (1.0 + eps * (g / (1 - zeta) - 1.0)) / (1 - eps) ** 2
-    d_orig = entropy.relative_entropy(rho, sigma).unwrap()
-    mixed_rho, mixed_sigma = DensityMatrix.from_matrices(
-        [(1 - eps) * x.matrix + eps * omega.matrix for x in (rho, sigma)])
-    d_mixed = entropy.relative_entropy(mixed_rho, mixed_sigma).unwrap()
-    # report in lhs >= rhs form: factor * D_mixed >= D_orig
-    params = ConverseBoundParams(zeta=zeta, eps=eps, g_tilde=g)
-    return BoundReport(name="origcompare", lhs=factor * d_mixed, rhs=d_orig,
-                       factor=factor, params=params,
-                       extra={"dOrig": d_orig, "dMixed": d_mixed})
+    p = matcore.support_projectors(sigmas)
+    g = matcore.loewner_min_coefficient(matcore.as_hermitian(p @ o @ p), sigmas, False)
+    d_orig = entropy.unwrap(entropy.relative_entropy(rhos, sigmas))
+    n = len(r)
+    mixed = DensityMatrix.from_matrices(np.concatenate([(1 - e_a) * x + e_a * o for x in (r, s)]))
+    d_mixed = entropy.unwrap(entropy.relative_entropy(mixed[:n], mixed[n:]))
+    out = []
+    for e, z, g_i, orig, mix in zip(eps, zeta, g.tolist(), d_orig, d_mixed):
+        factor = (1.0 + e * (g_i / (1 - z) - 1.0)) / (1 - e) ** 2
+        # report in lhs >= rhs form: factor * D_mixed >= D_orig
+        out.append(BoundReport(name="origcompare", lhs=factor * mix, rhs=orig, factor=factor,
+                               params=ConverseBoundParams(zeta=z, eps=e, g_tilde=g_i),
+                               extra={"dOrig": orig, "dMixed": mix}))
+    return out[0] if one else out

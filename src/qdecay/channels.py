@@ -35,10 +35,6 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, rows: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(rows, rows, order="F")
-
-
 def expm_taylor(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring over a truncated Taylor
     series; works for arbitrary (non-Hermitian) square matrices."""
@@ -126,9 +122,13 @@ class SuperOperator:
         object.__setattr__(self, "matrix", m)
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        if np.shape(m) != (self.dim, self.dim):
-            raise ValueError(f"superoperator expects dim {self.dim}, got shape {np.shape(m)}")
-        return unvec(self.matrix @ vec(m), self.dim)
+        """The map on a (d, d) matrix or on each matrix of an (n, d, d) stack."""
+        m = np.asarray(m, dtype=complex)
+        if m.ndim not in (2, 3) or m.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"superoperator expects dim {self.dim}, got shape {m.shape}")
+        # vec(m) is m^T read row-major; one matrix-vector product per member
+        v = m.reshape((-1,) + m.shape[-2:]).transpose(0, 2, 1).reshape(-1, self.dim ** 2, 1)
+        return (self.matrix @ v).reshape(m.shape).swapaxes(-1, -2)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         return DensityMatrix.from_matrix(self.apply_matrix(rho.matrix))

@@ -49,52 +49,78 @@ class EntropyValue:
         return EntropyValue(math.inf, finite=False)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """H(rho) = -sum lambda_i ln lambda_i, with 0 ln 0 = 0."""
-    w = rho.eigenvalues
-    w = w[w > ZERO_CLIP]
-    return float(-(w * np.log(w)).sum())
+def von_neumann_entropy(rho):
+    """H(rho) = -sum lambda_i ln lambda_i, with 0 ln 0 = 0; an array of them
+    for a sequence of states."""
+    rhos, one = matcore.batch(rho)
+    w = matcore.stack([x.eigenvalues for x in rhos])
+    out = np.empty(len(w))
+    for rows, k in matcore.support_groups(w, ZERO_CLIP):
+        x = w[rows, w.shape[1] - k:]
+        out[rows] = -(x * np.log(x)).sum(axis=1)
+    return float(out[0]) if one else out
 
 
-def _compress_to_support(rho: DensityMatrix, sigma: DensityMatrix):
-    """rho compressed to supp(sigma) in sigma's eigenbasis, the support
-    eigenvalues of sigma, and the weight of rho outside supp(sigma)."""
-    ws = sigma.eigenvalues
-    mask = ws > ENTROPY_SUPPORT_RTOL * ws[-1]
-    vs = sigma.eigenvectors[:, mask]
-    compressed = vs.conj().T @ rho.matrix @ vs
-    leak = float(rho.matrix.trace().real - compressed.trace().real)
-    return compressed, ws[mask], leak
+def _support_blocks(r: np.ndarray, sigmas):
+    """Per group of rows whose sigma keeps the same number of support
+    eigenvalues: the rows, each rho of the (n, d, d) stack r compressed to
+    supp(sigma) in sigma's eigenbasis, the support eigenvalues of sigma, and
+    the weight of rho outside supp(sigma), None for a full support."""
+    ws = matcore.stack([s.eigenvalues for s in sigmas])
+    vs = matcore.stack([s.eigenvectors for s in sigmas])
+    d = ws.shape[1]
+    for rows, k in matcore.support_groups(ws, ENTROPY_SUPPORT_RTOL * ws[:, -1:]):
+        v = vs[rows, :, d - k:]
+        compressed = v.conj().transpose(0, 2, 1) @ r[rows] @ v
+        leak = r[rows].trace(0, 1, 2).real - compressed.trace(0, 1, 2).real if k < d else None
+        yield rows, compressed, ws[rows, d - k:], leak
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> EntropyValue:
+def relative_entropy(rho, sigma):
     """Umegaki relative entropy tr rho (ln rho - ln sigma).
 
     Computed on supp(sigma); if rho carries weight outside supp(sigma)
-    the result is the infinite flag.
+    the result is the infinite flag.  For two equal-length sequences of
+    states, an array of the values, inf for the flag.
     """
-    compressed, ws, leak = _compress_to_support(rho, sigma)
-    if leak > 1e-12:
-        return EntropyValue.infinite()
-    tr_rho_log_sigma = float((compressed.diagonal() * np.log(ws)).sum().real)
-    return EntropyValue(_nonnegative(-von_neumann_entropy(rho) - tr_rho_log_sigma,
-                                     "relative entropy"))
+    (rhos, one), (sigmas, _) = matcore.batch(rho), matcore.batch(sigma)
+    out = np.empty(len(sigmas))
+    for rows, compressed, ws, leak in _support_blocks(matcore.stack([x.matrix for x in rhos]),
+                                                      sigmas):
+        tr_log = (np.diagonal(compressed, axis1=1, axis2=2) * np.log(ws)).sum(axis=1).real
+        if leak is not None:
+            tr_log[leak > 1e-12] = -math.inf
+        out[rows] = tr_log
+    out = _nonnegative(-von_neumann_entropy(rhos) - out, "relative entropy")
+    if not one:
+        return out
+    return EntropyValue.infinite() if out[0] == math.inf else EntropyValue(float(out[0]))
 
 
-def _nonnegative(value: float, what: str) -> float:
+def unwrap(values: np.ndarray) -> list[float]:
+    """Relative entropies as floats; an infinite one raises as EntropyValue.unwrap."""
+    if math.inf in values:
+        EntropyValue.infinite().unwrap()
+    return values.tolist()
+
+
+def _nonnegative(values: np.ndarray, what: str) -> np.ndarray:
     """Clamp round-off below zero to 0; a value below -1e-10 is an error."""
-    if value < -1e-10:
-        raise AssertionError(f"{what} evaluated negative: {value!r}")
-    return max(value, 0.0)
+    low = min(values.tolist())
+    if low < -1e-10:
+        raise AssertionError(f"{what} evaluated negative: {low!r}")
+    return values if low >= 0.0 else np.maximum(values, 0.0)
 
 
-def mutual_information(rho: BipartiteDensity) -> float:
+def mutual_information(rho):
     """I[A:B] = S(A) + S(B) - S(AB) from the cached joint spectrum and the two
-    marginals; no product state is formed whose tiny eigenvalues could be cut."""
-    value = (von_neumann_entropy(rho.marginal("A"))
-             + von_neumann_entropy(rho.marginal("B"))
-             - von_neumann_entropy(rho.state))
-    return _nonnegative(value, "mutual information")
+    marginals; no product state is formed whose tiny eigenvalues could be cut.
+    An array of them for a sequence of states of one split."""
+    states, one = matcore.batch(rho)
+    a, b = map(von_neumann_entropy, BipartiteDensity.marginals(states))
+    value = _nonnegative(a + b - von_neumann_entropy([s.state for s in states]),
+                         "mutual information")
+    return float(value[0]) if one else value
 
 
 def binary_entropy(p: float) -> float:
@@ -146,30 +172,26 @@ class PinskerReport:
         return self.basic_holds and (self.refined_holds is not False)
 
 
-def pinsker_check(rho: DensityMatrix, sigma: DensityMatrix) -> PinskerReport:
+def pinsker_check(rho, sigma):
     """Evaluate both sides of the Pinsker bound and, for commuting pairs,
-    of its refinement max{ -ln(1 - ||.||_1^2 / 4), ||.||_1^2 / 2 }."""
-    d = relative_entropy(rho, sigma)
-    tn = matcore.trace_norm(rho.matrix - sigma.matrix)
-    basic = 0.5 * tn * tn
-    dval = float(d)
-    comm = float(np.abs(rho.matrix @ sigma.matrix
-                        - sigma.matrix @ rho.matrix).max()) <= matcore.COMMUTE_ATOL
-    refined = None
-    refined_holds = None
-    if comm:
-        arg = 1.0 - 0.25 * tn * tn
-        refined = math.inf if arg <= 0 else max(-math.log(arg), basic)
-        refined_holds = dval >= refined - PINSKER_SLACK
-    return PinskerReport(
-        relative_entropy=dval,
-        trace_distance=tn,
-        basic_bound=basic,
-        commuting=comm,
-        refined_bound=refined,
-        basic_holds=dval >= basic - PINSKER_SLACK,
-        refined_holds=refined_holds,
-    )
+    of its refinement max{ -ln(1 - ||.||_1^2 / 4), ||.||_1^2 / 2 }; a list of
+    reports for two equal-length sequences of states."""
+    (rhos, one), (sigmas, _) = matcore.batch(rho), matcore.batch(sigma)
+    r = matcore.stack([x.matrix for x in rhos])
+    s = matcore.stack([x.matrix for x in sigmas])
+    comm = np.maximum.reduce(np.abs(r @ s - s @ r), axis=(1, 2)) <= matcore.COMMUTE_ATOL
+    out = []
+    for dval, tn, c in zip(relative_entropy(rhos, sigmas).tolist(),
+                           matcore.trace_norm(r - s).tolist(), comm.tolist()):
+        basic = 0.5 * tn * tn
+        refined = refined_holds = None
+        if c:
+            arg = 1.0 - 0.25 * tn * tn
+            refined = math.inf if arg <= 0 else max(-math.log(arg), basic)
+            refined_holds = dval >= refined - PINSKER_SLACK
+        out.append(PinskerReport(dval, tn, basic, c, refined,
+                                 dval >= basic - PINSKER_SLACK, refined_holds))
+    return out[0] if one else out
 
 
 def _log_mean_weights(w: np.ndarray) -> np.ndarray:
@@ -190,26 +212,28 @@ def _log_mean_weights(w: np.ndarray) -> np.ndarray:
     return lam
 
 
-def weighted_norm_sq(x: np.ndarray, omega: DensityMatrix) -> float:
+def weighted_norm_sq(x: np.ndarray, omega):
     """|| X ||^2 weighted by the resolvents of omega:
     integral over r of tr[ X (r+omega)^-1 X (r+omega)^-1 ].
 
     Closed form in omega's eigenbasis: sum_ij |X_ij|^2 (ln a_i - ln a_j)/(a_i - a_j).
     Weight of X outside supp(omega) makes the integral divergent: returns inf.
+    An array for an (n, d, d) stack x and a sequence of n states omega.
     """
-    x = matcore.as_hermitian(x)
-    mask = omega.eigenvalues > ENTROPY_SUPPORT_RTOL * omega.eigenvalues[-1]
-    v = omega.eigenvectors
-    xt = v.conj().T @ x @ v
-    out_block = np.abs(xt[~mask][:, ~mask]).max() if (~mask).any() else 0.0
-    cross = np.abs(xt[~mask][:, mask]).max() if (~mask).any() and mask.any() else 0.0
-    scale = max(1.0, float(np.abs(x).max()))
-    if max(out_block, cross) > 1e-12 * scale:
-        return math.inf
-    w = omega.eigenvalues[mask]
-    xs = xt[mask][:, mask]
-    lam = _log_mean_weights(w)
-    return float(np.real((np.abs(xs) ** 2 * lam).sum()))
+    omegas, one = matcore.batch(omega)
+    x = matcore.as_hermitian(np.asarray(x)[None] if one else x)
+    ws = matcore.stack([o.eigenvalues for o in omegas])
+    vs = matcore.stack([o.eigenvectors for o in omegas])
+    xt = vs.conj().transpose(0, 2, 1) @ x @ vs
+    scale = np.maximum(1.0, np.maximum.reduce(np.abs(x), axis=(1, 2)))
+    out = np.empty(len(ws))
+    for rows, k in matcore.support_groups(ws, ENTROPY_SUPPORT_RTOL * ws[:, -1:]):
+        j = ws.shape[1] - k
+        outside = np.maximum.reduce(np.abs(xt[rows, :j]), axis=(1, 2)) if j else 0.0
+        lam = _log_mean_weights(ws[rows, j:])
+        value = (np.abs(xt[rows, j:, j:]) ** 2 * lam).sum(axis=(1, 2))
+        out[rows] = np.where(outside > 1e-12 * scale[rows], math.inf, value)
+    return float(out[0]) if one else out
 
 
 @functools.lru_cache(maxsize=4)
@@ -251,13 +275,13 @@ def relative_entropy_integral_form(rho: DensityMatrix, sigma: DensityMatrix,
         raise ValueError(f"quad_points must be an integer, got {quad_points!r}") from None
     if quad_points < 8:
         raise ValueError("quad_points must be at least 8")
-    compressed, ws, leak = _compress_to_support(rho, sigma)
-    if leak > 1e-12:
+    (_, compressed, ws, leak), = _support_blocks(rho.matrix[None], [sigma])
+    if leak is not None and leak > 1e-12:
         raise ValueError("support violation: ker(sigma) is not contained in ker(rho)")
     r, s = rho.matrix, sigma.matrix
-    if ws.size < sigma.dim:
+    if ws.shape[1] < sigma.dim:
         # off supp(sigma) every omega_t is singular and its log-mean weights 0/0
-        r, s = compressed, np.diag(ws)
+        r, s = compressed[0], np.diag(ws[0])
     t, wts = _symmetric_gauss_rule(quad_points)
     omegas = (1.0 - t)[:, None, None] * s + t[:, None, None] * r
     w, v = matcore.jacobi_eigh_batch(omegas)
@@ -289,22 +313,19 @@ class SandwichReport:
         return self.lower_slack >= -1e-10 and self.upper_slack >= -1e-10
 
 
-def gaorouze_sandwich_check(rho: DensityMatrix, sigma: DensityMatrix) -> SandwichReport:
+def gaorouze_sandwich_check(rho, sigma):
     """Two-sided comparison kappa(c) ||rho-sigma||^2_sigma <= D(rho||sigma)
-    <= ||rho-sigma||^2_sigma for order-comparable pairs rho <= c sigma."""
-    c = matcore.loewner_min_coefficient(rho, sigma, strict=True)
-    if not math.isfinite(c):
+    <= ||rho-sigma||^2_sigma for order-comparable pairs rho <= c sigma; a list
+    of reports for two equal-length sequences of states."""
+    (rhos, one), (sigmas, _) = matcore.batch(rho), matcore.batch(sigma)
+    r = matcore.stack([x.matrix for x in rhos])
+    cs = matcore.loewner_min_coefficient(r, sigmas, True)
+    if not np.isfinite(cs).all():
         raise ValueError("incomparable pair: rho has weight outside supp(sigma)")
-    c = max(c, 1.0)
-    n2 = weighted_norm_sq(rho.matrix - sigma.matrix, sigma)
-    d = relative_entropy(rho, sigma).unwrap()
-    lower = kappa(c) * n2
-    return SandwichReport(
-        order_coefficient=c,
-        norm_sq=n2,
-        lower=lower,
-        relative_entropy=d,
-        upper=n2,
-        lower_slack=d - lower,
-        upper_slack=n2 - d,
-    )
+    n2s = weighted_norm_sq(r - matcore.stack([x.matrix for x in sigmas]), sigmas)
+    out = []
+    for c, n2, d in zip(cs.tolist(), n2s.tolist(), unwrap(relative_entropy(rhos, sigmas))):
+        c = max(c, 1.0)
+        lower = kappa(c) * n2
+        out.append(SandwichReport(c, n2, lower, d, n2, d - lower, n2 - d))
+    return out[0] if one else out

@@ -25,6 +25,8 @@ NOISE_KINDS = ("depolarizing", "dephasing-y")
 # sits within a few decades of the double-precision cancellation floor
 THETA_PRECISION_WARNING = 1e-7
 MAX_THETA_POINTS = 10_000  # largest grid theta_logspace builds: the CLI's --points limit
+# theta rows whose states a sweep builds and evaluates as one stack; bounds memory
+SWEEP_CHUNK = 64
 
 
 def _fmt17(x: float) -> str:
@@ -96,6 +98,12 @@ def _noise_channel(kind: str, lam: float, d: int) -> KrausChannel:
     raise ValueError(f"unknown noise kind {kind!r}; choose from {NOISE_KINDS}")
 
 
+def _slices(thetas):
+    """A theta grid in slices of SWEEP_CHUNK rows, each evaluated as stacks whose
+    rows keep the bits of one call per row."""
+    return (thetas[i:i + SWEEP_CHUNK] for i in range(0, len(thetas), SWEEP_CHUNK))
+
+
 def _pinched(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix.from_matrix(np.diag(np.diagonal(rho.matrix)))
 
@@ -163,17 +171,15 @@ def sudden_decay_sweep(cfg: SuddenDecayConfig) -> SweepResult:
     computational-basis pinching, their ratio, and ratio * ln(1/theta)."""
     rows = []
     noise = None if cfg.lam == 0 else _noise_channel(cfg.noise, cfg.lam, cfg.dim)
-    for theta in cfg.theta_grid:
-        pre_state = rho_theta_lambda(theta, 0.0, cfg.dim)
-        d_pre = entropy.relative_entropy(pre_state, _pinched(pre_state)).unwrap()
-        if noise is None:
-            post_state = pre_state
-        else:
-            post_state = noise.apply(pre_state)
-        d_post = entropy.relative_entropy(post_state, _pinched(post_state)).unwrap()
-        # below the cancellation floor d_pre can evaluate to exactly zero
-        ratio = d_post / d_pre if d_pre > 0 else math.nan
-        rows.append((theta, d_pre, d_post, ratio, ratio * math.log(1.0 / theta)))
+    for thetas in _slices(cfg.theta_grid):
+        pres = [rho_theta_lambda(theta, 0.0, cfg.dim) for theta in thetas]
+        posts = pres if noise is None else [noise.apply(x) for x in pres]
+        d_pres, d_posts = (entropy.unwrap(entropy.relative_entropy(xs, [_pinched(x) for x in xs]))
+                           for xs in (pres, posts))
+        for theta, d_pre, d_post in zip(thetas, d_pres, d_posts):
+            # below the cancellation floor d_pre can evaluate to exactly zero
+            ratio = d_post / d_pre if d_pre > 0 else math.nan
+            rows.append((theta, d_pre, d_post, ratio, ratio * math.log(1.0 / theta)))
     meta = {
         "experiment": "sudden-decay",
         "lambda": cfg.lam,
@@ -261,21 +267,21 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
     phi_t = lind.semigroup(t)
     rows = []
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for theta in theta_grid:
-        theta = float(theta)
-        plus = np.zeros(d, dtype=complex)
-        minus = np.zeros(d, dtype=complex)
-        plus[i] = minus[i] = inv_sqrt2
-        plus[j] = inv_sqrt2 * complex(math.cos(theta), math.sin(theta))
-        minus[j] = inv_sqrt2 * complex(math.cos(theta), -math.sin(theta))
-        big = np.zeros((2 * d, 2 * d), dtype=complex)
-        big[:d, :d] = 0.5 * np.outer(plus, plus.conj())
-        big[d:, d:] = 0.5 * np.outer(minus, minus.conj())
-        omega = BipartiteDensity.from_matrix(big, 2, d)
-        i_pre = entropy.mutual_information(omega)
-        evolved = channels.apply_to_b(phi_t, omega)
-        i_post = entropy.mutual_information(evolved)
-        rows.append((theta, i_pre, i_post, i_pre / i_post))
+    for thetas in _slices([float(theta) for theta in theta_grid]):
+        omegas = []
+        for theta in thetas:
+            plus = np.zeros(d, dtype=complex)
+            minus = np.zeros(d, dtype=complex)
+            plus[i] = minus[i] = inv_sqrt2
+            plus[j] = inv_sqrt2 * complex(math.cos(theta), math.sin(theta))
+            minus[j] = inv_sqrt2 * complex(math.cos(theta), -math.sin(theta))
+            big = np.zeros((2 * d, 2 * d), dtype=complex)
+            big[:d, :d] = 0.5 * np.outer(plus, plus.conj())
+            big[d:, d:] = 0.5 * np.outer(minus, minus.conj())
+            omegas.append(BipartiteDensity.from_matrix(big, 2, d))
+        i_pres, i_posts = (entropy.mutual_information(xs).tolist()
+                           for xs in (omegas, [channels.apply_to_b(phi_t, x) for x in omegas]))
+        rows.extend((theta, a, b, a / b) for theta, a, b in zip(thetas, i_pres, i_posts))
     meta = {
         "experiment": "group-fragility",
         "t": t,
@@ -358,15 +364,15 @@ def private_rate_lower_bound(cfg: PrivateRateConfig) -> SweepResult:
     comp = channels.complementary_channel(_noise_channel(cfg.noise, cfg.lam, 2))
     rows = []
     best = None
-    for theta in cfg.theta_grid:
-        omega = omega_theta_lambda(theta, 0.0)
-        i_kept = entropy.mutual_information(omega)
-        env_state = channels.apply_to_b(comp, omega)
-        i_env = entropy.mutual_information(env_state)
-        bound = cfg.p * i_kept - (1 - cfg.p) * i_env
-        rows.append((theta, i_kept, i_env, bound))
-        if bound > 0 and (best is None or bound > best[1]):
-            best = (theta, bound)
+    for thetas in _slices(cfg.theta_grid):
+        omegas = [omega_theta_lambda(theta, 0.0) for theta in thetas]
+        i_kepts, i_envs = (entropy.mutual_information(xs).tolist()
+                           for xs in (omegas, [channels.apply_to_b(comp, x) for x in omegas]))
+        for theta, i_kept, i_env in zip(thetas, i_kepts, i_envs):
+            bound = cfg.p * i_kept - (1 - cfg.p) * i_env
+            rows.append((theta, i_kept, i_env, bound))
+            if bound > 0 and (best is None or bound > best[1]):
+                best = (theta, bound)
     meta = {
         "experiment": "private-rate",
         "p": cfg.p,

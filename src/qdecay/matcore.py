@@ -90,32 +90,54 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(w[0], v[0])
 
 
+def support_groups(w: np.ndarray, floor) -> list:
+    """Split an (n, d) stack of ascending spectra by the number k of entries
+    each row keeps above floor (a scalar or an (n, 1) column).
+
+    Returns (rows, k) pairs, rows a slice when all rows keep as many, so that
+    each group can be reduced with the bits of each row alone."""
+    keep = (w > floor).sum(axis=1).tolist()
+    if keep.count(keep[0]) == len(keep):
+        return [(slice(None), keep[0])]
+    counts = np.array(keep)
+    return [(counts == k, k) for k in sorted(set(keep))]
+
+
+def stack(arrays) -> np.ndarray:
+    """np.stack of a sequence of arrays; one array becomes a view, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, left factor major (matches BipartiteDensity order)."""
     return np.kron(np.asarray(a), np.asarray(b))
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Partial trace of a (dim_a*dim_b) square matrix; keep is 'A' or 'B'."""
+    """Partial trace of a (dim_a*dim_b) square matrix or a stack of them; keep
+    is 'A' or 'B'."""
     m = np.asarray(m)
     d = dim_a * dim_b
-    if m.shape != (d, d):
+    if m.ndim not in (2, 3) or m.shape[-2:] != (d, d):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dim_a}x{dim_b}")
-    r = m.reshape(dim_a, dim_b, dim_a, dim_b)
+    r = m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if keep == "A":
-        return np.einsum("ijkj->ik", r)
+        return np.einsum("...ijkj->...ik", r)
     if keep == "B":
-        return np.einsum("ijik->jk", r)
+        return np.einsum("...ijik->...jk", r)
     raise ValueError("keep must be 'A' or 'B'")
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    w, _ = eigh(m)
-    return float(np.abs(w).sum())
+def trace_norm(m: np.ndarray):
+    """Sum of absolute eigenvalues of a Hermitian matrix; an array of them for
+    an (n, d, d) stack."""
+    m = np.asarray(m)
+    w, _ = jacobi_eigh_batch(as_hermitian(m if m.ndim == 3 else m[None]))
+    out = np.abs(w).sum(axis=1)
+    return out if m.ndim == 3 else float(out[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityMatrix:
     """Positive semidefinite unit-trace Hermitian matrix with cached spectrum.
 
@@ -183,14 +205,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def support_mask(self) -> np.ndarray:
-        top = self.eigenvalues[-1]
-        return self.eigenvalues > SUPPORT_RTOL * max(top, np.finfo(float).tiny)
-
-    def support_projector(self) -> np.ndarray:
-        vs = self.eigenvectors[:, self.support_mask()]
-        return vs @ vs.conj().T
-
 
 @dataclass(frozen=True)
 class BipartiteDensity:
@@ -211,42 +225,79 @@ class BipartiteDensity:
 
     def marginal(self, keep: str) -> DensityMatrix:
         """Reduced state on A or B, built once and kept in the instance __dict__."""
-        key = "_marginal_" + keep
-        if key not in self.__dict__:
-            red = partial_trace(self.state.matrix, self.dim_a, self.dim_b, keep)
-            self.__dict__[key] = DensityMatrix.from_matrix(red)
-        return self.__dict__[key]
+        if keep not in ("A", "B"):
+            raise ValueError("keep must be 'A' or 'B'")
+        return BipartiteDensity.marginals([self])[keep == "B"][0]
+
+    @staticmethod
+    def marginals(states) -> tuple:
+        """The A and the B marginals of states of one split.  Those not built
+        yet are built together, in one stack when dim_a == dim_b."""
+        todo = [s for s in states if "_marginals" not in s.__dict__]
+        if todo:
+            a, b = todo[0].dim_a, todo[0].dim_b
+            if any((s.dim_a, s.dim_b) != (a, b) for s in todo):
+                raise ValueError("states of different splits")
+            m = stack([s.state.matrix for s in todo])
+            red = [partial_trace(m, a, b, keep) for keep in "AB"]
+            built = (DensityMatrix.from_matrices(np.concatenate(red)) if a == b else
+                     DensityMatrix.from_matrices(red[0]) + DensityMatrix.from_matrices(red[1]))
+            for i, s in enumerate(todo):
+                s.__dict__["_marginals"] = (built[i], built[len(todo) + i])
+        return tuple(zip(*(s.__dict__["_marginals"] for s in states)))
 
 
-def loewner_min_coefficient(rho, sigma, strict: bool = False) -> float:
+def batch(x) -> tuple:
+    """One state (a DensityMatrix or BipartiteDensity) or a sequence of states,
+    as a sequence, and whether it was one state."""
+    one = isinstance(x, (DensityMatrix, BipartiteDensity))
+    return ([x] if one else x), one
+
+
+def support_projectors(states) -> np.ndarray:
+    """Projector onto the support of each state: the eigenvectors whose
+    eigenvalues exceed SUPPORT_RTOL times the largest."""
+    ws = np.stack([s.eigenvalues for s in states])
+    vs = np.stack([s.eigenvectors for s in states])
+    out = np.empty_like(vs)
+    for rows, k in support_groups(ws, SUPPORT_RTOL * np.maximum(ws[:, -1:], np.finfo(float).tiny)):
+        v = vs[rows, :, ws.shape[1] - k:]
+        out[rows] = v @ v.conj().transpose(0, 2, 1)
+    return out
+
+
+def loewner_min_coefficient(rho, sigma, strict: bool = False):
     """Smallest g with g*sigma - P_sigma rho P_sigma >= 0.
 
     rho and sigma may be DensityMatrix instances or PSD Hermitian arrays
     (sigma's support is read off its spectrum either way).  When strict
     is set, any weight of rho outside supp(sigma) makes the answer
-    infinite; otherwise rho is first compressed to supp(sigma).
+    infinite; otherwise rho is first compressed to supp(sigma).  For an
+    (n, d, d) Hermitian stack rho and a sequence of n states sigma, an
+    array, with one eigensolve per support size.
     """
-    rho_m = rho.matrix if isinstance(rho, DensityMatrix) else as_hermitian(rho)
-    if isinstance(sigma, DensityMatrix):
-        ws, vs = sigma.eigenvalues, sigma.eigenvectors
-    else:
-        ws, vs = eigh(as_hermitian(sigma))
-    top = max(float(ws[-1]), np.finfo(float).tiny)
-    mask = ws > SUPPORT_RTOL * top
-    if strict:
-        outside = vs[:, ~mask]
-        if outside.size:
-            leak = float(np.linalg.norm(outside.conj().T @ rho_m @ outside))
-            if leak > SUPPORT_RTOL * max(1.0, float(np.abs(rho_m).max())):
-                return float("inf")
-    vsup = vs[:, mask]
-    wsup = ws[mask]
-    # generalized eigenvalue problem on supp(sigma): g = lmax(S^-1/2 R S^-1/2)
-    compressed = vsup.conj().T @ rho_m @ vsup
-    scale = 1.0 / np.sqrt(wsup)
-    whitened = scale[:, None] * compressed * scale[None, :]
-    w, _ = jacobi_eigh_batch(as_hermitian(whitened, atol=1e-8)[None])
-    return float(w[0][-1])
+    one = isinstance(sigma, (DensityMatrix, np.ndarray))
+    if one:
+        rho = (rho.matrix if isinstance(rho, DensityMatrix) else as_hermitian(rho))[None]
+        sigma = [sigma if isinstance(sigma, DensityMatrix) else eigh(as_hermitian(sigma))]
+    ws = stack([s.eigenvalues for s in sigma])
+    vs = stack([s.eigenvectors for s in sigma])
+    d = ws.shape[1]
+    out = np.empty(len(ws))
+    for rows, k in support_groups(ws, SUPPORT_RTOL * np.maximum(ws[:, -1:], np.finfo(float).tiny)):
+        vsup = vs[rows, :, d - k:]
+        # generalized eigenvalue problem on supp(sigma): g = lmax(S^-1/2 R S^-1/2)
+        compressed = vsup.conj().transpose(0, 2, 1) @ rho[rows] @ vsup
+        scale = 1.0 / np.sqrt(ws[rows, d - k:])
+        whitened = scale[:, :, None] * compressed * scale[:, None, :]
+        g = jacobi_eigh_batch(as_hermitian(whitened, atol=1e-8))[0][:, -1]
+        if strict and k < d:
+            # rho's weight outside supp(sigma), against max(1, max |rho|)
+            top = np.maximum.reduce(np.abs(rho[rows]), axis=(1, 2)).tolist()
+            g[[float(np.linalg.norm(o.conj().T @ m @ o)) > SUPPORT_RTOL * max(1.0, t)
+               for o, m, t in zip(vs[rows, :, :d - k], rho[rows], top)]] = math.inf
+        out[rows] = g
+    return float(out[0]) if one else out
 
 
 def random_complex_normal(rng: Rng, shape) -> np.ndarray:
@@ -261,21 +312,17 @@ def random_hermitian(rng: Rng, d: int) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
-def random_densities(rng: Rng, d: int, mixes: tuple[float, ...]) -> tuple[DensityMatrix, ...]:
-    """Hilbert-Schmidt random densities G G^dagger / tr, each mixed with I/d by
-    its entry of mixes; all are drawn first, in order, then built together."""
-    stack = []
-    for mix in mixes:
-        g = random_complex_normal(rng, (d, d))
-        r = g @ g.conj().T
-        r = r / np.trace(r).real
-        stack.append((1 - mix) * r + mix * np.eye(d) / d if mix else r)
-    return DensityMatrix.from_matrices(stack)
+def hilbert_schmidt(g: np.ndarray, mix: float) -> np.ndarray:
+    """G G^dagger / tr for each matrix G of an (n, d, d) stack of complex
+    Gaussians, mixed with I/d by weight mix: Hilbert-Schmidt random densities."""
+    r = g @ g.conj().transpose(0, 2, 1)
+    r = r / r.trace(0, 1, 2).real[:, None, None]
+    return (1 - mix) * r + mix * np.eye(g.shape[-1]) / g.shape[-1] if mix else r
 
 
 def random_density(rng: Rng, d: int, mix: float = 0.0) -> DensityMatrix:
-    """One Hilbert-Schmidt random density; see random_densities."""
-    return random_densities(rng, d, (mix,))[0]
+    """One Hilbert-Schmidt random density from d*d complex normals."""
+    return DensityMatrix.from_matrix(hilbert_schmidt(random_complex_normal(rng, (1, d, d)), mix)[0])
 
 
 def random_probability_vector(rng: Rng, d: int, floor: float = 0.0) -> np.ndarray:

@@ -2,9 +2,15 @@
 
 Every suite draws its states from counter-derived substreams of a root
 seed, checks an inequality against exact entropic values, and returns a
-report dict.  A violation record carries the sample counter so the
-offending state can be regenerated from (seed, counter) alone.  Reports
-are plain JSON-serializable dicts with deterministic content.
+report dict.  One runner drives all suites, each given as two functions:
+draw(sub, k) takes sample k's raw inputs (Gaussians, probability vectors,
+uniforms) from its substream, and evaluate builds the states of a batch of
+samples as stacks and returns each sample's (margin, violation) pairs.
+The runner draws CHUNK samples at a time and evaluates them grouped by the
+shapes of their inputs (their dimension).  A violation record carries the
+sample counter, and replay(suite, seed, counter) evaluates that one sample
+as a batch of one, with the same bits.  Reports are plain JSON-serializable
+dicts with deterministic content.
 """
 
 from __future__ import annotations
@@ -19,30 +25,67 @@ from .matcore import BipartiteDensity, DensityMatrix
 from .rng import Rng
 
 SLACK = 1e-10
+# samples drawn and then evaluated together by the runner
+CHUNK = 64
 # integral-form: quadrature order and the largest accepted |quadrature - eigenbasis|
 INTEGRAL_QUAD_POINTS = 64
 INTEGRAL_TOL = 1e-6
 # clsi-converse: the times and g-factor variants of the worked qubit-depolarizing table
 CLSI_TIMES = (1e-3, 1e-2, 1e-1, 1.0)
 CLSI_VARIANTS = ("theorem", "paper-example")
+# weak replacement coupling keeps the (a, eps, m_tilde) triple feasible at
+# the sampled m_tilde floor for both suite times; see ConverseBoundParams
+CLASSICAL_SUITE_TIMES = (0.01, 0.1)
+CLASSICAL_SUITE_COUPLING = 0.01
+CLASSICAL_SIGMA_FLOOR = 0.35
+MUTINFO_SUITE_COUPLING = 2.5e-4
+MUTINFO_CELL_FLOOR = 0.16
+
+# suite name -> fn(samples, seed), and -> its parts: () -> (draw, evaluate,
+# params), params being the report's params dict or None
+SUITES = {}
+_PARTS = {}
 
 
-def _run(name: str, samples: int, seed: int, case, extra: dict | None = None) -> dict:
-    """Run one suite and build its report.
+def _suite(name: str):
+    """Register a suite's parts under name; the decorated name becomes the
+    suite function fn(samples, seed) -> report."""
+    def register(parts):
+        def suite(samples: int, seed: int) -> dict:
+            return _run(name, samples, seed)
+        suite.__name__, suite.__doc__ = parts.__name__, parts.__doc__
+        _PARTS[name], SUITES[name] = parts, suite
+        return suite
+    return register
 
-    case(sub, k) draws sample k from its substream sub and yields
-    (margin, violation) pairs, where violation is None or a dict of details;
-    each violation is recorded with its counter k, and the report keeps the
-    smallest margin.
-    """
+
+def _evaluate(evaluate, draws: list) -> list:
+    """evaluate(*columns) on each group of draws whose entries have the same
+    shapes, a column being one array per entry; the pairs in draw order."""
+    groups = {}
+    for i, x in enumerate(draws):
+        groups.setdefault(tuple(map(np.shape, x)), []).append(i)
+    out = [None] * len(draws)
+    for idx in groups.values():
+        for i, pairs in zip(idx, evaluate(*map(np.array, zip(*(draws[i] for i in idx))))):
+            out[i] = pairs
+    return out
+
+
+def _run(name: str, samples: int, seed: int) -> dict:
+    """Run one suite and build its report: each violation is recorded with its
+    counter k, and the report keeps the smallest margin."""
+    draw, evaluate, params = _PARTS[name]()
     rng = Rng(seed)
     violations = []
     worst = math.inf
-    for k in range(samples):
-        for margin, violation in case(rng.substream(k), k):
-            if violation is not None:
-                violations.append({"counter": k, **violation})
-            worst = min(worst, margin)
+    for start in range(0, samples, CHUNK):
+        ks = range(start, min(start + CHUNK, samples))
+        for k, pairs in zip(ks, _evaluate(evaluate, [draw(rng.substream(k), k) for k in ks])):
+            for margin, violation in pairs:
+                if violation is not None:
+                    violations.append({"counter": k, **violation})
+                worst = min(worst, margin)
     out = {
         "suite": name,
         "samples": samples,
@@ -52,93 +95,147 @@ def _run(name: str, samples: int, seed: int, case, extra: dict | None = None) ->
         "worstMargin": worst,
         "passed": not violations,
     }
-    if extra:
-        out["params"] = extra
+    if params:
+        out["params"] = params
     return out
 
 
-def _rand_commuting_pair(rng: Rng, d: int):
-    """Simultaneously diagonalizable pair in a random eigenbasis."""
-    basis = matcore.eigh(matcore.random_hermitian(rng, d)).eigenvectors
-    p = matcore.random_probability_vector(rng, d, floor=0.01)
-    q = matcore.random_probability_vector(rng, d, floor=0.01)
-    return DensityMatrix.from_matrices([(basis * x) @ basis.conj().T for x in (p, q)])
+def replay(suite: str, seed: int, counter: int) -> list:
+    """The (margin, violation) pairs of sample counter of a suite run at seed."""
+    draw, evaluate, _ = _PARTS[suite]()
+    return _evaluate(evaluate, [draw(Rng(seed).substream(counter), counter)])[0]
 
 
-def pinsker_suite(samples: int, seed: int) -> dict:
+def _cn(sub: Rng, d: int) -> np.ndarray:
+    return matcore.random_complex_normal(sub, (d, d))
+
+
+def _draw_commuting(sub: Rng, d: int) -> tuple:
+    """A Gaussian Hermitian matrix, whose eigenbasis a commuting pair shares,
+    and the pair's two floored spectra."""
+    return (matcore.random_hermitian(sub, d),
+            matcore.random_probability_vector(sub, d, floor=0.01),
+            matcore.random_probability_vector(sub, d, floor=0.01))
+
+
+def _in_eigenbases(h: np.ndarray, *spectra: np.ndarray) -> np.ndarray:
+    """For each (n, d) array of spectra, the matrices with those spectra in the
+    eigenbases of the (n, d, d) stack h, concatenated."""
+    b = matcore.jacobi_eigh_batch(matcore.as_hermitian(h))[1]
+    return np.concatenate([(b * x[:, None, :]) @ b.conj().transpose(0, 2, 1) for x in spectra])
+
+
+def _diagonals(*probs: np.ndarray) -> np.ndarray:
+    """Qubit diagonal matrices diag(p, 1 - p), for each array of p, concatenated."""
+    p = np.concatenate(probs)
+    out = np.zeros((len(p), 2, 2), dtype=complex)
+    out[:, 0, 0], out[:, 1, 1] = p, 1.0 - p
+    return out
+
+
+def _draw_pair(sub: Rng, k: int) -> tuple:
+    """The Gaussians of two Hilbert-Schmidt densities of dimension 2 + k % 2."""
+    return _cn(sub, 2 + (k % 2)), _cn(sub, 2 + (k % 2))
+
+
+def _pair(g1: np.ndarray, g2: np.ndarray, mix: float) -> tuple:
+    """The Hilbert-Schmidt densities of two Gaussian stacks, as two tuples."""
+    states = DensityMatrix.from_matrices(np.concatenate(
+        [matcore.hilbert_schmidt(g1, mix), matcore.hilbert_schmidt(g2, mix)]))
+    return states[:len(g1)], states[len(g1):]
+
+
+@_suite("pinsker")
+def pinsker_suite():
     """Both Pinsker forms on commuting pairs, the basic form on arbitrary pairs."""
-    def case(sub, k):
+    def draw(sub, k):
         d = 2 + (k % 2)
-        rep = entropy.pinsker_check(*_rand_commuting_pair(sub, d))
-        yield (rep.relative_entropy - rep.basic_bound,
-               None if rep.passed else {"kind": "commuting"})
-        yield rep.relative_entropy - (rep.refined_bound or 0.0), None
-        rep2 = entropy.pinsker_check(*matcore.random_densities(sub, d, (0.0, 0.05)))
-        yield (rep2.relative_entropy - rep2.basic_bound,
-               None if rep2.basic_holds else {"kind": "general"})
-    return _run("pinsker", samples, seed, case)
+        return (*_draw_commuting(sub, d), _cn(sub, d), _cn(sub, d))
+
+    def evaluate(h, p, q, g1, g2):
+        n = len(h)
+        states = DensityMatrix.from_matrices(np.concatenate([
+            _in_eigenbases(h, p, q), matcore.hilbert_schmidt(g1, 0.0),
+            matcore.hilbert_schmidt(g2, 0.05)]))
+        reps = entropy.pinsker_check(states[:n] + states[2 * n:3 * n],
+                                     states[n:2 * n] + states[3 * n:])
+        return [[(c.relative_entropy - c.basic_bound,
+                  None if c.passed else {"kind": "commuting"}),
+                 (c.relative_entropy - (c.refined_bound or 0.0), None),
+                 (g.relative_entropy - g.basic_bound,
+                  None if g.basic_holds else {"kind": "general"})]
+                for c, g in zip(reps[:n], reps[n:])]
+    return draw, evaluate, None
 
 
-def almost_concavity_suite(samples: int, seed: int) -> dict:
+@_suite("almost-concavity")
+def almost_concavity_suite():
     """Joint convexity defect bound
     D(mix || mix) >= p D1 + (1-p) D2 - f_m(p) on commuting tuples."""
-    def case(sub, k):
-        d = 3
-        basis = matcore.eigh(matcore.random_hermitian(sub, d)).eigenvectors
-        sigma1 = matcore.random_probability_vector(sub, d, floor=0.02)
-        sigma2 = matcore.random_probability_vector(sub, d, floor=0.02)
-        rho1 = matcore.random_probability_vector(sub, d)
-        rho2 = matcore.random_probability_vector(sub, d)
-        p = sub.uniform(0.001, 0.999)
-        m_tilde = float(min(sigma1.min(), sigma2.min()))
-        mix_r, mix_s, r1, s1, r2, s2 = DensityMatrix.from_matrices([
-            (basis * vals) @ basis.conj().T
-            for vals in (p * rho1 + (1 - p) * rho2, p * sigma1 + (1 - p) * sigma2,
-                         rho1, sigma1, rho2, sigma2)])
-        lhs = entropy.relative_entropy(mix_r, mix_s).unwrap()
-        d1 = entropy.relative_entropy(r1, s1).unwrap()
-        d2 = entropy.relative_entropy(r2, s2).unwrap()
-        rhs = p * d1 + (1 - p) * d2 - entropy.f_almost_concavity(p, m_tilde)
-        yield lhs - rhs, ({"lhs": lhs, "rhs": rhs} if lhs < rhs - SLACK else None)
-    return _run("almost-concavity", samples, seed, case)
+    def draw(sub, k):
+        pv = matcore.random_probability_vector
+        return (matcore.random_hermitian(sub, 3), pv(sub, 3, floor=0.02),
+                pv(sub, 3, floor=0.02), pv(sub, 3), pv(sub, 3), sub.uniform(0.001, 0.999))
+
+    def evaluate(h, sigma1, sigma2, rho1, rho2, p):
+        n = len(h)
+        w = p[:, None]
+        states = DensityMatrix.from_matrices(_in_eigenbases(
+            h, w * rho1 + (1 - w) * rho2, rho1, rho2, w * sigma1 + (1 - w) * sigma2,
+            sigma1, sigma2))
+        d = entropy.unwrap(entropy.relative_entropy(states[:3 * n], states[3 * n:]))
+        out = []
+        for i, (s1, s2, pi) in enumerate(zip(sigma1, sigma2, p.tolist())):
+            lhs, d1, d2 = d[i], d[n + i], d[2 * n + i]
+            rhs = pi * d1 + (1 - pi) * d2 - entropy.f_almost_concavity(
+                pi, float(min(s1.min(), s2.min())))
+            out.append([(lhs - rhs, {"lhs": lhs, "rhs": rhs} if lhs < rhs - SLACK else None)])
+        return out
+    return draw, evaluate, None
 
 
-def gaorouze_suite(samples: int, seed: int) -> dict:
+@_suite("gaorouze")
+def gaorouze_suite():
     """Order-to-entropy sandwich on comparable full-rank pairs."""
-    def case(sub, k):
-        d = 2 + (k % 2)
-        rep = entropy.gaorouze_sandwich_check(*matcore.random_densities(sub, d, (0.1, 0.1)))
-        yield rep.lower_slack, (None if rep.passed else {})
-        yield rep.upper_slack, None
-    return _run("gaorouze", samples, seed, case)
+    def evaluate(g1, g2):
+        return [[(rep.lower_slack, None if rep.passed else {}), (rep.upper_slack, None)]
+                for rep in entropy.gaorouze_sandwich_check(*_pair(g1, g2, 0.1))]
+    return _draw_pair, evaluate, None
 
 
-def normcomp_suite(samples: int, seed: int) -> dict:
+@_suite("normcomp")
+def normcomp_suite():
     """sigma <= c omega implies ||X||^2_{omega} <= c ||X||^2_{sigma} for the
     resolvent-weighted norms."""
-    def case(sub, k):
-        d = 2 + (k % 2)
-        sigma, omega = matcore.random_densities(sub, d, (0.1, 0.1))
-        c = matcore.loewner_min_coefficient(sigma, omega)
-        x = matcore.random_hermitian(sub, d)
-        lhs = entropy.weighted_norm_sq(x, omega)
-        rhs = c * entropy.weighted_norm_sq(x, sigma)
-        bad = lhs > rhs + SLACK * max(1.0, abs(rhs))
-        yield rhs - lhs, ({"lhs": lhs, "rhs": rhs} if bad else None)
-    return _run("normcomp", samples, seed, case)
+    def draw(sub, k):
+        return (*_draw_pair(sub, k), matcore.random_hermitian(sub, 2 + (k % 2)))
+
+    def evaluate(g1, g2, x):
+        sigmas, omegas = _pair(g1, g2, 0.1)
+        cs = matcore.loewner_min_coefficient(np.stack([s.matrix for s in sigmas]), omegas)
+        out = []
+        for c, lhs, n2 in zip(cs.tolist(), entropy.weighted_norm_sq(x, omegas).tolist(),
+                              entropy.weighted_norm_sq(x, sigmas).tolist()):
+            rhs = c * n2
+            bad = lhs > rhs + SLACK * max(1.0, abs(rhs))
+            out.append([(rhs - lhs, {"lhs": lhs, "rhs": rhs} if bad else None)])
+        return out
+    return draw, evaluate, None
 
 
-def integral_form_suite(samples: int, seed: int) -> dict:
+@_suite("integral-form")
+def integral_form_suite():
     """Quadrature path vs eigendecomposition path for relative entropy."""
-    def case(sub, k):
-        d = 2 + (k % 2)
-        rho, sigma = matcore.random_densities(sub, d, (0.1, 0.1))
-        de = entropy.relative_entropy(rho, sigma).unwrap()
-        di = entropy.relative_entropy_integral_form(rho, sigma, INTEGRAL_QUAD_POINTS)
-        err = abs(de - di)
-        yield -err, ({"error": err} if err > INTEGRAL_TOL else None)
-    return _run("integral-form", samples, seed, case,
-                extra={"quadPoints": INTEGRAL_QUAD_POINTS, "tolerance": INTEGRAL_TOL})
+    def evaluate(g1, g2):
+        rhos, sigmas = _pair(g1, g2, 0.1)
+        out = []
+        for de, rho, sigma in zip(entropy.unwrap(entropy.relative_entropy(rhos, sigmas)),
+                                  rhos, sigmas):
+            err = abs(de - entropy.relative_entropy_integral_form(
+                rho, sigma, INTEGRAL_QUAD_POINTS))
+            out.append([(-err, {"error": err} if err > INTEGRAL_TOL else None)])
+        return out
+    return _draw_pair, evaluate, {"quadPoints": INTEGRAL_QUAD_POINTS, "tolerance": INTEGRAL_TOL}
 
 
 @functools.cache
@@ -161,170 +258,182 @@ def _clsi_tables():
     return lind, factors, kinds
 
 
-def clsi_converse_suite(samples: int, seed: int) -> dict:
+@_suite("clsi-converse")
+def clsi_converse_suite():
     """Fixed-point converse for the qubit depolarizing semigroup, bare and
     with a dim-2 untouched auxiliary."""
     lind, factors, kinds = _clsi_tables()
 
-    def case(sub, k):
-        for kind, dim, e, evolve in kinds:
-            rho = matcore.random_density(sub, dim)
-            e_rho, *evolved = DensityMatrix.from_matrices(
-                [m.apply_matrix(rho.matrix) for m in (e, *evolve)])
-            d_pre = entropy.relative_entropy(rho, e_rho).unwrap()
-            for t, phi_rho, g_t in zip(CLSI_TIMES, evolved, factors):
-                d_post = entropy.relative_entropy(phi_rho, e_rho).unwrap()
-                for variant, g in zip(CLSI_VARIANTS, g_t):
-                    bad = d_post < g * d_pre - SLACK
-                    yield d_post - g * d_pre, (
-                        {"t": t, "variant": variant, "kind": kind} if bad else None)
-    return _run("clsi-converse", samples, seed, case,
-                extra={"c": lind.pp_index, "diamond": lind.diamond_upper,
-                       "times": list(CLSI_TIMES), "variants": list(CLSI_VARIANTS),
-                       "extended": True})
+    def draw(sub, k):
+        return tuple(_cn(sub, dim) for _, dim, _, _ in kinds)
+
+    def evaluate(*gs):
+        out = [[] for _ in gs[0]]
+        for (kind, _, e, evolve), g in zip(kinds, gs):
+            rhos = DensityMatrix.from_matrices(matcore.hilbert_schmidt(g, 0.0))
+            n = len(rhos)
+            r = np.stack([x.matrix for x in rhos])
+            built = DensityMatrix.from_matrices(
+                np.concatenate([m.apply_matrix(r) for m in (e, *evolve)]))
+            e_rhos = built[:n]
+            d_pre = entropy.unwrap(entropy.relative_entropy(rhos, e_rhos))
+            d_post = entropy.unwrap(entropy.relative_entropy(built[n:], e_rhos * len(evolve)))
+            for i, pairs in enumerate(out):
+                for j, (t, g_t) in enumerate(zip(CLSI_TIMES, factors)):
+                    for variant, g_v in zip(CLSI_VARIANTS, g_t):
+                        post = d_post[j * n + i]
+                        bad = post < g_v * d_pre[i] - SLACK
+                        pairs.append((post - g_v * d_pre[i], {
+                            "t": t, "variant": variant, "kind": kind} if bad else None))
+        return out
+    return draw, evaluate, {"c": lind.pp_index, "diamond": lind.diamond_upper,
+                            "times": list(CLSI_TIMES), "variants": list(CLSI_VARIANTS),
+                            "extended": True}
 
 
-# weak replacement coupling keeps the (a, eps, m_tilde) triple feasible at
-# the sampled m_tilde floor for both suite times; see ConverseBoundParams
-CLASSICAL_SUITE_TIMES = (0.01, 0.1)
-CLASSICAL_SUITE_COUPLING = 0.01
-CLASSICAL_SIGMA_FLOOR = 0.35
-MUTINFO_SUITE_COUPLING = 2.5e-4
-MUTINFO_CELL_FLOOR = 0.16
+def _converse_pairs(reports, branches: dict) -> list:
+    """(margin, violation) pairs of each sample's per-time converse reports,
+    counting each report's branch."""
+    out = []
+    for reps in reports:
+        for rep in reps:
+            branches[rep.extra["branch"]] += 1
+        out.append([(rep.margin, None if rep.passed else {"t": t})
+                    for t, rep in zip(CLASSICAL_SUITE_TIMES, reps)])
+    return out
 
 
-def _tally(reports, branches: dict):
-    """(margin, violation) pairs of the per-time converse reports, counting
-    each report's branch."""
-    for t, rep in zip(CLASSICAL_SUITE_TIMES, reports):
-        branches[rep.extra["branch"]] += 1
-        yield rep.margin, (None if rep.passed else {"t": t})
-
-
-def classical_converse_suite(samples: int, seed: int) -> dict:
+@_suite("classical")
+def classical_converse_suite():
     """Commuting-pair converse under the weakly-coupled replacement
     semigroup toward the qubit depolarizing projection."""
     e = channels.depolarizing_projection(2)
-    c = 4.0
-    diamond = 2.0 * CLASSICAL_SUITE_COUPLING
+    c, diamond = 4.0, 2.0 * CLASSICAL_SUITE_COUPLING
     branches = {"large-D": 0, "small-D": 0}
 
-    def case(sub, k):
+    def draw(sub, k):
         s0 = sub.uniform(CLASSICAL_SIGMA_FLOOR, 1.0 - CLASSICAL_SIGMA_FLOOR)
-        sigma = DensityMatrix.diagonal([s0, 1.0 - s0])
         if k % 2 == 0:
-            r0 = sub.uniform(0.001, 0.999)
-        else:
-            r0 = min(max(s0 + 0.08 * sub.normal(), 1e-4), 1 - 1e-4)
-        rho = DensityMatrix.diagonal([r0, 1.0 - r0])
-        return _tally(bounds.classical_converse_check(
-            e, rho, sigma, CLASSICAL_SUITE_TIMES, c, diamond), branches)
-    return _run("classical", samples, seed, case,
-                extra={"coupling": CLASSICAL_SUITE_COUPLING, "c": c,
-                       "diamond": diamond, "times": list(CLASSICAL_SUITE_TIMES),
-                       "branches": branches})
+            return s0, sub.uniform(0.001, 0.999)
+        return s0, min(max(s0 + 0.08 * sub.normal(), 1e-4), 1 - 1e-4)
+
+    def evaluate(s0, r0):
+        states = DensityMatrix.from_matrices(_diagonals(s0, r0))
+        return _converse_pairs(bounds.classical_converse_check(
+            e, states[len(s0):], states[:len(s0)], CLASSICAL_SUITE_TIMES, c, diamond),
+            branches)
+    return draw, evaluate, {"coupling": CLASSICAL_SUITE_COUPLING, "c": c, "diamond": diamond,
+                            "times": list(CLASSICAL_SUITE_TIMES), "branches": branches}
 
 
-def classical_mutinfo_suite(samples: int, seed: int) -> dict:
+@_suite("classical-mutinfo")
+def classical_mutinfo_suite():
     """Mutual-information converse on random 2x2 classical joints with
     B-side replacement noise toward the depolarizing projection."""
     e = channels.depolarizing_projection(2)
-    c = 4.0
-    diamond = 2.0 * MUTINFO_SUITE_COUPLING
+    c, diamond = 4.0, 2.0 * MUTINFO_SUITE_COUPLING
     branches = {"large-D": 0, "small-D": 0}
 
-    def case(sub, k):
-        cells = matcore.random_probability_vector(sub, 4, floor=MUTINFO_CELL_FLOOR)
-        joint = BipartiteDensity.from_matrix(np.diag(cells.astype(complex)), 2, 2)
-        return _tally(bounds.mutual_info_converse_check(
-            e, joint, CLASSICAL_SUITE_TIMES, c, diamond), branches)
-    return _run("classical-mutinfo", samples, seed, case,
-                extra={"coupling": MUTINFO_SUITE_COUPLING, "c": c,
-                       "diamond": diamond, "times": list(CLASSICAL_SUITE_TIMES),
-                       "branches": branches})
+    def draw(sub, k):
+        return (matcore.random_probability_vector(sub, 4, floor=MUTINFO_CELL_FLOOR),)
+
+    def evaluate(cells):
+        joints = np.zeros((len(cells), 4, 4), dtype=complex)
+        joints[:, range(4), range(4)] = cells
+        states = [BipartiteDensity(2, 2, m) for m in DensityMatrix.from_matrices(joints)]
+        return _converse_pairs(bounds.mutual_info_converse_check(
+            e, states, CLASSICAL_SUITE_TIMES, c, diamond), branches)
+    return draw, evaluate, {"coupling": MUTINFO_SUITE_COUPLING, "c": c, "diamond": diamond,
+                            "times": list(CLASSICAL_SUITE_TIMES), "branches": branches}
 
 
-def decayed_state_suite(samples: int, seed: int) -> dict:
+@_suite("decayed-state")
+def decayed_state_suite():
     """Partial-replacement comparison with theta = omega = I/2 and c = 1."""
     mixed = DensityMatrix.maximally_mixed(2)
 
-    def case(sub, k):
-        rho, sigma = _rand_commuting_pair(sub, 2)
+    def draw(sub, k):
+        pair = _draw_commuting(sub, 2)
         zeta = sub.uniform(0.01, 0.5)
-        eps = sub.uniform(zeta + 1e-4, 0.95)
-        rep = bounds.decayed_state_bound_check(rho, sigma, mixed, mixed,
-                                               eps=eps, zeta=zeta, c=1.0)
-        yield rep.margin, (None if rep.passed else {})
-    return _run("decayed-state", samples, seed, case)
+        return (*pair, zeta, sub.uniform(zeta + 1e-4, 0.95))
+
+    def evaluate(h, p, q, zeta, eps):
+        states = DensityMatrix.from_matrices(_in_eigenbases(h, p, q))
+        return [[(rep.margin, None if rep.passed else {})]
+                for rep in bounds.decayed_state_bound_check(
+                    states[:len(h)], states[len(h):], mixed, mixed, eps.tolist(),
+                    zeta.tolist(), 1.0)]
+    return draw, evaluate, None
 
 
-def origcompare_suite(samples: int, seed: int) -> dict:
+@_suite("origcompare")
+def origcompare_suite():
     """Upper comparison of D(rho||sigma) through the mixed pair, on
     commuting qubit tuples with rho >= (1-zeta) sigma by construction."""
-    def case(sub, k):
-        s0 = sub.uniform(0.05, 0.95)
-        sigma = DensityMatrix.diagonal([s0, 1.0 - s0])
-        zeta = sub.uniform(0.05, 0.9)
-        w0 = sub.uniform(0.0, 1.0)
-        rho = DensityMatrix.from_matrix(
-            (1 - zeta) * sigma.matrix + zeta * np.diag([w0, 1.0 - w0]).astype(complex))
-        if k % 3 == 0:
-            omega = sigma  # replacement-style special case
-        else:
-            o0 = sub.uniform(0.02, 0.98)
-            omega = DensityMatrix.diagonal([o0, 1.0 - o0])
-        eps = sub.uniform(0.02, 0.9)
-        rep = bounds.origcompare_check(rho, sigma, omega, eps=eps, zeta=zeta)
-        yield rep.margin, (None if rep.passed else {})
-    return _run("origcompare", samples, seed, case)
+    def draw(sub, k):
+        s0, zeta, w0 = sub.uniform(0.05, 0.95), sub.uniform(0.05, 0.9), sub.uniform(0.0, 1.0)
+        # omega = sigma every third sample: the replacement-style special case
+        o0 = None if k % 3 == 0 else sub.uniform(0.02, 0.98)
+        return s0, zeta, w0, o0, sub.uniform(0.02, 0.9)
+
+    def evaluate(s0, zeta, w0, o0, eps):
+        own = [i for i, o in enumerate(o0) if o is not None]
+        built = DensityMatrix.from_matrices(_diagonals(s0, o0[own].astype(float)))
+        sigmas, omegas = built[:len(s0)], list(built[:len(s0)])
+        for i, omega in zip(own, built[len(s0):]):
+            omegas[i] = omega
+        z = zeta[:, None, None]
+        rhos = DensityMatrix.from_matrices(
+            (1 - z) * np.stack([s.matrix for s in sigmas]) + z * _diagonals(w0))
+        return [[(rep.margin, None if rep.passed else {})] for rep in bounds.origcompare_check(
+            rhos, sigmas, omegas, eps.tolist(), zeta.tolist())]
+    return draw, evaluate, None
 
 
-def data_processing_suite(samples: int, seed: int) -> dict:
+@_suite("data-processing")
+def data_processing_suite():
     """D(Phi rho || Phi sigma) <= D(rho || sigma) for the channel
     constructors of the package."""
-    def case(sub, k):
-        rho, sigma = matcore.random_densities(sub, 2, (0.02, 0.02))
-        d_pre = entropy.relative_entropy(rho, sigma).unwrap()
-        chans = [
-            channels.depolarizing(2, sub.uniform(0.0, 1.0)),
-            channels.dephasing_y(sub.uniform(0.0, 1.0)),
-            experiments.flagged_channel(sub.uniform(0.05, 0.95), sub.uniform(0.05, 0.95)),
-        ]
-        for idx, ch in enumerate(chans):
-            d_post = entropy.relative_entropy(*DensityMatrix.from_matrices(
-                [ch.apply_matrix(rho.matrix), ch.apply_matrix(sigma.matrix)])).unwrap()
-            yield d_pre - d_post, ({"channel": idx} if d_post > d_pre + SLACK else None)
-    return _run("data-processing", samples, seed, case)
+    def draw(sub, k):
+        return (_cn(sub, 2), _cn(sub, 2), *(sub.uniform(0.0, 1.0) for _ in range(2)),
+                *(sub.uniform(0.05, 0.95) for _ in range(2)))
+
+    def evaluate(g1, g2, dep, deph, lam, p):
+        rhos, sigmas = _pair(g1, g2, 0.02)
+        d_pre = entropy.unwrap(entropy.relative_entropy(rhos, sigmas))
+        out = [[] for _ in rhos]
+        for idx, chans in enumerate((
+                [channels.depolarizing(2, x) for x in dep.tolist()],
+                [channels.dephasing_y(x) for x in deph.tolist()],
+                [experiments.flagged_channel(a, b) for a, b in zip(lam.tolist(), p.tolist())])):
+            images = DensityMatrix.from_matrices(
+                [ch.apply_matrix(x.matrix) for xs in (rhos, sigmas) for ch, x in zip(chans, xs)])
+            d_post = entropy.unwrap(entropy.relative_entropy(images[:len(rhos)],
+                                                             images[len(rhos):]))
+            for pairs, pre, post in zip(out, d_pre, d_post):
+                pairs.append((pre - post, {"channel": idx} if post > pre + SLACK else None))
+        return out
+    return draw, evaluate, None
 
 
-def channel_validity_suite(samples: int, seed: int) -> dict:
+@_suite("channel-validity")
+def channel_validity_suite():
     """Channels map random densities to valid densities (PSD, unit trace)."""
-    def case(sub, k):
-        d = 2 + (k % 3)
-        rho = matcore.random_density(sub, d)
-        ch = channels.depolarizing(d, sub.uniform(0.0, 1.0))
-        out = ch.apply_matrix(rho.matrix)
-        w, _ = matcore.eigh(out)
-        tr = float(np.trace(out).real)
-        bad = w[0] < -1e-9 or abs(tr - 1.0) > 1e-9
-        yield min(float(w[0]), 1e-9 - abs(tr - 1.0)), ({} if bad else None)
-    return _run("channel-validity", samples, seed, case)
+    def draw(sub, k):
+        return _cn(sub, 2 + (k % 3)), sub.uniform(0.0, 1.0)
 
+    def evaluate(g, lam):
+        rhos = DensityMatrix.from_matrices(matcore.hilbert_schmidt(g, 0.0))
+        outs = np.stack([channels.depolarizing(g.shape[-1], x).apply_matrix(rho.matrix)
+                         for x, rho in zip(lam.tolist(), rhos)])
+        w = matcore.jacobi_eigh_batch(matcore.as_hermitian(outs))[0][:, 0].tolist()
+        out = []
+        for w0, tr in zip(w, outs.trace(0, 1, 2).real.tolist()):
+            bad = w0 < -1e-9 or abs(tr - 1.0) > 1e-9
+            out.append([(min(w0, 1e-9 - abs(tr - 1.0)), {} if bad else None)])
+        return out
+    return draw, evaluate, None
 
-SUITES = {
-    "pinsker": pinsker_suite,
-    "almost-concavity": almost_concavity_suite,
-    "gaorouze": gaorouze_suite,
-    "normcomp": normcomp_suite,
-    "integral-form": integral_form_suite,
-    "clsi-converse": clsi_converse_suite,
-    "classical": classical_converse_suite,
-    "classical-mutinfo": classical_mutinfo_suite,
-    "decayed-state": decayed_state_suite,
-    "origcompare": origcompare_suite,
-    "data-processing": data_processing_suite,
-    "channel-validity": channel_validity_suite,
-}
 
 # in aggregate ("all") runs the heavier suites take a reduced share of the
 # requested sample count; an explicitly named suite always runs the exact

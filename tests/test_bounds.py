@@ -325,16 +325,17 @@ def test_mutual_info_converse_correlated_bits():
 
 
 def test_mutual_info_converse_builds_each_marginal_once(monkeypatch):
-    raw = vars(DensityMatrix)["from_matrix"].__func__
+    raw = vars(DensityMatrix)["from_matrices"].__func__
     built = []
 
-    def counting(cls, m):
-        built.append(1)
-        return raw(cls, m)
+    def counting(cls, stack):
+        built.extend(stack)
+        return raw(cls, stack)
 
-    def uncached_marginal(self, keep):
-        return DensityMatrix.from_matrix(
-            matcore.partial_trace(self.state.matrix, self.dim_a, self.dim_b, keep))
+    def uncached_marginals(states):
+        return tuple(DensityMatrix.from_matrices(np.stack([
+            matcore.partial_trace(s.state.matrix, s.dim_a, s.dim_b, keep) for s in states]))
+            for keep in "AB")
 
     def count_one_check():
         cells = np.array([0.4, 0.1, 0.15, 0.35])
@@ -344,9 +345,9 @@ def test_mutual_info_converse_builds_each_marginal_once(monkeypatch):
                                              (0.01, 0.1), 4.0, 5e-4)
         return len(built), [r.to_json() for r in reports]
 
-    monkeypatch.setattr(DensityMatrix, "from_matrix", classmethod(counting))
+    monkeypatch.setattr(DensityMatrix, "from_matrices", classmethod(counting))
     cached, cached_out = count_one_check()
-    monkeypatch.setattr(BipartiteDensity, "marginal", uncached_marginal)
+    monkeypatch.setattr(BipartiteDensity, "marginals", staticmethod(uncached_marginals))
     uncached, uncached_out = count_one_check()
     # I_pre reuses rho_A and rho_B instead of building them again
     assert uncached - cached == 2

@@ -488,7 +488,7 @@ def test_one_eigensolve_per_call(monkeypatch, rng):
     monkeypatch.setattr(matcore, "jacobi_eigh_batch", counted)
     for run in (lambda: DensityMatrix.from_matrix(m),
                 lambda: DensityMatrix.from_matrices(np.stack([m, sigma.matrix, m])),
-                lambda: matcore.random_densities(rng, 3, (0.1, 0.0, 0.2)),
+                lambda: matcore.random_density(rng, 3, 0.1),
                 lambda: matcore.eigh(m),
                 lambda: matcore.loewner_min_coefficient(rho, sigma),
                 lambda: relative_entropy_integral_form(rho, sigma, 16),
@@ -496,3 +496,79 @@ def test_one_eigensolve_per_call(monkeypatch, rng):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+def _bits(x):
+    return np.array(x, dtype=float).view(np.uint64).tolist()
+
+
+def _parent_relative_entropy(rho, sigma):
+    """relative_entropy as it was for one pair alone: compress rho to
+    supp(sigma), flag a leak, then -S(rho) - tr rho log sigma."""
+    ws = sigma.eigenvalues
+    mask = ws > entropy.ENTROPY_SUPPORT_RTOL * ws[-1]
+    vs = sigma.eigenvectors[:, mask]
+    compressed = vs.conj().T @ rho.matrix @ vs
+    if float(rho.matrix.trace().real - compressed.trace().real) > 1e-12:
+        return math.inf
+    w = rho.eigenvalues
+    w = w[w > entropy.ZERO_CLIP]
+    s_rho = float(-(w * np.log(w)).sum())
+    return max(-s_rho - float((compressed.diagonal() * np.log(ws[mask])).sum().real), 0.0)
+
+
+def _mixed_stack(rng, d):
+    """Pairs in one dimension: full rank; rank-deficient sigma with rho inside
+    its support; rho leaking outside supp(sigma); rho with zero eigenvalues
+    against a full-rank sigma."""
+    u = random_unitary(rng, d)
+
+    def state(spectrum):
+        p = np.array(spectrum, dtype=float)
+        return DensityMatrix.from_matrix((u * (p / p.sum())) @ u.conj().T)
+
+    full = [1.0 + k for k in range(d)]
+    kernel = [0.0, 0.0] + full[2:]
+    spiky = [0.0] * (d - 2) + [1.0, 3.0]
+    pairs = [(state(full[::-1]), state(full)),
+             (state([0.0, 0.0] + full[:d - 2][::-1]), state(kernel)),
+             (state(full), state(kernel)),
+             (state(spiky), state(full)),
+             (state(full), state([1.0] * d))]
+    return [r for r, _ in pairs], [s for _, s in pairs]
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_stacked_functionals_bit_equal_to_each_row_alone(rng, d):
+    rhos, sigmas = _mixed_stack(rng, d)
+    values = entropy.relative_entropy(rhos, sigmas)
+    assert values[2] == math.inf
+    leak = relative_entropy(rhos[2], sigmas[2])
+    assert leak == entropy.EntropyValue.infinite()
+    with pytest.raises(ValueError, match="infinite"):
+        leak.unwrap()
+    with pytest.raises(ValueError, match="infinite"):
+        entropy.unwrap(values)
+    assert np.isfinite(np.delete(values, 2)).all()
+    for i, (rho, sigma) in enumerate(zip(rhos, sigmas)):
+        alone = float(relative_entropy(rho, sigma))
+        assert _bits(values[i]) == _bits(alone) == _bits(_parent_relative_entropy(rho, sigma))
+    x = np.stack([r.matrix - s.matrix for r, s in zip(rhos, sigmas)])
+    norms = entropy.weighted_norm_sq(x, sigmas)
+    coeffs = matcore.loewner_min_coefficient(np.stack([r.matrix for r in rhos]), sigmas, True)
+    assert norms[2] == coeffs[2] == math.inf
+    s_vn = von_neumann_entropy(rhos)
+    for i, (rho, sigma) in enumerate(zip(rhos, sigmas)):
+        assert _bits(norms[i]) == _bits(weighted_norm_sq(x[i], sigma))
+        assert _bits(coeffs[i]) == _bits(matcore.loewner_min_coefficient(rho, sigma, strict=True))
+        assert _bits(s_vn[i]) == _bits(von_neumann_entropy(rho))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 4)])
+def test_stacked_mutual_information_bit_equal_to_each_state_alone(rng, dims):
+    rhos, sigmas = _mixed_stack(rng, dims[0] * dims[1])
+    states = [BipartiteDensity(*dims, x) for x in rhos + sigmas]
+    stacked = entropy.mutual_information(states)
+    for i, x in enumerate(rhos + sigmas):
+        alone = mutual_information(BipartiteDensity(*dims, x))
+        assert _bits(stacked[i]) == _bits(alone)

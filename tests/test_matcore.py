@@ -396,11 +396,12 @@ def test_from_matrices_empty_and_shape_checks():
         DensityMatrix.from_matrices(np.zeros((2, 2, 3)))
 
 
-def test_random_densities_match_successive_random_density_draws():
-    for mixes in ((0.1, 0.1), (0.0, 0.05), (0.02,)):
+def test_hilbert_schmidt_stack_matches_successive_random_density_draws():
+    for d, mix in ((3, 0.1), (2, 0.0), (4, 0.02)):
         a, b = Rng(11), Rng(11)
-        together = matcore.random_densities(a, 3, mixes)
-        one_by_one = [matcore.random_density(b, 3, mix) for mix in mixes]
+        g = np.stack([matcore.random_complex_normal(a, (d, d)) for _ in range(3)])
+        together = DensityMatrix.from_matrices(matcore.hilbert_schmidt(g, mix))
+        one_by_one = [matcore.random_density(b, d, mix) for _ in range(3)]
         assert a._counter == b._counter
         for x, y in zip(together, one_by_one):
             assert np.array_equal(_bits(x.matrix), _bits(y.matrix))

@@ -62,3 +62,51 @@ def test_report_identical_to_one_build_per_matrix(monkeypatch, seed):
     monkeypatch.setattr(DensityMatrix, "from_matrices", classmethod(one_by_one))
     assert json.dumps(verify.run_suites("all", 20, seed)) == stacked
     assert len(built) > 1000
+
+
+def _bits(x):
+    return np.array(x, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+@pytest.mark.parametrize("seed", [3, 11])
+def test_report_rebuilt_from_per_counter_replay(suite, seed):
+    # one sample past two chunks' boundary: stack size must not change a bit
+    samples = verify.CHUNK + 3
+    report = verify.SUITES[suite](samples, seed)
+    violations, margins = [], []
+    for k in range(samples):
+        for margin, violation in verify.replay(suite, seed, k):
+            margins.append(margin)
+            if violation is not None:
+                violations.append({"counter": k, **violation})
+    assert json.dumps(violations) == json.dumps(report["violations"])
+    assert _bits(min(margins)) == _bits(report["worstMargin"])
+
+
+def test_verify_eigensolves_are_batched(monkeypatch):
+    raw_batch, raw_eigh = matcore.jacobi_eigh_batch, np.linalg.eigh
+    calls, inside, stray = [], [], []
+
+    def batch(stack):
+        calls.append(len(stack))
+        inside.append(True)
+        try:
+            return raw_batch(stack)
+        finally:
+            inside.pop()
+
+    def eigh(a, *args, **kwargs):
+        if not inside:
+            stray.append(np.shape(a))
+        return raw_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "jacobi_eigh_batch", batch)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    verify.run_suites("all", 20, 5)
+    # every eigensolve goes through the one traced path
+    assert stray == []
+    # a few stacks per suite and dimension (60 today); one solve per sample
+    # and role made 818
+    assert len(calls) <= 80
+    assert sum(calls) > 5000
