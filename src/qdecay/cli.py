@@ -128,7 +128,6 @@ def cmd_verify(args) -> int:
         seed = _seed_from_env(args.seed)
         if args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
-        _check_out_dir(args.out)
     except ValueError as err:
         return _error(err, 2)
     names = "all" if args.suite == "all" else [args.suite]
@@ -226,6 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:  # before any work, so that a long run cannot end unwritten
+        _check_out_dir(args.out)
+    except ValueError as err:
+        return _error(err, 2)
     try:
         return args.func(args)
     except OSError as err:  # an --out path that cannot be written

@@ -124,8 +124,8 @@ def _theta_grid(grid) -> tuple:
 def theta_logspace(theta_max: float, theta_min: float, points: int) -> tuple:
     """points thetas from theta_max down to theta_min, evenly spaced in log."""
     for name, value in (("theta_max", theta_max), ("theta_min", theta_min)):
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if points > MAX_THETA_POINTS:
         raise ValueError(f"points must be at most MAX_THETA_POINTS = "
                          f"{MAX_THETA_POINTS}, got {points!r}")

@@ -302,14 +302,17 @@ def loewner_min_coefficient(rho, sigma, strict: bool = False):
 
 def random_complex_normal(rng: Rng, shape) -> np.ndarray:
     """Standard complex normals in one draw, row-major, real part first: the
-    one draw order the seeded complex Gaussian streams rely on."""
-    return np.array(rng.normals(2 * math.prod(shape))).view(complex).reshape(shape)
+    one draw order the seeded complex Gaussian streams rely on.  A batched rng
+    gives one array per member, along a leading axis."""
+    g = rng.normals(2 * math.prod(shape)).view(complex)
+    return g.reshape(g.shape[:-1] + tuple(shape))
 
 
 def random_hermitian(rng: Rng, d: int) -> np.ndarray:
-    """Gaussian Hermitian matrix (GUE-style up to normalization)."""
+    """Gaussian Hermitian matrix (GUE-style up to normalization); one per
+    member of a batched rng."""
     g = random_complex_normal(rng, (d, d))
-    return (g + g.conj().T) / 2
+    return (g + g.conj().swapaxes(-1, -2)) / 2
 
 
 def hilbert_schmidt(g: np.ndarray, mix: float) -> np.ndarray:
@@ -326,9 +329,10 @@ def random_density(rng: Rng, d: int, mix: float = 0.0) -> DensityMatrix:
 
 
 def random_probability_vector(rng: Rng, d: int, floor: float = 0.0) -> np.ndarray:
-    """Probability vector from exponential spacings, optionally floored."""
-    x = np.array([-np.log(rng.uniform_open()) for _ in range(d)])
-    p = x / x.sum()
+    """Probability vector from exponential spacings, optionally floored; one
+    per member of a batched rng."""
+    x = -np.log(np.stack([rng.uniform_open() for _ in range(d)], axis=-1))
+    p = x / x.sum(axis=-1, keepdims=True)
     if floor:
         p = (1 - d * floor) * p + floor
     return p

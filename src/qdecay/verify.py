@@ -3,18 +3,21 @@
 Every suite draws its states from counter-derived substreams of a root
 seed, checks an inequality against exact entropic values, and returns a
 report dict.  One runner drives all suites, each given as two functions:
-draw(sub, k) takes sample k's raw inputs (Gaussians, probability vectors,
-uniforms) from its substream, and evaluate builds the states of a batch of
-samples as stacks and returns each sample's (margin, violation) pairs.
-The runner draws CHUNK samples at a time and evaluates them grouped by the
-shapes of their inputs (their dimension).  A violation record carries the
-sample counter, and replay(suite, seed, counter) evaluates that one sample
-as a batch of one, with the same bits.  Reports are plain JSON-serializable
-dicts with deterministic content.
+draw(sub, ks) takes the raw inputs (Gaussians, probability vectors,
+uniforms) of samples ks, a range of counters, from sub, the batch of their
+substreams, as columns with one row per sample; evaluate(*columns) builds
+their states as stacks and returns each sample's (margin, violation) pairs.
+The shapes of a suite's inputs depend on the counter k only through
+k % period (the dimension), so the runner takes CHUNK samples at a time
+and draws and evaluates each residue class of the chunk as one batch.  A
+violation record carries the sample counter, and replay(suite, seed,
+counter) evaluates that one sample as a batch of one, with the same bits.
+Reports are plain JSON-serializable dicts with deterministic content.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 
@@ -41,47 +44,43 @@ CLASSICAL_SIGMA_FLOOR = 0.35
 MUTINFO_SUITE_COUPLING = 2.5e-4
 MUTINFO_CELL_FLOOR = 0.16
 
-# suite name -> fn(samples, seed), and -> its parts: () -> (draw, evaluate,
-# params), params being the report's params dict or None
+# suite name -> fn(samples, seed), and -> (parts, period), parts being
+# () -> (draw, evaluate, params) and params the report's params dict or None
 SUITES = {}
 _PARTS = {}
 
 
-def _suite(name: str):
-    """Register a suite's parts under name; the decorated name becomes the
-    suite function fn(samples, seed) -> report."""
+def _suite(name: str, period: int):
+    """Register a suite's parts, and the period in k of its input shapes, under
+    name; the decorated name becomes the suite function fn(samples, seed)."""
     def register(parts):
         def suite(samples: int, seed: int) -> dict:
             return _run(name, samples, seed)
         suite.__name__, suite.__doc__ = parts.__name__, parts.__doc__
-        _PARTS[name], SUITES[name] = parts, suite
+        _PARTS[name], SUITES[name] = (parts, period), suite
         return suite
     return register
 
 
-def _evaluate(evaluate, draws: list) -> list:
-    """evaluate(*columns) on each group of draws whose entries have the same
-    shapes, a column being one array per entry; the pairs in draw order."""
-    groups = {}
-    for i, x in enumerate(draws):
-        groups.setdefault(tuple(map(np.shape, x)), []).append(i)
-    out = [None] * len(draws)
-    for idx in groups.values():
-        for i, pairs in zip(idx, evaluate(*map(np.array, zip(*(draws[i] for i in idx))))):
-            out[i] = pairs
-    return out
+def _pairs(draw, evaluate, seed: int, ks: range) -> list:
+    """The (margin, violation) pairs of samples ks, which share their input shapes."""
+    sub = Rng(seed).substream(np.array(ks, dtype=np.uint64))
+    return evaluate(*draw(sub, ks))
 
 
 def _run(name: str, samples: int, seed: int) -> dict:
     """Run one suite and build its report: each violation is recorded with its
     counter k, and the report keeps the smallest margin."""
-    draw, evaluate, params = _PARTS[name]()
-    rng = Rng(seed)
+    parts, period = _PARTS[name]
+    draw, evaluate, params = parts()
     violations = []
     worst = math.inf
     for start in range(0, samples, CHUNK):
-        ks = range(start, min(start + CHUNK, samples))
-        for k, pairs in zip(ks, _evaluate(evaluate, [draw(rng.substream(k), k) for k in ks])):
+        stop = min(start + CHUNK, samples)
+        chunk = [None] * (stop - start)
+        for r in range(min(period, stop - start)):
+            chunk[r::period] = _pairs(draw, evaluate, seed, range(start + r, stop, period))
+        for k, pairs in enumerate(chunk, start):
             for margin, violation in pairs:
                 if violation is not None:
                     violations.append({"counter": k, **violation})
@@ -102,8 +101,8 @@ def _run(name: str, samples: int, seed: int) -> dict:
 
 def replay(suite: str, seed: int, counter: int) -> list:
     """The (margin, violation) pairs of sample counter of a suite run at seed."""
-    draw, evaluate, _ = _PARTS[suite]()
-    return _evaluate(evaluate, [draw(Rng(seed).substream(counter), counter)])[0]
+    draw, evaluate, _ = _PARTS[suite][0]()
+    return _pairs(draw, evaluate, seed, range(counter, counter + 1))[0]
 
 
 def _cn(sub: Rng, d: int) -> np.ndarray:
@@ -133,9 +132,9 @@ def _diagonals(*probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_pair(sub: Rng, k: int) -> tuple:
+def _draw_pair(sub: Rng, ks: range) -> tuple:
     """The Gaussians of two Hilbert-Schmidt densities of dimension 2 + k % 2."""
-    return _cn(sub, 2 + (k % 2)), _cn(sub, 2 + (k % 2))
+    return _cn(sub, 2 + (ks[0] % 2)), _cn(sub, 2 + (ks[0] % 2))
 
 
 def _pair(g1: np.ndarray, g2: np.ndarray, mix: float) -> tuple:
@@ -145,11 +144,11 @@ def _pair(g1: np.ndarray, g2: np.ndarray, mix: float) -> tuple:
     return states[:len(g1)], states[len(g1):]
 
 
-@_suite("pinsker")
+@_suite("pinsker", 2)
 def pinsker_suite():
     """Both Pinsker forms on commuting pairs, the basic form on arbitrary pairs."""
-    def draw(sub, k):
-        d = 2 + (k % 2)
+    def draw(sub, ks):
+        d = 2 + (ks[0] % 2)
         return (*_draw_commuting(sub, d), _cn(sub, d), _cn(sub, d))
 
     def evaluate(h, p, q, g1, g2):
@@ -168,11 +167,11 @@ def pinsker_suite():
     return draw, evaluate, None
 
 
-@_suite("almost-concavity")
+@_suite("almost-concavity", 1)
 def almost_concavity_suite():
     """Joint convexity defect bound
     D(mix || mix) >= p D1 + (1-p) D2 - f_m(p) on commuting tuples."""
-    def draw(sub, k):
+    def draw(sub, ks):
         pv = matcore.random_probability_vector
         return (matcore.random_hermitian(sub, 3), pv(sub, 3, floor=0.02),
                 pv(sub, 3, floor=0.02), pv(sub, 3), pv(sub, 3), sub.uniform(0.001, 0.999))
@@ -194,7 +193,7 @@ def almost_concavity_suite():
     return draw, evaluate, None
 
 
-@_suite("gaorouze")
+@_suite("gaorouze", 2)
 def gaorouze_suite():
     """Order-to-entropy sandwich on comparable full-rank pairs."""
     def evaluate(g1, g2):
@@ -203,12 +202,12 @@ def gaorouze_suite():
     return _draw_pair, evaluate, None
 
 
-@_suite("normcomp")
+@_suite("normcomp", 2)
 def normcomp_suite():
     """sigma <= c omega implies ||X||^2_{omega} <= c ||X||^2_{sigma} for the
     resolvent-weighted norms."""
-    def draw(sub, k):
-        return (*_draw_pair(sub, k), matcore.random_hermitian(sub, 2 + (k % 2)))
+    def draw(sub, ks):
+        return (*_draw_pair(sub, ks), matcore.random_hermitian(sub, 2 + (ks[0] % 2)))
 
     def evaluate(g1, g2, x):
         sigmas, omegas = _pair(g1, g2, 0.1)
@@ -223,7 +222,7 @@ def normcomp_suite():
     return draw, evaluate, None
 
 
-@_suite("integral-form")
+@_suite("integral-form", 2)
 def integral_form_suite():
     """Quadrature path vs eigendecomposition path for relative entropy."""
     def evaluate(g1, g2):
@@ -258,13 +257,13 @@ def _clsi_tables():
     return lind, factors, kinds
 
 
-@_suite("clsi-converse")
+@_suite("clsi-converse", 1)
 def clsi_converse_suite():
     """Fixed-point converse for the qubit depolarizing semigroup, bare and
     with a dim-2 untouched auxiliary."""
     lind, factors, kinds = _clsi_tables()
 
-    def draw(sub, k):
+    def draw(sub, ks):
         return tuple(_cn(sub, dim) for _, dim, _, _ in kinds)
 
     def evaluate(*gs):
@@ -303,7 +302,7 @@ def _converse_pairs(reports, branches: dict) -> list:
     return out
 
 
-@_suite("classical")
+@_suite("classical", 1)
 def classical_converse_suite():
     """Commuting-pair converse under the weakly-coupled replacement
     semigroup toward the qubit depolarizing projection."""
@@ -311,11 +310,12 @@ def classical_converse_suite():
     c, diamond = 4.0, 2.0 * CLASSICAL_SUITE_COUPLING
     branches = {"large-D": 0, "small-D": 0}
 
-    def draw(sub, k):
+    def draw(sub, ks):
         s0 = sub.uniform(CLASSICAL_SIGMA_FLOOR, 1.0 - CLASSICAL_SIGMA_FLOOR)
-        if k % 2 == 0:
-            return s0, sub.uniform(0.001, 0.999)
-        return s0, min(max(s0 + 0.08 * sub.normal(), 1e-4), 1 - 1e-4)
+        # from the same counter, even k draw r0 and odd k step it from s0
+        step = copy.copy(sub).normal()
+        return s0, np.where(np.array(ks) % 2 == 0, sub.uniform(0.001, 0.999),
+                            np.clip(s0 + 0.08 * step, 1e-4, 1 - 1e-4))
 
     def evaluate(s0, r0):
         states = DensityMatrix.from_matrices(_diagonals(s0, r0))
@@ -326,7 +326,7 @@ def classical_converse_suite():
                             "times": list(CLASSICAL_SUITE_TIMES), "branches": branches}
 
 
-@_suite("classical-mutinfo")
+@_suite("classical-mutinfo", 1)
 def classical_mutinfo_suite():
     """Mutual-information converse on random 2x2 classical joints with
     B-side replacement noise toward the depolarizing projection."""
@@ -334,7 +334,7 @@ def classical_mutinfo_suite():
     c, diamond = 4.0, 2.0 * MUTINFO_SUITE_COUPLING
     branches = {"large-D": 0, "small-D": 0}
 
-    def draw(sub, k):
+    def draw(sub, ks):
         return (matcore.random_probability_vector(sub, 4, floor=MUTINFO_CELL_FLOOR),)
 
     def evaluate(cells):
@@ -347,12 +347,12 @@ def classical_mutinfo_suite():
                             "times": list(CLASSICAL_SUITE_TIMES), "branches": branches}
 
 
-@_suite("decayed-state")
+@_suite("decayed-state", 1)
 def decayed_state_suite():
     """Partial-replacement comparison with theta = omega = I/2 and c = 1."""
     mixed = DensityMatrix.maximally_mixed(2)
 
-    def draw(sub, k):
+    def draw(sub, ks):
         pair = _draw_commuting(sub, 2)
         zeta = sub.uniform(0.01, 0.5)
         return (*pair, zeta, sub.uniform(zeta + 1e-4, 0.95))
@@ -366,19 +366,22 @@ def decayed_state_suite():
     return draw, evaluate, None
 
 
-@_suite("origcompare")
+@_suite("origcompare", 1)
 def origcompare_suite():
     """Upper comparison of D(rho||sigma) through the mixed pair, on
     commuting qubit tuples with rho >= (1-zeta) sigma by construction."""
-    def draw(sub, k):
+    def draw(sub, ks):
         s0, zeta, w0 = sub.uniform(0.05, 0.95), sub.uniform(0.05, 0.9), sub.uniform(0.0, 1.0)
-        # omega = sigma every third sample: the replacement-style special case
-        o0 = None if k % 3 == 0 else sub.uniform(0.02, 0.98)
-        return s0, zeta, w0, o0, sub.uniform(0.02, 0.9)
+        # omega = sigma every third sample, the replacement-style special
+        # case: o0 is NaN there, and eps takes the counter of the others' o0
+        own = np.array(ks) % 3 != 0
+        eps_at_o0 = copy.copy(sub).uniform(0.02, 0.9)
+        o0 = np.where(own, sub.uniform(0.02, 0.98), np.nan)
+        return s0, zeta, w0, o0, np.where(own, sub.uniform(0.02, 0.9), eps_at_o0)
 
     def evaluate(s0, zeta, w0, o0, eps):
-        own = [i for i, o in enumerate(o0) if o is not None]
-        built = DensityMatrix.from_matrices(_diagonals(s0, o0[own].astype(float)))
+        own = np.flatnonzero(~np.isnan(o0)).tolist()
+        built = DensityMatrix.from_matrices(_diagonals(s0, o0[own]))
         sigmas, omegas = built[:len(s0)], list(built[:len(s0)])
         for i, omega in zip(own, built[len(s0):]):
             omegas[i] = omega
@@ -390,11 +393,11 @@ def origcompare_suite():
     return draw, evaluate, None
 
 
-@_suite("data-processing")
+@_suite("data-processing", 1)
 def data_processing_suite():
     """D(Phi rho || Phi sigma) <= D(rho || sigma) for the channel
     constructors of the package."""
-    def draw(sub, k):
+    def draw(sub, ks):
         return (_cn(sub, 2), _cn(sub, 2), *(sub.uniform(0.0, 1.0) for _ in range(2)),
                 *(sub.uniform(0.05, 0.95) for _ in range(2)))
 
@@ -416,11 +419,11 @@ def data_processing_suite():
     return draw, evaluate, None
 
 
-@_suite("channel-validity")
+@_suite("channel-validity", 3)
 def channel_validity_suite():
     """Channels map random densities to valid densities (PSD, unit trace)."""
-    def draw(sub, k):
-        return _cn(sub, 2 + (k % 3)), sub.uniform(0.0, 1.0)
+    def draw(sub, ks):
+        return _cn(sub, 2 + (ks[0] % 3)), sub.uniform(0.0, 1.0)
 
     def evaluate(g, lam):
         rhos = DensityMatrix.from_matrices(matcore.hilbert_schmidt(g, 0.0))

@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from qdecay import bounds
 from qdecay import experiments as exp
 from qdecay.cli import main
 
@@ -291,6 +293,23 @@ def test_verify_rejects_unwritable_out_before_running(tmp_path, capsys, monkeypa
     assert str(out) in err
 
 
+@pytest.mark.parametrize("argv, owner, attr", [
+    (["sudden-decay", "--lambda", "0.1"], exp, "sudden_decay_sweep"),
+    (["private-rate", "--p", "0.3", "--lambda", "0.2"], exp, "private_rate_lower_bound"),
+    (["g-table", "--t", "1e-2,1e-1"], bounds, "g_factor"),
+])
+def test_sweeps_reject_unwritable_out_before_running(tmp_path, capsys, monkeypatch,
+                                                     argv, owner, attr):
+    calls = []
+    monkeypatch.setattr(owner, attr, lambda *a, **k: calls.append(a))
+    out = tmp_path / "missing" / "x.csv"
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert calls == []
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(out) in err
+
+
 def test_verify_out_check_keeps_existing_report(tmp_path, capsys, monkeypatch):
     from qdecay import verify
 
@@ -317,6 +336,21 @@ def test_non_positive_theta_bound_is_named(tmp_path, capsys, argv, name):
     assert code == 2
     assert err.startswith(f"error: {name} must be positive") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sudden-decay", "--lambda", "0.1", "--theta-max", "1e400"], "theta_max"),
+    (["private-rate", "--p", "0.5", "--lambda", "0.1", "--theta-max", "inf"], "theta_max"),
+    (["private-rate", "--p", "0.5", "--lambda", "0.1", "--theta-min", "nan"], "theta_min"),
+])
+def test_non_finite_theta_bound_gives_only_the_error_line(capsys, argv, name):
+    # a warning raised here would print to stderr ahead of the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} must be positive and finite") and err.count("\n") == 1
 
 
 def test_repeated_main_calls_match_a_cold_process(tmp_path):

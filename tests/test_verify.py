@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qdecay import bounds, matcore, verify
+from qdecay import bounds, matcore, rng, verify
 from qdecay.matcore import DensityMatrix
 
 
@@ -110,3 +110,134 @@ def test_verify_eigensolves_are_batched(monkeypatch):
     # and role made 818
     assert len(calls) <= 80
     assert sum(calls) > 5000
+
+
+_MASK = (1 << 64) - 1
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _mix(z):
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
+class _ScalarStream:
+    """Substream k of a root seed as SplitMix64 on Python ints, one word at a
+    time, with the matcore draws as one sample's draw makes them."""
+
+    def __init__(self, seed, k):
+        self.seed, self.counter = _mix(((seed & _MASK) ^ (k + 1) * _GAMMA) & _MASK), 0
+
+    def word(self):
+        self.counter += 1
+        return _mix((self.seed + self.counter * _GAMMA) & _MASK)
+
+    def uniform(self, low=0.0, high=1.0):
+        return low + (high - low) * ((self.word() >> 11) * 2.0 ** -53)
+
+    def uniform_open(self):
+        return ((self.word() >> 11) + 1) * 2.0 ** -53
+
+    def normal(self):
+        u1 = self.uniform_open()
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * self.uniform())
+
+    def cn(self, d):
+        return np.array([self.normal() for _ in range(2 * d * d)]).view(complex).reshape(d, d)
+
+    def herm(self, d):
+        g = self.cn(d)
+        return (g + g.conj().T) / 2
+
+    def pv(self, d, floor=0.0):
+        x = np.array([-np.log(self.uniform_open()) for _ in range(d)])
+        p = x / x.sum()
+        return (1 - d * floor) * p + floor if floor else p
+
+
+def _classical_draw(s, k):
+    s0 = s.uniform(verify.CLASSICAL_SIGMA_FLOOR, 1.0 - verify.CLASSICAL_SIGMA_FLOOR)
+    if k % 2 == 0:
+        return s0, s.uniform(0.001, 0.999)
+    return s0, min(max(s0 + 0.08 * s.normal(), 1e-4), 1 - 1e-4)
+
+
+def _decayed_draw(s, k):
+    h, p, q, zeta = s.herm(2), s.pv(2, 0.01), s.pv(2, 0.01), s.uniform(0.01, 0.5)
+    return h, p, q, zeta, s.uniform(zeta + 1e-4, 0.95)
+
+
+def _origcompare_draw(s, k):
+    s0, zeta, w0 = s.uniform(0.05, 0.95), s.uniform(0.05, 0.9), s.uniform(0.0, 1.0)
+    # no o0 is drawn where omega = sigma; the chunk's column holds NaN there
+    return s0, zeta, w0, math.nan if k % 3 == 0 else s.uniform(0.02, 0.98), s.uniform(0.02, 0.9)
+
+
+# each suite's inputs for sample k, drawn one value at a time in draw order
+SCALAR_DRAWS = {
+    "pinsker": lambda s, k: (s.herm(2 + k % 2), s.pv(2 + k % 2, 0.01), s.pv(2 + k % 2, 0.01),
+                             s.cn(2 + k % 2), s.cn(2 + k % 2)),
+    "almost-concavity": lambda s, k: (s.herm(3), s.pv(3, 0.02), s.pv(3, 0.02), s.pv(3),
+                                      s.pv(3), s.uniform(0.001, 0.999)),
+    "gaorouze": lambda s, k: (s.cn(2 + k % 2), s.cn(2 + k % 2)),
+    "normcomp": lambda s, k: (s.cn(2 + k % 2), s.cn(2 + k % 2), s.herm(2 + k % 2)),
+    "integral-form": lambda s, k: (s.cn(2 + k % 2), s.cn(2 + k % 2)),
+    "clsi-converse": lambda s, k: (s.cn(2), s.cn(4)),
+    "classical": _classical_draw,
+    "classical-mutinfo": lambda s, k: (s.pv(4, verify.MUTINFO_CELL_FLOOR),),
+    "decayed-state": _decayed_draw,
+    "origcompare": _origcompare_draw,
+    "data-processing": lambda s, k: (s.cn(2), s.cn(2), s.uniform(0.0, 1.0), s.uniform(0.0, 1.0),
+                                     s.uniform(0.05, 0.95), s.uniform(0.05, 0.95)),
+    "channel-validity": lambda s, k: (s.cn(2 + k % 3), s.uniform(0.0, 1.0)),
+}
+
+
+def _raw(x):
+    a = np.asarray(x)
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+@pytest.mark.parametrize("seed", [-1, 2 ** 64 + 5, 9001])
+def test_chunk_draws_bit_equal_to_scalar_stream(monkeypatch, suite, seed):
+    assert sorted(SCALAR_DRAWS) == sorted(verify.SUITES)
+    parts, period = verify._PARTS[suite]
+    columns = []
+
+    def capturing_parts():
+        draw, _, params = parts()
+
+        def evaluate(*cols):
+            # each row's violation names the call and row that drew it
+            columns.append(cols)
+            return [[(0.0, {"call": len(columns) - 1, "row": i})] for i in range(len(cols[0]))]
+        return draw, evaluate, params
+
+    monkeypatch.setitem(verify._PARTS, suite, (capturing_parts, period))
+    # counters run across two chunk boundaries
+    samples = 2 * verify.CHUNK + 3
+    report = verify.SUITES[suite](samples, seed)
+    assert [v["counter"] for v in report["violations"]] == list(range(samples))
+    for v in report["violations"]:
+        k = v["counter"]
+        got = [col[v["row"]] for col in columns[v["call"]]]
+        want = SCALAR_DRAWS[suite](_ScalarStream(seed, k), k)
+        assert list(map(_raw, got)) == list(map(_raw, want)), (suite, k)
+
+
+def test_verify_draws_are_batched(monkeypatch):
+    raw_mix = rng.mix64
+    calls = []
+
+    def mix64(x):
+        calls.append(np.size(x))
+        return raw_mix(x)
+
+    monkeypatch.setattr(rng, "mix64", mix64)
+    verify.run_suites("all", 20, 5)
+    # one word array per substream and per draw of each suite and residue
+    # class (96 calls on 18 classes today); one word per call made 8,052
+    assert len(calls) <= 120
+    assert sum(calls) > 8000
