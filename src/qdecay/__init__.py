@@ -39,7 +39,6 @@ from .channels import (
     pimsner_popa_index,
     pinching,
     replacement_semigroup,
-    semigroup_apply,
 )
 from .bounds import (
     BoundReport,

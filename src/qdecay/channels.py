@@ -83,8 +83,9 @@ class KrausChannel:
         return cls(dim_in, dim_out, tuple(frozen))
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
+        """The map on a (d_in, d_in) matrix or on each matrix of an (n, d_in, d_in) stack."""
         m = np.asarray(m, dtype=complex)
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
+        out = np.zeros(m.shape[:-2] + (self.dim_out, self.dim_out), dtype=complex)
         for k in self.kraus:
             out += k @ m @ k.conj().T
         return out
@@ -94,16 +95,13 @@ class KrausChannel:
             raise ValueError(f"channel expects dim {self.dim_in}, got {rho.dim}")
         return DensityMatrix.from_matrix(self.apply_matrix(rho.matrix))
 
-    def superoperator_matrix(self) -> np.ndarray:
-        out = np.zeros((self.dim_out ** 2, self.dim_in ** 2), dtype=complex)
-        for k in self.kraus:
-            out += np.kron(k.conj(), k)
-        return out
-
     def to_superoperator(self) -> "SuperOperator":
         if self.dim_in != self.dim_out:
             raise ValueError("square superoperator form needs dim_in == dim_out")
-        return SuperOperator(self.dim_in, self.superoperator_matrix())
+        out = np.zeros((self.dim_in ** 2, self.dim_in ** 2), dtype=complex)
+        for k in self.kraus:
+            out += np.kron(k.conj(), k)
+        return SuperOperator(self.dim_in, out)
 
 
 @dataclass(frozen=True)
@@ -162,8 +160,9 @@ def identity_superoperator(d: int) -> SuperOperator:
 
 
 def apply_on_factor(channel, m: np.ndarray, dims, which: int) -> np.ndarray:
-    """Apply a map to one tensor factor of an operator on C^dims[0] x C^dims[1]
-    and the identity to the other; which = 0 is the left factor, 1 the right.
+    """Apply a map to one tensor factor of an operator on C^dims[0] x C^dims[1],
+    or of each operator of an (n, D, D) stack, and the identity to the other;
+    which = 0 is the left factor, 1 the right.
 
     The map is a KrausChannel (possibly non-square), a SuperOperator or a
     ConditionalExpectation.  Each Kraus operator, or the column-stacked
@@ -176,22 +175,30 @@ def apply_on_factor(channel, m: np.ndarray, dims, which: int) -> np.ndarray:
     d_in = channel.dim_in if isinstance(channel, KrausChannel) else channel.dim
     if dims[which] != d_in:
         raise ValueError(f"map expects dim {d_in}, got factor {which} of dim {dims[which]}")
-    r = np.asarray(m, dtype=complex).reshape(dims[0], dims[1], dims[0], dims[1])
+    r = np.asarray(m, dtype=complex)
+    r = r.reshape(r.shape[:-2] + (dims[0], dims[1], dims[0], dims[1]))
     if isinstance(channel, KrausChannel):
-        spec = "ai,ibjc,dj->abdc" if which == 0 else "ab,ibjc,dc->iajd"
+        spec = "ai,...ibjc,dj->...abdc" if which == 0 else "ab,...ibjc,dc->...iajd"
         out = sum(np.einsum(spec, k, r, k.conj()) for k in channel.kraus)
     else:
         m4 = channel.matrix.reshape(d_in, d_in, d_in, d_in)
-        out = np.einsum("lkji,ibjc->kblc" if which == 0 else "lkji,aibj->akbl", m4, r)
-    n = out.shape[0] * out.shape[1]
-    return out.reshape(n, n)
+        out = np.einsum("lkji,...ibjc->...kblc" if which == 0 else "lkji,...aibj->...akbl", m4, r)
+    n = out.shape[-4] * out.shape[-3]
+    return out.reshape(out.shape[:-4] + (n, n))
 
 
-def apply_to_b(channel, rho: BipartiteDensity) -> BipartiteDensity:
+def apply_to_b(channel, rho):
     """Apply a KrausChannel, SuperOperator or ConditionalExpectation to the
-    B factor of a bipartite density."""
-    out = apply_on_factor(channel, rho.state.matrix, (rho.dim_a, rho.dim_b), 1)
-    return BipartiteDensity.from_matrix(out, rho.dim_a, out.shape[0] // rho.dim_a)
+    B factor of a bipartite density; for a sequence of bipartite densities
+    of one split, a tuple of the images, built as one stack."""
+    states, one = matcore.batch(rho)
+    da, db = states[0].dim_a, states[0].dim_b
+    if any((x.dim_a, x.dim_b) != (da, db) for x in states):
+        raise ValueError("states of different splits")
+    out = apply_on_factor(channel, matcore.stack([x.state.matrix for x in states]), (da, db), 1)
+    built = tuple(BipartiteDensity(da, out.shape[-1] // da, x)
+                  for x in DensityMatrix.from_matrices(out))
+    return built[0] if one else built
 
 
 def depolarizing(d: int, lam: float) -> KrausChannel:
@@ -313,10 +320,6 @@ class Lindbladian:
         return SuperOperator(self.dim, expm_taylor(-t * self.generator.matrix))
 
 
-def semigroup_apply(lind: Lindbladian, t: float, rho: DensityMatrix) -> DensityMatrix:
-    return lind.semigroup(t).apply(rho)
-
-
 def replacement_lindbladian(e: ConditionalExpectation, diamond_upper: float | None = None,
                             pp_index: float | None = None) -> Lindbladian:
     """L = Id - E; ||L||_diamond <= 2 by triangle inequality since Id and E
@@ -400,13 +403,7 @@ def fixed_point_projection(gen: SuperOperator) -> ConditionalExpectation:
     kernel of the generator is assembled from its eigenbasis; a spectral
     gap below FIXED_POINT_GAP_TOL is reported as non-convergence.
     """
-    m = gen.matrix
-    dev = float(np.abs(m - m.conj().T).max())
-    if dev > 1e-9 * max(1.0, float(np.abs(m).max())):
-        raise ValueError(
-            "generator superoperator is not Hermitian; supply the fixed-point "
-            "projection analytically")
-    w, v = matcore.jacobi_eigh_batch(matcore.as_hermitian(m, atol=1e-9)[None])
+    w, v = matcore.jacobi_eigh_batch(matcore.as_hermitian(gen.matrix, atol=1e-9)[None])
     w, v = w[0], v[0]
     fixed = np.abs(w) <= FIXED_POINT_GAP_TOL
     moving = ~fixed
@@ -447,23 +444,7 @@ def cp_order_coefficient(phi, psi) -> float:
     """Smallest c with c Phi >=_cp Psi, via Choi matrices:
     c Choi(Phi) - Choi(Psi) >= 0 decided on supp(Choi(Phi)).  Infinite when
     Choi(Psi) has weight outside that support."""
-    a = matcore.as_hermitian(choi_matrix(phi), atol=1e-8)
-    b = matcore.as_hermitian(choi_matrix(psi), atol=1e-8)
-    wa, va = matcore.eigh(a)
-    top = max(float(wa[-1]), np.finfo(float).tiny)
-    mask = wa > matcore.SUPPORT_RTOL * top
-    outside = va[:, ~mask]
-    if outside.size:
-        leak = float(np.abs(outside.conj().T @ b @ outside).max())
-        if leak > 1e-10 * max(1.0, float(np.abs(b).max())):
-            return float("inf")
-    vs = va[:, mask]
-    ws = wa[mask]
-    comp = vs.conj().T @ b @ vs
-    scale = 1.0 / np.sqrt(ws)
-    whitened = scale[:, None] * comp * scale[None, :]
-    w, _ = matcore.eigh(matcore.as_hermitian(whitened, atol=1e-7))
-    return float(w[-1])
+    return matcore.loewner_min_coefficient(choi_matrix(psi), choi_matrix(phi), strict=True)
 
 
 def pimsner_popa_index(e: ConditionalExpectation) -> float:
@@ -515,18 +496,20 @@ def diamond_norm_estimate(delta: SuperOperator, restarts: int = 8) -> float:
         else:
             psi = matcore.random_complex_normal(sub, (d * d,))
             psi = psi / np.linalg.norm(psi)
-        val = _trace_norm_of_extended(delta, psi, d)
-        for _ in range(DIAMOND_MAX_ITERS):
+        val = -math.inf
+        for _ in range(DIAMOND_MAX_ITERS + 1):
+            # pass 0 takes the start, each later pass one candidate; its output is
+            # diagonalized once, for the trace norm and for the sign operator
             out = apply_on_factor(delta, np.outer(psi, psi.conj()), (d, d), 0)
             w, v = matcore.jacobi_eigh_batch(matcore.as_hermitian(out, atol=1e-7)[None])
-            sign = (v[0] * np.sign(w[0])) @ v[0].conj().T
-            witness = apply_on_factor(adj, sign, (d, d), 0)
-            ww, wv = matcore.jacobi_eigh_batch(matcore.as_hermitian(witness, atol=1e-7)[None])
-            cand = wv[0][:, -1]
-            cand_val = _trace_norm_of_extended(delta, cand, d)
+            cand_val = float(np.abs(w[0]).sum())
             if cand_val <= val + 1e-13:
                 break
-            psi, val = cand, cand_val
+            val = cand_val
+            sign = (v[0] * np.sign(w[0])) @ v[0].conj().T
+            witness = apply_on_factor(adj, sign, (d, d), 0)
+            _, wv = matcore.jacobi_eigh_batch(matcore.as_hermitian(witness, atol=1e-7)[None])
+            psi = wv[0][:, -1]
         best = max(best, val)
     return best
 
@@ -540,9 +523,3 @@ def _conjugation_matrix(d: int) -> np.ndarray:
         for j in range(d):
             s[j * d + i, i * d + j] = 1.0
     return s
-
-
-def _trace_norm_of_extended(sup: SuperOperator, psi: np.ndarray, d: int) -> float:
-    out = apply_on_factor(sup, np.outer(psi, psi.conj()), (d, d), 0)
-    w, _ = matcore.jacobi_eigh_batch(matcore.as_hermitian(out, atol=1e-7)[None])
-    return float(np.abs(w[0]).sum())

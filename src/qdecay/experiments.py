@@ -25,6 +25,9 @@ NOISE_KINDS = ("depolarizing", "dephasing-y")
 # sits within a few decades of the double-precision cancellation floor
 THETA_PRECISION_WARNING = 1e-7
 MAX_THETA_POINTS = 10_000  # largest grid theta_logspace builds: the CLI's --points limit
+# largest sudden-decay dimension: depolarizing noise has d^2 + 1 Kraus operators
+# of size d x d, so memory grows as d^4
+MAX_SWEEP_DIM = 16
 # theta rows whose states a sweep builds and evaluates as one stack; bounds memory
 SWEEP_CHUNK = 64
 
@@ -150,8 +153,9 @@ class SuddenDecayConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_grid", _theta_grid(self.theta_grid))
-        if self.dim < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.dim}")
+        if not 2 <= self.dim <= MAX_SWEEP_DIM:
+            raise ValueError(f"dimension must lie in [2, MAX_SWEEP_DIM = {MAX_SWEEP_DIM}], "
+                             f"got {self.dim}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
         if self.noise not in NOISE_KINDS:
@@ -173,7 +177,8 @@ def sudden_decay_sweep(cfg: SuddenDecayConfig) -> SweepResult:
     noise = None if cfg.lam == 0 else _noise_channel(cfg.noise, cfg.lam, cfg.dim)
     for thetas in _slices(cfg.theta_grid):
         pres = [rho_theta_lambda(theta, 0.0, cfg.dim) for theta in thetas]
-        posts = pres if noise is None else [noise.apply(x) for x in pres]
+        posts = pres if noise is None else DensityMatrix.from_matrices(
+            noise.apply_matrix(np.stack([x.matrix for x in pres])))
         d_pres, d_posts = (entropy.unwrap(entropy.relative_entropy(xs, [_pinched(x) for x in xs]))
                            for xs in (pres, posts))
         for theta, d_pre, d_post in zip(thetas, d_pres, d_posts):
@@ -280,7 +285,7 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
             big[d:, d:] = 0.5 * np.outer(minus, minus.conj())
             omegas.append(BipartiteDensity.from_matrix(big, 2, d))
         i_pres, i_posts = (entropy.mutual_information(xs).tolist()
-                           for xs in (omegas, [channels.apply_to_b(phi_t, x) for x in omegas]))
+                           for xs in (omegas, channels.apply_to_b(phi_t, omegas)))
         rows.extend((theta, a, b, a / b) for theta, a, b in zip(thetas, i_pres, i_posts))
     meta = {
         "experiment": "group-fragility",
@@ -307,31 +312,17 @@ def flagged_channel(lam: float, p: float, noise: str = "dephasing-y") -> KrausCh
     if not 0.0 <= lam < 1.0:
         raise ValueError("noise strength must lie in [0, 1)")
     comp = channels.complementary_channel(_noise_channel(noise, lam, 2))
-    branch_dim = max(2, comp.dim_out)
-    out_dim = 2 * branch_dim
-    flag0 = np.zeros(2, dtype=complex)
-    flag1 = np.zeros(2, dtype=complex)
-    flag0[0] = 1.0
-    flag1[1] = 1.0
-    ops = []
-    keep = np.zeros((branch_dim, 2), dtype=complex)
+    # output C^2 x C^branch: flag f's block sits at rows f*branch to (f+1)*branch
+    branch = max(2, comp.dim_out)
+    keep = np.zeros((2 * branch, 2), dtype=complex)
     keep[:2, :2] = np.eye(2)
-    ops.append(math.sqrt(p) * _flag_block(flag0, keep, out_dim))
+    ops = [math.sqrt(p) * keep]
     if p < 1.0:
         for k in comp.kraus:
-            kk = np.zeros((branch_dim, 2), dtype=complex)
-            kk[:k.shape[0], :] = k
-            ops.append(math.sqrt(1 - p) * _flag_block(flag1, kk, out_dim))
+            kk = np.zeros((2 * branch, 2), dtype=complex)
+            kk[branch:branch + k.shape[0], :] = k
+            ops.append(math.sqrt(1 - p) * kk)
     return KrausChannel.from_kraus(ops)
-
-
-def _flag_block(flag: np.ndarray, block: np.ndarray, out_dim: int) -> np.ndarray:
-    """Kraus block |flag> tensor (block acting C^2 -> C^branch)."""
-    branch = block.shape[0]
-    out = np.zeros((out_dim, block.shape[1]), dtype=complex)
-    idx = int(np.argmax(np.abs(flag)))
-    out[idx * branch:(idx + 1) * branch, :] = block
-    return out
 
 
 @dataclass(frozen=True)
@@ -367,7 +358,7 @@ def private_rate_lower_bound(cfg: PrivateRateConfig) -> SweepResult:
     for thetas in _slices(cfg.theta_grid):
         omegas = [omega_theta_lambda(theta, 0.0) for theta in thetas]
         i_kepts, i_envs = (entropy.mutual_information(xs).tolist()
-                           for xs in (omegas, [channels.apply_to_b(comp, x) for x in omegas]))
+                           for xs in (omegas, channels.apply_to_b(comp, omegas)))
         for theta, i_kept, i_env in zip(thetas, i_kepts, i_envs):
             bound = cfg.p * i_kept - (1 - cfg.p) * i_env
             rows.append((theta, i_kept, i_env, bound))

@@ -24,7 +24,6 @@ from qdecay.channels import (
     pinching,
     replacement_lindbladian,
     replacement_semigroup,
-    semigroup_apply,
 )
 from qdecay.matcore import BipartiteDensity, DensityMatrix
 from qdecay.rng import Rng
@@ -118,12 +117,12 @@ def test_group_lindbladian_pauli_group_depolarizes():
 def test_semigroup_time_zero(rng):
     lind = replacement_lindbladian(depolarizing_projection(2))
     rho = matcore.random_density(rng, 2)
-    assert np.abs(semigroup_apply(lind, 0.0, rho).matrix - rho.matrix).max() < 1e-12
+    assert np.abs(lind.semigroup(0.0).apply(rho).matrix - rho.matrix).max() < 1e-12
 
 
 def test_semigroup_long_time_limit():
     lind = replacement_lindbladian(depolarizing_projection(3))
-    out = semigroup_apply(lind, 1e3, DensityMatrix.pure([1, 0, 0]))
+    out = lind.semigroup(1e3).apply(DensityMatrix.pure([1, 0, 0]))
     assert np.abs(out.matrix - np.eye(3) / 3).max() < 1e-8
 
 
@@ -425,3 +424,91 @@ def test_superoperator_checks_the_input_dimension():
                       (0.1,), 4.0, 0.02)):
         with pytest.raises(ValueError, match="expects dim 2"):
             apply()
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_maps_on_a_stack_match_each_matrix_bit_for_bit(rng, d):
+    dep = depolarizing(d, 0.3)
+    maps = (dep, complementary_channel(dep),  # the complement maps d to d^2 + 1
+            dep.to_superoperator(), pinching(d))
+    mats = np.stack([matcore.random_density(rng, d).matrix for _ in range(5)])
+    joints = np.stack([matcore.random_density(rng, 3 * d).matrix for _ in range(5)])
+
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.uint64)
+
+    for m in maps:
+        got = m.apply_matrix(mats)
+        assert np.array_equal(bits(got), bits(np.stack([m.apply_matrix(x) for x in mats])))
+        for dims, which in (((d, 3), 0), ((3, d), 1)):
+            got = channels.apply_on_factor(m, joints, dims, which)
+            want = np.stack([channels.apply_on_factor(m, x, dims, which) for x in joints])
+            assert got.shape == want.shape
+            assert np.array_equal(bits(got), bits(want))
+
+
+def _cp_order_oracle(phi, psi) -> float:
+    """cp_order_coefficient as it was before it called
+    matcore.loewner_min_coefficient: its own support, leak test and whitening."""
+    a = matcore.as_hermitian(channels.choi_matrix(phi), atol=1e-8)
+    b = matcore.as_hermitian(channels.choi_matrix(psi), atol=1e-8)
+    wa, va = matcore.eigh(a)
+    top = max(float(wa[-1]), np.finfo(float).tiny)
+    mask = wa > matcore.SUPPORT_RTOL * top
+    outside = va[:, ~mask]
+    if outside.size:
+        leak = float(np.abs(outside.conj().T @ b @ outside).max())
+        if leak > 1e-10 * max(1.0, float(np.abs(b).max())):
+            return float("inf")
+    vs = va[:, mask]
+    ws = wa[mask]
+    comp = vs.conj().T @ b @ vs
+    scale = 1.0 / np.sqrt(ws)
+    whitened = scale[:, None] * comp * scale[None, :]
+    w, _ = matcore.eigh(matcore.as_hermitian(whitened, atol=1e-7))
+    return float(w[-1])
+
+
+def test_cp_order_bit_equal_to_its_own_solver():
+    clock = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
+    shift = np.roll(np.eye(4, dtype=complex), 1, axis=0)
+    groups = ([Z], [X, Z], [X, Y, Z], [clock, shift])
+    pairs = [(e, f) for d in (2, 3, 4)
+             for e, f in ((depolarizing_projection(d), identity_superoperator(d)),
+                          (pinching(d), identity_superoperator(d)),
+                          (depolarizing_projection(d), pinching(d)),
+                          (pinching(d), depolarizing_projection(d)),
+                          (pinching(d), pinching(d)))]
+    for gens in groups:
+        e = group_lindbladian(GroupLindbladian.from_generators(gens, [1 / len(gens)] * len(gens)))
+        pairs.append((e.fixed_point, identity_superoperator(e.dim)))
+    pairs.append((identity_superoperator(2), depolarizing_projection(2)))
+    values = [cp_order_coefficient(e, f) for e, f in pairs]
+    assert [v.hex() for v in values] == [_cp_order_oracle(e, f).hex() for e, f in pairs]
+    # the pinching's Choi matrix leaves out most of the others' support
+    assert [i for i, v in enumerate(values) if v == math.inf] == [3, 8, 13, len(pairs) - 1]
+
+
+def test_diamond_ascent_diagonalizes_each_output_once(monkeypatch):
+    e = depolarizing_projection(2)
+    delta = SuperOperator(2, np.eye(4, dtype=complex) - e.superop.matrix)
+    raw_apply, raw_eig = channels.apply_on_factor, matcore.jacobi_eigh_batch
+    calls = {"output": 0, "witness": 0, "eig": 0}
+
+    def apply(channel, m, dims, which):
+        calls["output" if channel is delta else "witness"] += 1
+        return raw_apply(channel, m, dims, which)
+
+    def eig(stack):
+        calls["eig"] += 1
+        return raw_eig(stack)
+
+    monkeypatch.setattr(channels, "apply_on_factor", apply)
+    monkeypatch.setattr(matcore, "jacobi_eigh_batch", eig)
+    restarts = 6
+    assert abs(diamond_norm_estimate(delta, restarts=restarts) - 1.5) < 1e-6
+    # one output per iterate: the start of each restart and each candidate
+    # from a witness; every output and witness is diagonalized once
+    assert calls["witness"] >= restarts
+    assert calls["output"] <= calls["witness"] + restarts
+    assert calls["eig"] == calls["output"] + calls["witness"]

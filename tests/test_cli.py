@@ -250,6 +250,22 @@ def test_sudden_decay_dim_one_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sudden_decay_dim_above_limit_exits_2_before_building_noise(
+        tmp_path, capsys, monkeypatch):
+    def unreachable(d, lam):
+        raise AssertionError("the depolarizing channel was built")
+
+    monkeypatch.setattr(exp.channels, "depolarizing", unreachable)
+    out = tmp_path / "sweep.csv"
+    dim = str(exp.MAX_SWEEP_DIM + 1)
+    code, _, err = run(["sudden-decay", "--lambda", "0.1", "--dim", dim, "--points", "1",
+                        "--out", str(out)], capsys)
+    assert code == 2
+    assert err == (f"error: dimension must lie in [2, MAX_SWEEP_DIM = {exp.MAX_SWEEP_DIM}], "
+                   f"got {dim}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sudden-decay", "--lambda", "0.1", "--points", "2"],
     ["g-table", "--t", "1e-2"],

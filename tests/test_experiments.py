@@ -105,6 +105,31 @@ def test_sudden_decay_config_validation():
         exp.SuddenDecayConfig((1.0,), lam=0.1)
 
 
+def test_sweeps_apply_the_map_once_per_slice(monkeypatch):
+    thetas = tuple(np.logspace(-1, -6, exp.SWEEP_CHUNK + 6))  # two slices
+    raw_kraus, raw_factor = channels.KrausChannel.apply_matrix, channels.apply_on_factor
+    calls = []
+
+    def kraus(self, m):
+        calls.append(np.shape(m))
+        return raw_kraus(self, m)
+
+    def factor(channel, m, dims, which):
+        calls.append(np.shape(m))
+        return raw_factor(channel, m, dims, which)
+
+    monkeypatch.setattr(channels.KrausChannel, "apply_matrix", kraus)
+    monkeypatch.setattr(channels, "apply_on_factor", factor)
+    group = channels.GroupLindbladian.from_generators([X, Z], [0.5, 0.5])
+    for run in (lambda: exp.sudden_decay_sweep(exp.SuddenDecayConfig(thetas, lam=0.1, dim=3)),
+                lambda: exp.group_fragility_demo(group, 0.3, thetas),
+                lambda: exp.private_rate_lower_bound(exp.PrivateRateConfig(
+                    0.3, 0.2, thetas, noise="depolarizing"))):
+        calls.clear()
+        assert len(run().rows) == len(thetas)
+        assert [shape[0] for shape in calls] == [exp.SWEEP_CHUNK, len(thetas) - exp.SWEEP_CHUNK]
+
+
 def test_expansion_consistency_at_spec_point():
     rep = exp.expansion_consistency_check(1e-4, 0.1, 2)
     assert rep["relative_deviation"] < 1e-2

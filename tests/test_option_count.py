@@ -1,0 +1,47 @@
+"""Every defaulted parameter and defaulted dataclass field is a setting that
+tests and benchmarks have to cover.  This test fixes their number: a change
+that adds one raises DEFAULTED_LIMIT in the same diff and says why."""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import qdecay
+
+DEFAULTED_LIMIT = 47
+
+
+def _defaulted_settings() -> list:
+    """Qualified names of the parameters with a default of qdecay's module
+    functions and methods, and of its dataclass fields with a default (the
+    generated __init__ is not counted again)."""
+    out = []
+    for info in pkgutil.iter_modules(qdecay.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        mod = importlib.import_module(f"qdecay.{info.name}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            funcs = [(name, obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    out += [f"{name}.{f.name}" for f in dataclasses.fields(obj)
+                            if f.default is not dataclasses.MISSING
+                            or f.default_factory is not dataclasses.MISSING]
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # class/static methods
+                    if inspect.isfunction(member) and not (
+                            attr == "__init__" and dataclasses.is_dataclass(obj)):
+                        funcs.append((f"{name}.{attr}", member))
+            out += [f"{fname}:{p.name}" for fname, f in funcs
+                    for p in inspect.signature(f).parameters.values()
+                    if p.default is not inspect.Parameter.empty]
+    return out
+
+
+def test_defaulted_settings_do_not_grow():
+    found = _defaulted_settings()
+    assert len(found) == len(set(found))
+    assert len(found) <= DEFAULTED_LIMIT, "\n".join(found)
