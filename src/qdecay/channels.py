@@ -85,14 +85,14 @@ class KrausChannel:
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """The map on a (d_in, d_in) matrix or on each matrix of an (n, d_in, d_in) stack."""
         m = np.asarray(m, dtype=complex)
+        if m.ndim not in (2, 3) or m.shape[-2:] != (self.dim_in, self.dim_in):
+            raise ValueError(f"channel expects dim {self.dim_in}, got shape {m.shape}")
         out = np.zeros(m.shape[:-2] + (self.dim_out, self.dim_out), dtype=complex)
         for k in self.kraus:
             out += k @ m @ k.conj().T
         return out
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        if rho.dim != self.dim_in:
-            raise ValueError(f"channel expects dim {self.dim_in}, got {rho.dim}")
         return DensityMatrix.from_matrix(self.apply_matrix(rho.matrix))
 
     def to_superoperator(self) -> "SuperOperator":

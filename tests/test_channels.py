@@ -426,6 +426,15 @@ def test_superoperator_checks_the_input_dimension():
             apply()
 
 
+def test_kraus_channel_checks_the_input_shape():
+    dep = depolarizing(2, 0.1)
+    for m in (np.eye(3) / 3, np.zeros((2, 2, 2, 2))):
+        with pytest.raises(ValueError, match=r"channel expects dim 2, got shape \("):
+            dep.apply_matrix(m)
+    with pytest.raises(ValueError, match="channel expects dim 2"):
+        dep.apply(DensityMatrix.maximally_mixed(3))
+
+
 @pytest.mark.parametrize("d", [2, 4])
 def test_maps_on_a_stack_match_each_matrix_bit_for_bit(rng, d):
     dep = depolarizing(d, 0.3)

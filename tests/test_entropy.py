@@ -288,6 +288,16 @@ def test_integral_form_rank_deficient_sigma(rng):
         relative_entropy_integral_form(matcore.random_density(rng, 3, mix=0.1), sigma)
 
 
+def test_relative_entropies_reject_a_dimension_mismatch(rng):
+    rho = matcore.random_density(rng, 2, mix=0.1)
+    sigma = matcore.random_density(rng, 3, mix=0.1)
+    for run in (lambda: relative_entropy(rho, sigma),
+                lambda: relative_entropy([rho, rho], [sigma, sigma]),
+                lambda: relative_entropy_integral_form(rho, sigma)):
+        with pytest.raises(ValueError, match="rho has dim 2, sigma has dim 3"):
+            run()
+
+
 def test_integral_form_rejects_few_nodes(rng):
     rho = matcore.random_density(rng, 2, mix=0.2)
     with pytest.raises(ValueError, match="quad_points"):
@@ -321,6 +331,29 @@ def _full_tensor_rule(rho, sigma, q):
     return float((wts * integrand).sum()), off_diagonal_close
 
 
+def _exact_relative_entropy(rho, sigma):
+    """D(rho || sigma) of the two float matrices at 40 digits, with the matrix
+    logarithms taken through mpmath's 40-digit eigendecompositions and
+    0 ln 0 = 0 on the spectrum of rho."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        r, s = (mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in m])
+                for m in (rho.matrix, sigma.matrix))
+        h = sum((x * mpmath.log(x) for x in mpmath.eighe(r, eigvals_only=True) if x > 0),
+                mpmath.mpf(0))
+        w, v = mpmath.eighe(s)
+        log_s = v * mpmath.diag([mpmath.log(x) for x in w]) * v.transpose_conj()
+        return float(mpmath.re(h - sum((r * log_s)[i, i] for i in range(r.rows))))
+
+
+def _assert_no_worse_than_tensor_rule(rho, sigma, q):
+    """The 2q-node rule on int_0^1 (1 - t) g(t) dt is no further from the exact
+    relative entropy than the q x q tensor rule on the double integral."""
+    exact = _exact_relative_entropy(rho, sigma)
+    tensor, _ = _full_tensor_rule(rho, sigma, q)
+    assert abs(relative_entropy_integral_form(rho, sigma, q) - exact) <= abs(tensor - exact) + 4e-15
+
+
 def _nearly_degenerate_pair(rng, d):
     """I/d moved by 1e-13 along two traceless directions: every mixture has
     eigenvalues within about 1e-13 of 1/d, which log-mean weights treat as equal."""
@@ -342,19 +375,31 @@ def test_integral_form_matches_full_tensor_rule(rng, d, q):
     degenerate = _nearly_degenerate_pair(rng, d)
     pairs.append(degenerate)
     for rho, sigma in pairs:
-        expect, _ = _full_tensor_rule(rho, sigma, q)
-        assert abs(relative_entropy_integral_form(rho, sigma, q) - expect) < 1e-14
+        _assert_no_worse_than_tensor_rule(rho, sigma, q)
     # the nearly degenerate pair reaches the equal-eigenvalue branch off the
-    # diagonal, and agrees there to rounding, not only to 1e-14
+    # diagonal, where D is 1e-26 to 1e-25 and both rules agree to 1e-9 relative
     expect, off_diagonal_close = _full_tensor_rule(*degenerate, q)
     assert off_diagonal_close
     assert expect > 0
     assert relative_entropy_integral_form(*degenerate, q) == pytest.approx(expect, rel=1e-9)
 
 
+def test_integral_form_rank_deficient_rho(rng):
+    # omega_t is singular at t = 1, where g(t) grows like -ln(1 - t)
+    for d in (2, 3, 4):
+        for _ in range(3):
+            g = matcore.random_complex_normal(rng, (1, d, d - 1))[0]
+            rho = DensityMatrix.from_matrix(g @ g.conj().T / np.trace(g @ g.conj().T))
+            sigma = matcore.random_density(rng, d, mix=0.1)
+            assert rho.eigenvalues[0] < 1e-15
+            assert abs(relative_entropy_integral_form(rho, sigma, 64)
+                       - relative_entropy(rho, sigma).unwrap()) < 1e-8
+
+
 def test_integral_form_one_eigensolve_on_distinct_nodes(rng, monkeypatch):
     rho = matcore.random_density(rng, 3, mix=0.1)
     sigma = matcore.random_density(rng, 3, mix=0.1)
+    entropy._gauss_rule(64)
     stacks = []
     solve = matcore.jacobi_eigh_batch
 
@@ -364,7 +409,7 @@ def test_integral_form_one_eigensolve_on_distinct_nodes(rng, monkeypatch):
 
     monkeypatch.setattr(matcore, "jacobi_eigh_batch", counting_solve)
     relative_entropy_integral_form(rho, sigma, 64)
-    assert stacks == [2080]  # 64 * 65 / 2 node pairs i <= j, not 64 * 64
+    assert stacks == [128]  # the rule's 2q nodes
 
 
 @pytest.mark.parametrize("d", [6, 8])
@@ -373,8 +418,7 @@ def test_integral_form_matches_full_tensor_rule_wide(rng, d):
     pairs = [(matcore.random_density(rng, d, mix=0.1),
               matcore.random_density(rng, d, mix=0.1)) for _ in range(3)]
     for rho, sigma in pairs:
-        expect, _ = _full_tensor_rule(rho, sigma, 16)
-        assert abs(relative_entropy_integral_form(rho, sigma, 16) - expect) < 1e-14
+        _assert_no_worse_than_tensor_rule(rho, sigma, 16)
 
 
 @pytest.mark.parametrize("bad", [64.0, 8.5, "64"])
@@ -394,20 +438,54 @@ def test_integral_form_accepts_numpy_integer_node_count(rng):
 def test_gauss_rule_built_once_per_node_count(rng, monkeypatch):
     rho = matcore.random_density(rng, 2, mix=0.2)
     sigma = matcore.random_density(rng, 2, mix=0.2)
-    builds = []
-    leggauss = np.polynomial.legendre.leggauss
+    shapes = []
+    solve = matcore.jacobi_eigh_batch
 
-    def counting_leggauss(q):
-        builds.append(q)
-        return leggauss(q)
+    def counting_solve(stack):
+        shapes.append(stack.shape)
+        return solve(stack)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
-    entropy._symmetric_gauss_rule.cache_clear()
+    monkeypatch.setattr(matcore, "jacobi_eigh_batch", counting_solve)
+    entropy._gauss_rule.cache_clear()
     first = relative_entropy_integral_form(rho, sigma, 16)
     assert relative_entropy_integral_form(rho, sigma, 16) == first
-    assert builds == [16]
-    t, wts = entropy._symmetric_gauss_rule(16)
+    # one Jacobi-matrix build, then one stack of the 32 nodes per call
+    assert shapes == [(1, 32, 32), (32, 2, 2), (32, 2, 2)]
+    t, wts = entropy._gauss_rule(16)
     assert not t.flags.writeable and not wts.flags.writeable
+
+
+def _mp_gauss_rule(n):
+    """The n-node Gauss-Legendre rule mapped to [0, 1], with each weight times
+    1 - t, at 40 digits: Newton's method on the three-term recurrence for P_n
+    from numpy's nodes, and w = 2 / ((1 - x^2) P_n'(x)^2) on [-1, 1]."""
+    mpmath = pytest.importorskip("mpmath")
+    t, wts = [], []
+    with mpmath.workdps(40):
+        coef = [(mpmath.mpf(2 * k - 1) / k, mpmath.mpf(k - 1) / k) for k in range(2, n + 1)]
+        # the upper half of the nodes; the rule is symmetric about x = 0
+        for x0 in np.polynomial.legendre.leggauss(n)[0][n // 2:].tolist():
+            x = mpmath.mpf(x0)
+            for _ in range(3):  # each step squares the float start's 1e-16 error
+                p0, p1 = mpmath.mpf(1), x
+                for a, b in coef:
+                    p0, p1 = p1, a * x * p1 - b * p0
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                x -= p1 / dp
+            w = 1 / ((1 - x * x) * dp * dp)
+            for y in (-x, x):
+                t.append((y + 1) / 2)
+                wts.append(w * (1 - y) / 2)
+        order = sorted(range(n), key=lambda i: t[i])
+        return np.array([float(t[i]) for i in order]), np.array([float(wts[i]) for i in order])
+
+
+@pytest.mark.parametrize("q", [8, 64, 128])
+def test_gauss_rule_matches_mpmath_rule(q):
+    t, wts = entropy._gauss_rule(q)
+    mp_t, mp_wts = _mp_gauss_rule(2 * q)
+    assert np.abs(t - mp_t).max() <= 1e-15
+    assert np.abs(wts - mp_wts).max() <= 1e-15
 
 
 def _log_mean_weights_where(w):
@@ -472,12 +550,14 @@ def test_one_eigensolve_per_call(monkeypatch, rng):
     """Every eigensolve goes through matcore.jacobi_eigh_batch, once per
     DensityMatrix build or stack of builds, eigh, Loewner query and
     integral-form evaluation, so the benchmark's traced eigensolver counts
-    stay truthful."""
+    stay truthful.  The integral form's rule, one more eigensolve once per
+    node count, is built before counting."""
     rho = matcore.random_density(rng, 3, mix=0.1)
     sigma = matcore.random_density(rng, 3, mix=0.1)
     singular = DensityMatrix.diagonal([0.5, 0.5, 0.0])
     inside = DensityMatrix.diagonal([0.3, 0.7, 0.0])
     m = rho.matrix.copy()
+    entropy._gauss_rule(16)
     raw = matcore.jacobi_eigh_batch
     calls = []
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qdecay import bounds, matcore, rng, verify
+from qdecay import bounds, entropy, matcore, rng, verify
 from qdecay.matcore import DensityMatrix
 
 
@@ -109,7 +109,12 @@ def test_verify_eigensolves_are_batched(monkeypatch):
     # a few stacks per suite and dimension (60 today); one solve per sample
     # and role made 818
     assert len(calls) <= 80
-    assert sum(calls) > 5000
+    # the two integral-form pairs solve one stack of their rule's 2q = 128
+    # nodes each; the other suites solve about 1,300 matrices.  With the
+    # q x q tensor rule's 2,080 distinct nodes the bound was 2 * 2,080 + 840
+    # = 5,000; it is now 2 * 128 + 840 = 1,096
+    nodes = len(entropy._gauss_rule(verify.INTEGRAL_QUAD_POINTS)[0])
+    assert sum(calls) > 2 * nodes + 840
 
 
 _MASK = (1 << 64) - 1
