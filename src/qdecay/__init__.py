@@ -42,7 +42,6 @@ from .channels import (
 )
 from .bounds import (
     BoundReport,
-    ConverseBoundParams,
     classical_converse_check,
     classical_converse_factor,
     clsi_converse_check,
@@ -50,7 +49,6 @@ from .bounds import (
     g_factor,
     mutual_info_converse_check,
     origcompare_check,
-    replacement_converse_factor,
 )
 from .experiments import (
     PrivateRateConfig,

@@ -10,7 +10,7 @@ assumption is never relied on globally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -104,57 +104,24 @@ def g_factor(zeta: float, c: float, variant: str = "theorem") -> tuple[float, fl
     return max(g, 0.0), tau_star
 
 
-@dataclass(frozen=True)
-class ConverseBoundParams:
-    """Scalar bundle feeding the bound formulas.
+def _replacement_weights(t: float, c: float, diamond: float) -> tuple[float, float]:
+    """(zeta, eps) = (1 - exp(-t c diamond), 1 - exp(-t c diamond / 2)), both
+    through expm1: zeta is the replacement weight of the fixed-point converse,
+    eps the mixing weight of the commuting-case replacement step."""
+    if t < 0 or c < 1 or diamond <= 0:
+        raise ValueError("need t >= 0, c >= 1, diamond > 0")
+    x = t * c * diamond
+    return -math.expm1(-x), -math.expm1(-x / 2.0)
 
-    zeta = 1 - exp(-t c diamond) is the replacement weight of the
-    fixed-point converse; eps is the mixing weight of the commuting-case
-    replacement step, derived as 1 - exp(-t c diamond / 2) (the keep
-    amplitude exp(-t c diamond / 2) is epsilon_keep), both through expm1.
-    a defaults to the midpoint of its feasible interval.
-    """
 
-    t: float = 0.0
-    c: float = 1.0
-    diamond: float = 1.0
-    zeta: float = 0.0
-    eps: float = 0.0
-    a: float | None = None
-    m_tilde: float = 1.0
-    g_tilde: float = 1.0
-
-    @property
-    def eps_keep(self) -> float:
-        return 1.0 - self.eps
-
-    @classmethod
-    def from_semigroup(cls, t: float, c: float, diamond: float,
-                       m_tilde: float = 1.0, g_tilde: float = 1.0,
-                       a: float | None = None) -> "ConverseBoundParams":
-        if t < 0 or c < 1 or diamond <= 0:
-            raise ValueError("need t >= 0, c >= 1, diamond > 0")
-        return cls(
-            t=t, c=c, diamond=diamond,
-            zeta=-math.expm1(-t * c * diamond),
-            eps=-math.expm1(-t * c * diamond / 2.0),
-            a=a, m_tilde=m_tilde, g_tilde=g_tilde,
-        )
-
-    def feasible_a_interval(self) -> tuple[float, float]:
-        f = entropy.f_almost_concavity(self.eps, self.m_tilde)
-        lo = 2.0 * f / ((1.0 - self.eps) * self.m_tilde ** 2)
-        return lo, 1.0
-
-    def resolved_a(self) -> float:
-        if self.a is not None:
-            return self.a
-        lo, hi = self.feasible_a_interval()
-        if lo >= hi:
-            raise InfeasibleParamsError(
-                f"no feasible a: need a * m_tilde^2 > 2 f(eps)/(1-eps) = "
-                f"{lo * self.m_tilde ** 2:.6g} with m_tilde = {self.m_tilde:.6g}")
-        return 0.5 * (lo + hi)
+def feasible_a_midpoint(eps: float, m_tilde: float) -> float:
+    """Midpoint of the feasible interval (2 f(eps) / ((1 - eps) m_tilde^2), 1) of a."""
+    lo = 2.0 * entropy.f_almost_concavity(eps, m_tilde) / ((1.0 - eps) * m_tilde ** 2)
+    if lo >= 1.0:
+        raise InfeasibleParamsError(
+            f"no feasible a: need a * m_tilde^2 > 2 f(eps)/(1-eps) = "
+            f"{lo * m_tilde ** 2:.6g} with m_tilde = {m_tilde:.6g}")
+    return 0.5 * (lo + 1.0)
 
 
 @dataclass(frozen=True)
@@ -165,9 +132,7 @@ class BoundReport:
     lhs: float
     rhs: float
     factor: float
-    params: ConverseBoundParams | None = None
-    tau_star: float | None = None
-    extra: dict = field(default_factory=dict)
+    extra: dict
 
     @property
     def passed(self) -> bool:
@@ -189,31 +154,14 @@ def clsi_converse_check(lind: Lindbladian, rho: DensityMatrix, t: float,
             "D(rho || E rho) infinite although c E >= Id; inconsistent fixed point")
     evolved = lind.semigroup(t).apply(rho)
     d_post = entropy.relative_entropy(evolved, e_rho).unwrap()
-    zeta = -math.expm1(-t * lind.pp_index * lind.diamond_upper)
-    g, tau_star = g_factor(zeta, lind.pp_index, variant=variant)
-    params = ConverseBoundParams(t=t, c=lind.pp_index, diamond=lind.diamond_upper,
-                                 zeta=zeta)
-    return BoundReport(
-        name=f"clsi-converse[{variant}]",
-        lhs=d_post, rhs=g * d_pre.value, factor=g,
-        params=params, tau_star=tau_star,
-    )
+    zeta, _ = _replacement_weights(t, lind.pp_index, lind.diamond_upper)
+    g, _ = g_factor(zeta, lind.pp_index, variant=variant)
+    return BoundReport(name=f"clsi-converse[{variant}]", lhs=d_post, rhs=g * d_pre.value,
+                       factor=g, extra={})
 
 
-def replacement_converse_factor(zeta: float, c: float,
-                                tau: float | str = "optimize") -> float:
-    """Factor of D((1-zeta) rho + zeta sigma || sigma) >= factor * D(rho||sigma)
-    for rho <= c sigma; shares its optimizer with g_factor."""
-    if tau == "optimize":
-        g, _ = g_factor(zeta, c, variant="theorem")
-        return g
-    tau = float(tau)
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
-    return max(_g_objective(zeta, entropy.kappa(c))(tau), 0.0)
-
-
-def classical_converse_factor(params: ConverseBoundParams, branch: str) -> float:
+def classical_converse_factor(eps: float, m_tilde: float, g_tilde: float, a: float,
+                              branch: str) -> float:
     """Branch factors of the commuting-state converse.
 
     large-D branch (D >= a m^2 / 2):
@@ -222,10 +170,9 @@ def classical_converse_factor(params: ConverseBoundParams, branch: str) -> float
         (1 - a)(1 - eps)^2 / ((1 - eps)(1 - a) + eps g_tilde)
     Feasibility a m^2 > 2 f_m(eps)/(1 - eps) is enforced for both.
     """
-    a = params.resolved_a()
     if not 0.0 < a < 1.0:
         raise InfeasibleParamsError(f"a must lie in (0, 1), got {a!r}")
-    eps, m = params.eps, params.m_tilde
+    m = m_tilde
     f = entropy.f_almost_concavity(eps, m)
     if a * m * m <= 2.0 * f / (1.0 - eps):
         raise InfeasibleParamsError(
@@ -235,7 +182,7 @@ def classical_converse_factor(params: ConverseBoundParams, branch: str) -> float
         return 1.0 - eps - 2.0 * f / (a * m * m)
     if branch == "small-D":
         return ((1.0 - a) * (1.0 - eps) ** 2
-                / ((1.0 - eps) * (1.0 - a) + eps * params.g_tilde))
+                / ((1.0 - eps) * (1.0 - a) + eps * g_tilde))
     raise ValueError(f"unknown branch {branch!r}")
 
 
@@ -247,18 +194,26 @@ def _check_commuting(*mats: np.ndarray) -> None:
                 raise ValueError(f"matrices {i} and {j} do not commute: |[.,.]| = {dev:.3e}")
 
 
-def _branch_report(name: str, params: ConverseBoundParams, lhs: float,
+def _branch_report(name: str, eps: float, m_tilde: float, g_tilde: float, lhs: float,
                    pre: float, pre_key: str) -> BoundReport:
-    """Report lhs against factor * pre on the branch that pre selects."""
-    a = params.resolved_a()
-    branch = "large-D" if pre >= a * params.m_tilde ** 2 / 2.0 else "small-D"
-    resolved = replace(params, a=a)
-    factor = classical_converse_factor(resolved, branch)
-    return BoundReport(
-        name=f"{name}[{branch}]",
-        lhs=lhs, rhs=factor * pre, factor=factor, params=resolved,
-        extra={"branch": branch, pre_key: pre},
-    )
+    """Report lhs against factor * pre on the branch that pre selects, with a
+    at the midpoint of its feasible interval."""
+    a = feasible_a_midpoint(eps, m_tilde)
+    branch = "large-D" if pre >= a * m_tilde ** 2 / 2.0 else "small-D"
+    factor = classical_converse_factor(eps, m_tilde, g_tilde, a, branch)
+    return BoundReport(name=f"{name}[{branch}]", lhs=lhs, rhs=factor * pre, factor=factor,
+                       extra={"branch": branch, pre_key: pre})
+
+
+def _converse_reports(name: str, eps: list, m_tilde: np.ndarray, g_tilde: np.ndarray,
+                      post: list, pre: list, pre_key: str, one: bool):
+    """Per sample, its branch report at each eps: m_tilde, g_tilde and pre hold
+    one value per sample, post one per (eps, sample) pair, eps-major."""
+    n = len(pre)
+    out = [tuple(_branch_report(name, e, m, g, post[j * n + i], pre[i], pre_key)
+                 for j, e in enumerate(eps))
+           for i, (m, g) in enumerate(zip(m_tilde.tolist(), g_tilde.tolist()))]
+    return out[0] if one else out
 
 
 def classical_converse_check(e: ConditionalExpectation, rho, sigma, times: Sequence[float],
@@ -266,12 +221,12 @@ def classical_converse_check(e: ConditionalExpectation, rho, sigma, times: Seque
     """Commuting-state converse under the replacement semigroup, one report
     per time; m_tilde and g_tilde come from sigma and E(sigma).
 
-    Noise keeps amplitude eps_keep = 1 - eps on the state and mixes in the
+    Noise keeps amplitude 1 - eps on the state and mixes in the
     shared fixed point E(rho) = E(sigma) with weight eps; the exact decayed
     relative entropy is compared against the branch factor.  For two
     equal-length sequences of states, a list of the per-time reports.
     """
-    (rhos, one), (sigmas, _) = matcore.batch(rho), matcore.batch(sigma)
+    rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
     r = matcore.stack([x.matrix for x in rhos])
     s = matcore.stack([x.matrix for x in sigmas])
     n = len(r)
@@ -284,28 +239,22 @@ def classical_converse_check(e: ConditionalExpectation, rho, sigma, times: Seque
     if img_dev > 1e-10:
         raise ValueError(f"E(rho) != E(sigma): trace distance {img_dev:.3e}")
     d_pre = entropy.unwrap(entropy.relative_entropy(rhos, sigmas))
-    params = _converse_params(times, c, diamond, smallest_nonzero_eigenvalue_direct_sum(
-        sigmas, images[n:]), matcore.loewner_min_coefficient(es, sigmas, False))
+    m_tilde = smallest_nonzero_eigenvalue_direct_sum(sigmas, images[n:])
+    g_tilde = matcore.loewner_min_coefficient(es, sigmas, False)
+    eps = [_replacement_weights(t, c, diamond)[1] for t in times]
     mixed = DensityMatrix.from_matrices(np.concatenate(
-        [(1 - p.eps) * x + p.eps * e_x for p in params[0] for x, e_x in ((r, er), (s, es))]))
+        [(1 - p) * x + p * e_x for p in eps for x, e_x in ((r, er), (s, es))]))
     d_post = entropy.unwrap(entropy.relative_entropy(
         [m for i in range(0, len(mixed), 2 * n) for m in mixed[i:i + n]],
         [m for i in range(n, len(mixed), 2 * n) for m in mixed[i:i + n]]))
-    out = [tuple(_branch_report("classical-converse", p, d_post[j * n + i], d_pre[i], "dPre")
-                 for j, p in enumerate(row)) for i, row in enumerate(params)]
-    return out[0] if one else out
-
-
-def _converse_params(times, c, diamond, m_tilde, g_tilde) -> list:
-    """Per sample, the semigroup parameters at each time."""
-    return [[ConverseBoundParams.from_semigroup(t, c, diamond, m_tilde=m, g_tilde=g)
-             for t in times] for m, g in zip(m_tilde.tolist(), g_tilde.tolist())]
+    return _converse_reports("classical-converse", eps, m_tilde, g_tilde, d_post, d_pre,
+                             "dPre", one)
 
 
 def smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma):
     """m_tilde: smallest nonzero eigenvalue of sigma (+) E(sigma) compressed
     to supp(sigma); an array of them for two sequences of states."""
-    (sigmas, one), (e_sigmas, _) = matcore.batch(sigma), matcore.batch(e_sigma)
+    sigmas, e_sigmas, one = matcore.batch(sigma=sigma, e_sigma=e_sigma)
     p = matcore.support_projectors(sigmas)
     w, _ = matcore.jacobi_eigh_batch(matcore.as_hermitian(
         p @ matcore.stack([x.matrix for x in e_sigmas]) @ p))
@@ -326,7 +275,7 @@ def mutual_info_converse_check(e_on_b: ConditionalExpectation, rho, times: Seque
     sigma = rho_A x rho_B.  For a sequence of states of one split, a list
     of the per-time reports.
     """
-    states, one = matcore.batch(rho)
+    states, one = matcore.batch(rho=rho)
     da, db = states[0].dim_a, states[0].dim_b
     joints = matcore.stack([x.state.matrix for x in states])
     n = len(joints)
@@ -342,34 +291,29 @@ def mutual_info_converse_check(e_on_b: ConditionalExpectation, rho, times: Seque
         raise ValueError("(Id x E)(rho) is not of product form rho_A x omega")
     built = DensityMatrix.from_matrices(
         [matcore.tensor(a.matrix, b.matrix) for a, b in zip(rho_a, rho_b)] + target)
-    params = _converse_params(times, c, diamond, smallest_nonzero_eigenvalue_direct_sum(
-        built[:n], built[n:]), matcore.loewner_min_coefficient(
-            np.stack([x.matrix for x in e_rho_b]), rho_b, False))
+    m_tilde = smallest_nonzero_eigenvalue_direct_sum(built[:n], built[n:])
+    g_tilde = matcore.loewner_min_coefficient(np.stack([x.matrix for x in e_rho_b]), rho_b, False)
+    eps = [_replacement_weights(t, c, diamond)[1] for t in times]
     i_pre = entropy.mutual_information(states).tolist()
-    mixed = DensityMatrix.from_matrices([(1 - p.eps) * j + p.eps * e_j
-                                         for p in params[0] for j, e_j in zip(joints, e_joint)])
+    mixed = DensityMatrix.from_matrices([(1 - p) * j + p * e_j
+                                         for p in eps for j, e_j in zip(joints, e_joint)])
     i_post = entropy.mutual_information([BipartiteDensity(da, db, m) for m in mixed]).tolist()
-    out = [tuple(_branch_report("mutual-info-converse", p, i_post[j * n + i], i_pre[i], "iPre")
-                 for j, p in enumerate(row)) for i, row in enumerate(params)]
-    return out[0] if one else out
+    return _converse_reports("mutual-info-converse", eps, m_tilde, g_tilde, i_post, i_pre,
+                             "iPre", one)
 
 
 def decayed_state_bound_check(rho, sigma, theta_dens: DensityMatrix, omega: DensityMatrix,
-                              eps, zeta, c: float | None = None):
+                              eps, zeta, c: float):
     """Partial-replacement comparison
     D((1-eps) rho + eps theta || (1-eps) sigma + eps theta)
       >= (zeta / (c eps)) ((1-eps)/(1-zeta))^2
          D((1-zeta) rho + zeta omega || (1-zeta) sigma + zeta omega)
     for theta <= c omega and eps >= zeta.  For equal-length sequences of rho,
     sigma, eps and zeta, with theta and omega shared, a list of reports."""
-    (rhos, one), (sigmas, _) = matcore.batch(rho), matcore.batch(sigma)
+    rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
     eps, zeta = ([eps], [zeta]) if one else (eps, zeta)
     check = matcore.loewner_min_coefficient(theta_dens, omega, strict=True)
-    if c is None:
-        if not math.isfinite(check):
-            raise ValueError("theta has weight outside supp(omega)")
-        c = max(check, 1.0)
-    elif check > c * (1 + 1e-9):
+    if check > c * (1 + 1e-9):
         raise ValueError(f"order precondition fails: smallest valid c is {check!r}")
     if not all(0.0 < z <= e < 1.0 for e, z in zip(eps, zeta)):
         raise ValueError("need 0 < zeta <= eps < 1")
@@ -384,8 +328,7 @@ def decayed_state_bound_check(rho, sigma, theta_dens: DensityMatrix, omega: Dens
     for e, z, left, right in zip(eps, zeta, lhs, d_rhs):
         factor = (z / (c * e)) * ((1 - e) / (1 - z)) ** 2
         out.append(BoundReport(name="decayed-state", lhs=left, rhs=factor * right,
-                               factor=factor, params=ConverseBoundParams(c=c, zeta=z, eps=e),
-                               extra={"dRhs": right}))
+                               factor=factor, extra={"dRhs": right}))
     return out[0] if one else out
 
 
@@ -395,7 +338,7 @@ def origcompare_check(rho, sigma, omega, eps, zeta):
                      D((1-eps) rho + eps omega || (1-eps) sigma + eps omega)
     under rho >= (1-zeta) sigma.  For equal-length sequences of the states,
     eps and zeta, a list of reports."""
-    (rhos, one), (sigmas, _), (omegas, _) = map(matcore.batch, (rho, sigma, omega))
+    rhos, sigmas, omegas, one = matcore.batch(rho=rho, sigma=sigma, omega=omega)
     eps, zeta = ([eps], [zeta]) if one else (eps, zeta)
     if not all(0.0 <= e < 1.0 and 0.0 <= z < 1.0 for e, z in zip(eps, zeta)):
         raise ValueError("eps and zeta must lie in [0, 1)")
@@ -415,6 +358,5 @@ def origcompare_check(rho, sigma, omega, eps, zeta):
         factor = (1.0 + e * (g_i / (1 - z) - 1.0)) / (1 - e) ** 2
         # report in lhs >= rhs form: factor * D_mixed >= D_orig
         out.append(BoundReport(name="origcompare", lhs=factor * mix, rhs=orig, factor=factor,
-                               params=ConverseBoundParams(zeta=z, eps=e, g_tilde=g_i),
                                extra={"dOrig": orig, "dMixed": mix}))
     return out[0] if one else out

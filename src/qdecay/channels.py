@@ -191,7 +191,7 @@ def apply_to_b(channel, rho):
     """Apply a KrausChannel, SuperOperator or ConditionalExpectation to the
     B factor of a bipartite density; for a sequence of bipartite densities
     of one split, a tuple of the images, built as one stack."""
-    states, one = matcore.batch(rho)
+    states, one = matcore.batch(rho=rho)
     da, db = states[0].dim_a, states[0].dim_b
     if any((x.dim_a, x.dim_b) != (da, db) for x in states):
         raise ValueError("states of different splits")

@@ -54,7 +54,7 @@ class EntropyValue:
 def von_neumann_entropy(rho):
     """H(rho) = -sum lambda_i ln lambda_i, with 0 ln 0 = 0; an array of them
     for a sequence of states."""
-    rhos, one = matcore.batch(rho)
+    rhos, one = matcore.batch(rho=rho)
     w = matcore.stack([x.eigenvalues for x in rhos])
     out = np.empty(len(w))
     for rows, k in matcore.support_groups(w, ZERO_CLIP):
@@ -71,8 +71,6 @@ def _support_blocks(r: np.ndarray, sigmas):
     ws = matcore.stack([s.eigenvalues for s in sigmas])
     vs = matcore.stack([s.eigenvectors for s in sigmas])
     d = ws.shape[1]
-    if r.shape[-1] != d:
-        raise ValueError(f"dimension mismatch: rho has dim {r.shape[-1]}, sigma has dim {d}")
     for rows, k in matcore.support_groups(ws, ENTROPY_SUPPORT_RTOL * ws[:, -1:]):
         v = vs[rows, :, d - k:]
         compressed = v.conj().transpose(0, 2, 1) @ r[rows] @ v
@@ -87,7 +85,7 @@ def relative_entropy(rho, sigma):
     the result is the infinite flag.  For two equal-length sequences of
     states, an array of the values, inf for the flag.
     """
-    (rhos, one), (sigmas, _) = matcore.batch(rho), matcore.batch(sigma)
+    rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
     out = np.empty(len(sigmas))
     for rows, compressed, ws, leak in _support_blocks(matcore.stack([x.matrix for x in rhos]),
                                                       sigmas):
@@ -120,7 +118,7 @@ def mutual_information(rho):
     """I[A:B] = S(A) + S(B) - S(AB) from the cached joint spectrum and the two
     marginals; no product state is formed whose tiny eigenvalues could be cut.
     An array of them for a sequence of states of one split."""
-    states, one = matcore.batch(rho)
+    states, one = matcore.batch(rho=rho)
     a, b = map(von_neumann_entropy, BipartiteDensity.marginals(states))
     value = _nonnegative(a + b - von_neumann_entropy([s.state for s in states]),
                          "mutual information")
@@ -180,7 +178,7 @@ def pinsker_check(rho, sigma):
     """Evaluate both sides of the Pinsker bound and, for commuting pairs,
     of its refinement max{ -ln(1 - ||.||_1^2 / 4), ||.||_1^2 / 2 }; a list of
     reports for two equal-length sequences of states."""
-    (rhos, one), (sigmas, _) = matcore.batch(rho), matcore.batch(sigma)
+    rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
     r = matcore.stack([x.matrix for x in rhos])
     s = matcore.stack([x.matrix for x in sigmas])
     comm = np.maximum.reduce(np.abs(r @ s - s @ r), axis=(1, 2)) <= matcore.COMMUTE_ATOL
@@ -224,7 +222,7 @@ def weighted_norm_sq(x: np.ndarray, omega):
     Weight of X outside supp(omega) makes the integral divergent: returns inf.
     An array for an (n, d, d) stack x and a sequence of n states omega.
     """
-    omegas, one = matcore.batch(omega)
+    omegas, one = matcore.batch(omega=omega)
     x = matcore.as_hermitian(np.asarray(x)[None] if one else x)
     ws = matcore.stack([o.eigenvalues for o in omegas])
     vs = matcore.stack([o.eigenvectors for o in omegas])
@@ -280,6 +278,7 @@ def relative_entropy_integral_form(rho: DensityMatrix, sigma: DensityMatrix,
         raise ValueError(f"quad_points must be an integer, got {quad_points!r}") from None
     if quad_points < 8:
         raise ValueError("quad_points must be at least 8")
+    matcore.batch(rho=rho, sigma=sigma)  # raises on a dimension mismatch
     (_, compressed, ws, leak), = _support_blocks(rho.matrix[None], [sigma])
     if leak is not None and leak > 1e-12:
         raise ValueError("support violation: ker(sigma) is not contained in ker(rho)")
@@ -322,7 +321,7 @@ def gaorouze_sandwich_check(rho, sigma):
     """Two-sided comparison kappa(c) ||rho-sigma||^2_sigma <= D(rho||sigma)
     <= ||rho-sigma||^2_sigma for order-comparable pairs rho <= c sigma; a list
     of reports for two equal-length sequences of states."""
-    (rhos, one), (sigmas, _) = matcore.batch(rho), matcore.batch(sigma)
+    rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
     r = matcore.stack([x.matrix for x in rhos])
     cs = matcore.loewner_min_coefficient(r, sigmas, True)
     if not np.isfinite(cs).all():

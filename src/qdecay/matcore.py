@@ -247,11 +247,25 @@ class BipartiteDensity:
         return tuple(zip(*(s.__dict__["_marginals"] for s in states)))
 
 
-def batch(x) -> tuple:
-    """One state (a DensityMatrix or BipartiteDensity) or a sequence of states,
-    as a sequence, and whether it was one state."""
-    one = isinstance(x, (DensityMatrix, BipartiteDensity))
-    return ([x] if one else x), one
+def batch(**named) -> tuple:
+    """Each keyword argument, one state (a DensityMatrix or BipartiteDensity)
+    or a sequence of states, as a sequence, then whether the first was one
+    state.  Several sequences must have one length and one dimension; a
+    ValueError names both where they differ."""
+    single = (DensityMatrix, BipartiteDensity)
+    (first, x), *others = named.items()
+    xs = [x] if isinstance(x, single) else x
+    seqs = [xs]
+    for name, y in others:
+        ys = [y] if isinstance(y, single) else y
+        if len(ys) != len(xs):
+            raise ValueError(f"length mismatch: {first} has {len(xs)} states, "
+                             f"{name} has {len(ys)}")
+        if ys and ys[0].dim != xs[0].dim:
+            raise ValueError(f"dimension mismatch: {first} has dim {xs[0].dim}, "
+                             f"{name} has dim {ys[0].dim}")
+        seqs.append(ys)
+    return (*seqs, isinstance(x, single))
 
 
 def support_projectors(states) -> np.ndarray:

@@ -37,7 +37,7 @@ INTEGRAL_TOL = 1e-6
 CLSI_TIMES = (1e-3, 1e-2, 1e-1, 1.0)
 CLSI_VARIANTS = ("theorem", "paper-example")
 # weak replacement coupling keeps the (a, eps, m_tilde) triple feasible at
-# the sampled m_tilde floor for both suite times; see ConverseBoundParams
+# the sampled m_tilde floor for both suite times; see bounds.feasible_a_midpoint
 CLASSICAL_SUITE_TIMES = (0.01, 0.1)
 CLASSICAL_SUITE_COUPLING = 0.01
 CLASSICAL_SIGMA_FLOOR = 0.35
@@ -240,8 +240,8 @@ def integral_form_suite():
 @functools.cache
 def _clsi_tables():
     """The clsi suite's fixed data, built once per process: the Lindbladian,
-    the g factors per time and variant, and per kind its name, dimension,
-    fixed-point map and semigroup per time."""
+    the g factors per time and variant, and the fixed-point map followed by
+    the semigroup per time."""
     # the worked qubit-depolarizing case: c = 4, analytic diamond bound 3/4
     lind = channels.replacement_lindbladian(channels.depolarizing_projection(2),
                                             diamond_upper=0.75, pp_index=4.0)
@@ -250,33 +250,31 @@ def _clsi_tables():
                               lind.pp_index, variant=variant)[0]
               for variant in CLSI_VARIANTS)
         for t in CLSI_TIMES)
-    semis = tuple(lind.semigroup(t) for t in CLSI_TIMES)
-    kinds = (("bare", 2, lind.fixed_point.superop, semis),
-             ("extended", 4, lind.fixed_point.superop.tensor_identity(2),
-              tuple(s.tensor_identity(2) for s in semis)))
-    return lind, factors, kinds
+    return lind, factors, (lind.fixed_point.superop, *(lind.semigroup(t) for t in CLSI_TIMES))
 
 
 @_suite("clsi-converse", 1)
 def clsi_converse_suite():
     """Fixed-point converse for the qubit depolarizing semigroup, bare and
     with a dim-2 untouched auxiliary."""
-    lind, factors, kinds = _clsi_tables()
+    lind, factors, maps = _clsi_tables()
+    # per kind: its name, dimension and how a map acts on a stack of its states
+    kinds = (("bare", 2, lambda m, r: m.apply_matrix(r)),
+             ("extended", 4, lambda m, r: channels.apply_on_factor(m, r, (2, 2), 0)))
 
     def draw(sub, ks):
-        return tuple(_cn(sub, dim) for _, dim, _, _ in kinds)
+        return tuple(_cn(sub, dim) for _, dim, _ in kinds)
 
     def evaluate(*gs):
         out = [[] for _ in gs[0]]
-        for (kind, _, e, evolve), g in zip(kinds, gs):
+        for (kind, _, apply), g in zip(kinds, gs):
             rhos = DensityMatrix.from_matrices(matcore.hilbert_schmidt(g, 0.0))
             n = len(rhos)
             r = np.stack([x.matrix for x in rhos])
-            built = DensityMatrix.from_matrices(
-                np.concatenate([m.apply_matrix(r) for m in (e, *evolve)]))
+            built = DensityMatrix.from_matrices(np.concatenate([apply(m, r) for m in maps]))
             e_rhos = built[:n]
             d_pre = entropy.unwrap(entropy.relative_entropy(rhos, e_rhos))
-            d_post = entropy.unwrap(entropy.relative_entropy(built[n:], e_rhos * len(evolve)))
+            d_post = entropy.unwrap(entropy.relative_entropy(built[n:], e_rhos * (len(maps) - 1)))
             for i, pairs in enumerate(out):
                 for j, (t, g_t) in enumerate(zip(CLSI_TIMES, factors)):
                     for variant, g_v in zip(CLSI_VARIANTS, g_t):

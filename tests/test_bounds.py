@@ -1,21 +1,19 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qdecay import bounds, channels, entropy, matcore
 from qdecay.bounds import (
-    ConverseBoundParams,
     InfeasibleParamsError,
     classical_converse_check,
     classical_converse_factor,
     clsi_converse_check,
     decayed_state_bound_check,
+    feasible_a_midpoint,
     g_factor,
     mutual_info_converse_check,
     origcompare_check,
-    replacement_converse_factor,
 )
 from qdecay.channels import depolarizing_projection, replacement_lindbladian
 from qdecay.matcore import BipartiteDensity, DensityMatrix
@@ -148,13 +146,15 @@ def test_g_factor_bit_identical_to_numpy_scalar_loop(variant, c):
 
 @pytest.mark.parametrize("c", [1.5, 4.0, 10.0])
 def test_replacement_converse_factor_bit_identical_to_numpy_scalar_loop(c):
+    # the replacement converse factor is g(zeta, c): g_factor takes the sup
+    # over tau, _g_objective gives the factor at one fixed tau
     kappa = entropy.kappa(c)
     for zeta in GRID_ZETAS:
-        got = np.array([replacement_converse_factor(zeta, c)]).view(np.uint64)
+        got = np.array([g_factor(zeta, c)[0]]).view(np.uint64)
         want = np.array([_numpy_scalar_g_factor(zeta, c, "theorem")[0]]).view(np.uint64)
         assert np.array_equal(got, want), zeta
         for tau in (1e-9, 1e-3, 0.05, 0.5, 0.999):
-            fixed = replacement_converse_factor(zeta, c, tau=tau)
+            fixed = max(bounds._g_objective(zeta, kappa)(tau), 0.0)
             by_hand = max(((1.0 - zeta) ** 2 * tau / (tau + zeta)
                            * (1.0 - tau * (1.0 - math.log(tau)) / kappa)), 0.0)
             assert np.array([fixed]).view(np.uint64) == np.array([by_hand]).view(np.uint64)
@@ -217,14 +217,14 @@ def test_clsi_converse_random_sample(rng):
 
 
 def test_replacement_converse_factor_no_replacement():
-    assert abs(replacement_converse_factor(0.0, 2.0) - 1.0) < 1e-6
+    assert abs(g_factor(0.0, 2.0)[0] - 1.0) < 1e-6
 
 
 def test_replacement_converse_direct_two_level():
     rho = DensityMatrix.diagonal([1.0, 0.0])
     sigma = DensityMatrix.maximally_mixed(2)
     zeta = 0.1
-    factor = replacement_converse_factor(zeta, 2.0)
+    factor, _ = g_factor(zeta, 2.0)
     mixed = DensityMatrix.from_matrix((1 - zeta) * rho.matrix + zeta * sigma.matrix)
     lhs = entropy.relative_entropy(mixed, sigma).unwrap()
     rhs = factor * entropy.relative_entropy(rho, sigma).unwrap()
@@ -232,41 +232,43 @@ def test_replacement_converse_direct_two_level():
 
 
 def test_replacement_converse_factor_monotone_in_zeta():
-    vals = [replacement_converse_factor(z, 2.0) for z in np.arange(0.0, 0.91, 0.1)]
+    vals = [g_factor(z, 2.0)[0] for z in np.arange(0.0, 0.91, 0.1)]
     assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
 def test_replacement_converse_factor_fixed_tau():
-    v = replacement_converse_factor(0.1, 2.0, tau=0.05)
-    assert 0 <= v <= replacement_converse_factor(0.1, 2.0) + 1e-12
+    v = max(bounds._g_objective(0.1, entropy.kappa(2.0))(0.05), 0.0)
+    assert 0 <= v <= g_factor(0.1, 2.0)[0] + 1e-12
 
 
 def test_classical_factor_no_noise_is_one():
-    params = ConverseBoundParams(eps=0.0, m_tilde=0.5, g_tilde=1.0, a=0.5)
-    assert abs(classical_converse_factor(params, "large-D") - 1.0) < 1e-12
-    assert abs(classical_converse_factor(params, "small-D") - 1.0) < 1e-12
+    assert abs(classical_converse_factor(0.0, 0.5, 1.0, 0.5, "large-D") - 1.0) < 1e-12
+    assert abs(classical_converse_factor(0.0, 0.5, 1.0, 0.5, "small-D") - 1.0) < 1e-12
 
 
 def test_classical_factor_small_branch_degenerates_as_a_to_one():
-    vals = []
-    for a in (0.9, 0.999, 1 - 1e-6):
-        params = ConverseBoundParams(eps=0.001, m_tilde=0.5, g_tilde=1.0, a=a)
-        vals.append(classical_converse_factor(params, "small-D"))
+    vals = [classical_converse_factor(0.001, 0.5, 1.0, a, "small-D")
+            for a in (0.9, 0.999, 1 - 1e-6)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert 0 < vals[-1] < 0.05
 
 
 def test_classical_factor_infeasible_raises():
-    params = ConverseBoundParams(eps=0.4, m_tilde=0.3, g_tilde=1.0, a=0.9)
     with pytest.raises(InfeasibleParamsError):
-        classical_converse_factor(params, "large-D")
+        classical_converse_factor(0.4, 0.3, 1.0, 0.9, "large-D")
+    with pytest.raises(InfeasibleParamsError, match="no feasible a"):
+        feasible_a_midpoint(0.4, 0.3)
 
 
 def test_classical_factor_feasibility_interval():
-    params = ConverseBoundParams.from_semigroup(0.01, 4.0, 0.02, m_tilde=0.4)
-    lo, hi = params.feasible_a_interval()
-    assert 0 < lo < hi == 1.0
-    assert lo < params.resolved_a() < 1.0
+    _, eps = bounds._replacement_weights(0.01, 4.0, 0.02)
+    lo = 2.0 * entropy.f_almost_concavity(eps, 0.4) / ((1.0 - eps) * 0.4 ** 2)
+    a = feasible_a_midpoint(eps, 0.4)
+    assert 0 < lo < a < 1.0
+    assert a == 0.5 * (lo + 1.0)
+    # the midpoint is feasible on both branches
+    for branch in ("large-D", "small-D"):
+        assert 0 < classical_converse_factor(eps, 0.4, 1.0, a, branch) < 1
 
 
 def test_classical_converse_check_equal_states():
@@ -291,6 +293,14 @@ def test_classical_converse_check_rejects_noncommuting():
     sigma = DensityMatrix.diagonal([0.6, 0.4])
     with pytest.raises(ValueError, match="commute"):
         classical_converse_check(e, rho, sigma, (0.01,), 4.0, 0.02)
+
+
+def test_classical_converse_check_rejects_a_length_mismatch():
+    e = depolarizing_projection(2)
+    rho = DensityMatrix.diagonal([0.7, 0.3])
+    sigma = DensityMatrix.diagonal([0.5, 0.5])
+    with pytest.raises(ValueError, match="rho has 2 states, sigma has 1"):
+        classical_converse_check(e, [rho, rho], [sigma], (0.01,), 4.0, 0.02)
 
 
 def test_classical_converse_check_rejects_mismatched_images():
@@ -463,10 +473,12 @@ def test_origcompare_precondition():
 
 
 def test_params_from_semigroup_invariants():
-    p = ConverseBoundParams.from_semigroup(0.3, 4.0, 0.75)
-    assert abs(p.zeta - (1 - math.exp(-0.3 * 4 * 0.75))) < 1e-15
-    assert abs(p.eps - (1 - math.exp(-0.3 * 4 * 0.75 / 2))) < 1e-15
-    assert abs(p.eps_keep - math.exp(-0.3 * 4 * 0.75 / 2)) < 1e-15
+    zeta, eps = bounds._replacement_weights(0.3, 4.0, 0.75)
+    assert abs(zeta - (1 - math.exp(-0.3 * 4 * 0.75))) < 1e-15
+    assert abs(eps - (1 - math.exp(-0.3 * 4 * 0.75 / 2))) < 1e-15
+    assert abs((1 - eps) - math.exp(-0.3 * 4 * 0.75 / 2)) < 1e-15
+    with pytest.raises(ValueError, match="t >= 0"):
+        bounds._replacement_weights(-0.1, 4.0, 0.75)
 
 
 def test_mutual_info_converse_exactly_correlated_bits():
@@ -479,31 +491,41 @@ def test_mutual_info_converse_exactly_correlated_bits():
     assert rep.factor < ratio <= 1.0 + 1e-12
 
 
-def _parent_classical_check(e, rho, sigma, params):
+def _parent_branch_report(name, eps, m_tilde, g_tilde, post, pre, pre_key):
+    """The branch report with its formulas inline: a at the midpoint of its
+    feasible interval, the branch that pre selects and its factor."""
+    m = m_tilde
+    f = entropy.f_almost_concavity(eps, m)
+    a = 0.5 * (2.0 * f / ((1.0 - eps) * m ** 2) + 1.0)
+    if pre >= a * m ** 2 / 2.0:
+        branch, factor = "large-D", 1.0 - eps - 2.0 * f / (a * m * m)
+    else:
+        branch = "small-D"
+        factor = (1.0 - a) * (1.0 - eps) ** 2 / ((1.0 - eps) * (1.0 - a) + eps * g_tilde)
+    return bounds.BoundReport(name=f"{name}[{branch}]", lhs=post, rhs=factor * pre,
+                              factor=factor, extra={"branch": branch, pre_key: pre})
+
+
+def _parent_classical_check(e, rho, sigma, t, c, diamond, m_tilde, g_tilde):
     """classical_converse_check as it was before it took a sequence of
-    times: one time, given through params, and every step redone."""
+    times: one time, and every step redone."""
     e_rho = e.apply(rho)
     e_sigma = e.apply(sigma)
     bounds._check_commuting(rho.matrix, sigma.matrix)
     bounds._check_commuting(rho.matrix, e_rho.matrix)
     assert matcore.trace_norm(e_rho.matrix - e_sigma.matrix) <= 1e-10
     d_pre = entropy.relative_entropy(rho, sigma).unwrap()
-    eps = params.eps
+    eps = -math.expm1(-t * c * diamond / 2.0)
     mixed_rho = DensityMatrix.from_matrix((1 - eps) * rho.matrix + eps * e_rho.matrix)
     mixed_sigma = DensityMatrix.from_matrix((1 - eps) * sigma.matrix + eps * e_sigma.matrix)
     d_post = entropy.relative_entropy(mixed_rho, mixed_sigma).unwrap()
-    a = params.resolved_a()
-    branch = "large-D" if d_pre >= a * params.m_tilde ** 2 / 2.0 else "small-D"
-    resolved = replace(params, a=a)
-    factor = classical_converse_factor(resolved, branch)
-    return bounds.BoundReport(
-        name=f"classical-converse[{branch}]", lhs=d_post, rhs=factor * d_pre,
-        factor=factor, params=resolved, extra={"branch": branch, "dPre": d_pre})
+    return _parent_branch_report("classical-converse", eps, m_tilde, g_tilde, d_post, d_pre,
+                                 "dPre")
 
 
-def _parent_mutual_info_check(e_on_b, rho, params):
-    """mutual_info_converse_check's params form as it was before it took a
-    sequence of times."""
+def _parent_mutual_info_check(e_on_b, rho, t, c, diamond):
+    """mutual_info_converse_check as it was before it took a sequence of
+    times."""
     joint = rho.state.matrix
     rho_a = rho.marginal("A")
     rho_b = rho.marginal("B")
@@ -514,26 +536,18 @@ def _parent_mutual_info_check(e_on_b, rho, params):
     m_tilde = bounds.smallest_nonzero_eigenvalue_direct_sum(
         sigma, DensityMatrix.from_matrix(target))
     g_tilde = matcore.loewner_min_coefficient(e_rho_b, rho_b)
-    params = replace(params, m_tilde=m_tilde, g_tilde=g_tilde)
     i_pre = entropy.mutual_information(rho)
-    eps = params.eps
+    eps = -math.expm1(-t * c * diamond / 2.0)
     mixed = DensityMatrix.from_matrix((1 - eps) * joint + eps * e_joint)
     i_post = entropy.mutual_information(BipartiteDensity(rho.dim_a, rho.dim_b, mixed))
-    a = params.resolved_a()
-    branch = "large-D" if i_pre >= a * m_tilde ** 2 / 2.0 else "small-D"
-    resolved = replace(params, a=a)
-    factor = classical_converse_factor(resolved, branch)
-    return bounds.BoundReport(
-        name=f"mutual-info-converse[{branch}]", lhs=i_post, rhs=factor * i_pre,
-        factor=factor, params=resolved, extra={"branch": branch, "iPre": i_pre})
+    return _parent_branch_report("mutual-info-converse", eps, m_tilde, g_tilde, i_post, i_pre,
+                                 "iPre")
 
 
 def _report_bits(rep):
     """Name, extra keys and the bit patterns of every float in a report."""
-    p = rep.params
     pre_key = "dPre" if "dPre" in rep.extra else "iPre"
-    floats = [rep.lhs, rep.rhs, rep.factor, rep.extra[pre_key], p.t, p.c, p.diamond,
-              p.zeta, p.eps, p.a, p.m_tilde, p.g_tilde]
+    floats = [rep.lhs, rep.rhs, rep.factor, rep.extra[pre_key]]
     return (rep.name, sorted(rep.extra.items()),
             np.array(floats, dtype=float).view(np.uint64).tolist())
 
@@ -558,10 +572,8 @@ def test_multi_time_converse_checks_bit_identical_to_single_time_form():
         reps = classical_converse_check(e, rho, sigma, times, 4.0, 0.02)
         assert len(reps) == len(times)
         for t, rep in zip(times, reps):
-            params = ConverseBoundParams.from_semigroup(t, 4.0, 0.02, m_tilde=m_tilde,
-                                                        g_tilde=g_tilde)
             assert _report_bits(rep) == _report_bits(
-                _parent_classical_check(e, rho, sigma, params))
+                _parent_classical_check(e, rho, sigma, t, 4.0, 0.02, m_tilde, g_tilde))
             seen["classical"].add(rep.extra["branch"])
 
         cells = matcore.random_probability_vector(sub, 4, floor=0.16)
@@ -569,9 +581,8 @@ def test_multi_time_converse_checks_bit_identical_to_single_time_form():
         reps = mutual_info_converse_check(e, joint, times, 4.0, 5e-4)
         assert len(reps) == len(times)
         for t, rep in zip(times, reps):
-            params = ConverseBoundParams.from_semigroup(t, 4.0, 5e-4)
             assert _report_bits(rep) == _report_bits(
-                _parent_mutual_info_check(e, joint, params))
+                _parent_mutual_info_check(e, joint, t, 4.0, 5e-4))
             seen["mutual-info"].add(rep.extra["branch"])
     assert seen == {"classical": {"large-D", "small-D"},
                     "mutual-info": {"large-D", "small-D"}}
@@ -581,10 +592,12 @@ def test_zeta_and_eps_exact_at_small_times():
     # 1 - exp(-x) cancels for small x: at x = 3e-17 it gave 0, at 3e-13 a
     # relative error of 6e-5
     for t in (1e-17, 1e-13):
-        p = ConverseBoundParams.from_semigroup(t, 4.0, 0.75)
-        assert math.isclose(p.zeta, 3.0 * t, rel_tol=1e-12)
-        assert math.isclose(p.eps, 1.5 * t, rel_tol=1e-12)
+        zeta, eps = bounds._replacement_weights(t, 4.0, 0.75)
+        assert math.isclose(zeta, 3.0 * t, rel_tol=1e-12)
+        assert math.isclose(eps, 1.5 * t, rel_tol=1e-12)
+    g, tau_star = g_factor(-math.expm1(-3e-17), 4.0)
+    assert tau_star > 1e-12
+    # the clsi check optimizes at the exact zeta, not at 0 (where g = 1)
     rep = clsi_converse_check(qubit_depolarizing_lindbladian(),
                               DensityMatrix.diagonal([0.9, 0.1]), 1e-17)
-    assert rep.params.zeta == -math.expm1(-3e-17) > 0
-    assert rep.tau_star > 1e-12
+    assert rep.factor == g < 1.0

@@ -293,9 +293,18 @@ def test_relative_entropies_reject_a_dimension_mismatch(rng):
     sigma = matcore.random_density(rng, 3, mix=0.1)
     for run in (lambda: relative_entropy(rho, sigma),
                 lambda: relative_entropy([rho, rho], [sigma, sigma]),
-                lambda: relative_entropy_integral_form(rho, sigma)):
+                lambda: relative_entropy_integral_form(rho, sigma),
+                lambda: pinsker_check(rho, sigma),
+                lambda: entropy.gaorouze_sandwich_check(rho, sigma)):
         with pytest.raises(ValueError, match="rho has dim 2, sigma has dim 3"):
             run()
+
+
+def test_relative_entropy_rejects_sequences_of_two_lengths(rng):
+    rho = matcore.random_density(rng, 2, mix=0.1)
+    sigma = matcore.random_density(rng, 2, mix=0.1)
+    with pytest.raises(ValueError, match="rho has 2 states, sigma has 1"):
+        relative_entropy([rho, rho], [sigma])
 
 
 def test_integral_form_rejects_few_nodes(rng):

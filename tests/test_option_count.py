@@ -1,15 +1,20 @@
 """Every defaulted parameter and defaulted dataclass field is a setting that
-tests and benchmarks have to cover.  This test fixes their number: a change
-that adds one raises DEFAULTED_LIMIT in the same diff and says why."""
+tests and benchmarks have to cover, and every line of the package is code to
+read.  These tests fix both numbers: a change that adds a setting raises
+DEFAULTED_LIMIT, and one that grows the package past SRC_LINE_LIMIT raises
+that, in the same diff, and says why."""
 
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import qdecay
 
-DEFAULTED_LIMIT = 47
+DEFAULTED_LIMIT = 31
+# lines of src/qdecay/*.py, as `cat src/qdecay/*.py | wc -l` counts them
+SRC_LINE_LIMIT = 2823
 
 
 def _defaulted_settings() -> list:
@@ -45,3 +50,9 @@ def test_defaulted_settings_do_not_grow():
     found = _defaulted_settings()
     assert len(found) == len(set(found))
     assert len(found) <= DEFAULTED_LIMIT, "\n".join(found)
+
+
+def test_src_lines_do_not_grow():
+    files = sorted(Path(qdecay.__file__).parent.glob("*.py"))
+    lines = sum(f.read_bytes().count(b"\n") for f in files)
+    assert lines <= SRC_LINE_LIMIT, f"{lines} lines in {len(files)} files"
