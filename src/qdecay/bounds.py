@@ -302,6 +302,15 @@ def mutual_info_converse_check(e_on_b: ConditionalExpectation, rho, times: Seque
                              "iPre", one)
 
 
+def _per_pair(eps, zeta, pairs: int, one: bool) -> tuple:
+    """eps and zeta as sequences; a ValueError unless each has one entry per state pair."""
+    eps, zeta = ([eps], [zeta]) if one else (eps, zeta)
+    if not len(eps) == len(zeta) == pairs:
+        raise ValueError(f"need one eps and one zeta per state pair: {pairs} pairs, "
+                         f"{len(eps)} eps, {len(zeta)} zeta")
+    return eps, zeta
+
+
 def decayed_state_bound_check(rho, sigma, theta_dens: DensityMatrix, omega: DensityMatrix,
                               eps, zeta, c: float):
     """Partial-replacement comparison
@@ -311,7 +320,7 @@ def decayed_state_bound_check(rho, sigma, theta_dens: DensityMatrix, omega: Dens
     for theta <= c omega and eps >= zeta.  For equal-length sequences of rho,
     sigma, eps and zeta, with theta and omega shared, a list of reports."""
     rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
-    eps, zeta = ([eps], [zeta]) if one else (eps, zeta)
+    eps, zeta = _per_pair(eps, zeta, len(rhos), one)
     check = matcore.loewner_min_coefficient(theta_dens, omega, strict=True)
     if check > c * (1 + 1e-9):
         raise ValueError(f"order precondition fails: smallest valid c is {check!r}")
@@ -339,7 +348,7 @@ def origcompare_check(rho, sigma, omega, eps, zeta):
     under rho >= (1-zeta) sigma.  For equal-length sequences of the states,
     eps and zeta, a list of reports."""
     rhos, sigmas, omegas, one = matcore.batch(rho=rho, sigma=sigma, omega=omega)
-    eps, zeta = ([eps], [zeta]) if one else (eps, zeta)
+    eps, zeta = _per_pair(eps, zeta, len(rhos), one)
     if not all(0.0 <= e < 1.0 and 0.0 <= z < 1.0 for e, z in zip(eps, zeta)):
         raise ValueError("eps and zeta must lie in [0, 1)")
     r, s, o = (matcore.stack([x.matrix for x in xs]) for xs in (rhos, sigmas, omegas))

@@ -83,9 +83,8 @@ def _convert_units(result: exp.SweepResult, units: str, columns) -> exp.SweepRes
 
 def cmd_sudden_decay(args) -> int:
     try:
-        cfg = exp.SuddenDecayConfig.logspace(
-            theta_max=args.theta_max, theta_min=args.theta_min,
-            points=args.points, lam=args.lam, dim=args.dim, noise=args.noise)
+        grid = exp.theta_logspace(args.theta_max, args.theta_min, args.points)
+        cfg = exp.SuddenDecayConfig(grid, args.lam, args.dim, args.noise)
     except ValueError as err:
         return _error(err, 2)
     try:

@@ -107,10 +107,6 @@ def _slices(thetas):
     return (thetas[i:i + SWEEP_CHUNK] for i in range(0, len(thetas), SWEEP_CHUNK))
 
 
-def _pinched(rho: DensityMatrix) -> DensityMatrix:
-    return DensityMatrix.from_matrix(np.diag(np.diagonal(rho.matrix)))
-
-
 def _theta_grid(grid) -> tuple:
     """Validate a sweep's theta grid: non-empty, every theta in (0, pi/4],
     strictly decreasing.  Returns it as a tuple of floats."""
@@ -163,24 +159,20 @@ class SuddenDecayConfig:
         if self.noise == "dephasing-y" and self.dim != 2:
             raise ValueError(f"dephasing-y noise is a qubit channel; got dimension {self.dim}")
 
-    @classmethod
-    def logspace(cls, theta_max: float, theta_min: float, points: int,
-                 lam: float = 0.1, dim: int = 2,
-                 noise: str = "depolarizing") -> "SuddenDecayConfig":
-        return cls(theta_logspace(theta_max, theta_min, points), lam, dim, noise)
-
 
 def sudden_decay_sweep(cfg: SuddenDecayConfig) -> SweepResult:
     """Per theta: exact pre-noise and post-noise relative entropy to the
     computational-basis pinching, their ratio, and ratio * ln(1/theta)."""
     rows = []
     noise = None if cfg.lam == 0 else _noise_channel(cfg.noise, cfg.lam, cfg.dim)
+    pinch = channels.pinching(cfg.dim).apply_matrix
     for thetas in _slices(cfg.theta_grid):
         pres = [rho_theta_lambda(theta, 0.0, cfg.dim) for theta in thetas]
         posts = pres if noise is None else DensityMatrix.from_matrices(
             noise.apply_matrix(np.stack([x.matrix for x in pres])))
-        d_pres, d_posts = (entropy.unwrap(entropy.relative_entropy(xs, [_pinched(x) for x in xs]))
-                           for xs in (pres, posts))
+        d_pres, d_posts = (entropy.unwrap(entropy.relative_entropy(
+            xs, DensityMatrix.from_matrices(pinch(np.stack([x.matrix for x in xs])))))
+            for xs in (pres, posts))
         for theta, d_pre, d_post in zip(thetas, d_pres, d_posts):
             # below the cancellation floor d_pre can evaluate to exactly zero
             ratio = d_post / d_pre if d_pre > 0 else math.nan
@@ -222,7 +214,7 @@ def expansion_consistency_check(theta: float, lam: float, d: int = 2) -> dict:
     if theta > 1e-3:
         raise ValueError("consistency check is a small-angle statement; need theta <= 1e-3")
     state = rho_theta_lambda(theta, lam, d)
-    exact = entropy.relative_entropy(state, _pinched(state)).unwrap()
+    exact = entropy.relative_entropy(state, channels.pinching(d).apply(state)).unwrap()
     coeff = expansion_quadratic_coefficient(lam, d)
     predicted = coeff * theta * theta
     if predicted == 0.0:
@@ -253,22 +245,13 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
     """
     lind = channels.group_lindbladian(g)
     d = lind.dim
-    pair = None
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            e_ij = np.zeros((d, d), dtype=complex)
-            e_ij[i, j] = 1.0
-            if float(np.abs(lind.fixed_point.apply_matrix(e_ij)).max()) < 1e-10:
-                pair = (i, j)
-                break
-        if pair:
-            break
-    if pair is None:
+    # E(|i><j|) is the (i, j) block of E's Choi matrix; the first killed coherence, row-major
+    kept = np.abs(channels.choi_matrix(lind.fixed_point).reshape(d, d, d, d)).max(axis=(0, 2))
+    pairs = [(int(i), int(j)) for i, j in zip(*np.nonzero(kept < 1e-10)) if i != j]
+    if not pairs:
         raise ValueError("fixed-point projection preserves every coherence; "
                          "no decay to exhibit")
-    i, j = pair
+    i, j = pairs[0]
     phi_t = lind.semigroup(t)
     rows = []
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -292,7 +275,7 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
         "t": t,
         "dim": d,
         "generatorCount": len(g.unitaries),
-        "coherencePair": list(pair),
+        "coherencePair": [i, j],
         "version": ARTIFACT_VERSION,
     }
     return SweepResult(

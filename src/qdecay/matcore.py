@@ -250,21 +250,21 @@ class BipartiteDensity:
 def batch(**named) -> tuple:
     """Each keyword argument, one state (a DensityMatrix or BipartiteDensity)
     or a sequence of states, as a sequence, then whether the first was one
-    state.  Several sequences must have one length and one dimension; a
-    ValueError names both where they differ."""
+    state.  Several sequences must have one length, and every member of each
+    the dimension of the first; a ValueError names where they differ."""
     single = (DensityMatrix, BipartiteDensity)
-    (first, x), *others = named.items()
-    xs = [x] if isinstance(x, single) else x
-    seqs = [xs]
-    for name, y in others:
-        ys = [y] if isinstance(y, single) else y
+    (first, x), *_ = named.items()
+    seqs = [[y] if isinstance(y, single) else y for y in named.values()]
+    xs = seqs[0]
+    for name, ys in zip(named, seqs):
         if len(ys) != len(xs):
             raise ValueError(f"length mismatch: {first} has {len(xs)} states, "
                              f"{name} has {len(ys)}")
-        if ys and ys[0].dim != xs[0].dim:
-            raise ValueError(f"dimension mismatch: {first} has dim {xs[0].dim}, "
-                             f"{name} has dim {ys[0].dim}")
-        seqs.append(ys)
+        # a lone sequence may mix dimensions: mutual_information groups bipartite splits
+        for k, y in enumerate(ys if len(seqs) > 1 else ()):
+            if y.dim != xs[0].dim:
+                raise ValueError(f"dimension mismatch: {first} has dim {xs[0].dim}, "
+                                 f"{name} has dim {y.dim} (member {k})")
     return (*seqs, isinstance(x, single))
 
 

@@ -250,7 +250,7 @@ def _clsi_tables():
                               lind.pp_index, variant=variant)[0]
               for variant in CLSI_VARIANTS)
         for t in CLSI_TIMES)
-    return lind, factors, (lind.fixed_point.superop, *(lind.semigroup(t) for t in CLSI_TIMES))
+    return lind, factors, (lind.fixed_point, *(lind.semigroup(t) for t in CLSI_TIMES))
 
 
 @_suite("clsi-converse", 1)

@@ -48,7 +48,7 @@ def test_criterion_01_g_table_reproduction():
 
 def test_criterion_02_sudden_decay_scaling():
     t0 = time.perf_counter()
-    cfg = exp.SuddenDecayConfig.logspace(1e-3, 1e-6, 4, lam=0.1, dim=2)
+    cfg = exp.SuddenDecayConfig(exp.theta_logspace(1e-3, 1e-6, 4), lam=0.1, dim=2)
     sweep = exp.sudden_decay_sweep(cfg)
     elapsed = time.perf_counter() - t0
     ratios = sweep.column("ratio")

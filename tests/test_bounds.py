@@ -435,6 +435,22 @@ def test_decayed_state_order_precondition():
                                   eps=0.5, zeta=0.2, c=1.5)
 
 
+def test_decayed_state_needs_one_weight_per_pair():
+    rho = DensityMatrix.diagonal([0.8, 0.2])
+    sigma = DensityMatrix.diagonal([0.4, 0.6])
+    mixed = DensityMatrix.maximally_mixed(2)
+    with pytest.raises(ValueError, match="2 pairs, 1 eps, 1 zeta"):
+        decayed_state_bound_check([rho, rho], [sigma, sigma], mixed, mixed, [0.3], [0.2], 1.0)
+
+
+def test_origcompare_needs_one_weight_per_pair():
+    sigma = DensityMatrix.diagonal([0.6, 0.4])
+    rho = DensityMatrix.from_matrix(0.7 * sigma.matrix + 0.3 * np.eye(2) / 2)
+    omega = DensityMatrix.diagonal([0.2, 0.8])
+    with pytest.raises(ValueError, match="2 pairs, 1 eps, 1 zeta"):
+        origcompare_check([rho, rho], [sigma, sigma], [omega, omega], [0.3], [0.2])
+
+
 def test_origcompare_no_mixing_is_equality(rng):
     sigma = DensityMatrix.diagonal([0.6, 0.4])
     rho = DensityMatrix.from_matrix(0.7 * sigma.matrix + 0.3 * np.eye(2) / 2)

@@ -95,7 +95,7 @@ def test_pinching_rejects_non_unitary_basis():
 def test_conditional_expectation_rejects_non_idempotent():
     ch = depolarizing(2, 0.5).to_superoperator()
     with pytest.raises(ValueError, match="idempotent"):
-        ConditionalExpectation(ch)
+        ConditionalExpectation(ch.dim, ch.matrix)
 
 
 def test_group_lindbladian_pauli_z_fixed_point():
@@ -216,7 +216,8 @@ def test_pimsner_popa_values():
     assert abs(pimsner_popa_index(depolarizing_projection(2)) - 4.0) < 1e-9
     for d in (2, 3, 4):
         assert abs(pimsner_popa_index(depolarizing_projection(d)) - d * d) < 1e-8
-    ident = ConditionalExpectation(identity_superoperator(2))
+    ident = identity_superoperator(2)
+    ident = ConditionalExpectation(ident.dim, ident.matrix)
     assert abs(pimsner_popa_index(ident) - 1.0) < 1e-9
     assert pimsner_popa_index(pinching(2)) >= 1.0 - 1e-12
 
@@ -255,6 +256,19 @@ def test_diamond_zero_map():
 
 def test_diamond_identity():
     assert abs(diamond_norm_estimate(identity_superoperator(2), restarts=3) - 1.0) < 1e-9
+
+
+def test_diamond_rejects_a_map_that_does_not_preserve_hermiticity(rng):
+    # rho -> i rho, and a random superoperator: neither Choi matrix is Hermitian
+    for m in (1j * np.eye(4), matcore.random_complex_normal(rng, (4, 4))):
+        with pytest.raises(ValueError, match="not Hermiticity-preserving"):
+            diamond_norm_estimate(SuperOperator(2, m))
+
+
+def test_conditional_expectation_is_a_superoperator():
+    e = pinching(2)
+    assert isinstance(e, SuperOperator)
+    assert e.superop is e
 
 
 def test_diamond_replacement_generator():

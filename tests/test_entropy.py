@@ -300,6 +300,15 @@ def test_relative_entropies_reject_a_dimension_mismatch(rng):
             run()
 
 
+def test_relative_entropy_checks_every_member_dimension(rng):
+    r2, s2 = (matcore.random_density(rng, 2, mix=0.1) for _ in range(2))
+    r3 = matcore.random_density(rng, 3, mix=0.1)
+    with pytest.raises(ValueError, match=r"rho has dim 2, rho has dim 3 \(member 1\)"):
+        relative_entropy([r2, r3], [s2, r3])
+    with pytest.raises(ValueError, match=r"rho has dim 2, sigma has dim 3 \(member 1\)"):
+        relative_entropy([r2, r2], [s2, r3])
+
+
 def test_relative_entropy_rejects_sequences_of_two_lengths(rng):
     rho = matcore.random_density(rng, 2, mix=0.1)
     sigma = matcore.random_density(rng, 2, mix=0.1)

@@ -64,14 +64,14 @@ def test_sudden_decay_no_noise_has_unit_ratio():
 
 
 def test_sudden_decay_ratio_prediction():
-    cfg = exp.SuddenDecayConfig.logspace(1e-3, 1e-6, 4, lam=0.1)
+    cfg = exp.SuddenDecayConfig(exp.theta_logspace(1e-3, 1e-6, 4), lam=0.1)
     sweep = exp.sudden_decay_sweep(cfg)
     ratios = sweep.column("ratio")
     assert 0.41 <= ratios[-1] / ratios[0] <= 0.62
 
 
 def test_sudden_decay_log_product_bounded():
-    cfg = exp.SuddenDecayConfig.logspace(1e-3, 1e-6, 4, lam=0.1)
+    cfg = exp.SuddenDecayConfig(exp.theta_logspace(1e-3, 1e-6, 4), lam=0.1)
     sweep = exp.sudden_decay_sweep(cfg)
     vals = sweep.column("ratio_times_log_inv_theta")
     assert (max(vals) - min(vals)) / min(vals) < 0.25
@@ -81,7 +81,7 @@ def test_sudden_decay_dephasing_variant_matches_depolarizing():
     # within the rotated-pure family, Y-basis dephasing acts exactly as
     # depolarizing, so the sweeps coincide
     for noise in ("depolarizing", "dephasing-y"):
-        cfg = exp.SuddenDecayConfig.logspace(1e-3, 1e-5, 3, lam=0.2, noise=noise)
+        cfg = exp.SuddenDecayConfig(exp.theta_logspace(1e-3, 1e-5, 3), lam=0.2, noise=noise)
         sweep = exp.sudden_decay_sweep(cfg)
         vals = sweep.column("ratio_times_log_inv_theta")
         assert (max(vals) - min(vals)) / min(vals) < 0.25
@@ -181,6 +181,29 @@ def test_group_fragility_pauli_group_reduces_to_basic_example():
             post, DensityMatrix.from_matrix(np.diag(np.diagonal(post.matrix)))).unwrap()
         assert abs(i_pre - d_pre) < 1e-10
         assert abs(i_post - d_post) < 1e-10
+
+
+def test_group_fragility_rejects_a_projection_that_keeps_every_coherence():
+    # the fixed points of X alone are span{I, X}, of the d = 4 shift the circulants:
+    # each keeps part of every |i><j|
+    shift = np.roll(np.eye(4, dtype=complex), 1, axis=0)
+    for gens in ([X], [shift]):
+        g = channels.GroupLindbladian.from_generators(gens, [1.0])
+        with pytest.raises(ValueError, match="preserves every coherence"):
+            exp.group_fragility_demo(g, 0.3, [1e-2])
+
+
+def test_group_fragility_coherence_pair_is_the_first_killed_in_row_major_order():
+    clock = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
+    shift = np.roll(np.eye(4, dtype=complex), 1, axis=0)
+    # diag(1, 1, -1) keeps |0><1| and kills |0><2| first
+    for gens, pair in (([X, Z], [0, 1]), ([clock, shift], [0, 1]),
+                       ([np.diag([1.0, 1.0, -1.0]).astype(complex)], [0, 2])):
+        g = channels.GroupLindbladian.from_generators(gens, [1.0 / len(gens)] * len(gens))
+        sweep = exp.group_fragility_demo(g, 0.3, [1e-2])
+        assert sweep.metadata["coherencePair"] == pair
+        assert all(type(k) is int for k in sweep.metadata["coherencePair"])
+        assert json.loads(sweep.to_json())["metadata"]["coherencePair"] == pair
 
 
 def test_group_fragility_time_zero_unit_ratios():
@@ -284,7 +307,7 @@ def test_private_rate_positive_on_every_row_with_depolarizing_leak():
 
 
 def test_sweep_result_csv_shape():
-    cfg = exp.SuddenDecayConfig.logspace(1e-2, 1e-4, 5, lam=0.3)
+    cfg = exp.SuddenDecayConfig(exp.theta_logspace(1e-2, 1e-4, 5), lam=0.3)
     sweep = exp.sudden_decay_sweep(cfg)
     text = sweep.to_csv()
     lines = text.split("\n")
@@ -297,7 +320,7 @@ def test_sweep_result_csv_shape():
 
 
 def test_sweep_result_json_metadata():
-    cfg = exp.SuddenDecayConfig.logspace(1e-2, 1e-3, 3, lam=0.3)
+    cfg = exp.SuddenDecayConfig(exp.theta_logspace(1e-2, 1e-3, 3), lam=0.3)
     sweep = exp.sudden_decay_sweep(cfg)
     data = json.loads(sweep.to_json())
     assert data["metadata"]["lambda"] == 0.3
