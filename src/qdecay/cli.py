@@ -78,7 +78,7 @@ def _convert_units(result: exp.SweepResult, units: str, columns) -> exp.SweepRes
                  for row in result.rows)
     meta = dict(result.metadata)
     meta["units"] = "bits"
-    return exp.SweepResult(result.columns, rows, meta, result.warnings)
+    return exp.SweepResult(result.columns, rows, meta)
 
 
 def cmd_sudden_decay(args) -> int:
@@ -93,8 +93,6 @@ def cmd_sudden_decay(args) -> int:
         return _error(err, 1)
     result = _convert_units(result, args.units, ("d_pre", "d_post"))
     _write_output(_sweep_text(result, args.format), args.out)
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
     return 0
 
 

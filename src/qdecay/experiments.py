@@ -9,26 +9,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import channels, entropy
-from .channels import GroupLindbladian, KrausChannel, Lindbladian
+from .channels import GroupLindbladian, KrausChannel
 from .matcore import BipartiteDensity, DensityMatrix
 
 ARTIFACT_VERSION = "0.1.0"
 
 NOISE_KINDS = ("depolarizing", "dephasing-y")
 
-# below this angle the pre-noise relative entropy (~ theta^2 ln(1/theta))
-# sits within a few decades of the double-precision cancellation floor
-THETA_PRECISION_WARNING = 1e-7
+THETA_MIN = 1e-150  # smallest sweep angle: sin^2(theta) leaves the normal doubles near 1.5e-154
 MAX_THETA_POINTS = 10_000  # largest grid theta_logspace builds: the CLI's --points limit
-# largest sudden-decay dimension: depolarizing noise has d^2 + 1 Kraus operators
-# of size d x d, so memory grows as d^4
-MAX_SWEEP_DIM = 16
-# theta rows whose states a sweep builds and evaluates as one stack; bounds memory
+# theta rows whose states the fragility demo builds and evaluates as one stack; bounds memory
 SWEEP_CHUNK = 64
 
 
@@ -42,8 +37,7 @@ class SweepResult:
 
     columns: tuple
     rows: tuple
-    metadata: dict = field(default_factory=dict)
-    warnings: tuple = ()
+    metadata: dict
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
@@ -56,7 +50,6 @@ class SweepResult:
             "columns": list(self.columns),
             "rows": [[_fmt17(x) for x in row] for row in self.rows],
             "metadata": self.metadata,
-            "warnings": list(self.warnings),
         }
 
     def to_json(self) -> str:
@@ -93,14 +86,6 @@ def omega_theta_lambda(theta: float, lam: float, d: int = 2) -> BipartiteDensity
     return BipartiteDensity.from_matrix(big, 2, d)
 
 
-def _noise_channel(kind: str, lam: float, d: int) -> KrausChannel:
-    if kind == "depolarizing":
-        return channels.depolarizing(d, lam)
-    if kind == "dephasing-y":
-        return channels.dephasing_y(lam)
-    raise ValueError(f"unknown noise kind {kind!r}; choose from {NOISE_KINDS}")
-
-
 def _slices(thetas):
     """A theta grid in slices of SWEEP_CHUNK rows, each evaluated as stacks whose
     rows keep the bits of one call per row."""
@@ -108,13 +93,13 @@ def _slices(thetas):
 
 
 def _theta_grid(grid) -> tuple:
-    """Validate a sweep's theta grid: non-empty, every theta in (0, pi/4],
-    strictly decreasing.  Returns it as a tuple of floats."""
+    """Validate a sweep's theta grid: non-empty, every theta in
+    [THETA_MIN, pi/4], strictly decreasing.  Returns it as a tuple of floats."""
     thetas = tuple(float(t) for t in grid)
     if not thetas:
         raise ValueError("theta grid is empty")
-    if any(not 0.0 < t <= math.pi / 4 for t in thetas):
-        raise ValueError("theta values must lie in (0, pi/4]")
+    if any(not THETA_MIN <= t <= math.pi / 4 for t in thetas):
+        raise ValueError(f"theta values must lie in [THETA_MIN = {THETA_MIN:g}, pi/4]")
     if any(b >= a for a, b in zip(thetas, thetas[1:])):
         raise ValueError("theta grid must be strictly decreasing")
     return thetas
@@ -132,14 +117,6 @@ def theta_logspace(theta_max: float, theta_min: float, points: int) -> tuple:
     return tuple(float(t) for t in grid)
 
 
-def _precision_warnings(thetas) -> tuple:
-    """One warning per distinct theta below THETA_PRECISION_WARNING, sorted."""
-    return tuple(sorted({
-        f"theta={t:g} is below {THETA_PRECISION_WARNING:g}; "
-        "values sit near the double-precision cancellation floor"
-        for t in thetas if t < THETA_PRECISION_WARNING}))
-
-
 @dataclass(frozen=True)
 class SuddenDecayConfig:
     theta_grid: tuple
@@ -149,11 +126,10 @@ class SuddenDecayConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_grid", _theta_grid(self.theta_grid))
-        if not 2 <= self.dim <= MAX_SWEEP_DIM:
-            raise ValueError(f"dimension must lie in [2, MAX_SWEEP_DIM = {MAX_SWEEP_DIM}], "
-                             f"got {self.dim}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
+        if self.dim < 2:
+            raise ValueError(f"dimension must be at least 2, got {self.dim}")
+        if self.lam > 1.0 or not (self.lam == 0.0 or self.lam / self.dim >= np.finfo(float).tiny):
+            raise ValueError("lambda must be 0, or lie in (0, 1] with lambda/dim a normal double")
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}")
         if self.noise == "dephasing-y" and self.dim != 2:
@@ -162,21 +138,27 @@ class SuddenDecayConfig:
 
 def sudden_decay_sweep(cfg: SuddenDecayConfig) -> SweepResult:
     """Per theta: exact pre-noise and post-noise relative entropy to the
-    computational-basis pinching, their ratio, and ratio * ln(1/theta)."""
+    computational-basis pinching E, their ratio, and ratio * ln(1/theta).
+
+    Closed forms in s = sin^2(theta), within 1e-13 relative (mpmath) down to
+    THETA_MIN.  D(rho || E rho) = S(E rho) - S(rho), E psi = diag(1 - s, s), so
+    d_pre = h(s).  N psi has the level a = 1 - lam + lam/d once and b = lam/d
+    d - 1 times; E moves delta = (1 - lam) s from a to one b, so d_post = delta
+    ln(a/b) - (a - delta) log1p(-delta/a) - (b + delta) log1p(delta/b).  A real
+    psi under dephasing-y is (1 - lam/2) psi + (lam/2)(I - psi): the same levels.
+    """
+    d, lam = cfg.dim, cfg.lam
+    a, b = 1.0 - lam + lam / d, lam / d
     rows = []
-    noise = None if cfg.lam == 0 else _noise_channel(cfg.noise, cfg.lam, cfg.dim)
-    pinch = channels.pinching(cfg.dim).apply_matrix
-    for thetas in _slices(cfg.theta_grid):
-        pres = [rho_theta_lambda(theta, 0.0, cfg.dim) for theta in thetas]
-        posts = pres if noise is None else DensityMatrix.from_matrices(
-            noise.apply_matrix(np.stack([x.matrix for x in pres])))
-        d_pres, d_posts = (entropy.unwrap(entropy.relative_entropy(
-            xs, DensityMatrix.from_matrices(pinch(np.stack([x.matrix for x in xs])))))
-            for xs in (pres, posts))
-        for theta, d_pre, d_post in zip(thetas, d_pres, d_posts):
-            # below the cancellation floor d_pre can evaluate to exactly zero
-            ratio = d_post / d_pre if d_pre > 0 else math.nan
-            rows.append((theta, d_pre, d_post, ratio, ratio * math.log(1.0 / theta)))
+    for theta in cfg.theta_grid:
+        s = math.sin(theta) ** 2
+        d_pre = d_post = entropy.binary_entropy(s)
+        if lam > 0.0:
+            delta = (1.0 - lam) * s
+            d_post = (delta * math.log(a / b) - (a - delta) * math.log1p(-delta / a)
+                      - (b + delta) * math.log1p(delta / b))
+        ratio = d_post / d_pre
+        rows.append((theta, d_pre, d_post, ratio, ratio * math.log(1.0 / theta)))
     meta = {
         "experiment": "sudden-decay",
         "lambda": cfg.lam,
@@ -186,7 +168,7 @@ def sudden_decay_sweep(cfg: SuddenDecayConfig) -> SweepResult:
     }
     return SweepResult(
         columns=("theta", "d_pre", "d_post", "ratio", "ratio_times_log_inv_theta"),
-        rows=tuple(rows), metadata=meta, warnings=_precision_warnings(cfg.theta_grid))
+        rows=tuple(rows), metadata=meta)
 
 
 def expansion_quadratic_coefficient(lam: float, d: int = 2) -> float:
@@ -256,20 +238,18 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
     rows = []
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for thetas in _slices([float(theta) for theta in theta_grid]):
-        omegas = []
-        for theta in thetas:
-            plus = np.zeros(d, dtype=complex)
-            minus = np.zeros(d, dtype=complex)
-            plus[i] = minus[i] = inv_sqrt2
-            plus[j] = inv_sqrt2 * complex(math.cos(theta), math.sin(theta))
-            minus[j] = inv_sqrt2 * complex(math.cos(theta), -math.sin(theta))
-            big = np.zeros((2 * d, 2 * d), dtype=complex)
-            big[:d, :d] = 0.5 * np.outer(plus, plus.conj())
-            big[d:, d:] = 0.5 * np.outer(minus, minus.conj())
-            omegas.append(BipartiteDensity.from_matrix(big, 2, d))
+        big = np.zeros((len(thetas), 2 * d, 2 * d), dtype=complex)
+        for flag, sign in ((0, 1.0), (1, -1.0)):  # flag 0 carries +theta, flag 1 -theta
+            vec = np.zeros((len(thetas), d), dtype=complex)
+            vec[:, i] = inv_sqrt2
+            vec[:, j] = [inv_sqrt2 * complex(math.cos(x), sign * math.sin(x)) for x in thetas]
+            block = slice(flag * d, (flag + 1) * d)
+            big[:, block, block] = 0.5 * (vec[:, :, None] * vec[:, None, :].conj())
+        omegas = [BipartiteDensity(2, d, x) for x in DensityMatrix.from_matrices(big)]
         i_pres, i_posts = (entropy.mutual_information(xs).tolist()
                            for xs in (omegas, channels.apply_to_b(phi_t, omegas)))
-        rows.extend((theta, a, b, a / b) for theta, a, b in zip(thetas, i_pres, i_posts))
+        rows.extend((theta, a, b, a / b if b > 0 else math.nan)  # i_post can round to 0
+                    for theta, a, b in zip(thetas, i_pres, i_posts))
     meta = {
         "experiment": "group-fragility",
         "t": t,
@@ -294,7 +274,10 @@ def flagged_channel(lam: float, p: float, noise: str = "dephasing-y") -> KrausCh
         raise ValueError("flag probability must lie in (0, 1]")
     if not 0.0 <= lam < 1.0:
         raise ValueError("noise strength must lie in [0, 1)")
-    comp = channels.complementary_channel(_noise_channel(noise, lam, 2))
+    if noise not in NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {noise!r}; choose from {NOISE_KINDS}")
+    comp = channels.complementary_channel(
+        channels.depolarizing(2, lam) if noise == "depolarizing" else channels.dephasing_y(lam))
     # output C^2 x C^branch: flag f's block sits at rows f*branch to (f+1)*branch
     branch = max(2, comp.dim_out)
     keep = np.zeros((2 * branch, 2), dtype=complex)
@@ -328,25 +311,39 @@ class PrivateRateConfig:
 def private_rate_lower_bound(cfg: PrivateRateConfig) -> SweepResult:
     """Single-letter private-rate lower bound sweep for the flagged channel.
 
-    Per theta: i_kept is the mutual information of the flag-correlated
-    input through the kept (identity) branch; i_env is the mutual
-    information through the Stinespring complement of the noise channel,
-    which is what the noise leaks to its environment.  The reported bound
-    is p * i_kept - (1 - p) * i_env; its maximum positive value and the
-    witnessing theta are recorded in the metadata.
+    Per theta: i_kept is the mutual information of the flag-correlated input
+    through the kept (identity) branch, i_env through the Stinespring
+    complement of the noise (what it leaks to its environment), and the bound
+    is p * i_kept - (1 - p) * i_env; the metadata records its largest
+    positive value and the theta where it occurs.
+
+    Closed forms in s = sin^2(theta) with only positive terms, within 1e-13
+    relative (mpmath) down to THETA_MIN.  For the cq input I = S(mean output) -
+    mean S(output), and the mean input is diag(1 - s, s): i_kept = h(s).  The
+    dephasing-y complement sees only tr(Y rho) = 0, so i_env = 0.  Under
+    depolarizing noise a pure input leaves h(lam/2) in the complement, and the
+    mean input its entropy exchange (Schumacher, Phys. Rev. A 54, 2614, 1996),
+    the spectrum of (N x id)(sqrt(1-s)|00> + sqrt(s)|11>): lam s/2, lam (1-s)/2,
+    and mu, T - mu, where T = 1 - lam/2, det = (1 - s) s (lam - 3 lam^2/4) and
+    mu = det / ((T + sqrt(T^2 - 4 det))/2).  With h(lam/2) = -(lam/2) ln(lam/2)
+    - T ln T, i_env = (lam/2) h(s) - mu ln(mu/T) - (T - mu) log1p(-mu/T).
     """
-    comp = channels.complementary_channel(_noise_channel(cfg.noise, cfg.lam, 2))
+    lam, total = cfg.lam, 1.0 - cfg.lam / 2.0
     rows = []
     best = None
-    for thetas in _slices(cfg.theta_grid):
-        omegas = [omega_theta_lambda(theta, 0.0) for theta in thetas]
-        i_kepts, i_envs = (entropy.mutual_information(xs).tolist()
-                           for xs in (omegas, channels.apply_to_b(comp, omegas)))
-        for theta, i_kept, i_env in zip(thetas, i_kepts, i_envs):
-            bound = cfg.p * i_kept - (1 - cfg.p) * i_env
-            rows.append((theta, i_kept, i_env, bound))
-            if bound > 0 and (best is None or bound > best[1]):
-                best = (theta, bound)
+    for theta in cfg.theta_grid:
+        s = math.sin(theta) ** 2
+        i_kept = entropy.binary_entropy(s)
+        i_env = 0.0
+        det = (1.0 - s) * s * (lam - 0.75 * lam * lam)
+        if cfg.noise == "depolarizing" and det > 0.0:  # det, like i_env, underflows with lam s
+            mu = det / ((total + math.sqrt(total * total - 4.0 * det)) / 2.0)
+            i_env = (lam / 2.0 * i_kept - mu * math.log(mu / total)
+                     - (total - mu) * math.log1p(-mu / total))
+        bound = cfg.p * i_kept - (1 - cfg.p) * i_env
+        rows.append((theta, i_kept, i_env, bound))
+        if bound > 0 and (best is None or bound > best[1]):
+            best = (theta, bound)
     meta = {
         "experiment": "private-rate",
         "p": cfg.p,
@@ -359,4 +356,4 @@ def private_rate_lower_bound(cfg: PrivateRateConfig) -> SweepResult:
     }
     return SweepResult(
         columns=("theta", "i_kept", "i_env", "rate_lower_bound"),
-        rows=tuple(rows), metadata=meta, warnings=_precision_warnings(cfg.theta_grid))
+        rows=tuple(rows), metadata=meta)

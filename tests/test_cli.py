@@ -6,9 +6,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qdecay import bounds
+from qdecay import bounds, entropy, matcore
 from qdecay import experiments as exp
 from qdecay.cli import main
 
@@ -250,20 +251,48 @@ def test_sudden_decay_dim_one_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sudden_decay_dim_above_limit_exits_2_before_building_noise(
-        tmp_path, capsys, monkeypatch):
-    def unreachable(d, lam):
-        raise AssertionError("the depolarizing channel was built")
+def test_sweeps_at_dim_64_build_no_channel_and_solve_no_eigenproblem(tmp_path, capsys):
+    def unreachable(*args):
+        raise AssertionError("the matrix path ran")
 
-    monkeypatch.setattr(exp.channels, "depolarizing", unreachable)
+    out, rate = tmp_path / "sweep.csv", tmp_path / "rate.csv"
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("depolarizing", "dephasing_y", "complementary_channel"):
+            m.setattr(exp.channels, name, unreachable)
+        m.setattr(matcore, "jacobi_eigh_batch", unreachable)
+        code, _, err = run(["sudden-decay", "--lambda", "0.1", "--dim", "64", "--points", "3",
+                            "--theta-min", "1e-4", "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        code, _, _ = run(["private-rate", "--p", "0.3", "--lambda", "0.2", "--noise",
+                          "depolarizing", "--points", "3", "--out", str(rate)], capsys)
+        assert code == 0 and len(rate.read_text().splitlines()) == 4
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4
+    for line in lines[1:]:
+        theta, d_pre, d_post, _, _ = (float(x) for x in line.split(","))
+        # the matrix path's oracle: N psi is rho_theta_lambda, pinched to its diagonal
+        for got, state in ((d_pre, exp.rho_theta_lambda(theta, 0.0, 64)),
+                           (d_post, exp.rho_theta_lambda(theta, 0.1, 64))):
+            pinched = matcore.DensityMatrix.from_matrix(np.diag(np.diagonal(state.matrix)))
+            assert math.isclose(got, entropy.relative_entropy(state, pinched).unwrap(),
+                                rel_tol=1e-7)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sudden-decay", "--lambda", "0.1"],
+    ["private-rate", "--p", "0.3", "--lambda", "0.2"],
+])
+def test_theta_below_theta_min_exits_2(tmp_path, capsys, argv):
+    # below about 1.5e-154, sin^2(theta) leaves the normal doubles
     out = tmp_path / "sweep.csv"
-    dim = str(exp.MAX_SWEEP_DIM + 1)
-    code, _, err = run(["sudden-decay", "--lambda", "0.1", "--dim", dim, "--points", "1",
-                        "--out", str(out)], capsys)
+    code, _, err = run(argv + ["--theta-min", "1e-200", "--out", str(out)], capsys)
     assert code == 2
-    assert err == (f"error: dimension must lie in [2, MAX_SWEEP_DIM = {exp.MAX_SWEEP_DIM}], "
-                   f"got {dim}\n")
+    assert err == f"error: theta values must lie in [THETA_MIN = {exp.THETA_MIN:g}, pi/4]\n"
     assert not out.exists()
+    code, _, err = run(argv + ["--theta-min", repr(exp.THETA_MIN), "--out", str(out)], capsys)
+    assert code == 0
+    last = [float(x) for x in out.read_text().splitlines()[-1].split(",")]
+    assert last[0] == exp.THETA_MIN and last[1] > 0 and all(map(math.isfinite, last))
 
 
 @pytest.mark.parametrize("argv", [

@@ -89,13 +89,37 @@ def test_sudden_decay_dephasing_variant_matches_depolarizing():
                                                      noise="depolarizing"))
     b = exp.sudden_decay_sweep(exp.SuddenDecayConfig((1e-3,), lam=0.2,
                                                      noise="dephasing-y"))
-    assert abs(a.rows[0][2] - b.rows[0][2]) < 1e-12
+    assert a.rows == b.rows
 
 
-def test_sudden_decay_warns_below_precision_floor():
-    cfg = exp.SuddenDecayConfig((1e-2, 1e-8), lam=0.1)
-    sweep = exp.sudden_decay_sweep(cfg)
-    assert sweep.warnings
+def test_sweeps_exact_below_the_double_precision_cancellation_floor():
+    # the matrix path lost every digit near theta = 1e-8 and printed d_pre = i_kept = 0
+    # at 1e-9; the closed forms meet their leading small-angle terms, whose next
+    # corrections are O(theta^2) relative here
+    thetas = (1e-8, 1e-9, 1e-12, 1e-100, exp.THETA_MIN)
+    lam, d = 0.1, 3
+    a, b = 1 - lam + lam / d, lam / d
+    sudden = exp.sudden_decay_sweep(exp.SuddenDecayConfig(thetas, lam=lam, dim=d))
+    rate = exp.private_rate_lower_bound(exp.PrivateRateConfig(0.3, lam, thetas,
+                                                              noise="depolarizing"))
+    for theta, d_pre, d_post, _, _ in sudden.rows:
+        s = theta * theta
+        assert math.isclose(d_pre, s * (1 - math.log(s)), rel_tol=1e-13)
+        assert math.isclose(d_post, (1 - lam) * s * math.log(a / b), rel_tol=1e-13)
+    for theta, i_kept, i_env, _ in rate.rows:
+        s = theta * theta
+        assert math.isclose(i_kept, s * (1 - math.log(s)), rel_tol=1e-13)
+        # i_env -> (lam/2) h(s) + mu (1 - ln(mu/T)) with mu = s (lam - 3 lam^2/4)/T
+        t = 1 - lam / 2
+        mu = s * (lam - 0.75 * lam * lam) / t
+        assert math.isclose(i_env, lam / 2 * i_kept + mu * (1 - math.log(mu / t)),
+                            rel_tol=1e-13)
+    for sweep in (sudden, rate):
+        assert "warnings" not in json.loads(sweep.to_json())
+    # where lam s underflows, so does the leak: 0, not a math domain error
+    tiny = exp.private_rate_lower_bound(exp.PrivateRateConfig(0.3, 1e-300, (exp.THETA_MIN,),
+                                                              noise="depolarizing"))
+    assert tiny.rows[0][2] == 0.0 and tiny.rows[0][1] > 0
 
 
 def test_sudden_decay_config_validation():
@@ -103,31 +127,43 @@ def test_sudden_decay_config_validation():
         exp.SuddenDecayConfig((1e-4, 1e-3), lam=0.1)
     with pytest.raises(ValueError, match="pi/4"):
         exp.SuddenDecayConfig((1.0,), lam=0.1)
+    # lambda/d below the normal doubles would overflow ln(a/b) and delta/b
+    with pytest.raises(ValueError, match="normal double"):
+        exp.SuddenDecayConfig((1e-3,), lam=1e-310)
 
 
 def test_sweeps_apply_the_map_once_per_slice(monkeypatch):
     thetas = tuple(np.logspace(-1, -6, exp.SWEEP_CHUNK + 6))  # two slices
-    raw_kraus, raw_factor = channels.KrausChannel.apply_matrix, channels.apply_on_factor
+    raw_factor = channels.apply_on_factor
     calls = []
-
-    def kraus(self, m):
-        calls.append(np.shape(m))
-        return raw_kraus(self, m)
 
     def factor(channel, m, dims, which):
         calls.append(np.shape(m))
         return raw_factor(channel, m, dims, which)
 
-    monkeypatch.setattr(channels.KrausChannel, "apply_matrix", kraus)
     monkeypatch.setattr(channels, "apply_on_factor", factor)
     group = channels.GroupLindbladian.from_generators([X, Z], [0.5, 0.5])
-    for run in (lambda: exp.sudden_decay_sweep(exp.SuddenDecayConfig(thetas, lam=0.1, dim=3)),
-                lambda: exp.group_fragility_demo(group, 0.3, thetas),
-                lambda: exp.private_rate_lower_bound(exp.PrivateRateConfig(
-                    0.3, 0.2, thetas, noise="depolarizing"))):
+    assert len(exp.group_fragility_demo(group, 0.3, thetas).rows) == len(thetas)
+    assert [shape[0] for shape in calls] == [exp.SWEEP_CHUNK, len(thetas) - exp.SWEEP_CHUNK]
+
+
+def test_group_fragility_eigensolves_do_not_grow_with_the_slice(monkeypatch):
+    # each slice's theta states are built as one stack, not one build per theta
+    raw = matcore.jacobi_eigh_batch
+    calls = []
+
+    def counted(stack):
+        calls.append(len(stack))
+        return raw(stack)
+
+    monkeypatch.setattr(matcore, "jacobi_eigh_batch", counted)
+    group = channels.GroupLindbladian.from_generators([X, Z], [0.5, 0.5])
+    counts = []
+    for n in (1, exp.SWEEP_CHUNK):
         calls.clear()
-        assert len(run().rows) == len(thetas)
-        assert [shape[0] for shape in calls] == [exp.SWEEP_CHUNK, len(thetas) - exp.SWEEP_CHUNK]
+        exp.group_fragility_demo(group, 0.3, np.logspace(-1, -6, n))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_expansion_consistency_at_spec_point():
@@ -210,6 +246,16 @@ def test_group_fragility_time_zero_unit_ratios():
     g = channels.GroupLindbladian.from_generators([Z], [1.0])
     sweep = exp.group_fragility_demo(g, 0.0, [1e-2, 1e-4])
     assert all(abs(r - 1.0) < 1e-6 for r in sweep.column("ratio_pre_over_post"))
+
+
+def test_group_fragility_reports_nan_where_i_post_rounds_to_zero():
+    # at t = 0.3 the post-noise information of the theta = 1e-8 pair rounds to 0;
+    # the ratio is NaN there, not a ZeroDivisionError
+    g = channels.GroupLindbladian.from_generators([X, Z], [0.5, 0.5])
+    sweep = exp.group_fragility_demo(g, 0.3, [1e-2, 1e-8])
+    (_, _, post_far, ratio_far), (_, pre, post, ratio) = sweep.rows
+    assert post_far > 0 and math.isfinite(ratio_far)
+    assert pre > 0 and post == 0.0 and math.isnan(ratio)
 
 
 def test_flagged_channel_trace_preserving(rng):
@@ -335,3 +381,129 @@ def test_private_rate_depolarizing_weak_keep_has_no_positive_bound():
     sweep = exp.private_rate_lower_bound(cfg)
     assert not sweep.metadata["positiveFound"]
     assert all(i_env > 0 for i_env in sweep.column("i_env"))
+
+
+# ---- closed-form sweeps against independent references ------------------
+
+ORACLE_LAMS = (0.01, 0.1, 0.5, 0.9)
+ORACLE_DIMS = (2, 3, 8, 16, 64)
+ORACLE_THETAS = (math.pi / 4, 0.3, 1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-9, 1e-12, 1e-20,
+                 1e-50, 1e-100, exp.THETA_MIN)
+# stated accuracy of every sudden-decay and private-rate column, relative
+ORACLE_RTOL = 1e-13
+# sin^2(1e-150) = 1e-300 and the columns are differences of O(1) entropies, so the
+# reference needs 300 digits before it has any; at 80 digits it reads 0 there
+ORACLE_DPS = 420
+
+
+def _mp_entropy(mp, levels):
+    return -mp.fsum(x * mp.log(x) for x in levels if x > 0)
+
+
+def _mp_sudden(mp, theta, lam, d):
+    """d_pre and d_post as S(diagonal) - S(spectrum): the pinched state is the
+    diagonal of N psi, and (1 - lam) psi + lam I/d has the level 1 - lam + lam/d
+    once and lam/d d - 1 times.  The d - 2 levels lam/d that both share cancel."""
+    c2, s2 = mp.cos(theta) ** 2, mp.sin(theta) ** 2
+    lam = mp.mpf(lam)
+    b = lam / d
+    diagonal = [(1 - lam) * c2 + b, (1 - lam) * s2 + b]
+    return _mp_entropy(mp, [c2, s2]), _mp_entropy(mp, diagonal) - _mp_entropy(mp, [1 - lam + b, b])
+
+
+def _mp_leak(mp, theta, lam, noise):
+    """i_env = S(W(mean input)) - mean S(W(psi_+-theta)), W the complementary output
+    tr(K_k rho K_l^dagger) of a Pauli Kraus set, each spectrum from mp.eighe."""
+    lam = mp.mpf(lam)
+    eye, x = mp.eye(2), mp.matrix([[0, 1], [1, 0]])
+    y, z = mp.matrix([[0, -1j], [1j, 0]]), mp.matrix([[1, 0], [0, -1]])
+    if noise == "dephasing-y":
+        kraus = [mp.sqrt(1 - lam / 2) * eye, mp.sqrt(lam / 2) * y]
+    else:
+        kraus = [mp.sqrt(1 - 3 * lam / 4) * eye] + [mp.sqrt(lam / 4) * p for p in (x, y, z)]
+
+    def env_entropy(rho):
+        w = mp.matrix([[mp.fsum(u[i, j] * mp.conj(b[i, j]) for i in range(2) for j in range(2))
+                        for b in kraus] for u in (a * rho for a in kraus)])
+        return _mp_entropy(mp, [mp.re(e) for e in mp.eighe(w, eigvals_only=True)])
+
+    c, s = mp.cos(theta), mp.sin(theta)
+    plus, minus = (mp.matrix([[c * c, sign * c * s], [sign * c * s, s * s]]) for sign in (1, -1))
+    return env_entropy((plus + minus) / 2) - (env_entropy(plus) + env_entropy(minus)) / 2
+
+
+def _assert_close(got, want, what):
+    want = float(want)
+    assert abs(got - want) <= ORACLE_RTOL * abs(want), (what, got, want)
+
+
+def test_sweeps_match_mpmath_from_pi_over_4_to_theta_min():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(ORACLE_DPS):
+        thetas = [mp.mpf(t) for t in ORACLE_THETAS]  # exactly the float grid
+        for lam in ORACLE_LAMS:
+            for d in ORACLE_DIMS:
+                rows = exp.sudden_decay_sweep(exp.SuddenDecayConfig(ORACLE_THETAS, lam, d)).rows
+                for theta, (_, d_pre, d_post, ratio, scaled) in zip(thetas, rows):
+                    pre, post = _mp_sudden(mp, theta, lam, d)
+                    where = (lam, d, float(theta))
+                    _assert_close(d_pre, pre, ("d_pre",) + where)
+                    _assert_close(d_post, post, ("d_post",) + where)
+                    _assert_close(ratio, post / pre, ("ratio",) + where)
+                    _assert_close(scaled, post / pre * mp.log(1 / theta), ("scaled",) + where)
+            kept = [_mp_entropy(mp, [mp.cos(t) ** 2, mp.sin(t) ** 2]) for t in thetas]
+            for noise in exp.NOISE_KINDS:
+                leaks = [_mp_leak(mp, t, lam, noise) for t in thetas]
+                for p in (0.01, 0.3):
+                    rows = exp.private_rate_lower_bound(
+                        exp.PrivateRateConfig(p, lam, ORACLE_THETAS, noise)).rows
+                    for (theta, i_kept, i_env, bound), k, leak in zip(rows, kept, leaks):
+                        where = (lam, noise, p, theta)
+                        _assert_close(i_kept, k, ("i_kept",) + where)
+                        if noise == "dephasing-y":
+                            assert i_env == 0.0 and leak == 0, where
+                        else:
+                            _assert_close(i_env, leak, ("i_env",) + where)
+                        # the bound is a difference: its error is relative to its terms
+                        assert abs(bound - float(p * k - (1 - p) * leak)) <= (
+                            ORACLE_RTOL * float(p * k + (1 - p) * leak)), ("bound",) + where
+
+
+# the matrix path: states, Kraus channels and Stinespring complements, eigensolved.
+# Its own error is about 1e-16 absolute, so at lambda = 0.9, where d_post is 7e-10 at
+# theta = 1e-4, it is off by 7e-7 relative; the oracle stops at lambda = 0.5
+MATRIX_LAMS = (0.01, 0.1, 0.2, 0.5)
+MATRIX_THETAS = tuple(np.logspace(math.log10(math.pi / 4), -4, 9))
+MATRIX_RTOL = 1e-7
+
+
+def _noise(kind, lam, d):
+    return channels.depolarizing(d, lam) if kind == "depolarizing" else channels.dephasing_y(lam)
+
+
+@pytest.mark.parametrize("lam", MATRIX_LAMS)
+def test_sweeps_match_the_matrix_path_above_theta_1e_4(lam):
+    for d, noise in ((2, "depolarizing"), (2, "dephasing-y"), (3, "depolarizing"),
+                     (8, "depolarizing")):
+        rows = exp.sudden_decay_sweep(exp.SuddenDecayConfig(MATRIX_THETAS, lam, d, noise)).rows
+        pinch, channel = channels.pinching(d), _noise(noise, lam, d)
+        for theta, d_pre, d_post, _, _ in rows:
+            pre = exp.rho_theta_lambda(theta, 0.0, d)
+            for got, state in ((d_pre, pre), (d_post, channel.apply(pre))):
+                want = entropy.relative_entropy(state, pinch.apply(state)).unwrap()
+                assert math.isclose(got, want, rel_tol=MATRIX_RTOL), (d, noise, theta)
+    for noise in exp.NOISE_KINDS:
+        comp = channels.complementary_channel(_noise(noise, lam, 2))
+        for p in (0.01, 0.3, 0.9):
+            rows = exp.private_rate_lower_bound(
+                exp.PrivateRateConfig(p, lam, MATRIX_THETAS, noise)).rows
+            for theta, i_kept, i_env, bound in rows:
+                omega = exp.omega_theta_lambda(theta, 0.0)
+                kept = entropy.mutual_information(omega)
+                leak = entropy.mutual_information(channels.apply_to_b(comp, omega))
+                assert math.isclose(i_kept, kept, rel_tol=MATRIX_RTOL)
+                # under dephasing-y the matrix path's leak is round-off of a 0
+                assert math.isclose(i_env, leak, rel_tol=MATRIX_RTOL, abs_tol=1e-15)
+                assert math.isclose(bound, p * kept - (1 - p) * leak,
+                                    rel_tol=MATRIX_RTOL), (p, noise, theta)

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import qdecay
 
-DEFAULTED_LIMIT = 28
+DEFAULTED_LIMIT = 26
 # lines of src/qdecay/*.py, as `cat src/qdecay/*.py | wc -l` counts them
-SRC_LINE_LIMIT = 2795
+SRC_LINE_LIMIT = 2790
 
 
 def _defaulted_settings() -> list:
