@@ -88,7 +88,7 @@ def g_factor(zeta: float, c: float, variant: str = "theorem") -> tuple[float, fl
     """
     if not 0.0 <= zeta < 1.0:
         raise ValueError(f"zeta must lie in [0, 1), got {zeta!r}")
-    if c <= 1.0:
+    if not c > 1.0:
         raise ValueError(f"c must exceed 1, got {c!r}")
     if variant == "theorem":
         denom = entropy.kappa(c)
@@ -108,7 +108,7 @@ def _replacement_weights(t: float, c: float, diamond: float) -> tuple[float, flo
     """(zeta, eps) = (1 - exp(-t c diamond), 1 - exp(-t c diamond / 2)), both
     through expm1: zeta is the replacement weight of the fixed-point converse,
     eps the mixing weight of the commuting-case replacement step."""
-    if t < 0 or c < 1 or diamond <= 0:
+    if not (t >= 0 and c >= 1 and diamond > 0):
         raise ValueError("need t >= 0, c >= 1, diamond > 0")
     x = t * c * diamond
     return -math.expm1(-x), -math.expm1(-x / 2.0)
@@ -322,7 +322,7 @@ def decayed_state_bound_check(rho, sigma, theta_dens: DensityMatrix, omega: Dens
     rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
     eps, zeta = _per_pair(eps, zeta, len(rhos), one)
     check = matcore.loewner_min_coefficient(theta_dens, omega, strict=True)
-    if check > c * (1 + 1e-9):
+    if not check <= c * (1 + 1e-9):
         raise ValueError(f"order precondition fails: smallest valid c is {check!r}")
     if not all(0.0 < z <= e < 1.0 for e, z in zip(eps, zeta)):
         raise ValueError("need 0 < zeta <= eps < 1")

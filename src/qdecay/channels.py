@@ -56,31 +56,27 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map as a list of Kraus operators."""
+    """Completely positive trace-preserving map; kraus: read-only (m, dim_out, dim_in) array."""
 
     dim_in: int
     dim_out: int
-    kraus: tuple
+    kraus: np.ndarray
 
     @classmethod
     def from_kraus(cls, ops: Sequence[np.ndarray]) -> "KrausChannel":
-        ops = [np.asarray(k, dtype=complex) for k in ops]
-        if not ops:
+        if not len(ops):
             raise ValueError("need at least one Kraus operator")
-        dim_out, dim_in = ops[0].shape
-        for k in ops:
-            if k.shape != (dim_out, dim_in):
-                raise ValueError("Kraus operators have inconsistent shapes")
-        comp = sum(k.conj().T @ k for k in ops)
-        dev = float(np.abs(comp - np.eye(dim_in)).max())
-        if dev > KRAUS_COMPLETENESS_ATOL:
+        try:
+            ops = np.array(ops, dtype=complex)
+            m, dim_out, dim_in = ops.shape
+        except ValueError:  # ragged, or not a stack of matrices
+            raise ValueError("Kraus operators have inconsistent shapes") from None
+        f = ops.reshape(m * dim_out, dim_in)  # sum K^dag K = F^dag F, F the stacked rows
+        dev = float(np.abs(f.conj().T @ f - np.eye(dim_in)).max())
+        if not dev <= KRAUS_COMPLETENESS_ATOL:
             raise ValueError(f"Kraus completeness violated: |sum K^dag K - I| = {dev:.3e}")
-        frozen = []
-        for k in ops:
-            k = k.copy()
-            k.setflags(write=False)
-            frozen.append(k)
-        return cls(dim_in, dim_out, tuple(frozen))
+        ops.setflags(write=False)
+        return cls(dim_in, dim_out, ops)
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """The map on a (d_in, d_in) matrix or on each matrix of an (n, d_in, d_in) stack."""
@@ -145,11 +141,6 @@ class SuperOperator:
         da = d * a
         return SuperOperator(da, j8.reshape(da * da, da * da))
 
-    def is_trace_preserving(self) -> bool:
-        d = self.dim
-        tr_row = vec(np.eye(d)).conj() @ self.matrix
-        return bool(np.abs(tr_row - vec(np.eye(d)).conj()).max() <= 1e-9)
-
 
 def identity_channel(d: int) -> KrausChannel:
     return KrausChannel.from_kraus([np.eye(d, dtype=complex)])
@@ -207,15 +198,9 @@ def depolarizing(d: int, lam: float) -> KrausChannel:
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"depolarizing strength {lam!r} outside [0, 1]")
-    ops = []
-    if lam < 1.0:
-        ops.append(math.sqrt(1.0 - lam) * np.eye(d, dtype=complex))
-    if lam > 0.0:
-        for i in range(d):
-            for j in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = math.sqrt(lam / d)
-                ops.append(e)
+    ops = [math.sqrt(1.0 - lam) * np.eye(d, dtype=complex)] if lam < 1.0 else []
+    if lam > 0.0:  # member i d + j of the identity's rows, reshaped, is |i><j|
+        ops.extend(math.sqrt(lam / d) * np.eye(d * d, dtype=complex).reshape(d * d, d, d))
     return KrausChannel.from_kraus(ops)
 
 
@@ -241,9 +226,10 @@ class ConditionalExpectation(SuperOperator):
         super().__post_init__()
         m = self.matrix
         dev = float(np.abs(m @ m - m).max())
-        if dev > IDEMPOTENCE_ATOL:
+        if not dev <= IDEMPOTENCE_ATOL:
             raise ValueError(f"conditional expectation not idempotent: |E^2 - E| = {dev:.3e}")
-        if not self.is_trace_preserving():
+        tr = vec(np.eye(self.dim))  # trace-preserving: vec(I)^dag E = vec(I)^dag
+        if not float(np.abs(tr @ m - tr).max()) <= 1e-9:
             raise ValueError("conditional expectation is not trace-preserving")
 
     @property
@@ -280,7 +266,7 @@ def depolarizing_projection(d: int) -> ConditionalExpectation:
 
 def replacement_semigroup(e: ConditionalExpectation, t: float) -> SuperOperator:
     """exp(-t (Id - E)) = e^-t Id + (1 - e^-t) E, exactly."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("time must be nonnegative")
     d = e.dim
     # the weight on E through expm1: 1 - e^-t cancels at small t
@@ -307,7 +293,7 @@ class Lindbladian:
         return self.generator.dim
 
     def semigroup(self, t: float) -> SuperOperator:
-        if t < 0:
+        if not t >= 0:
             raise ValueError("time must be nonnegative")
         return SuperOperator(self.dim, expm_taylor(-t * self.generator.matrix))
 
@@ -328,42 +314,37 @@ def replacement_lindbladian(e: ConditionalExpectation, diamond_upper: float | No
 
 @dataclass(frozen=True)
 class GroupLindbladian:
-    """Weighted set of group generators u_j with probabilities p_j."""
+    """Group generators u_j, a read-only (g, d, d) array, with probabilities p_j."""
 
-    unitaries: tuple
+    unitaries: np.ndarray
     probs: tuple
 
     @classmethod
     def from_generators(cls, unitaries: Sequence[np.ndarray],
                         probs: Sequence[float]) -> "GroupLindbladian":
-        us = [np.asarray(u, dtype=complex) for u in unitaries]
         ps = [float(p) for p in probs]
-        if len(us) != len(ps) or not us:
+        if len(unitaries) != len(ps) or not ps:
             raise ValueError("need matching nonempty unitary and probability lists")
-        d = us[0].shape[0]
-        for u in us:
-            if u.shape != (d, d):
-                raise ValueError("unitaries have inconsistent dimensions")
-            if float(np.abs(u.conj().T @ u - np.eye(d)).max()) > 1e-10:
-                raise ValueError("generator is not unitary within tolerance")
-        if any(p < 0 for p in ps) or abs(sum(ps) - 1.0) > 1e-10:
+        try:
+            us = np.array(unitaries, dtype=complex)
+        except ValueError:  # ragged
+            us = np.empty(0)
+        d = us.shape[-1]
+        if us.shape != (len(ps), d, d):
+            raise ValueError("unitaries have inconsistent dimensions")
+        if not float(np.abs(us.conj().transpose(0, 2, 1) @ us - np.eye(d)).max()) <= 1e-10:
+            raise ValueError("generator is not unitary within tolerance")
+        if not (all(p >= 0 for p in ps) and abs(sum(ps) - 1.0) <= 1e-10):
             raise ValueError("probabilities must be nonnegative and sum to 1")
-        nontrivial = False
-        for u, p in zip(us, ps):
-            if p > 0 and abs(abs(np.trace(u)) - d) > 1e-10:
-                nontrivial = True
-        if not nontrivial:
+        traces = np.abs(np.trace(us, axis1=1, axis2=2))
+        if not any(p > 0 and abs(t - d) > 1e-10 for t, p in zip(traces, ps)):
             raise ValueError("need nonzero weight on at least one non-identity unitary")
-        frozen = []
-        for u in us:
-            u = u.copy()
-            u.setflags(write=False)
-            frozen.append(u)
-        return cls(tuple(frozen), tuple(ps))
+        us.setflags(write=False)
+        return cls(us, tuple(ps))
 
     @property
     def dim(self) -> int:
-        return self.unitaries[0].shape[0]
+        return self.unitaries.shape[1]
 
 
 def group_lindbladian(g: GroupLindbladian) -> Lindbladian:
@@ -418,12 +399,9 @@ def choi_matrix(channel) -> np.ndarray:
     the input dimension for trace-preserving maps.
     """
     if isinstance(channel, KrausChannel):
-        d_in = channel.dim_in
-        c = np.zeros((channel.dim_out * d_in, channel.dim_out * d_in), dtype=complex)
-        for k in channel.kraus:
-            vk = np.asarray(k).reshape(-1)  # row-major flatten = sum_i (K|i>) kron |i>
-            c += np.outer(vk, vk.conj())
-        return c
+        # row-major flatten of K = sum_i (K|i>) kron |i>; C = sum over K of its outer products
+        v = channel.kraus.reshape(len(channel.kraus), -1)
+        return v.T @ v.conj()
     if isinstance(channel, SuperOperator):
         d = channel.dim
         # C[(k, i), (l, j)] = Phi(|i><j|)[k, l] = M[l, k, j, i]
@@ -450,14 +428,8 @@ def complementary_channel(channel: KrausChannel) -> KrausChannel:
     minimization is attempted since entropic quantities are isometry
     invariant.
     """
-    m = len(channel.kraus)
-    ops = []
-    for i in range(channel.dim_out):
-        kc = np.zeros((m, channel.dim_in), dtype=complex)
-        for k_idx, k in enumerate(channel.kraus):
-            kc[k_idx, :] = k[i, :]
-        ops.append(kc)
-    return KrausChannel.from_kraus(ops)
+    # complement operator i, row k is row i of K_k
+    return KrausChannel.from_kraus(channel.kraus.transpose(1, 0, 2))
 
 
 def diamond_norm_estimate(delta: SuperOperator, restarts: int = 8) -> float:

@@ -76,8 +76,9 @@ def _convert_units(result: exp.SweepResult, units: str, columns) -> exp.SweepRes
     idx = [result.columns.index(c) for c in columns]
     rows = tuple(tuple(x * NAT_TO_BIT if i in idx else x for i, x in enumerate(row))
                  for row in result.rows)
-    meta = dict(result.metadata)
-    meta["units"] = "bits"
+    meta = dict(result.metadata, units="bits")
+    if meta.get("bestBound") is not None:  # a rate_lower_bound value
+        meta["bestBound"] *= NAT_TO_BIT
     return exp.SweepResult(result.columns, rows, meta)
 
 

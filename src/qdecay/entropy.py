@@ -24,10 +24,11 @@ from .matcore import BipartiteDensity, DensityMatrix
 ZERO_CLIP = 1e-18
 PINSKER_SLACK = 1e-12
 
-# Entropy formulas must resolve genuinely tiny spectrum (the sweeps push
-# eigenvalues toward theta^2 ~ 1e-13); the rank rule used for Loewner
-# queries (matcore.SUPPORT_RTOL = 1e-12) is far too coarse here, so the
-# support pruning for log arguments sits just above machine noise.
+# Support pruning for log arguments sits just above machine noise.  The
+# pinched pure state E psi_theta = diag(cos^2 theta, sin^2 theta) has the
+# genuine eigenvalue 9e-14 at theta = 3e-7; the Loewner rank rule
+# (matcore.SUPPORT_RTOL = 1e-12) would drop it and put D(psi_theta || E psi_theta)
+# 0.97 relative off h(sin^2 theta), where this rule is within 3e-5.
 ENTROPY_SUPPORT_RTOL = 64 * np.finfo(float).eps
 
 
@@ -136,7 +137,7 @@ def binary_entropy(p: float) -> float:
 
 def kappa(c: float) -> float:
     """kappa(c) = (c ln c - c + 1) / (c - 1)^2 for c > 1; limit 1/2 at c = 1."""
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError(f"kappa requires c >= 1, got {c!r}")
     d = c - 1.0
     if d < 1e-4:

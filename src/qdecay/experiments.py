@@ -86,12 +86,6 @@ def omega_theta_lambda(theta: float, lam: float, d: int = 2) -> BipartiteDensity
     return BipartiteDensity.from_matrix(big, 2, d)
 
 
-def _slices(thetas):
-    """A theta grid in slices of SWEEP_CHUNK rows, each evaluated as stacks whose
-    rows keep the bits of one call per row."""
-    return (thetas[i:i + SWEEP_CHUNK] for i in range(0, len(thetas), SWEEP_CHUNK))
-
-
 def _theta_grid(grid) -> tuple:
     """Validate a sweep's theta grid: non-empty, every theta in
     [THETA_MIN, pi/4], strictly decreasing.  Returns it as a tuple of floats."""
@@ -147,16 +141,10 @@ def sudden_decay_sweep(cfg: SuddenDecayConfig) -> SweepResult:
     ln(a/b) - (a - delta) log1p(-delta/a) - (b + delta) log1p(delta/b).  A real
     psi under dephasing-y is (1 - lam/2) psi + (lam/2)(I - psi): the same levels.
     """
-    d, lam = cfg.dim, cfg.lam
-    a, b = 1.0 - lam + lam / d, lam / d
     rows = []
     for theta in cfg.theta_grid:
         s = math.sin(theta) ** 2
-        d_pre = d_post = entropy.binary_entropy(s)
-        if lam > 0.0:
-            delta = (1.0 - lam) * s
-            d_post = (delta * math.log(a / b) - (a - delta) * math.log1p(-delta / a)
-                      - (b + delta) * math.log1p(delta / b))
+        d_pre, d_post = entropy.binary_entropy(s), _pinching_divergence(s, cfg.lam, cfg.dim)
         ratio = d_post / d_pre
         rows.append((theta, d_pre, d_post, ratio, ratio * math.log(1.0 / theta)))
     meta = {
@@ -169,6 +157,15 @@ def sudden_decay_sweep(cfg: SuddenDecayConfig) -> SweepResult:
     return SweepResult(
         columns=("theta", "d_pre", "d_post", "ratio", "ratio_times_log_inv_theta"),
         rows=tuple(rows), metadata=meta)
+
+
+def _pinching_divergence(s: float, lam: float, d: int) -> float:
+    """sudden_decay_sweep's d_post at s = sin^2(theta), derived there."""
+    if lam == 0.0:
+        return entropy.binary_entropy(s)
+    a, b, delta = 1.0 - lam + lam / d, lam / d, (1.0 - lam) * s
+    return (delta * math.log(a / b) - (a - delta) * math.log1p(-delta / a)
+            - (b + delta) * math.log1p(delta / b))
 
 
 def expansion_quadratic_coefficient(lam: float, d: int = 2) -> float:
@@ -191,13 +188,14 @@ def expansion_quadratic_coefficient(lam: float, d: int = 2) -> float:
 
 
 def expansion_consistency_check(theta: float, lam: float, d: int = 2) -> dict:
-    """Compare the exact post-noise relative entropy against its quadratic
-    coefficient times theta^2; meaningful for theta <= 1e-3."""
-    if theta > 1e-3:
+    """Compare the exact post-noise relative entropy, from its closed form,
+    against its quadratic coefficient times theta^2; meaningful for theta <= 1e-3."""
+    if not theta <= 1e-3:
         raise ValueError("consistency check is a small-angle statement; need theta <= 1e-3")
-    state = rho_theta_lambda(theta, lam, d)
-    exact = entropy.relative_entropy(state, channels.pinching(d).apply(state)).unwrap()
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
     coeff = expansion_quadratic_coefficient(lam, d)
+    exact = _pinching_divergence(math.sin(theta) ** 2, lam, d)
     predicted = coeff * theta * theta
     if predicted == 0.0:
         rel = 0.0 if exact == 0.0 else math.inf
@@ -237,7 +235,8 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
     phi_t = lind.semigroup(t)
     rows = []
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for thetas in _slices([float(theta) for theta in theta_grid]):
+    grid = [float(theta) for theta in theta_grid]
+    for thetas in (grid[k:k + SWEEP_CHUNK] for k in range(0, len(grid), SWEEP_CHUNK)):
         big = np.zeros((len(thetas), 2 * d, 2 * d), dtype=complex)
         for flag, sign in ((0, 1.0), (1, -1.0)):  # flag 0 carries +theta, flag 1 -theta
             vec = np.zeros((len(thetas), d), dtype=complex)
@@ -280,14 +279,10 @@ def flagged_channel(lam: float, p: float, noise: str = "dephasing-y") -> KrausCh
         channels.depolarizing(2, lam) if noise == "depolarizing" else channels.dephasing_y(lam))
     # output C^2 x C^branch: flag f's block sits at rows f*branch to (f+1)*branch
     branch = max(2, comp.dim_out)
-    keep = np.zeros((2 * branch, 2), dtype=complex)
-    keep[:2, :2] = np.eye(2)
-    ops = [math.sqrt(p) * keep]
-    if p < 1.0:
-        for k in comp.kraus:
-            kk = np.zeros((2 * branch, 2), dtype=complex)
-            kk[branch:branch + k.shape[0], :] = k
-            ops.append(math.sqrt(1 - p) * kk)
+    m = len(comp.kraus) if p < 1.0 else 0  # no zero operators at p = 1
+    ops = np.zeros((1 + m, 2 * branch, 2), dtype=complex)
+    ops[0, :2] = math.sqrt(p) * np.eye(2)
+    ops[1:, branch:branch + comp.dim_out] = math.sqrt(1 - p) * comp.kraus[:m]
     return KrausChannel.from_kraus(ops)
 
 

@@ -535,3 +535,60 @@ def test_diamond_ascent_diagonalizes_each_output_once(monkeypatch):
     assert calls["witness"] >= restarts
     assert calls["output"] <= calls["witness"] + restarts
     assert calls["eig"] == calls["output"] + calls["witness"]
+
+
+def test_operator_lists_are_read_only_arrays():
+    assert depolarizing(3, 0.3).kraus.shape == (10, 3, 3)
+    comp = complementary_channel(depolarizing(2, 0.3))
+    assert comp.kraus.shape == (2, 5, 2)
+    group = GroupLindbladian.from_generators([X, Y, Z], [0.2, 0.3, 0.5])
+    assert group.unitaries.shape == (3, 2, 2)
+    for ops in (depolarizing(3, 0.3).kraus, comp.kraus, group.unitaries):
+        assert isinstance(ops, np.ndarray) and ops.dtype == complex
+        assert not ops.flags.writeable
+        with pytest.raises(ValueError):
+            ops[0, 0, 0] = 1.0
+    source = [X.copy(), Z.copy()]
+    group = GroupLindbladian.from_generators(source, [0.5, 0.5])
+    source[0][0, 1] = 5.0  # the stored array is a copy
+    assert group.unitaries[0, 0, 1] == 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+def test_depolarizing_matches_a_loop_oracle_bit_for_bit(d, lam):
+    ops = [math.sqrt(1.0 - lam) * np.eye(d, dtype=complex)] if lam < 1.0 else []
+    for i in range(d):
+        for j in range(d):
+            if lam > 0.0:
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j] = math.sqrt(lam / d)
+                ops.append(e)
+    got = depolarizing(d, lam).kraus
+    assert got.shape == (len(ops), d, d)
+    assert got.tobytes() == np.array(ops).tobytes()
+
+
+def test_complement_of_the_complement_returns_the_operators_bit_for_bit():
+    from qdecay.experiments import flagged_channel
+    for ch in (depolarizing(3, 0.3), dephasing_y(0.4), flagged_channel(0.2, 0.3),
+               flagged_channel(0.2, 0.3, "depolarizing"), identity_channel(2)):
+        again = complementary_channel(complementary_channel(ch))
+        assert (again.dim_in, again.dim_out) == (ch.dim_in, ch.dim_out)
+        assert again.kraus.shape == ch.kraus.shape
+        assert again.kraus.tobytes() == ch.kraus.tobytes()
+
+
+def test_operator_list_shape_checks_keep_their_messages():
+    with pytest.raises(ValueError, match="need at least one Kraus operator"):
+        KrausChannel.from_kraus([])
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        KrausChannel.from_kraus([np.eye(2), np.eye(3)])
+    with pytest.raises(ValueError, match="need matching nonempty"):
+        GroupLindbladian.from_generators([X, Z], [1.0])
+    with pytest.raises(ValueError, match="inconsistent dimensions"):
+        GroupLindbladian.from_generators([X, np.eye(3)], [0.5, 0.5])
+    with pytest.raises(ValueError, match="inconsistent dimensions"):
+        GroupLindbladian.from_generators([np.ones((2, 3))], [1.0])
+    with pytest.raises(ValueError, match="not unitary"):
+        GroupLindbladian.from_generators([X, 2 * Z], [0.5, 0.5])

@@ -457,3 +457,19 @@ def test_points_above_limit_exits_2(tmp_path, capsys, argv):
                    f"{exp.MAX_THETA_POINTS}, got {points}\n")
     assert not out.exists()
     assert len(exp.theta_logspace(1e-2, 1e-6, exp.MAX_THETA_POINTS)) == exp.MAX_THETA_POINTS
+
+
+def test_private_rate_bits_converts_the_best_bound_with_the_rows(tmp_path, capsys):
+    reports = {}
+    for units in ("nats", "bits"):
+        out = tmp_path / f"rate_{units}.json"
+        code, _, err = run(["private-rate", "--p", "0.3", "--lambda", "0.2", "--units", units,
+                            "--format", "json", "--out", str(out)], capsys)
+        assert code == 0
+        reports[units] = (json.loads(out.read_text()), err)
+    (nats, _), (bits, err) = reports["nats"], reports["bits"]
+    assert bits["metadata"]["units"] == "bits"
+    best = bits["metadata"]["bestBound"]
+    assert best == max(float(row[3]) for row in bits["rows"])
+    assert best == nats["metadata"]["bestBound"] * 1.4426950408889634
+    assert err == f"max positive bound {best:.6g} at theta = {bits['metadata']['bestTheta']:.6g}\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary
-from qdecay import entropy, matcore
+from qdecay import channels, entropy, matcore
 from qdecay.entropy import (
     binary_entropy,
     f_almost_concavity,
@@ -670,3 +670,12 @@ def test_stacked_mutual_information_bit_equal_to_each_state_alone(rng, dims):
     for i, x in enumerate(rhos + sigmas):
         alone = mutual_information(BipartiteDensity(*dims, x))
         assert _bits(stacked[i]) == _bits(alone)
+
+
+@pytest.mark.parametrize("theta", [2e-7, 3e-7])
+def test_pinched_pure_state_keeps_its_tiny_eigenvalue(theta):
+    # E psi = diag(cos^2, sin^2) has sin^2(theta) ~ 1e-13, below the Loewner rank
+    # rule (matcore.SUPPORT_RTOL); ENTROPY_SUPPORT_RTOL keeps it in the support
+    psi = DensityMatrix.pure([math.cos(theta), math.sin(theta)])
+    got = relative_entropy(psi, channels.pinching(2).apply(psi))
+    assert math.isclose(got.unwrap(), binary_entropy(math.sin(theta) ** 2), rel_tol=1e-4)

@@ -180,6 +180,17 @@ def test_expansion_consistency_improves_with_theta():
         assert dev < theta * math.log(1 / theta)
 
 
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("theta", [1e-5, 1e-6, 1e-8])
+def test_expansion_consistency_deviation_is_the_expansion_error(theta, d):
+    # exact D from the closed form: the deviation is the O(theta^2) relative
+    # correction, not eigensolver round-off
+    rep = exp.expansion_consistency_check(theta, 0.1, d)
+    assert rep["relative_deviation"] <= 10 * theta ** 2 + 1e-15
+    assert rep["exact"] == exp.sudden_decay_sweep(
+        exp.SuddenDecayConfig((theta,), 0.1, d)).column("d_post")[0]
+
+
 def test_expansion_coefficient_vanishes_at_full_noise():
     assert exp.expansion_quadratic_coefficient(1.0, 2) == 0.0
     rho = exp.rho_theta_lambda(1e-4, 1.0)
@@ -507,3 +518,23 @@ def test_sweeps_match_the_matrix_path_above_theta_1e_4(lam):
                 assert math.isclose(i_env, leak, rel_tol=MATRIX_RTOL, abs_tol=1e-15)
                 assert math.isclose(bound, p * kept - (1 - p) * leak,
                                     rel_tol=MATRIX_RTOL), (p, noise, theta)
+
+
+@pytest.mark.parametrize("noise", exp.NOISE_KINDS)
+@pytest.mark.parametrize("lam", [0.0, 0.2, 0.7])
+@pytest.mark.parametrize("p", [0.3, 1.0])
+def test_flagged_channel_matches_a_loop_oracle_bit_for_bit(noise, lam, p):
+    comp = channels.complementary_channel(
+        channels.depolarizing(2, lam) if noise == "depolarizing" else channels.dephasing_y(lam))
+    branch = max(2, comp.dim_out)
+    keep = np.zeros((2 * branch, 2), dtype=complex)
+    keep[:2, :2] = np.eye(2)
+    ops = [math.sqrt(p) * keep]
+    if p < 1.0:
+        for k in comp.kraus:
+            kk = np.zeros((2 * branch, 2), dtype=complex)
+            kk[branch:branch + k.shape[0], :] = k
+            ops.append(math.sqrt(1 - p) * kk)
+    got = exp.flagged_channel(lam, p, noise).kraus
+    assert got.shape == (len(ops), 2 * branch, 2)
+    assert got.tobytes() == np.array(ops).tobytes()
