@@ -104,6 +104,10 @@ def g_factor(zeta: float, c: float, variant: str = "theorem") -> tuple[float, fl
     return max(g, 0.0), tau_star
 
 
+# the worked qubit-depolarizing example L = Id - E: c = 4, ||L||_diamond <= 3/4
+EXAMPLE_C, EXAMPLE_DIAMOND = 4.0, 0.75
+
+
 def _replacement_weights(t: float, c: float, diamond: float) -> tuple[float, float]:
     """(zeta, eps) = (1 - exp(-t c diamond), 1 - exp(-t c diamond / 2)), both
     through expm1: zeta is the replacement weight of the fixed-point converse,
@@ -252,16 +256,15 @@ def classical_converse_check(e: ConditionalExpectation, rho, sigma, times: Seque
 
 
 def smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma):
-    """m_tilde: smallest nonzero eigenvalue of sigma (+) E(sigma) compressed
-    to supp(sigma); an array of them for two sequences of states."""
+    """m_tilde: smallest nonzero eigenvalue of sigma (+) E(sigma), the latter as
+    its k x k block on supp(sigma); an array of them for two sequences of states."""
     sigmas, e_sigmas, one = matcore.batch(sigma=sigma, e_sigma=e_sigma)
-    p = matcore.support_projectors(sigmas)
-    w, _ = matcore.jacobi_eigh_batch(matcore.as_hermitian(
-        p @ matcore.stack([x.matrix for x in e_sigmas]) @ p))
-    tiny = np.finfo(float).tiny
-    out = np.minimum(*(np.where(x > matcore.SUPPORT_RTOL * np.maximum(x[:, -1:], tiny),
-                                x, math.inf).min(axis=1)
-                       for x in (matcore.stack([x.eigenvalues for x in sigmas]), w)))
+    out = np.empty(len(sigmas))
+    for rows, block, ws, _ in matcore.support_blocks(
+            matcore.stack([x.matrix for x in e_sigmas]), sigmas, matcore.SUPPORT_RTOL):
+        w = matcore.jacobi_eigh_batch(matcore.as_hermitian(block))[0]
+        floor = matcore.SUPPORT_RTOL * np.maximum(w[:, -1:], np.finfo(float).tiny)
+        out[rows] = np.minimum(ws[:, 0], np.where(w > floor, w, math.inf).min(axis=1))
     return float(out[0]) if one else out
 
 
@@ -356,8 +359,7 @@ def origcompare_check(rho, sigma, omega, eps, zeta):
     wmin = float(matcore.jacobi_eigh_batch(matcore.as_hermitian(r - (1 - z_a) * s))[0][:, 0].min())
     if wmin < -1e-10:
         raise ValueError(f"precondition rho >= (1-zeta) sigma fails by {wmin!r}")
-    p = matcore.support_projectors(sigmas)
-    g = matcore.loewner_min_coefficient(matcore.as_hermitian(p @ o @ p), sigmas, False)
+    g = matcore.loewner_min_coefficient(o, sigmas, False)
     d_orig = entropy.unwrap(entropy.relative_entropy(rhos, sigmas))
     n = len(r)
     mixed = DensityMatrix.from_matrices(np.concatenate([(1 - e_a) * x + e_a * o for x in (r, s)]))

@@ -54,7 +54,7 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive trace-preserving map; kraus: read-only (m, dim_out, dim_in) array."""
 
@@ -100,7 +100,7 @@ class KrausChannel:
         return SuperOperator(self.dim_in, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperOperator:
     """Square linear map on operators, column-stacking matrix of shape d^2 x d^2."""
 
@@ -218,7 +218,7 @@ def dephasing_y(lam: float) -> KrausChannel:
     return KrausChannel.from_kraus(ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalExpectation(SuperOperator):
     """Idempotent trace-preserving projection onto a fixed-point subalgebra."""
 
@@ -274,7 +274,7 @@ def replacement_semigroup(e: ConditionalExpectation, t: float) -> SuperOperator:
                          - math.expm1(-t) * e.matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lindbladian:
     """Generator L of the semigroup exp(-t L), with its fixed-point data.
 
@@ -312,7 +312,7 @@ def replacement_lindbladian(e: ConditionalExpectation, diamond_upper: float | No
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupLindbladian:
     """Group generators u_j, a read-only (g, d, d) array, with probabilities p_j."""
 
@@ -410,7 +410,7 @@ def choi_matrix(channel) -> np.ndarray:
 
 
 def cp_order_coefficient(phi, psi) -> float:
-    """Smallest c with c Phi >=_cp Psi, via Choi matrices:
+    """Smallest c with c Phi >=_cp Psi for CP maps Phi and Psi (PSD Choi matrices):
     c Choi(Phi) - Choi(Psi) >= 0 decided on supp(Choi(Phi)).  Infinite when
     Choi(Psi) has weight outside that support."""
     return matcore.loewner_min_coefficient(choi_matrix(psi), choi_matrix(phi), strict=True)

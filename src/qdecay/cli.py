@@ -102,7 +102,8 @@ def cmd_g_table(args) -> int:
         times = [float(x) for x in args.t.split(",") if x]
         if not times or not all(0.0 < t < math.inf for t in times):
             raise ValueError("need positive finite comma-separated times")
-        zetas = [-math.expm1(-3.0 * t) for t in times]
+        zetas = [bounds._replacement_weights(t, bounds.EXAMPLE_C, bounds.EXAMPLE_DIAMOND)[0]
+                 for t in times]
         if max(zetas) == 1.0:
             raise ValueError(f"t = {max(times)!r} is too large: "
                              "zeta = 1 - exp(-3 t) rounds to 1")
@@ -110,13 +111,13 @@ def cmd_g_table(args) -> int:
         return _error(err, 2)
     rows = []
     for t, zeta in zip(times, zetas):
-        g, tau = bounds.g_factor(zeta, 4.0, variant=args.variant)
+        g, tau = bounds.g_factor(zeta, bounds.EXAMPLE_C, variant=args.variant)
         rows.append((t, zeta, g, tau))
     result = exp.SweepResult(
         columns=("t", "zeta", "g", "tau_star"),
         rows=tuple(rows),
-        metadata={"experiment": "g-table", "variant": args.variant, "c": 4.0,
-                  "diamond": 0.75, "version": exp.ARTIFACT_VERSION})
+        metadata={"experiment": "g-table", "variant": args.variant, "c": bounds.EXAMPLE_C,
+                  "diamond": bounds.EXAMPLE_DIAMOND, "version": exp.ARTIFACT_VERSION})
     _write_output(_sweep_text(result, args.format), args.out)
     return 0
 

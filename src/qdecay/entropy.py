@@ -64,21 +64,6 @@ def von_neumann_entropy(rho):
     return float(out[0]) if one else out
 
 
-def _support_blocks(r: np.ndarray, sigmas):
-    """Per group of rows whose sigma keeps the same number of support
-    eigenvalues: the rows, each rho of the (n, d, d) stack r compressed to
-    supp(sigma) in sigma's eigenbasis, the support eigenvalues of sigma, and
-    the weight of rho outside supp(sigma), None for a full support."""
-    ws = matcore.stack([s.eigenvalues for s in sigmas])
-    vs = matcore.stack([s.eigenvectors for s in sigmas])
-    d = ws.shape[1]
-    for rows, k in matcore.support_groups(ws, ENTROPY_SUPPORT_RTOL * ws[:, -1:]):
-        v = vs[rows, :, d - k:]
-        compressed = v.conj().transpose(0, 2, 1) @ r[rows] @ v
-        leak = r[rows].trace(0, 1, 2).real - compressed.trace(0, 1, 2).real if k < d else None
-        yield rows, compressed, ws[rows, d - k:], leak
-
-
 def relative_entropy(rho, sigma):
     """Umegaki relative entropy tr rho (ln rho - ln sigma).
 
@@ -88,11 +73,11 @@ def relative_entropy(rho, sigma):
     """
     rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
     out = np.empty(len(sigmas))
-    for rows, compressed, ws, leak in _support_blocks(matcore.stack([x.matrix for x in rhos]),
-                                                      sigmas):
+    for rows, compressed, ws, leak in matcore.support_blocks(
+            matcore.stack([x.matrix for x in rhos]), sigmas, ENTROPY_SUPPORT_RTOL):
         tr_log = (np.diagonal(compressed, axis1=1, axis2=2) * np.log(ws)).sum(axis=1).real
         if leak is not None:
-            tr_log[leak > 1e-12] = -math.inf
+            tr_log[leak] = -math.inf
         out[rows] = tr_log
     out = _nonnegative(-von_neumann_entropy(rhos) - out, "relative entropy")
     if not one:
@@ -220,8 +205,9 @@ def weighted_norm_sq(x: np.ndarray, omega):
     integral over r of tr[ X (r+omega)^-1 X (r+omega)^-1 ].
 
     Closed form in omega's eigenbasis: sum_ij |X_ij|^2 (ln a_i - ln a_j)/(a_i - a_j).
-    Weight of X outside supp(omega) makes the integral divergent: returns inf.
-    An array for an (n, d, d) stack x and a sequence of n states omega.
+    X's rows off supp(omega) make the integral divergent, returning inf, once
+    an entry exceeds SUPPORT_RTOL max(1, max |X|): X = rho - sigma is not PSD,
+    so support_blocks' trace test does not apply.  An array for n pairs (x, omega).
     """
     omegas, one = matcore.batch(omega=omega)
     x = matcore.as_hermitian(np.asarray(x)[None] if one else x)
@@ -235,7 +221,7 @@ def weighted_norm_sq(x: np.ndarray, omega):
         outside = np.maximum.reduce(np.abs(xt[rows, :j]), axis=(1, 2)) if j else 0.0
         lam = _log_mean_weights(ws[rows, j:])
         value = (np.abs(xt[rows, j:, j:]) ** 2 * lam).sum(axis=(1, 2))
-        out[rows] = np.where(outside > 1e-12 * scale[rows], math.inf, value)
+        out[rows] = np.where(outside > matcore.SUPPORT_RTOL * scale[rows], math.inf, value)
     return float(out[0]) if one else out
 
 
@@ -280,8 +266,9 @@ def relative_entropy_integral_form(rho: DensityMatrix, sigma: DensityMatrix,
     if quad_points < 8:
         raise ValueError("quad_points must be at least 8")
     matcore.batch(rho=rho, sigma=sigma)  # raises on a dimension mismatch
-    (_, compressed, ws, leak), = _support_blocks(rho.matrix[None], [sigma])
-    if leak is not None and leak > 1e-12:
+    (_, compressed, ws, leak), = matcore.support_blocks(rho.matrix[None], [sigma],
+                                                        ENTROPY_SUPPORT_RTOL)
+    if leak is not None and leak[0]:
         raise ValueError("support violation: ker(sigma) is not contained in ker(rho)")
     r, s = rho.matrix, sigma.matrix
     if ws.shape[1] < sigma.dim:

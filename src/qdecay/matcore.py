@@ -8,8 +8,8 @@ and Loewner-order queries.
 Conventions fixed here and used globally:
   * matrices are numpy complex arrays, row-major;
   * vectorization is column-stacking (relevant to the channels module);
-  * an eigenvalue counts as nonzero when it exceeds SUPPORT_RTOL times
-    the largest eigenvalue.
+  * support_blocks alone restricts to supp(sigma), keeping eigenvalues above
+    rtol times the largest (SUPPORT_RTOL here, ENTROPY_SUPPORT_RTOL in entropy).
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def trace_norm(m: np.ndarray):
     return out if m.ndim == 3 else float(out[0])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DensityMatrix:
     """Positive semidefinite unit-trace Hermitian matrix with cached spectrum.
 
@@ -268,48 +268,46 @@ def batch(**named) -> tuple:
     return (*seqs, isinstance(x, single))
 
 
-def support_projectors(states) -> np.ndarray:
-    """Projector onto the support of each state: the eigenvectors whose
-    eigenvalues exceed SUPPORT_RTOL times the largest."""
-    ws = np.stack([s.eigenvalues for s in states])
-    vs = np.stack([s.eigenvectors for s in states])
-    out = np.empty_like(vs)
-    for rows, k in support_groups(ws, SUPPORT_RTOL * np.maximum(ws[:, -1:], np.finfo(float).tiny)):
-        v = vs[rows, :, ws.shape[1] - k:]
-        out[rows] = v @ v.conj().transpose(0, 2, 1)
-    return out
+def support_blocks(x: np.ndarray, sigmas, rtol: float):
+    """Per group of rows of the (n, d, d) stack x whose sigma keeps k eigenvalues
+    above rtol times its largest: the rows, V_k^dagger x V_k on those k
+    eigenvectors, the k eigenvalues, and per row whether x has weight outside
+    supp(sigma), tr x - tr(V_k^dagger x V_k) > SUPPORT_RTOL max(1, max |x|),
+    or None when k = d.  That weight test holds for PSD x only."""
+    ws = stack([s.eigenvalues for s in sigmas])
+    vs = stack([s.eigenvectors for s in sigmas])
+    d = ws.shape[1]
+    for rows, k in support_groups(ws, rtol * np.maximum(ws[:, -1:], np.finfo(float).tiny)):
+        v = vs[rows, :, d - k:]
+        compressed = v.conj().transpose(0, 2, 1) @ x[rows] @ v
+        leak = None if k == d else (
+            x[rows].trace(0, 1, 2).real - compressed.trace(0, 1, 2).real
+            > SUPPORT_RTOL * np.maximum(1.0, np.maximum.reduce(np.abs(x[rows]), axis=(1, 2))))
+        yield rows, compressed, ws[rows, d - k:], leak
 
 
 def loewner_min_coefficient(rho, sigma, strict: bool = False):
     """Smallest g with g*sigma - P_sigma rho P_sigma >= 0.
 
-    rho and sigma may be DensityMatrix instances or PSD Hermitian arrays
-    (sigma's support is read off its spectrum either way).  When strict
-    is set, any weight of rho outside supp(sigma) makes the answer
-    infinite; otherwise rho is first compressed to supp(sigma).  For an
-    (n, d, d) Hermitian stack rho and a sequence of n states sigma, an
-    array, with one eigensolve per support size.
+    rho and sigma must be PSD: DensityMatrix instances or Hermitian arrays
+    (sigma's support is read off its spectrum).  When strict is set, weight
+    of rho outside supp(sigma) (support_blocks' trace test) makes the answer
+    infinite; otherwise rho is compressed to supp(sigma).  For an (n, d, d)
+    stack rho and a sequence of n states sigma, an array, with one
+    eigensolve per support size.
     """
     one = isinstance(sigma, (DensityMatrix, np.ndarray))
     if one:
         rho = (rho.matrix if isinstance(rho, DensityMatrix) else as_hermitian(rho))[None]
         sigma = [sigma if isinstance(sigma, DensityMatrix) else eigh(as_hermitian(sigma))]
-    ws = stack([s.eigenvalues for s in sigma])
-    vs = stack([s.eigenvectors for s in sigma])
-    d = ws.shape[1]
-    out = np.empty(len(ws))
-    for rows, k in support_groups(ws, SUPPORT_RTOL * np.maximum(ws[:, -1:], np.finfo(float).tiny)):
-        vsup = vs[rows, :, d - k:]
+    out = np.empty(len(sigma))
+    for rows, compressed, ws, leak in support_blocks(rho, sigma, SUPPORT_RTOL):
         # generalized eigenvalue problem on supp(sigma): g = lmax(S^-1/2 R S^-1/2)
-        compressed = vsup.conj().transpose(0, 2, 1) @ rho[rows] @ vsup
-        scale = 1.0 / np.sqrt(ws[rows, d - k:])
+        scale = 1.0 / np.sqrt(ws)
         whitened = scale[:, :, None] * compressed * scale[:, None, :]
         g = jacobi_eigh_batch(as_hermitian(whitened, atol=1e-8))[0][:, -1]
-        if strict and k < d:
-            # rho's weight outside supp(sigma), against max(1, max |rho|)
-            top = np.maximum.reduce(np.abs(rho[rows]), axis=(1, 2)).tolist()
-            g[[float(np.linalg.norm(o.conj().T @ m @ o)) > SUPPORT_RTOL * max(1.0, t)
-               for o, m, t in zip(vs[rows, :, :d - k], rho[rows], top)]] = math.inf
+        if strict and leak is not None:
+            g[leak] = math.inf
         out[rows] = g
     return float(out[0]) if one else out
 

@@ -242,11 +242,10 @@ def _clsi_tables():
     """The clsi suite's fixed data, built once per process: the Lindbladian,
     the g factors per time and variant, and the fixed-point map followed by
     the semigroup per time."""
-    # the worked qubit-depolarizing case: c = 4, analytic diamond bound 3/4
     lind = channels.replacement_lindbladian(channels.depolarizing_projection(2),
-                                            diamond_upper=0.75, pp_index=4.0)
+                                            bounds.EXAMPLE_DIAMOND, bounds.EXAMPLE_C)
     factors = tuple(
-        tuple(bounds.g_factor(-math.expm1(-t * lind.pp_index * lind.diamond_upper),
+        tuple(bounds.g_factor(bounds._replacement_weights(t, lind.pp_index, lind.diamond_upper)[0],
                               lind.pp_index, variant=variant)[0]
               for variant in CLSI_VARIANTS)
         for t in CLSI_TIMES)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_unitary
 from qdecay import bounds, channels, entropy, matcore
 from qdecay.bounds import (
     InfeasibleParamsError,
@@ -617,3 +618,32 @@ def test_zeta_and_eps_exact_at_small_times():
     rep = clsi_converse_check(qubit_depolarizing_lindbladian(),
                               DensityMatrix.diagonal([0.9, 0.1]), 1e-17)
     assert rep.factor == g < 1.0
+
+
+def _m_tilde_oracle(sigma, e_sigma, mpmath):
+    """m_tilde at 50 digits from the stored matrices: sigma's support
+    eigenvalues and those of E(sigma) compressed to that support."""
+    d = sigma.dim
+    with mpmath.workdps(50):
+        s, es = (mpmath.matrix(x.matrix.tolist()) for x in (sigma, e_sigma))
+        w, v = mpmath.eighe(s)
+        keep = [i for i in range(d) if w[i] > 1e-12 * max(w)]
+        vk = mpmath.matrix([[v[r, i] for i in keep] for r in range(d)])
+        we = mpmath.eighe(vk.transpose_conj() * es * vk, eigvals_only=True)
+        return float(min([w[i] for i in keep] + [x for x in we if x > 1e-12 * max(we)]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("rank_deficient", [False, True])
+def test_m_tilde_against_mpmath(rng, d, rank_deficient):
+    mpmath = pytest.importorskip("mpmath")
+    for _ in range(5):
+        u = random_unitary(rng, d)
+        p = np.array([0.05 + rng.uniform() for _ in range(d)])
+        if rank_deficient:
+            p[0] = 0.0
+        sigma = DensityMatrix.from_matrix((u * (p / p.sum())) @ u.conj().T)
+        for e in (channels.pinching(d), depolarizing_projection(d)):
+            e_sigma = e.apply(sigma)
+            got = bounds.smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma)
+            assert math.isclose(got, _m_tilde_oracle(sigma, e_sigma, mpmath), rel_tol=1e-12)

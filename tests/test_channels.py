@@ -592,3 +592,23 @@ def test_operator_list_shape_checks_keep_their_messages():
         GroupLindbladian.from_generators([np.ones((2, 3))], [1.0])
     with pytest.raises(ValueError, match="not unitary"):
         GroupLindbladian.from_generators([X, 2 * Z], [0.5, 0.5])
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # field-wise __eq__ on array fields raised "truth value ... is ambiguous"
+    # on ==, on `in` and (for the unhashable ones) on hash
+    e = depolarizing_projection(2)
+    builds = (lambda: DensityMatrix.maximally_mixed(2),
+              lambda: depolarizing(2, 0.1),
+              lambda: SuperOperator(2, np.eye(4, dtype=complex)),
+              depolarizing_projection,
+              lambda: replacement_lindbladian(e),
+              lambda: GroupLindbladian.from_generators([X, Z], [0.5, 0.5]))
+    for build in builds:
+        obj, twin = (build(2) if build is depolarizing_projection else build() for _ in "ab")
+        assert obj == obj and obj != twin
+        assert obj in [twin, obj] and twin not in [obj]
+        assert hash(obj) == hash(obj) and len({obj, twin, obj}) == 2
+    a, b = (BipartiteDensity.from_matrix(np.eye(4, dtype=complex) / 4, 2, 2) for _ in "ab")
+    assert a == BipartiteDensity(2, 2, a.state) and a != b
+    assert hash(a) == hash(BipartiteDensity(2, 2, a.state))

@@ -444,6 +444,22 @@ def test_g_table_zeta_exact_at_tiny_t(capsys):
         assert tau > 1e-12 and g < 1.0
 
 
+def test_g_table_zeta_is_the_replacement_weight(capsys):
+    # one function gives zeta for the g-table and the converse checks, at the
+    # worked example's c and diamond bound, which the metadata reports
+    times = [1e-17, 3e-13, 1e-9, 2.5e-4, 0.1, 1.0, 12.0]
+    for variant in ("theorem", "paper-example"):
+        code, out, _ = run(["g-table", "--variant", variant, "--format", "json",
+                            "--t", ",".join(map(repr, times))], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["metadata"]["c"], data["metadata"]["diamond"]) == (4.0, 0.75)
+        assert [float(row[0]) for row in data["rows"]] == times
+        for t, row in zip(times, data["rows"]):
+            want = bounds._replacement_weights(t, bounds.EXAMPLE_C, bounds.EXAMPLE_DIAMOND)[0]
+            assert np.float64(row[1]).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
 @pytest.mark.parametrize("argv", [
     ["sudden-decay", "--lambda", "0.1"],
     ["private-rate", "--p", "0.3", "--lambda", "0.2"],

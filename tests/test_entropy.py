@@ -679,3 +679,26 @@ def test_pinched_pure_state_keeps_its_tiny_eigenvalue(theta):
     psi = DensityMatrix.pure([math.cos(theta), math.sin(theta)])
     got = relative_entropy(psi, channels.pinching(2).apply(psi))
     assert math.isclose(got.unwrap(), binary_entropy(math.sin(theta) ** 2), rel_tol=1e-4)
+
+
+@pytest.mark.parametrize("delta", [1e-13, 1.2e-12, 1e-11])
+def test_one_leak_rule(delta):
+    # delta of rho's weight outside supp(sigma), split over the two kernel
+    # directions: the entropies and strict Loewner share one leak test, so they
+    # agree on whether it counts (the Frobenius norm of the off-support block
+    # let 1.2e-12 pass as finite)
+    sigma = DensityMatrix.diagonal([0.5, 0.5, 0.0, 0.0])
+    inside = (1.0 - delta) * np.array([[0.6, 0.2j], [-0.2j, 0.4]])
+    m = np.zeros((4, 4), dtype=complex)
+    m[:2, :2] = inside
+    m[2, 2] = m[3, 3] = delta / 2
+    rho = DensityMatrix.from_matrix(m)
+    leaks = delta > matcore.SUPPORT_RTOL
+    assert (float(relative_entropy(rho, sigma)) == math.inf) == leaks
+    assert (matcore.loewner_min_coefficient(rho, sigma, strict=True) == math.inf) == leaks
+    assert math.isfinite(matcore.loewner_min_coefficient(rho, sigma))
+    if leaks:
+        with pytest.raises(ValueError, match="support violation"):
+            relative_entropy_integral_form(rho, sigma, 16)
+    else:
+        assert math.isfinite(relative_entropy_integral_form(rho, sigma, 16))

@@ -14,7 +14,7 @@ import qdecay
 
 DEFAULTED_LIMIT = 26
 # lines of src/qdecay/*.py, as `cat src/qdecay/*.py | wc -l` counts them
-SRC_LINE_LIMIT = 2759
+SRC_LINE_LIMIT = 2746
 
 
 def _defaulted_settings() -> list:
