@@ -51,8 +51,6 @@ from .bounds import (
     origcompare_check,
 )
 from .experiments import (
-    PrivateRateConfig,
-    SuddenDecayConfig,
     SweepResult,
     expansion_consistency_check,
     flagged_channel,

@@ -85,13 +85,9 @@ def _convert_units(result: exp.SweepResult, units: str, columns) -> exp.SweepRes
 def cmd_sudden_decay(args) -> int:
     try:
         grid = exp.theta_logspace(args.theta_max, args.theta_min, args.points)
-        cfg = exp.SuddenDecayConfig(grid, args.lam, args.dim, args.noise)
+        result = exp.sudden_decay_sweep(grid, args.lam, args.dim, args.noise)
     except ValueError as err:
         return _error(err, 2)
-    try:
-        result = exp.sudden_decay_sweep(cfg)
-    except Exception as err:  # numerical failure
-        return _error(err, 1)
     result = _convert_units(result, args.units, ("d_pre", "d_post"))
     _write_output(_sweep_text(result, args.format), args.out)
     return 0
@@ -148,14 +144,9 @@ def cmd_verify(args) -> int:
 def cmd_private_rate(args) -> int:
     try:
         grid = exp.theta_logspace(args.theta_max, args.theta_min, args.points)
-        cfg = exp.PrivateRateConfig(p=args.p, lam=args.lam, theta_grid=grid,
-                                    noise=args.noise)
+        result = exp.private_rate_lower_bound(args.p, args.lam, grid, args.noise)
     except ValueError as err:
         return _error(err, 2)
-    try:
-        result = exp.private_rate_lower_bound(cfg)
-    except Exception as err:
-        return _error(err, 1)
     result = _convert_units(result, args.units,
                             ("i_kept", "i_env", "rate_lower_bound"))
     _write_output(_sweep_text(result, args.format), args.out)

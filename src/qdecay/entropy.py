@@ -211,6 +211,7 @@ def weighted_norm_sq(x: np.ndarray, omega):
     """
     omegas, one = matcore.batch(omega=omega)
     x = matcore.as_hermitian(np.asarray(x)[None] if one else x)
+    matcore.check_stack(x=x, omega=omegas)
     ws = matcore.stack([o.eigenvalues for o in omegas])
     vs = matcore.stack([o.eigenvectors for o in omegas])
     xt = vs.conj().transpose(0, 2, 1) @ x @ vs

@@ -104,6 +104,8 @@ def theta_logspace(theta_max: float, theta_min: float, points: int) -> tuple:
     for name, value in (("theta_max", theta_max), ("theta_min", theta_min)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if points < 1:
+        raise ValueError(f"points must be at least 1, got {points!r}")
     if points > MAX_THETA_POINTS:
         raise ValueError(f"points must be at most MAX_THETA_POINTS = "
                          f"{MAX_THETA_POINTS}, got {points!r}")
@@ -111,26 +113,7 @@ def theta_logspace(theta_max: float, theta_min: float, points: int) -> tuple:
     return tuple(float(t) for t in grid)
 
 
-@dataclass(frozen=True)
-class SuddenDecayConfig:
-    theta_grid: tuple
-    lam: float = 0.1
-    dim: int = 2
-    noise: str = "depolarizing"
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta_grid", _theta_grid(self.theta_grid))
-        if self.dim < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.dim}")
-        if self.lam > 1.0 or not (self.lam == 0.0 or self.lam / self.dim >= np.finfo(float).tiny):
-            raise ValueError("lambda must be 0, or lie in (0, 1] with lambda/dim a normal double")
-        if self.noise not in NOISE_KINDS:
-            raise ValueError(f"noise must be one of {NOISE_KINDS}")
-        if self.noise == "dephasing-y" and self.dim != 2:
-            raise ValueError(f"dephasing-y noise is a qubit channel; got dimension {self.dim}")
-
-
-def sudden_decay_sweep(cfg: SuddenDecayConfig) -> SweepResult:
+def sudden_decay_sweep(theta_grid, lam: float, dim: int, noise: str) -> SweepResult:
     """Per theta: exact pre-noise and post-noise relative entropy to the
     computational-basis pinching E, their ratio, and ratio * ln(1/theta).
 
@@ -141,17 +124,26 @@ def sudden_decay_sweep(cfg: SuddenDecayConfig) -> SweepResult:
     ln(a/b) - (a - delta) log1p(-delta/a) - (b + delta) log1p(delta/b).  A real
     psi under dephasing-y is (1 - lam/2) psi + (lam/2)(I - psi): the same levels.
     """
+    thetas = _theta_grid(theta_grid)
+    if dim < 2:
+        raise ValueError(f"dimension must be at least 2, got {dim}")
+    if lam > 1.0 or not (lam == 0.0 or lam / dim >= np.finfo(float).tiny):
+        raise ValueError("lambda must be 0, or lie in (0, 1] with lambda/dim a normal double")
+    if noise not in NOISE_KINDS:
+        raise ValueError(f"noise must be one of {NOISE_KINDS}")
+    if noise == "dephasing-y" and dim != 2:
+        raise ValueError(f"dephasing-y noise is a qubit channel; got dimension {dim}")
     rows = []
-    for theta in cfg.theta_grid:
+    for theta in thetas:
         s = math.sin(theta) ** 2
-        d_pre, d_post = entropy.binary_entropy(s), _pinching_divergence(s, cfg.lam, cfg.dim)
+        d_pre, d_post = entropy.binary_entropy(s), _pinching_divergence(s, lam, dim)
         ratio = d_post / d_pre
         rows.append((theta, d_pre, d_post, ratio, ratio * math.log(1.0 / theta)))
     meta = {
         "experiment": "sudden-decay",
-        "lambda": cfg.lam,
-        "dim": cfg.dim,
-        "noise": cfg.noise,
+        "lambda": lam,
+        "dim": dim,
+        "noise": noise,
         "version": ARTIFACT_VERSION,
     }
     return SweepResult(
@@ -286,24 +278,7 @@ def flagged_channel(lam: float, p: float, noise: str = "dephasing-y") -> KrausCh
     return KrausChannel.from_kraus(ops)
 
 
-@dataclass(frozen=True)
-class PrivateRateConfig:
-    p: float
-    lam: float
-    theta_grid: tuple = tuple(np.logspace(-1, -8, 8))
-    noise: str = "dephasing-y"
-
-    def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie in (0, 1)")
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError("lambda must lie in (0, 1)")
-        if self.noise not in NOISE_KINDS:
-            raise ValueError(f"noise must be one of {NOISE_KINDS}")
-        object.__setattr__(self, "theta_grid", _theta_grid(self.theta_grid))
-
-
-def private_rate_lower_bound(cfg: PrivateRateConfig) -> SweepResult:
+def private_rate_lower_bound(p: float, lam: float, theta_grid, noise: str) -> SweepResult:
     """Single-letter private-rate lower bound sweep for the flagged channel.
 
     Per theta: i_kept is the mutual information of the flag-correlated input
@@ -323,27 +298,34 @@ def private_rate_lower_bound(cfg: PrivateRateConfig) -> SweepResult:
     mu = det / ((T + sqrt(T^2 - 4 det))/2).  With h(lam/2) = -(lam/2) ln(lam/2)
     - T ln T, i_env = (lam/2) h(s) - mu ln(mu/T) - (T - mu) log1p(-mu/T).
     """
-    lam, total = cfg.lam, 1.0 - cfg.lam / 2.0
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lambda must lie in (0, 1)")
+    if noise not in NOISE_KINDS:
+        raise ValueError(f"noise must be one of {NOISE_KINDS}")
+    thetas = _theta_grid(theta_grid)
+    total = 1.0 - lam / 2.0
     rows = []
     best = None
-    for theta in cfg.theta_grid:
+    for theta in thetas:
         s = math.sin(theta) ** 2
         i_kept = entropy.binary_entropy(s)
         i_env = 0.0
         det = (1.0 - s) * s * (lam - 0.75 * lam * lam)
-        if cfg.noise == "depolarizing" and det > 0.0:  # det, like i_env, underflows with lam s
+        if noise == "depolarizing" and det > 0.0:  # det, like i_env, underflows with lam s
             mu = det / ((total + math.sqrt(total * total - 4.0 * det)) / 2.0)
             i_env = (lam / 2.0 * i_kept - mu * math.log(mu / total)
                      - (total - mu) * math.log1p(-mu / total))
-        bound = cfg.p * i_kept - (1 - cfg.p) * i_env
+        bound = p * i_kept - (1 - p) * i_env
         rows.append((theta, i_kept, i_env, bound))
         if bound > 0 and (best is None or bound > best[1]):
             best = (theta, bound)
     meta = {
         "experiment": "private-rate",
-        "p": cfg.p,
-        "lambda": cfg.lam,
-        "noise": cfg.noise,
+        "p": p,
+        "lambda": lam,
+        "noise": noise,
         "version": ARTIFACT_VERSION,
         "bestTheta": None if best is None else best[0],
         "bestBound": None if best is None else best[1],

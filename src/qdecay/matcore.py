@@ -268,6 +268,21 @@ def batch(**named) -> tuple:
     return (*seqs, isinstance(x, single))
 
 
+def check_stack(**named) -> None:
+    """The first keyword argument, an (n, d, d) stack, must have one matrix per
+    state of the second, a sequence of states (or eigendecompositions) of
+    dimension d; a ValueError in batch's wording names where they differ."""
+    (xname, x), (name, states) = named.items()
+    if len(x) != len(states):
+        raise ValueError(f"length mismatch: {xname} has {len(x)} matrices, "
+                         f"{name} has {len(states)} states")
+    for k, s in enumerate(states):
+        d = len(s.eigenvalues)
+        if x.shape[1:] != (d, d):
+            raise ValueError(f"dimension mismatch: {xname} has dim {x.shape[-1]}, "
+                             f"{name} has dim {d} (member {k})")
+
+
 def support_blocks(x: np.ndarray, sigmas, rtol: float):
     """Per group of rows of the (n, d, d) stack x whose sigma keeps k eigenvalues
     above rtol times its largest: the rows, V_k^dagger x V_k on those k
@@ -300,6 +315,7 @@ def loewner_min_coefficient(rho, sigma, strict: bool = False):
     if one:
         rho = (rho.matrix if isinstance(rho, DensityMatrix) else as_hermitian(rho))[None]
         sigma = [sigma if isinstance(sigma, DensityMatrix) else eigh(as_hermitian(sigma))]
+    check_stack(rho=rho, sigma=sigma)
     out = np.empty(len(sigma))
     for rows, compressed, ws, leak in support_blocks(rho, sigma, SUPPORT_RTOL):
         # generalized eigenvalue problem on supp(sigma): g = lmax(S^-1/2 R S^-1/2)

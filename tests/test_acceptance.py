@@ -48,8 +48,7 @@ def test_criterion_01_g_table_reproduction():
 
 def test_criterion_02_sudden_decay_scaling():
     t0 = time.perf_counter()
-    cfg = exp.SuddenDecayConfig(exp.theta_logspace(1e-3, 1e-6, 4), lam=0.1, dim=2)
-    sweep = exp.sudden_decay_sweep(cfg)
+    sweep = exp.sudden_decay_sweep(exp.theta_logspace(1e-3, 1e-6, 4), 0.1, 2, "depolarizing")
     elapsed = time.perf_counter() - t0
     ratios = sweep.column("ratio")
     quotient = ratios[-1] / ratios[0]
@@ -136,7 +135,8 @@ def test_criterion_09_pimsner_popa_indices():
 
 def test_criterion_10_private_rate_positivity():
     t0 = time.perf_counter()
-    sweep = exp.private_rate_lower_bound(exp.PrivateRateConfig(p=0.01, lam=0.01))
+    sweep = exp.private_rate_lower_bound(0.01, 0.01, exp.theta_logspace(1e-1, 1e-8, 8),
+                                         "dephasing-y")
     elapsed = time.perf_counter() - t0
     meta = sweep.metadata
     ok = meta["positiveFound"] and elapsed < 10.0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -489,3 +490,35 @@ def test_private_rate_bits_converts_the_best_bound_with_the_rows(tmp_path, capsy
     assert best == max(float(row[3]) for row in bits["rows"])
     assert best == nats["metadata"]["bestBound"] * 1.4426950408889634
     assert err == f"max positive bound {best:.6g} at theta = {bits['metadata']['bestTheta']:.6g}\n"
+
+
+@pytest.mark.parametrize("points", ["-1", "0"])
+@pytest.mark.parametrize("argv", [
+    ["sudden-decay", "--lambda", "0.1"],
+    ["private-rate", "--p", "0.3", "--lambda", "0.2"],
+])
+def test_points_below_one_exits_2(tmp_path, capsys, argv, points):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(argv + ["--points", points, "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: points must be at least 1, got {points}\n"
+    assert not out.exists()
+
+
+def _readme_commands() -> list:
+    """The qdecay lines of README's "Command line" block, continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("qdecay ")]
+
+
+def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == ["sudden-decay", "g-table", "verify",
+                                              "private-rate"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(argv, capsys)
+        assert code == 0, (argv, err)
+    assert sorted(os.listdir(tmp_path)) == ["rate.csv", "report.json", "sweep.csv"]

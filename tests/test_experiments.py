@@ -11,6 +11,8 @@ from qdecay.matcore import DensityMatrix
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
+# the private-rate command's default theta grid
+DEFAULT_RATE_GRID = exp.theta_logspace(1e-1, 1e-8, 8)
 
 
 def test_rho_theta_lambda_corners():
@@ -58,21 +60,18 @@ def test_omega_mutual_info_identity_grid():
 
 
 def test_sudden_decay_no_noise_has_unit_ratio():
-    cfg = exp.SuddenDecayConfig((1e-2, 1e-3, 1e-4), lam=0.0)
-    sweep = exp.sudden_decay_sweep(cfg)
+    sweep = exp.sudden_decay_sweep((1e-2, 1e-3, 1e-4), 0.0, 2, "depolarizing")
     assert all(abs(r - 1.0) < 1e-12 for r in sweep.column("ratio"))
 
 
 def test_sudden_decay_ratio_prediction():
-    cfg = exp.SuddenDecayConfig(exp.theta_logspace(1e-3, 1e-6, 4), lam=0.1)
-    sweep = exp.sudden_decay_sweep(cfg)
+    sweep = exp.sudden_decay_sweep(exp.theta_logspace(1e-3, 1e-6, 4), 0.1, 2, "depolarizing")
     ratios = sweep.column("ratio")
     assert 0.41 <= ratios[-1] / ratios[0] <= 0.62
 
 
 def test_sudden_decay_log_product_bounded():
-    cfg = exp.SuddenDecayConfig(exp.theta_logspace(1e-3, 1e-6, 4), lam=0.1)
-    sweep = exp.sudden_decay_sweep(cfg)
+    sweep = exp.sudden_decay_sweep(exp.theta_logspace(1e-3, 1e-6, 4), 0.1, 2, "depolarizing")
     vals = sweep.column("ratio_times_log_inv_theta")
     assert (max(vals) - min(vals)) / min(vals) < 0.25
 
@@ -81,14 +80,11 @@ def test_sudden_decay_dephasing_variant_matches_depolarizing():
     # within the rotated-pure family, Y-basis dephasing acts exactly as
     # depolarizing, so the sweeps coincide
     for noise in ("depolarizing", "dephasing-y"):
-        cfg = exp.SuddenDecayConfig(exp.theta_logspace(1e-3, 1e-5, 3), lam=0.2, noise=noise)
-        sweep = exp.sudden_decay_sweep(cfg)
+        sweep = exp.sudden_decay_sweep(exp.theta_logspace(1e-3, 1e-5, 3), 0.2, 2, noise)
         vals = sweep.column("ratio_times_log_inv_theta")
         assert (max(vals) - min(vals)) / min(vals) < 0.25
-    a = exp.sudden_decay_sweep(exp.SuddenDecayConfig((1e-3,), lam=0.2,
-                                                     noise="depolarizing"))
-    b = exp.sudden_decay_sweep(exp.SuddenDecayConfig((1e-3,), lam=0.2,
-                                                     noise="dephasing-y"))
+    a = exp.sudden_decay_sweep((1e-3,), 0.2, 2, "depolarizing")
+    b = exp.sudden_decay_sweep((1e-3,), 0.2, 2, "dephasing-y")
     assert a.rows == b.rows
 
 
@@ -99,9 +95,8 @@ def test_sweeps_exact_below_the_double_precision_cancellation_floor():
     thetas = (1e-8, 1e-9, 1e-12, 1e-100, exp.THETA_MIN)
     lam, d = 0.1, 3
     a, b = 1 - lam + lam / d, lam / d
-    sudden = exp.sudden_decay_sweep(exp.SuddenDecayConfig(thetas, lam=lam, dim=d))
-    rate = exp.private_rate_lower_bound(exp.PrivateRateConfig(0.3, lam, thetas,
-                                                              noise="depolarizing"))
+    sudden = exp.sudden_decay_sweep(thetas, lam, d, "depolarizing")
+    rate = exp.private_rate_lower_bound(0.3, lam, thetas, "depolarizing")
     for theta, d_pre, d_post, _, _ in sudden.rows:
         s = theta * theta
         assert math.isclose(d_pre, s * (1 - math.log(s)), rel_tol=1e-13)
@@ -117,19 +112,36 @@ def test_sweeps_exact_below_the_double_precision_cancellation_floor():
     for sweep in (sudden, rate):
         assert "warnings" not in json.loads(sweep.to_json())
     # where lam s underflows, so does the leak: 0, not a math domain error
-    tiny = exp.private_rate_lower_bound(exp.PrivateRateConfig(0.3, 1e-300, (exp.THETA_MIN,),
-                                                              noise="depolarizing"))
+    tiny = exp.private_rate_lower_bound(0.3, 1e-300, (exp.THETA_MIN,), "depolarizing")
     assert tiny.rows[0][2] == 0.0 and tiny.rows[0][1] > 0
 
 
 def test_sudden_decay_config_validation():
     with pytest.raises(ValueError, match="decreasing"):
-        exp.SuddenDecayConfig((1e-4, 1e-3), lam=0.1)
+        exp.sudden_decay_sweep((1e-4, 1e-3), 0.1, 2, "depolarizing")
     with pytest.raises(ValueError, match="pi/4"):
-        exp.SuddenDecayConfig((1.0,), lam=0.1)
+        exp.sudden_decay_sweep((1.0,), 0.1, 2, "depolarizing")
     # lambda/d below the normal doubles would overflow ln(a/b) and delta/b
     with pytest.raises(ValueError, match="normal double"):
-        exp.SuddenDecayConfig((1e-3,), lam=1e-310)
+        exp.sudden_decay_sweep((1e-3,), 1e-310, 2, "depolarizing")
+
+
+def test_sweeps_check_their_settings_in_order():
+    # sudden-decay checks the grid first, private-rate last; the first bad setting is named
+    bad = (1e-4, 1e-3)
+    for args, msg in (((bad, 2.0, 1, "x"), "decreasing"),
+                      (((1e-3,), 2.0, 1, "x"), "dimension must be at least 2, got 1"),
+                      (((1e-3,), 2.0, 2, "x"), "normal double"),
+                      (((1e-3,), 0.1, 2, "x"), "noise must be one of"),
+                      (((1e-3,), 0.1, 3, "dephasing-y"), "qubit channel; got dimension 3")):
+        with pytest.raises(ValueError, match=msg):
+            exp.sudden_decay_sweep(*args)
+    for args, msg in (((0.0, 1.0, bad, "x"), r"p must lie in \(0, 1\)"),
+                      ((0.5, 1.0, bad, "x"), r"lambda must lie in \(0, 1\)"),
+                      ((0.5, 0.1, bad, "x"), "noise must be one of"),
+                      ((0.5, 0.1, bad, "depolarizing"), "decreasing")):
+        with pytest.raises(ValueError, match=msg):
+            exp.private_rate_lower_bound(*args)
 
 
 def test_sweeps_apply_the_map_once_per_slice(monkeypatch):
@@ -188,7 +200,7 @@ def test_expansion_consistency_deviation_is_the_expansion_error(theta, d):
     rep = exp.expansion_consistency_check(theta, 0.1, d)
     assert rep["relative_deviation"] <= 10 * theta ** 2 + 1e-15
     assert rep["exact"] == exp.sudden_decay_sweep(
-        exp.SuddenDecayConfig((theta,), 0.1, d)).column("d_post")[0]
+        (theta,), 0.1, d, "depolarizing").column("d_post")[0]
 
 
 def test_expansion_coefficient_vanishes_at_full_noise():
@@ -309,22 +321,19 @@ def test_flagged_channel_domain():
 
 
 def test_private_rate_positive_at_spec_point():
-    cfg = exp.PrivateRateConfig(p=0.01, lam=0.01)
-    sweep = exp.private_rate_lower_bound(cfg)
+    sweep = exp.private_rate_lower_bound(0.01, 0.01, DEFAULT_RATE_GRID, "dephasing-y")
     assert sweep.metadata["positiveFound"]
     assert sweep.metadata["bestBound"] > 0
 
 
 def test_private_rate_dominant_keep_branch():
-    cfg = exp.PrivateRateConfig(p=0.999, lam=0.5, theta_grid=(0.1, 0.01))
-    sweep = exp.private_rate_lower_bound(cfg)
+    sweep = exp.private_rate_lower_bound(0.999, 0.5, (0.1, 0.01), "dephasing-y")
     for _, i_kept, _, bound in sweep.rows:
         assert bound > 0.99 * i_kept - 1e-12
 
 
 def test_private_rate_vanishes_with_theta():
-    cfg = exp.PrivateRateConfig(p=0.5, lam=0.1, theta_grid=(1e-1, 1e-3, 1e-5))
-    sweep = exp.private_rate_lower_bound(cfg)
+    sweep = exp.private_rate_lower_bound(0.5, 0.1, (1e-1, 1e-3, 1e-5), "dephasing-y")
     bounds_col = sweep.column("rate_lower_bound")
     assert abs(bounds_col[-1]) < abs(bounds_col[0])
     assert abs(bounds_col[-1]) < 1e-8
@@ -332,8 +341,8 @@ def test_private_rate_vanishes_with_theta():
 
 def test_private_rate_linear_in_p():
     grid = (1e-1, 1e-2)
-    sweeps = {p: exp.private_rate_lower_bound(
-        exp.PrivateRateConfig(p=p, lam=0.05, theta_grid=grid)) for p in (0.2, 0.7)}
+    sweeps = {p: exp.private_rate_lower_bound(p, 0.05, grid, "dephasing-y")
+              for p in (0.2, 0.7)}
     for i in range(len(grid)):
         _, i_kept, i_env, b1 = sweeps[0.2].rows[i]
         _, _, _, b2 = sweeps[0.7].rows[i]
@@ -343,9 +352,7 @@ def test_private_rate_linear_in_p():
 def test_private_rate_depolarizing_variant_reports_honestly():
     # with depolarizing noise the environment leak grows as ln(1/theta),
     # so p = lambda = 0.01 admits no positive value on this grid
-    cfg = exp.PrivateRateConfig(p=0.01, lam=0.01, theta_grid=(1e-1, 1e-3, 1e-5),
-                                noise="depolarizing")
-    sweep = exp.private_rate_lower_bound(cfg)
+    sweep = exp.private_rate_lower_bound(0.01, 0.01, (1e-1, 1e-3, 1e-5), "depolarizing")
     assert not sweep.metadata["positiveFound"]
 
 
@@ -353,9 +360,7 @@ def test_private_rate_positive_on_every_row_with_depolarizing_leak():
     # unlike criterion 10's dephasing-y case, whose complement sees only
     # tr(Y rho) of a real input (i_env = 0), the environment here learns
     # something at every theta, and the kept branch still outweighs it
-    cfg = exp.PrivateRateConfig(p=0.3, lam=0.2, theta_grid=(1e-1, 1e-2, 1e-3, 1e-4),
-                                noise="depolarizing")
-    sweep = exp.private_rate_lower_bound(cfg)
+    sweep = exp.private_rate_lower_bound(0.3, 0.2, (1e-1, 1e-2, 1e-3, 1e-4), "depolarizing")
     assert len(sweep.rows) == 4
     for _, _, i_env, bound in sweep.rows:
         assert i_env > 0
@@ -364,8 +369,7 @@ def test_private_rate_positive_on_every_row_with_depolarizing_leak():
 
 
 def test_sweep_result_csv_shape():
-    cfg = exp.SuddenDecayConfig(exp.theta_logspace(1e-2, 1e-4, 5), lam=0.3)
-    sweep = exp.sudden_decay_sweep(cfg)
+    sweep = exp.sudden_decay_sweep(exp.theta_logspace(1e-2, 1e-4, 5), 0.3, 2, "depolarizing")
     text = sweep.to_csv()
     lines = text.split("\n")
     assert lines[0] == "theta,d_pre,d_post,ratio,ratio_times_log_inv_theta"
@@ -377,8 +381,7 @@ def test_sweep_result_csv_shape():
 
 
 def test_sweep_result_json_metadata():
-    cfg = exp.SuddenDecayConfig(exp.theta_logspace(1e-2, 1e-3, 3), lam=0.3)
-    sweep = exp.sudden_decay_sweep(cfg)
+    sweep = exp.sudden_decay_sweep(exp.theta_logspace(1e-2, 1e-3, 3), 0.3, 2, "depolarizing")
     data = json.loads(sweep.to_json())
     assert data["metadata"]["lambda"] == 0.3
     assert len(data["rows"]) == 3
@@ -388,8 +391,7 @@ def test_private_rate_depolarizing_weak_keep_has_no_positive_bound():
     # at p = lambda = 0.01 the ratio i_kept / i_env stays below the 99 that
     # positivity needs on the whole default grid; the old D(rho_AB || rho_A x
     # rho_B) form lost i_env below theta = 1e-6 and printed a bound of 2.9e-13
-    cfg = exp.PrivateRateConfig(p=0.01, lam=0.01, noise="depolarizing")
-    sweep = exp.private_rate_lower_bound(cfg)
+    sweep = exp.private_rate_lower_bound(0.01, 0.01, DEFAULT_RATE_GRID, "depolarizing")
     assert not sweep.metadata["positiveFound"]
     assert all(i_env > 0 for i_env in sweep.column("i_env"))
 
@@ -455,7 +457,7 @@ def test_sweeps_match_mpmath_from_pi_over_4_to_theta_min():
         thetas = [mp.mpf(t) for t in ORACLE_THETAS]  # exactly the float grid
         for lam in ORACLE_LAMS:
             for d in ORACLE_DIMS:
-                rows = exp.sudden_decay_sweep(exp.SuddenDecayConfig(ORACLE_THETAS, lam, d)).rows
+                rows = exp.sudden_decay_sweep(ORACLE_THETAS, lam, d, "depolarizing").rows
                 for theta, (_, d_pre, d_post, ratio, scaled) in zip(thetas, rows):
                     pre, post = _mp_sudden(mp, theta, lam, d)
                     where = (lam, d, float(theta))
@@ -467,8 +469,7 @@ def test_sweeps_match_mpmath_from_pi_over_4_to_theta_min():
             for noise in exp.NOISE_KINDS:
                 leaks = [_mp_leak(mp, t, lam, noise) for t in thetas]
                 for p in (0.01, 0.3):
-                    rows = exp.private_rate_lower_bound(
-                        exp.PrivateRateConfig(p, lam, ORACLE_THETAS, noise)).rows
+                    rows = exp.private_rate_lower_bound(p, lam, ORACLE_THETAS, noise).rows
                     for (theta, i_kept, i_env, bound), k, leak in zip(rows, kept, leaks):
                         where = (lam, noise, p, theta)
                         _assert_close(i_kept, k, ("i_kept",) + where)
@@ -497,7 +498,7 @@ def _noise(kind, lam, d):
 def test_sweeps_match_the_matrix_path_above_theta_1e_4(lam):
     for d, noise in ((2, "depolarizing"), (2, "dephasing-y"), (3, "depolarizing"),
                      (8, "depolarizing")):
-        rows = exp.sudden_decay_sweep(exp.SuddenDecayConfig(MATRIX_THETAS, lam, d, noise)).rows
+        rows = exp.sudden_decay_sweep(MATRIX_THETAS, lam, d, noise).rows
         pinch, channel = channels.pinching(d), _noise(noise, lam, d)
         for theta, d_pre, d_post, _, _ in rows:
             pre = exp.rho_theta_lambda(theta, 0.0, d)
@@ -507,8 +508,7 @@ def test_sweeps_match_the_matrix_path_above_theta_1e_4(lam):
     for noise in exp.NOISE_KINDS:
         comp = channels.complementary_channel(_noise(noise, lam, 2))
         for p in (0.01, 0.3, 0.9):
-            rows = exp.private_rate_lower_bound(
-                exp.PrivateRateConfig(p, lam, MATRIX_THETAS, noise)).rows
+            rows = exp.private_rate_lower_bound(p, lam, MATRIX_THETAS, noise).rows
             for theta, i_kept, i_env, bound in rows:
                 omega = exp.omega_theta_lambda(theta, 0.0)
                 kept = entropy.mutual_information(omega)

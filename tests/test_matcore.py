@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary
-from qdecay import matcore
+from qdecay import entropy, matcore
 from qdecay.matcore import BipartiteDensity, DensityMatrix
 from qdecay.rng import Rng
 
@@ -420,3 +420,24 @@ def test_as_hermitian_judges_each_stack_member_on_its_own_scale():
     h = matcore.as_hermitian(np.stack([big, big.T, np.eye(2) / 2]))
     for m, got in zip((big, big.T), h):
         assert np.array_equal(_bits(got), _bits(matcore.as_hermitian(m)))
+
+
+# a stack against states: one matrix against two (which read that one matrix for
+# both), three against two, and 3 x 3 matrices against qubit states
+STACK_MISMATCHES = {
+    "one-matrix": (lambda a: a[None], "length mismatch: .* has 1 matrices, .* has 2 states"),
+    "three-matrices": (lambda a: np.stack([a] * 3), "length mismatch: .* has 3 matrices"),
+    "dimension": (lambda a: np.stack([np.eye(3) / 3] * 2),
+                  r"dimension mismatch: .* has dim 3, .* has dim 2 \(member 0\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_MISMATCHES))
+@pytest.mark.parametrize("fn", [matcore.loewner_min_coefficient, entropy.weighted_norm_sq],
+                         ids=["loewner", "weighted_norm_sq"])
+def test_stack_against_states_must_match(fn, case):
+    r = Rng(1)
+    a, b, c = (matcore.random_density(r.substream(k), 2) for k in range(3))
+    make, msg = STACK_MISMATCHES[case]
+    with pytest.raises(ValueError, match=msg):
+        fn(make(a.matrix), [b, c])

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import qdecay
 
-DEFAULTED_LIMIT = 26
+DEFAULTED_LIMIT = 20
 # lines of src/qdecay/*.py, as `cat src/qdecay/*.py | wc -l` counts them
-SRC_LINE_LIMIT = 2746
+SRC_LINE_LIMIT = 2722
 
 
 def _defaulted_settings() -> list:
