@@ -57,7 +57,8 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Completely positive trace-preserving map; kraus: read-only (m, dim_out, dim_in) array."""
+    """Completely positive trace-preserving map; kraus: read-only (m, dim_out, dim_in) array,
+    or (n, m, dim_out, dim_in) for a family of n channels."""
 
     dim_in: int
     dim_out: int
@@ -69,34 +70,48 @@ class KrausChannel:
             raise ValueError("need at least one Kraus operator")
         try:
             ops = np.array(ops, dtype=complex)
-            m, dim_out, dim_in = ops.shape
+            if ops.ndim not in (3, 4):
+                raise ValueError
         except ValueError:  # ragged, or not a stack of matrices
             raise ValueError("Kraus operators have inconsistent shapes") from None
-        f = ops.reshape(m * dim_out, dim_in)  # sum K^dag K = F^dag F, F the stacked rows
-        dev = float(np.abs(f.conj().T @ f - np.eye(dim_in)).max())
+        dim_out, dim_in = ops.shape[-2:]
+        f = ops.reshape(ops.shape[:-3] + (-1, dim_in))  # sum K^dag K = F^dag F, per member
+        dev = float(np.abs(f.conj().swapaxes(-1, -2) @ f - np.eye(dim_in)).max())
         if not dev <= KRAUS_COMPLETENESS_ATOL:
             raise ValueError(f"Kraus completeness violated: |sum K^dag K - I| = {dev:.3e}")
         ops.setflags(write=False)
         return cls(dim_in, dim_out, ops)
 
+    def _one(self) -> np.ndarray:
+        """The (m, dim_out, dim_in) operators of a single channel; a family is refused."""
+        if self.kraus.ndim == 4:
+            raise ValueError(f"a family of {len(self.kraus)} channels is not one map")
+        return self.kraus
+
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        """The map on a (d_in, d_in) matrix or on each matrix of an (n, d_in, d_in) stack."""
+        """The map on a (d_in, d_in) matrix or on each matrix of an (n, d_in, d_in) stack;
+        member i of a family of n maps matrix i of the stack."""
         m = np.asarray(m, dtype=complex)
-        if m.ndim not in (2, 3) or m.shape[-2:] != (self.dim_in, self.dim_in):
-            raise ValueError(f"channel expects dim {self.dim_in}, got shape {m.shape}")
+        n = self.kraus.shape[:-3]  # (n,) for a family
+        if (m.ndim not in (2, 3) or m.shape[-2:] != (self.dim_in, self.dim_in)
+                or m.shape[:-2] != (n or m.shape[:-2])):
+            raise ValueError(f"channel expects dim {self.dim_in}"
+                             f"{f' and {n[0]} matrices' if n else ''}, got shape {m.shape}")
         out = np.zeros(m.shape[:-2] + (self.dim_out, self.dim_out), dtype=complex)
-        for k in self.kraus:
-            out += k @ m @ k.conj().T
+        for j in range(self.kraus.shape[-3]):
+            k = self.kraus[..., j, :, :]
+            out += k @ m @ k.conj().swapaxes(-1, -2)
         return out
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
+        self._one()  # a family has no single image of one state
         return DensityMatrix.from_matrix(self.apply_matrix(rho.matrix))
 
     def to_superoperator(self) -> "SuperOperator":
         if self.dim_in != self.dim_out:
             raise ValueError("square superoperator form needs dim_in == dim_out")
         out = np.zeros((self.dim_in ** 2, self.dim_in ** 2), dtype=complex)
-        for k in self.kraus:
+        for k in self._one():
             out += np.kron(k.conj(), k)
         return SuperOperator(self.dim_in, out)
 
@@ -169,7 +184,7 @@ def apply_on_factor(channel, m: np.ndarray, dims, which: int) -> np.ndarray:
     r = r.reshape(r.shape[:-2] + (dims[0], dims[1], dims[0], dims[1]))
     if isinstance(channel, KrausChannel):
         spec = "ai,...ibjc,dj->...abdc" if which == 0 else "ab,...ibjc,dc->...iajd"
-        out = sum(np.einsum(spec, k, r, k.conj()) for k in channel.kraus)
+        out = sum(np.einsum(spec, k, r, k.conj()) for k in channel._one())
     else:
         m4 = channel.matrix.reshape(d_in, d_in, d_in, d_in)
         out = np.einsum("lkji,...ibjc->...kblc" if which == 0 else "lkji,...aibj->...akbl", m4, r)
@@ -191,32 +206,42 @@ def apply_to_b(channel, rho):
     return built[0] if one else built
 
 
-def depolarizing(d: int, lam: float) -> KrausChannel:
+def _parameters(x, ok, message: str) -> np.ndarray:
+    """x as a 0-d float array, or the 1-D array of a family's members, each passing ok;
+    else ValueError(message.format(value)), naming the member as matcore._reject does."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim > 1:
+        raise ValueError(f"expected a number or a 1-D array, got shape {a.shape}")
+    xs = a.reshape(-1).tolist()
+    matcore._reject([not ok(v) for v in xs], lambda i: message.format(xs[i]))
+    return a
+
+
+def depolarizing(d: int, lam) -> KrausChannel:
     """rho -> (1 - lam) rho + lam I/d.
 
     Same family as the semigroup exp(-t L_dep) under lam = 1 - e^(-t).
-    Kraus set: sqrt(1-lam) I together with sqrt(lam/d) |i><j| over all i, j.
+    Kraus set: sqrt(1-lam) I together with sqrt(lam/d) |i><j| over all i, j, less
+    the zero ones; for a 1-D array of lam, the family of (1 + d^2, d, d) sets.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"depolarizing strength {lam!r} outside [0, 1]")
-    ops = [math.sqrt(1.0 - lam) * np.eye(d, dtype=complex)] if lam < 1.0 else []
-    if lam > 0.0:  # member i d + j of the identity's rows, reshaped, is |i><j|
-        ops.extend(math.sqrt(lam / d) * np.eye(d * d, dtype=complex).reshape(d * d, d, d))
-    return KrausChannel.from_kraus(ops)
+    lam = _parameters(lam, lambda x: 0.0 <= x <= 1.0, "depolarizing strength {!r} outside [0, 1]")
+    w = np.stack([np.sqrt(1.0 - lam)] + [np.sqrt(lam / d)] * (d * d), axis=-1)[..., None, None]
+    # member i d + j of the identity's rows, reshaped, is |i><j|
+    ops = w * np.concatenate([np.eye(d)[None], np.eye(d * d).reshape(d * d, d, d)])
+    return KrausChannel.from_kraus(ops if lam.ndim else ops[[lam < 1.0] + [lam > 0.0] * (d * d)])
 
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
-def dephasing_y(lam: float) -> KrausChannel:
+def dephasing_y(lam) -> KrausChannel:
     """Qubit dephasing toward the Pauli Y eigenbasis:
-    rho -> (1 - lam) rho + lam E_Y(rho) = (1 - lam/2) rho + (lam/2) Y rho Y."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"dephasing strength {lam!r} outside [0, 1]")
-    ops = [math.sqrt(1.0 - lam / 2.0) * np.eye(2, dtype=complex)]
-    if lam > 0.0:
-        ops.append(math.sqrt(lam / 2.0) * _PAULI_Y)
-    return KrausChannel.from_kraus(ops)
+    rho -> (1 - lam) rho + lam E_Y(rho) = (1 - lam/2) rho + (lam/2) Y rho Y.
+    For a 1-D array of lam, the family of those channels, each with both operators."""
+    lam = _parameters(lam, lambda x: 0.0 <= x <= 1.0, "dephasing strength {!r} outside [0, 1]")
+    w = np.stack([np.sqrt(1.0 - lam / 2.0), np.sqrt(lam / 2.0)], axis=-1)[..., None, None]
+    ops = w * np.stack([np.eye(2, dtype=complex), _PAULI_Y])
+    return KrausChannel.from_kraus(ops if lam.ndim else ops[[True, lam > 0.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,7 +412,7 @@ def choi_matrix(channel) -> np.ndarray:
     """
     if isinstance(channel, KrausChannel):
         # row-major flatten of K = sum_i (K|i>) kron |i>; C = sum over K of its outer products
-        v = channel.kraus.reshape(len(channel.kraus), -1)
+        v = channel._one().reshape(len(channel.kraus), -1)
         return v.T @ v.conj()
     if isinstance(channel, SuperOperator):
         d = channel.dim
@@ -416,7 +441,7 @@ def complementary_channel(channel: KrausChannel) -> KrausChannel:
     invariant.
     """
     # complement operator i, row k is row i of K_k
-    return KrausChannel.from_kraus(channel.kraus.transpose(1, 0, 2))
+    return KrausChannel.from_kraus(channel.kraus.swapaxes(-3, -2))
 
 
 def diamond_norm_estimate(delta: SuperOperator) -> float:

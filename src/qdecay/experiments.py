@@ -254,27 +254,28 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
         rows=tuple(rows), metadata=meta)
 
 
-def flagged_channel(lam: float, p: float, noise: str = "dephasing-y") -> KrausChannel:
+def flagged_channel(lam, p, noise: str = "dephasing-y") -> KrausChannel:
     """Flagged combination: with probability p the input passes through
     unchanged behind flag 0; with probability 1-p the output is the
     Stinespring complement of the noise channel behind flag 1.  The flag
     is classical in both output and environment (Kraus operators split
     into flag-labelled blocks).  The boundary cases p = 1 (identity with
-    flag) and lam = 0 (degenerate constant complement) are allowed."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("flag probability must lie in (0, 1]")
-    if not 0.0 <= lam < 1.0:
-        raise ValueError("noise strength must lie in [0, 1)")
+    flag) and lam = 0 (degenerate constant complement) are allowed.
+    1-D arrays of lam or p give the family of those channels."""
+    p = channels._parameters(p, lambda x: 0.0 < x <= 1.0, "flag probability must lie in (0, 1]")
+    lam = channels._parameters(lam, lambda x: 0.0 <= x < 1.0, "noise strength must lie in [0, 1)")
     if noise not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {noise!r}; choose from {NOISE_KINDS}")
     comp = channels.complementary_channel(
         channels.depolarizing(2, lam) if noise == "depolarizing" else channels.dephasing_y(lam))
     # output C^2 x C^branch: flag f's block sits at rows f*branch to (f+1)*branch
     branch = max(2, comp.dim_out)
-    m = len(comp.kraus) if p < 1.0 else 0  # no zero operators at p = 1
-    ops = np.zeros((1 + m, 2 * branch, 2), dtype=complex)
-    ops[0, :2] = math.sqrt(p) * np.eye(2)
-    ops[1:, branch:branch + comp.dim_out] = math.sqrt(1 - p) * comp.kraus[:m]
+    lead = np.broadcast_shapes(lam.shape, p.shape)  # (n,) for a family
+    m = comp.kraus.shape[-3] if lead or p < 1.0 else 0  # one channel at p = 1 has no zero operators
+    ops = np.zeros(lead + (1 + m, 2 * branch, 2), dtype=complex)
+    ops[..., 0, :2, :] = np.sqrt(p)[..., None, None] * np.eye(2)
+    ops[..., 1:, branch:branch + comp.dim_out, :] = (
+        np.sqrt(1 - p)[..., None, None, None] * comp.kraus[..., :m, :, :])
     return KrausChannel.from_kraus(ops)
 
 

@@ -401,13 +401,12 @@ def data_processing_suite():
     def evaluate(g1, g2, dep, deph, lam, p):
         rhos, sigmas = _pair(g1, g2, 0.02)
         d_pre = entropy.unwrap(entropy.relative_entropy(rhos, sigmas))
+        pair = [np.stack([x.matrix for x in xs]) for xs in (rhos, sigmas)]
         out = [[] for _ in rhos]
-        for idx, chans in enumerate((
-                [channels.depolarizing(2, x) for x in dep.tolist()],
-                [channels.dephasing_y(x) for x in deph.tolist()],
-                [experiments.flagged_channel(a, b) for a, b in zip(lam.tolist(), p.tolist())])):
-            images = DensityMatrix.from_matrices(
-                [ch.apply_matrix(x.matrix) for xs in (rhos, sigmas) for ch, x in zip(chans, xs)])
+        # one family of channels per constructor, member i acting on sample i
+        for idx, ch in enumerate((channels.depolarizing(2, dep), channels.dephasing_y(deph),
+                                  experiments.flagged_channel(lam, p))):
+            images = DensityMatrix.from_matrices(np.concatenate([ch.apply_matrix(m) for m in pair]))
             d_post = entropy.unwrap(entropy.relative_entropy(images[:len(rhos)],
                                                              images[len(rhos):]))
             for pairs, pre, post in zip(out, d_pre, d_post):
@@ -424,8 +423,8 @@ def channel_validity_suite():
 
     def evaluate(g, lam):
         rhos = DensityMatrix.from_matrices(matcore.hilbert_schmidt(g, 0.0))
-        outs = np.stack([channels.depolarizing(g.shape[-1], x).apply_matrix(rho.matrix)
-                         for x, rho in zip(lam.tolist(), rhos)])
+        outs = channels.depolarizing(g.shape[-1], lam).apply_matrix(
+            np.stack([x.matrix for x in rhos]))
         w = matcore.jacobi_eigh_batch(matcore.as_hermitian(outs))[0][:, 0].tolist()
         out = []
         for w0, tr in zip(w, outs.trace(0, 1, 2).real.tolist()):

@@ -27,7 +27,7 @@ from qdecay.channels import (
 )
 from qdecay.matcore import BipartiteDensity, DensityMatrix
 from qdecay.rng import Rng
-from qdecay.experiments import omega_theta_lambda, rho_theta_lambda
+from qdecay.experiments import flagged_channel, omega_theta_lambda, rho_theta_lambda
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -599,3 +599,113 @@ def test_array_holding_dataclasses_compare_by_identity():
     a, b = (BipartiteDensity.from_matrix(np.eye(4, dtype=complex) / 4, 2, 2) for _ in "ab")
     assert a == BipartiteDensity(2, 2, a.state) and a != b
     assert hash(a) == hash(BipartiteDensity(2, 2, a.state))
+
+
+def _flagged_depolarizing(lam, p):
+    return flagged_channel(lam, p, "depolarizing")
+
+
+# constructor and each member's parameters, edge members included: lam = 0 and
+# 1 keep zero-weight operators in the family, p = 1 its zero complement blocks
+FAMILIES = {
+    "depolarizing-2": (lambda lam: depolarizing(2, lam), [(0.0,), (0.3,), (1.0,), (1e-17,)]),
+    "depolarizing-3": (lambda lam: depolarizing(3, lam), [(0.7,), (1.0,), (0.0,)]),
+    "depolarizing-4": (lambda lam: depolarizing(4, lam), [(1.0,), (0.25,), (0.0,)]),
+    "depolarizing-one": (lambda lam: depolarizing(3, lam), [(0.5,)]),
+    "dephasing_y": (dephasing_y, [(0.0,), (0.4,), (1.0,), (1e-17,)]),
+    "dephasing_y-one": (dephasing_y, [(1.0,)]),
+    "flagged-dephasing": (flagged_channel,
+                          [(0.0, 0.3), (0.2, 1.0), (0.9, 0.6), (1e-17, 1.0), (0.0, 1.0)]),
+    "flagged-depolarizing": (_flagged_depolarizing,
+                             [(1e-17, 1.0), (0.2, 0.3), (0.9, 0.05), (0.0, 0.5), (0.0, 1.0)]),
+    "flagged-depolarizing-one": (_flagged_depolarizing, [(0.4, 0.7)]),
+}
+
+
+def _reached(kraus):
+    """The output rows that some operator of an (m, d_out, d_in) set reaches."""
+    return np.flatnonzero(kraus.any(axis=(0, 2)))
+
+
+@pytest.mark.parametrize("case", sorted(FAMILIES))
+def test_family_images_match_member_images_bit_for_bit(rng, case):
+    build, params = FAMILIES[case]
+    members = [build(*xs) for xs in params]
+    family = build(*map(np.array, zip(*params)))
+    n = len(members)
+    assert family.kraus.ndim == 4 and len(family.kraus) == n
+    assert len(family.kraus[0]) == max(len(ch.kraus) for ch in members)
+    mats = np.stack([matcore.random_density(rng, family.dim_in).matrix for _ in range(n)])
+
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.uint64)
+
+    padded = 0
+    for fam, chs in ((family, members),
+                     (complementary_channel(family), list(map(complementary_channel, members)))):
+        got = fam.apply_matrix(mats)
+        for i, (ch, m) in enumerate(zip(chs, mats)):
+            want = ch.apply_matrix(m)
+            if want.shape == got[i].shape:
+                assert np.array_equal(bits(got[i]), bits(want))
+                continue
+            # a flagged depolarizing member at lam = 0, or a complement of a member
+            # with zero-weight operators: the family keeps all-zero rows the member
+            # has not; the rows each reaches carry the same bits, the others zero
+            padded += 1
+            a, b = _reached(fam.kraus[i]), _reached(ch.kraus)
+            assert np.array_equal(bits(got[i][np.ix_(a, a)]), bits(want[np.ix_(b, b)]))
+            rest = got[i].copy()
+            rest[np.ix_(a, a)] = 0
+            assert not rest.any() and np.abs(want).sum() == np.abs(want[np.ix_(b, b)]).sum()
+    # the edge members are the padded ones
+    assert padded == {"depolarizing-2": 2, "depolarizing-3": 2, "depolarizing-4": 2,
+                      "dephasing_y": 1, "flagged-dephasing": 3,
+                      "flagged-depolarizing": 4}.get(case, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: depolarizing(2, np.array([0.2, math.nan, 0.5])),
+     r"^stack member 1: depolarizing strength nan outside \[0, 1\]$"),
+    (lambda: depolarizing(3, np.array([0.2, 0.5, 1.5])),
+     r"^stack member 2: depolarizing strength 1.5 outside \[0, 1\]$"),
+    (lambda: depolarizing(2, np.array([math.nan])), r"^depolarizing strength nan outside"),
+    (lambda: dephasing_y(np.array([-0.1, 0.3])),
+     r"^stack member 0: dephasing strength -0.1 outside \[0, 1\]$"),
+    (lambda: dephasing_y(np.array([0.1, math.nan])), r"^stack member 1: dephasing strength nan"),
+    (lambda: flagged_channel(np.array([0.1, 0.2]), np.array([0.5, 0.0])),
+     r"^stack member 1: flag probability must lie in \(0, 1\]$"),
+    (lambda: _flagged_depolarizing(np.array([0.1, 0.2]), np.array([math.nan, 0.5])),
+     r"^stack member 0: flag probability must lie in \(0, 1\]$"),
+    (lambda: flagged_channel(np.array([0.1, 1.0]), np.array([0.5, 0.5])),
+     r"^stack member 1: noise strength must lie in \[0, 1\)$"),
+    (lambda: _flagged_depolarizing(np.array([math.nan, 0.1]), np.array([0.5, 0.5])),
+     r"^stack member 0: noise strength must lie in \[0, 1\)$"),
+    (lambda: depolarizing(2, np.full((2, 2), 0.5)), "expected a number or a 1-D array"),
+])
+def test_family_range_checks_name_the_member(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("case", ["apply", "to_superoperator", "apply_on_factor", "choi_matrix"])
+def test_single_channel_operations_refuse_a_family(case):
+    family = depolarizing(2, np.array([0.1, 0.5, 0.9]))
+    call = {"apply": lambda: family.apply(DensityMatrix.maximally_mixed(2)),
+            "to_superoperator": family.to_superoperator,
+            "apply_on_factor": lambda: channels.apply_on_factor(family, np.eye(4) / 4, (2, 2), 0),
+            "choi_matrix": lambda: channels.choi_matrix(family)}[case]
+    with pytest.raises(ValueError, match="a family of 3 channels is not one map"):
+        call()
+
+
+def test_family_apply_pairs_members_with_matrices():
+    family = dephasing_y(np.array([0.1, 0.5, 0.9]))
+    for m in (np.eye(2) / 2, np.zeros((2, 2, 2)), np.zeros((4, 2, 2))):
+        with pytest.raises(ValueError, match=r"channel expects dim 2 and 3 matrices, got shape"):
+            family.apply_matrix(m)
+    ops = np.array(family.kraus)
+    ops[1, 0] *= 1.01  # member 1 alone is not trace-preserving
+    with pytest.raises(ValueError, match="completeness"):
+        KrausChannel.from_kraus(ops)
+    assert KrausChannel.from_kraus(np.array(family.kraus)).kraus.shape == (3, 2, 2, 2)

@@ -13,8 +13,11 @@ from pathlib import Path
 import qdecay
 
 DEFAULTED_LIMIT = 20
-# lines of src/qdecay/*.py, as `cat src/qdecay/*.py | wc -l` counts them
-SRC_LINE_LIMIT = 2722
+# lines of src/qdecay/*.py, as `cat src/qdecay/*.py | wc -l` counts them; raised by 25
+# from 2722 for channel families over parameter arrays: KrausChannel's (n, m, d_out,
+# d_in) operators, the guard of the maps that take one channel only, and the
+# per-member range check of the three family constructors
+SRC_LINE_LIMIT = 2747
 
 
 def _defaulted_settings() -> list:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qdecay import bounds, entropy, matcore, rng, verify
+from qdecay import bounds, channels, entropy, experiments, matcore, rng, verify
 from qdecay.matcore import DensityMatrix
 
 
@@ -114,6 +114,80 @@ def test_verify_eigensolves_are_batched(monkeypatch):
     # = 5,000; it is now 2 * 128 + 840 = 1,096
     nodes = len(entropy._gauss_rule(verify.INTEGRAL_QUAD_POINTS)[0])
     assert sum(calls) > 2 * nodes + 840
+
+
+def test_verify_kraus_maps_are_batched(monkeypatch):
+    raw_from = channels.KrausChannel.from_kraus.__func__
+    raw_apply = channels.KrausChannel.apply_matrix
+    calls = {"from_kraus": 0, "apply_matrix": 0}
+
+    def from_kraus(cls, ops):
+        calls["from_kraus"] += 1
+        return raw_from(cls, ops)
+
+    def apply_matrix(self, m):
+        calls["apply_matrix"] += 1
+        return raw_apply(self, m)
+
+    monkeypatch.setattr(channels.KrausChannel, "from_kraus", classmethod(from_kraus))
+    monkeypatch.setattr(channels.KrausChannel, "apply_matrix", apply_matrix)
+    verify.run_suites("all", 20, 5)
+    # one family per constructor and residue class, one map per family and role:
+    # 8 builds and 9 maps today; one channel per sample made 120 and 140
+    assert 0 < calls["from_kraus"] <= 12
+    assert 0 < calls["apply_matrix"] <= 12
+
+
+def _per_sample_data_processing(g1, g2, dep, deph, lam, p):
+    """data-processing's evaluate as it was before channel families: each sample
+    builds its three channels and applies each to its two states one at a time."""
+    rhos, sigmas = verify._pair(g1, g2, 0.02)
+    d_pre = entropy.unwrap(entropy.relative_entropy(rhos, sigmas))
+    out = [[] for _ in rhos]
+    for idx, chans in enumerate((
+            [channels.depolarizing(2, x) for x in dep.tolist()],
+            [channels.dephasing_y(x) for x in deph.tolist()],
+            [experiments.flagged_channel(a, b) for a, b in zip(lam.tolist(), p.tolist())])):
+        images = DensityMatrix.from_matrices(
+            [ch.apply_matrix(x.matrix) for xs in (rhos, sigmas) for ch, x in zip(chans, xs)])
+        d_post = entropy.unwrap(entropy.relative_entropy(images[:len(rhos)], images[len(rhos):]))
+        for pairs, pre, post in zip(out, d_pre, d_post):
+            pairs.append((pre - post, {"channel": idx} if post > pre + verify.SLACK else None))
+    return out
+
+
+def _per_sample_channel_validity(g, lam):
+    """channel-validity's evaluate as it was before channel families."""
+    rhos = DensityMatrix.from_matrices(matcore.hilbert_schmidt(g, 0.0))
+    outs = np.stack([channels.depolarizing(g.shape[-1], x).apply_matrix(rho.matrix)
+                     for x, rho in zip(lam.tolist(), rhos)])
+    w = matcore.jacobi_eigh_batch(matcore.as_hermitian(outs))[0][:, 0].tolist()
+    out = []
+    for w0, tr in zip(w, outs.trace(0, 1, 2).real.tolist()):
+        bad = w0 < -1e-9 or abs(tr - 1.0) > 1e-9
+        out.append([(min(w0, 1e-9 - abs(tr - 1.0)), {} if bad else None)])
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_family_reports_identical_to_per_sample_channels(monkeypatch, seed):
+    names = ["data-processing", "channel-validity"]
+    # one sample past a chunk's boundary: family size must not change a bit
+    samples = verify.CHUNK + 3
+    families = json.dumps(verify.run_suites(names, samples, seed))
+    used = []
+    for name, evaluate in zip(names, (_per_sample_data_processing,
+                                      _per_sample_channel_validity)):
+        parts, period = verify._PARTS[name]
+
+        def per_sample(parts=parts, evaluate=evaluate):
+            draw, _, params = parts()
+            used.append(evaluate)
+            return draw, evaluate, params
+
+        monkeypatch.setitem(verify._PARTS, name, (per_sample, period))
+    assert json.dumps(verify.run_suites(names, samples, seed)) == families
+    assert len(used) == 2
 
 
 _MASK = (1 << 64) - 1
