@@ -3,6 +3,7 @@
 from .matcore import (
     BipartiteDensity,
     DensityMatrix,
+    DensityStack,
     EigenDecomposition,
     eigh,
     loewner_min_coefficient,

@@ -231,12 +231,10 @@ def classical_converse_check(e: ConditionalExpectation, rho, sigma, times: Seque
     equal-length sequences of states, a list of the per-time reports.
     """
     rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
-    r = matcore.stack([x.matrix for x in rhos])
-    s = matcore.stack([x.matrix for x in sigmas])
+    r, s = rhos.matrix, sigmas.matrix
     n = len(r)
     images = DensityMatrix.from_matrices(e.apply_matrix(np.concatenate([r, s])))
-    er = np.stack([x.matrix for x in images[:n]])
-    es = np.stack([x.matrix for x in images[n:]])
+    er, es = images.matrix[:n], images.matrix[n:]
     _check_commuting(r, s)
     _check_commuting(r, er)
     img_dev = float(matcore.trace_norm(er - es).max())
@@ -247,10 +245,9 @@ def classical_converse_check(e: ConditionalExpectation, rho, sigma, times: Seque
     g_tilde = matcore.loewner_min_coefficient(es, sigmas, False)
     eps = [_replacement_weights(t, c, diamond)[1] for t in times]
     mixed = DensityMatrix.from_matrices(np.concatenate(
-        [(1 - p) * x + p * e_x for p in eps for x, e_x in ((r, er), (s, es))]))
-    d_post = entropy.unwrap(entropy.relative_entropy(
-        [m for i in range(0, len(mixed), 2 * n) for m in mixed[i:i + n]],
-        [m for i in range(n, len(mixed), 2 * n) for m in mixed[i:i + n]]))
+        [(1 - p) * x + p * e_x for x, e_x in ((r, er), (s, es)) for p in eps]))
+    d_post = entropy.unwrap(entropy.relative_entropy(mixed[:len(eps) * n],
+                                                     mixed[len(eps) * n:]))
     return _converse_reports("classical-converse", eps, m_tilde, g_tilde, d_post, d_pre,
                              "dPre", one)
 
@@ -260,8 +257,8 @@ def smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma):
     its k x k block on supp(sigma); an array of them for two sequences of states."""
     sigmas, e_sigmas, one = matcore.batch(sigma=sigma, e_sigma=e_sigma)
     out = np.empty(len(sigmas))
-    for rows, block, ws, _ in matcore.support_blocks(
-            matcore.stack([x.matrix for x in e_sigmas]), sigmas, matcore.SUPPORT_RTOL):
+    for rows, block, ws, _ in matcore.support_blocks(e_sigmas.matrix, sigmas,
+                                                     matcore.SUPPORT_RTOL):
         w = matcore.jacobi_eigh_batch(matcore.as_hermitian(block))[0]
         floor = matcore.SUPPORT_RTOL * np.maximum(w[:, -1:], np.finfo(float).tiny)
         out[rows] = np.minimum(ws[:, 0], np.where(w > floor, w, math.inf).min(axis=1))
@@ -279,28 +276,27 @@ def mutual_info_converse_check(e_on_b: ConditionalExpectation, rho, times: Seque
     of the per-time reports.
     """
     states, one = matcore.batch(rho=rho)
-    da, db = states[0].dim_a, states[0].dim_b
-    joints = matcore.stack([x.state.matrix for x in states])
+    da, db = states.dim_a, states.dim_b
+    joints = states.state.matrix
     n = len(joints)
     if float(np.abs(joints[:, ~np.eye(da * db, dtype=bool)]).max()) > 1e-10:
         raise ValueError("input is not classical-classical (off-diagonal weight present)")
     rho_a, rho_b = BipartiteDensity.marginals(states)
-    e_rho_b = DensityMatrix.from_matrices(
-        e_on_b.apply_matrix(np.stack([x.matrix for x in rho_b])))
+    e_rho_b = DensityMatrix.from_matrices(e_on_b.apply_matrix(rho_b.matrix))
     # the bound applies only when (Id x E)(rho) = rho_A x omega for some omega
     e_joint = channels.apply_on_factor(e_on_b, joints, (da, db), 1)
-    target = [matcore.tensor(a.matrix, b.matrix) for a, b in zip(rho_a, e_rho_b)]
+    target = [matcore.tensor(a, b) for a, b in zip(rho_a.matrix, e_rho_b.matrix)]
     if float(np.abs(e_joint - np.stack(target)).max()) > 1e-9:
         raise ValueError("(Id x E)(rho) is not of product form rho_A x omega")
     built = DensityMatrix.from_matrices(
-        [matcore.tensor(a.matrix, b.matrix) for a, b in zip(rho_a, rho_b)] + target)
+        [matcore.tensor(a, b) for a, b in zip(rho_a.matrix, rho_b.matrix)] + target)
     m_tilde = smallest_nonzero_eigenvalue_direct_sum(built[:n], built[n:])
-    g_tilde = matcore.loewner_min_coefficient(np.stack([x.matrix for x in e_rho_b]), rho_b, False)
+    g_tilde = matcore.loewner_min_coefficient(e_rho_b.matrix, rho_b, False)
     eps = [_replacement_weights(t, c, diamond)[1] for t in times]
     i_pre = entropy.mutual_information(states).tolist()
-    mixed = DensityMatrix.from_matrices([(1 - p) * j + p * e_j
-                                         for p in eps for j, e_j in zip(joints, e_joint)])
-    i_post = entropy.mutual_information([BipartiteDensity(da, db, m) for m in mixed]).tolist()
+    mixed = DensityMatrix.from_matrices(np.concatenate([(1 - p) * joints + p * e_joint
+                                                        for p in eps]))
+    i_post = entropy.mutual_information(BipartiteDensity(da, db, mixed)).tolist()
     return _converse_reports("mutual-info-converse", eps, m_tilde, g_tilde, i_post, i_pre,
                              "iPre", one)
 
@@ -331,7 +327,7 @@ def decayed_state_bound_check(rho, sigma, theta_dens: DensityMatrix, omega: Dens
         raise ValueError("need 0 < zeta <= eps < 1")
     n = len(rhos)
     built = DensityMatrix.from_matrices(np.concatenate([
-        (1 - w) * matcore.stack([x.matrix for x in xs]) + w * y.matrix
+        (1 - w) * xs.matrix + w * y.matrix
         for w, y in ((np.array(eps)[:, None, None], theta_dens),
                      (np.array(zeta)[:, None, None], omega)) for xs in (rhos, sigmas)]))
     lhs = entropy.unwrap(entropy.relative_entropy(built[:n], built[n:2 * n]))
@@ -354,7 +350,7 @@ def origcompare_check(rho, sigma, omega, eps, zeta):
     eps, zeta = _per_pair(eps, zeta, len(rhos), one)
     if not all(0.0 <= e < 1.0 and 0.0 <= z < 1.0 for e, z in zip(eps, zeta)):
         raise ValueError("eps and zeta must lie in [0, 1)")
-    r, s, o = (matcore.stack([x.matrix for x in xs]) for xs in (rhos, sigmas, omegas))
+    r, s, o = rhos.matrix, sigmas.matrix, omegas.matrix
     e_a, z_a = (np.array(x)[:, None, None] for x in (eps, zeta))
     wmin = float(matcore.jacobi_eigh_batch(matcore.as_hermitian(r - (1 - z_a) * s))[0][:, 0].min())
     if wmin < -1e-10:

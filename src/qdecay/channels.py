@@ -194,15 +194,12 @@ def apply_on_factor(channel, m: np.ndarray, dims, which: int) -> np.ndarray:
 
 def apply_to_b(channel, rho):
     """Apply a KrausChannel or SuperOperator to the B factor of a bipartite
-    density; for a sequence of bipartite densities of one split, a tuple of
-    the images, built as one stack."""
+    density; for a family or a sequence of bipartite densities of one split,
+    the family of the images, built as one stack."""
     states, one = matcore.batch(rho=rho)
-    da, db = states[0].dim_a, states[0].dim_b
-    if any((x.dim_a, x.dim_b) != (da, db) for x in states):
-        raise ValueError("states of different splits")
-    out = apply_on_factor(channel, matcore.stack([x.state.matrix for x in states]), (da, db), 1)
-    built = tuple(BipartiteDensity(da, out.shape[-1] // da, x)
-                  for x in DensityMatrix.from_matrices(out))
+    out = apply_on_factor(channel, states.state.matrix, (states.dim_a, states.dim_b), 1)
+    built = BipartiteDensity(states.dim_a, out.shape[-1] // states.dim_a,
+                             DensityMatrix.from_matrices(out))
     return built[0] if one else built
 
 

@@ -56,7 +56,7 @@ def von_neumann_entropy(rho):
     """H(rho) = -sum lambda_i ln lambda_i, with 0 ln 0 = 0; an array of them
     for a sequence of states."""
     rhos, one = matcore.batch(rho=rho)
-    w = matcore.stack([x.eigenvalues for x in rhos])
+    w = rhos.eigenvalues
     out = np.empty(len(w))
     for rows, k in matcore.support_groups(w, ZERO_CLIP):
         x = w[rows, w.shape[1] - k:]
@@ -73,8 +73,8 @@ def relative_entropy(rho, sigma):
     """
     rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
     out = np.empty(len(sigmas))
-    for rows, compressed, ws, leak in matcore.support_blocks(
-            matcore.stack([x.matrix for x in rhos]), sigmas, ENTROPY_SUPPORT_RTOL):
+    for rows, compressed, ws, leak in matcore.support_blocks(rhos.matrix, sigmas,
+                                                             ENTROPY_SUPPORT_RTOL):
         tr_log = (np.diagonal(compressed, axis1=1, axis2=2) * np.log(ws)).sum(axis=1).real
         if leak is not None:
             tr_log[leak] = -math.inf
@@ -106,8 +106,7 @@ def mutual_information(rho):
     An array of them for a sequence of states of one split."""
     states, one = matcore.batch(rho=rho)
     a, b = map(von_neumann_entropy, BipartiteDensity.marginals(states))
-    value = _nonnegative(a + b - von_neumann_entropy([s.state for s in states]),
-                         "mutual information")
+    value = _nonnegative(a + b - von_neumann_entropy(states.state), "mutual information")
     return float(value[0]) if one else value
 
 
@@ -165,8 +164,7 @@ def pinsker_check(rho, sigma):
     of its refinement max{ -ln(1 - ||.||_1^2 / 4), ||.||_1^2 / 2 }; a list of
     reports for two equal-length sequences of states."""
     rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
-    r = matcore.stack([x.matrix for x in rhos])
-    s = matcore.stack([x.matrix for x in sigmas])
+    r, s = rhos.matrix, sigmas.matrix
     comm = np.maximum.reduce(np.abs(r @ s - s @ r), axis=(1, 2)) <= matcore.COMMUTE_ATOL
     out = []
     for dval, tn, c in zip(relative_entropy(rhos, sigmas).tolist(),
@@ -212,8 +210,7 @@ def weighted_norm_sq(x: np.ndarray, omega):
     omegas, one = matcore.batch(omega=omega)
     x = matcore.as_hermitian(np.asarray(x)[None] if one else x)
     matcore.check_stack(x=x, omega=omegas)
-    ws = matcore.stack([o.eigenvalues for o in omegas])
-    vs = matcore.stack([o.eigenvectors for o in omegas])
+    ws, vs = omegas.eigenvalues, omegas.eigenvectors
     xt = vs.conj().transpose(0, 2, 1) @ x @ vs
     scale = np.maximum(1.0, np.maximum.reduce(np.abs(x), axis=(1, 2)))
     out = np.empty(len(ws))
@@ -266,8 +263,8 @@ def relative_entropy_integral_form(rho: DensityMatrix, sigma: DensityMatrix,
         raise ValueError(f"quad_points must be an integer, got {quad_points!r}") from None
     if quad_points < 8:
         raise ValueError("quad_points must be at least 8")
-    matcore.batch(rho=rho, sigma=sigma)  # raises on a dimension mismatch
-    (_, compressed, ws, leak), = matcore.support_blocks(rho.matrix[None], [sigma],
+    rhos, sigmas, _ = matcore.batch(rho=rho, sigma=sigma)
+    (_, compressed, ws, leak), = matcore.support_blocks(rhos.matrix, sigmas,
                                                         ENTROPY_SUPPORT_RTOL)
     if leak is not None and leak[0]:
         raise ValueError("support violation: ker(sigma) is not contained in ker(rho)")
@@ -311,11 +308,10 @@ def gaorouze_sandwich_check(rho, sigma):
     <= ||rho-sigma||^2_sigma for order-comparable pairs rho <= c sigma; a list
     of reports for two equal-length sequences of states."""
     rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
-    r = matcore.stack([x.matrix for x in rhos])
-    cs = matcore.loewner_min_coefficient(r, sigmas, True)
+    cs = matcore.loewner_min_coefficient(rhos.matrix, sigmas, True)
     if not np.isfinite(cs).all():
         raise ValueError("incomparable pair: rho has weight outside supp(sigma)")
-    n2s = weighted_norm_sq(r - matcore.stack([x.matrix for x in sigmas]), sigmas)
+    n2s = weighted_norm_sq(rhos.matrix - sigmas.matrix, sigmas)
     out = []
     for c, n2, d in zip(cs.tolist(), n2s.tolist(), unwrap(relative_entropy(rhos, sigmas))):
         c = max(c, 1.0)

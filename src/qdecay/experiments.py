@@ -236,7 +236,7 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
             vec[:, j] = [inv_sqrt2 * complex(math.cos(x), sign * math.sin(x)) for x in thetas]
             block = slice(flag * d, (flag + 1) * d)
             big[:, block, block] = 0.5 * (vec[:, :, None] * vec[:, None, :].conj())
-        omegas = [BipartiteDensity(2, d, x) for x in DensityMatrix.from_matrices(big)]
+        omegas = BipartiteDensity(2, d, DensityMatrix.from_matrices(big))
         i_pres, i_posts = (entropy.mutual_information(xs).tolist()
                            for xs in (omegas, channels.apply_to_b(phi_t, omegas)))
         rows.extend((theta, a, b, a / b if b > 0 else math.nan)  # i_post can round to 0

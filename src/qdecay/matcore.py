@@ -103,11 +103,6 @@ def support_groups(w: np.ndarray, floor) -> list:
     return [(counts == k, k) for k in sorted(set(keep))]
 
 
-def stack(arrays) -> np.ndarray:
-    """np.stack of a sequence of arrays; one array becomes a view, not a copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, left factor major (matches BipartiteDensity order)."""
     return np.kron(np.asarray(a), np.asarray(b))
@@ -156,9 +151,9 @@ class DensityMatrix:
         return cls.from_matrices(np.asarray(m)[None])[0]
 
     @classmethod
-    def from_matrices(cls, stack) -> tuple["DensityMatrix", ...]:
-        """One density per matrix of an (n, d, d) stack, with one eigensolve; each
-        member is accepted or rejected as from_matrix alone would judge it."""
+    def from_matrices(cls, stack) -> "DensityStack":
+        """The DensityStack of an (n, d, d) stack's matrices (() for none), from one
+        eigensolve; each is accepted or rejected as from_matrix alone would judge it."""
         if len(stack) == 0:
             return ()
         h = as_hermitian(stack)
@@ -179,9 +174,7 @@ class DensityMatrix:
         rebuilt = (v * w[:, None]) @ v.conj().transpose(0, 2, 1)
         rebuilt += rebuilt.conj().transpose(0, 2, 1)
         rebuilt *= 0.5
-        for out in (rebuilt, w, v):
-            out.setflags(write=False)
-        return tuple([cls(rebuilt[i], w[i], v[i]) for i in range(len(w))])
+        return DensityStack(rebuilt, w, v)
 
     @classmethod
     def pure(cls, vec: np.ndarray) -> "DensityMatrix":
@@ -206,81 +199,131 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class DensityStack:
+    """n densities of dimension d as three arrays, made read-only: matrix (n, d, d),
+    eigenvalues (n, d) and eigenvectors (n, d, d).  An integer index gives a
+    DensityMatrix of views, built when asked for; a slice, a boolean mask or an
+    index array gives a DensityStack."""
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for a in (self.matrix, self.eigenvalues, self.eigenvectors):
+            a.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.eigenvalues)
+
+    def __getitem__(self, i):
+        parts = self.matrix[i], self.eigenvalues[i], self.eigenvectors[i]
+        return (DensityMatrix if parts[1].ndim == 1 else DensityStack)(*parts)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[-1]
+
+
 @dataclass(frozen=True)
 class BipartiteDensity:
-    """Density on A tensor B with A fixed as the left factor."""
+    """Density on A tensor B with A fixed as the left factor; a family of them,
+    indexed as its DensityStack is, when state is one."""
 
     dim_a: int
     dim_b: int
-    state: DensityMatrix
+    state: DensityMatrix | DensityStack
 
     def __post_init__(self):
         if self.dim_a * self.dim_b != self.state.dim:
             raise ValueError(
                 f"split {self.dim_a}x{self.dim_b} does not match dim {self.state.dim}")
 
+    def __len__(self) -> int:
+        return len(self.state)
+
+    def __getitem__(self, i):
+        return BipartiteDensity(self.dim_a, self.dim_b, self.state[i])
+
     @classmethod
     def from_matrix(cls, m: np.ndarray, dim_a: int, dim_b: int) -> "BipartiteDensity":
         return cls(dim_a, dim_b, DensityMatrix.from_matrix(m))
 
     def marginal(self, keep: str) -> DensityMatrix:
-        """Reduced state on A or B, built once and kept in the instance __dict__."""
-        if keep not in ("A", "B"):
-            raise ValueError("keep must be 'A' or 'B'")
-        return BipartiteDensity.marginals([self])[keep == "B"][0]
+        """Reduced state of one state on A or B, built once and kept in the instance __dict__."""
+        if "_marginal" + keep not in self.__dict__:
+            self.__dict__["_marginal" + keep] = DensityMatrix.from_matrix(
+                partial_trace(self.state.matrix, self.dim_a, self.dim_b, keep))
+        return self.__dict__["_marginal" + keep]
 
     @staticmethod
     def marginals(states) -> tuple:
-        """The A and the B marginals of states of one split.  Those not built
-        yet are built together, in one stack when dim_a == dim_b."""
-        todo = [s for s in states if "_marginals" not in s.__dict__]
-        if todo:
-            a, b = todo[0].dim_a, todo[0].dim_b
-            if any((s.dim_a, s.dim_b) != (a, b) for s in todo):
-                raise ValueError("states of different splits")
-            m = stack([s.state.matrix for s in todo])
-            red = [partial_trace(m, a, b, keep) for keep in "AB"]
-            built = (DensityMatrix.from_matrices(np.concatenate(red)) if a == b else
-                     DensityMatrix.from_matrices(red[0]) + DensityMatrix.from_matrices(red[1]))
-            for i, s in enumerate(todo):
-                s.__dict__["_marginals"] = (built[i], built[len(todo) + i])
-        return tuple(zip(*(s.__dict__["_marginals"] for s in states)))
+        """The A and the B marginals of states of one split (as batch takes them) as
+        two DensityStacks, built together, in one stack when dim_a == dim_b."""
+        s = batch(rho=states)[0]
+        if "_marginals" not in s.__dict__:  # kept with a family
+            red = [partial_trace(s.state.matrix, s.dim_a, s.dim_b, keep) for keep in "AB"]
+            if s.dim_a == s.dim_b:
+                both = DensityMatrix.from_matrices(np.concatenate(red))
+                s.__dict__["_marginals"] = both[:len(s)], both[len(s):]
+            else:
+                s.__dict__["_marginals"] = tuple(map(DensityMatrix.from_matrices, red))
+        return s.__dict__["_marginals"]
+
+
+def _stacked(states):
+    """One state (viewed), a stack or family, or a sequence of states (stacked once)
+    as a stack or family."""
+    if isinstance(states, DensityMatrix):
+        return DensityStack(states.matrix[None], states.eigenvalues[None],
+                            states.eigenvectors[None])
+    if isinstance(states, DensityStack) or isinstance(getattr(states, "state", None), DensityStack):
+        return states
+    if isinstance(states, BipartiteDensity):
+        return BipartiteDensity(states.dim_a, states.dim_b, _stacked(states.state))
+    if isinstance(states[0], BipartiteDensity):
+        a, b = states[0].dim_a, states[0].dim_b
+        if any((s.dim_a, s.dim_b) != (a, b) for s in states):
+            raise ValueError("states of different splits")
+        return BipartiteDensity(a, b, _stacked([s.state for s in states]))
+    return DensityStack(*(np.stack(x) for x in zip(
+        *[(s.matrix, s.eigenvalues, s.eigenvectors) for s in states])))
 
 
 def batch(**named) -> tuple:
-    """Each keyword argument, one state (a DensityMatrix or BipartiteDensity)
-    or a sequence of states, as a sequence, then whether the first was one
-    state.  Several sequences must have one length, and every member of each
-    the dimension of the first; a ValueError names where they differ."""
-    single = (DensityMatrix, BipartiteDensity)
+    """Each keyword argument (one state, a DensityStack or BipartiteDensity family,
+    or a sequence of states) as a stack or family, then whether the first was one
+    state.  Several arguments must have one length, and every member the dimension
+    of the first; a ValueError names where they differ."""
     (first, x), *_ = named.items()
-    seqs = [[y] if isinstance(y, single) else y for y in named.values()]
-    xs = seqs[0]
-    for name, ys in zip(named, seqs):
-        if len(ys) != len(xs):
-            raise ValueError(f"length mismatch: {first} has {len(xs)} states, "
-                             f"{name} has {len(ys)}")
-        # a lone sequence may mix dimensions: mutual_information groups bipartite splits
-        for k, y in enumerate(ys if len(seqs) > 1 else ()):
-            if y.dim != xs[0].dim:
-                raise ValueError(f"dimension mismatch: {first} has dim {xs[0].dim}, "
+    # a stack counts as one member here: its members share its dimension
+    seqs = [y if isinstance(y, (list, tuple)) else [y] for y in named.values()]
+    for name, ys in zip(named, seqs if len(seqs) > 1 else ()):
+        for k, y in enumerate(ys):
+            if y.dim != seqs[0][0].dim:
+                raise ValueError(f"dimension mismatch: {first} has dim {seqs[0][0].dim}, "
                                  f"{name} has dim {y.dim} (member {k})")
-    return (*seqs, isinstance(x, single))
+    out = [_stacked(y) for y in named.values()]
+    for name, y in zip(named, out):
+        if len(y) != len(out[0]):
+            raise ValueError(f"length mismatch: {first} has {len(out[0])} states, "
+                             f"{name} has {len(y)}")
+    return (*out, isinstance(getattr(x, "state", x), DensityMatrix))
 
 
 def check_stack(**named) -> None:
     """The first keyword argument, an (n, d, d) stack, must have one matrix per
-    state of the second, a sequence of states (or eigendecompositions) of
+    state of the second, a DensityStack (or a stacked EigenDecomposition) of
     dimension d; a ValueError in batch's wording names where they differ."""
     (xname, x), (name, states) = named.items()
-    if len(x) != len(states):
+    n, d = states.eigenvalues.shape
+    if len(x) != n:
         raise ValueError(f"length mismatch: {xname} has {len(x)} matrices, "
-                         f"{name} has {len(states)} states")
-    for k, s in enumerate(states):
-        d = len(s.eigenvalues)
-        if x.shape[1:] != (d, d):
-            raise ValueError(f"dimension mismatch: {xname} has dim {x.shape[-1]}, "
-                             f"{name} has dim {d} (member {k})")
+                         f"{name} has {n} states")
+    if x.shape[1:] != (d, d):
+        raise ValueError(f"dimension mismatch: {xname} has dim {x.shape[-1]}, "
+                         f"{name} has dim {d} (member 0)")
 
 
 def support_blocks(x: np.ndarray, sigmas, rtol: float):
@@ -288,9 +331,9 @@ def support_blocks(x: np.ndarray, sigmas, rtol: float):
     above rtol times its largest: the rows, V_k^dagger x V_k on those k
     eigenvectors, the k eigenvalues, and per row whether x has weight outside
     supp(sigma), tr x - tr(V_k^dagger x V_k) > SUPPORT_RTOL max(1, max |x|),
-    or None when k = d.  That weight test holds for PSD x only."""
-    ws = stack([s.eigenvalues for s in sigmas])
-    vs = stack([s.eigenvectors for s in sigmas])
+    or None when k = d.  That weight test holds for PSD x only.  sigmas is a
+    DensityStack, or a stacked EigenDecomposition."""
+    ws, vs = sigmas.eigenvalues, sigmas.eigenvectors
     d = ws.shape[1]
     for rows, k in support_groups(ws, rtol * np.maximum(ws[:, -1:], np.finfo(float).tiny)):
         v = vs[rows, :, d - k:]
@@ -308,15 +351,16 @@ def loewner_min_coefficient(rho, sigma, strict: bool = False):
     (sigma's support is read off its spectrum).  When strict is set, weight
     of rho outside supp(sigma) (support_blocks' trace test) makes the answer
     infinite; otherwise rho is compressed to supp(sigma).  For an (n, d, d)
-    stack rho and a sequence of n states sigma, an array, with one
-    eigensolve per support size.
+    stack rho and n states sigma (a DensityStack or a sequence), an array,
+    with one eigensolve per support size.
     """
     one = isinstance(sigma, (DensityMatrix, np.ndarray))
     if one:
         rho = (rho.matrix if isinstance(rho, DensityMatrix) else as_hermitian(rho))[None]
-        sigma = [sigma if isinstance(sigma, DensityMatrix) else eigh(as_hermitian(sigma))]
+    sigma = (EigenDecomposition(*jacobi_eigh_batch(as_hermitian(sigma)[None]))
+             if isinstance(sigma, np.ndarray) else batch(sigma=sigma)[0])
     check_stack(rho=rho, sigma=sigma)
-    out = np.empty(len(sigma))
+    out = np.empty(len(rho))
     for rows, compressed, ws, leak in support_blocks(rho, sigma, SUPPORT_RTOL):
         # generalized eigenvalue problem on supp(sigma): g = lmax(S^-1/2 R S^-1/2)
         scale = 1.0 / np.sqrt(ws)

@@ -138,7 +138,7 @@ def _draw_pair(sub: Rng, ks: range) -> tuple:
 
 
 def _pair(g1: np.ndarray, g2: np.ndarray, mix: float) -> tuple:
-    """The Hilbert-Schmidt densities of two Gaussian stacks, as two tuples."""
+    """The Hilbert-Schmidt densities of two Gaussian stacks, as two stacks."""
     states = DensityMatrix.from_matrices(np.concatenate(
         [matcore.hilbert_schmidt(g1, mix), matcore.hilbert_schmidt(g2, mix)]))
     return states[:len(g1)], states[len(g1):]
@@ -156,8 +156,8 @@ def pinsker_suite():
         states = DensityMatrix.from_matrices(np.concatenate([
             _in_eigenbases(h, p, q), matcore.hilbert_schmidt(g1, 0.0),
             matcore.hilbert_schmidt(g2, 0.05)]))
-        reps = entropy.pinsker_check(states[:n] + states[2 * n:3 * n],
-                                     states[n:2 * n] + states[3 * n:])
+        rho_rows = np.r_[:n, 2 * n:3 * n]
+        reps = entropy.pinsker_check(states[rho_rows], states[rho_rows + n])
         return [[(c.relative_entropy - c.basic_bound,
                   None if c.passed else {"kind": "commuting"}),
                  (c.relative_entropy - (c.refined_bound or 0.0), None),
@@ -211,7 +211,7 @@ def normcomp_suite():
 
     def evaluate(g1, g2, x):
         sigmas, omegas = _pair(g1, g2, 0.1)
-        cs = matcore.loewner_min_coefficient(np.stack([s.matrix for s in sigmas]), omegas)
+        cs = matcore.loewner_min_coefficient(sigmas.matrix, omegas)
         out = []
         for c, lhs, n2 in zip(cs.tolist(), entropy.weighted_norm_sq(x, omegas).tolist(),
                               entropy.weighted_norm_sq(x, sigmas).tolist()):
@@ -269,11 +269,12 @@ def clsi_converse_suite():
         for (kind, _, apply), g in zip(kinds, gs):
             rhos = DensityMatrix.from_matrices(matcore.hilbert_schmidt(g, 0.0))
             n = len(rhos)
-            r = np.stack([x.matrix for x in rhos])
-            built = DensityMatrix.from_matrices(np.concatenate([apply(m, r) for m in maps]))
-            e_rhos = built[:n]
-            d_pre = entropy.unwrap(entropy.relative_entropy(rhos, e_rhos))
-            d_post = entropy.unwrap(entropy.relative_entropy(built[n:], e_rhos * (len(maps) - 1)))
+            built = DensityMatrix.from_matrices(
+                np.concatenate([apply(m, rhos.matrix) for m in maps]))
+            d_pre = entropy.unwrap(entropy.relative_entropy(rhos, built[:n]))
+            # each evolved state against its own E(rho), the first n of built
+            d_post = entropy.unwrap(entropy.relative_entropy(
+                built[n:], built[np.tile(np.arange(n), len(maps) - 1)]))
             for i, pairs in enumerate(out):
                 for j, (t, g_t) in enumerate(zip(CLSI_TIMES, factors)):
                     for variant, g_v in zip(CLSI_VARIANTS, g_t):
@@ -337,7 +338,7 @@ def classical_mutinfo_suite():
     def evaluate(cells):
         joints = np.zeros((len(cells), 4, 4), dtype=complex)
         joints[:, range(4), range(4)] = cells
-        states = [BipartiteDensity(2, 2, m) for m in DensityMatrix.from_matrices(joints)]
+        states = BipartiteDensity(2, 2, DensityMatrix.from_matrices(joints))
         return _converse_pairs(bounds.mutual_info_converse_check(
             e, states, CLASSICAL_SUITE_TIMES, c, diamond), branches)
     return draw, evaluate, {"coupling": MUTINFO_SUITE_COUPLING, "c": c, "diamond": diamond,
@@ -377,14 +378,13 @@ def origcompare_suite():
         return s0, zeta, w0, o0, np.where(own, sub.uniform(0.02, 0.9), eps_at_o0)
 
     def evaluate(s0, zeta, w0, o0, eps):
-        own = np.flatnonzero(~np.isnan(o0)).tolist()
+        own = ~np.isnan(o0)
         built = DensityMatrix.from_matrices(_diagonals(s0, o0[own]))
-        sigmas, omegas = built[:len(s0)], list(built[:len(s0)])
-        for i, omega in zip(own, built[len(s0):]):
-            omegas[i] = omega
+        sigmas = built[:len(s0)]
+        # omega is the sample's own o0 state, or its sigma where o0 is NaN
+        omegas = built[np.where(own, len(s0) - 1 + np.cumsum(own), np.arange(len(s0)))]
         z = zeta[:, None, None]
-        rhos = DensityMatrix.from_matrices(
-            (1 - z) * np.stack([s.matrix for s in sigmas]) + z * _diagonals(w0))
+        rhos = DensityMatrix.from_matrices((1 - z) * sigmas.matrix + z * _diagonals(w0))
         return [[(rep.margin, None if rep.passed else {})] for rep in bounds.origcompare_check(
             rhos, sigmas, omegas, eps.tolist(), zeta.tolist())]
     return draw, evaluate, None
@@ -401,12 +401,12 @@ def data_processing_suite():
     def evaluate(g1, g2, dep, deph, lam, p):
         rhos, sigmas = _pair(g1, g2, 0.02)
         d_pre = entropy.unwrap(entropy.relative_entropy(rhos, sigmas))
-        pair = [np.stack([x.matrix for x in xs]) for xs in (rhos, sigmas)]
-        out = [[] for _ in rhos]
+        out = [[] for _ in range(len(rhos))]
         # one family of channels per constructor, member i acting on sample i
         for idx, ch in enumerate((channels.depolarizing(2, dep), channels.dephasing_y(deph),
                                   experiments.flagged_channel(lam, p))):
-            images = DensityMatrix.from_matrices(np.concatenate([ch.apply_matrix(m) for m in pair]))
+            images = DensityMatrix.from_matrices(
+                np.concatenate([ch.apply_matrix(xs.matrix) for xs in (rhos, sigmas)]))
             d_post = entropy.unwrap(entropy.relative_entropy(images[:len(rhos)],
                                                              images[len(rhos):]))
             for pairs, pre, post in zip(out, d_pre, d_post):
@@ -423,8 +423,7 @@ def channel_validity_suite():
 
     def evaluate(g, lam):
         rhos = DensityMatrix.from_matrices(matcore.hilbert_schmidt(g, 0.0))
-        outs = channels.depolarizing(g.shape[-1], lam).apply_matrix(
-            np.stack([x.matrix for x in rhos]))
+        outs = channels.depolarizing(g.shape[-1], lam).apply_matrix(rhos.matrix)
         w = matcore.jacobi_eigh_batch(matcore.as_hermitian(outs))[0][:, 0].tolist()
         out = []
         for w0, tr in zip(w, outs.trace(0, 1, 2).real.tolist()):

@@ -297,6 +297,26 @@ def test_rng_normals_match_successive_normal_draws(n):
         assert a.uniform() == b.uniform()
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 33])
+def test_single_stream_normals_match_a_batched_member_and_normal(n):
+    ks = np.arange(5, dtype=np.uint64)
+    together = Rng(2024).substream(ks)
+    together.uniform()
+    members = together.normals(n)
+    for k in ks.tolist():
+        alone, by_normal = Rng(2024).substream(k), Rng(2024).substream(k)
+        assert isinstance(alone.seed, int)
+        alone.uniform()
+        by_normal.uniform()
+        got = alone.normals(n)
+        assert got.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), members[k].view(np.uint64))
+        assert np.array_equal(got.view(np.uint64),
+                              np.array([by_normal.normal() for _ in range(n)]).view(np.uint64))
+        assert alone._counter == by_normal._counter == together._counter == 1 + 2 * n
+        assert alone.uniform() == by_normal.uniform()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_random_complex_normal_matches_entry_by_entry_draws(d):
     a, b = Rng(77 + d), Rng(77 + d)
@@ -394,6 +414,79 @@ def test_from_matrices_empty_and_shape_checks():
         DensityMatrix.from_matrices(np.eye(2) / 2)
     with pytest.raises(ValueError, match="square"):
         DensityMatrix.from_matrices(np.zeros((2, 2, 3)))
+
+
+DENSITY_FIELDS = ("matrix", "eigenvalues", "eigenvectors")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_density_stack_access_matches_one_build_per_matrix(rng, d):
+    inputs = _density_inputs(rng, d)
+    n = len(inputs)
+    stack = DensityMatrix.from_matrices(np.stack(inputs))
+    assert isinstance(stack, matcore.DensityStack)
+    assert (len(stack), stack.dim) == (n, d)
+    # one build per matrix: the reference for every kind of access
+    members = [DensityMatrix.from_matrix(m) for m in inputs]
+    mask = np.arange(n) % 2 == 1
+    access = {"integer": (2, [2]), "negative": (-1, [n - 1]),
+              "slice": (slice(1, None, 2), list(range(1, n, 2))),
+              "mask": (mask, np.flatnonzero(mask).tolist()),
+              "index array": (np.array([n - 1, 0, 0]), [n - 1, 0, 0])}
+    for key, rows in access.values():
+        got = stack[key]
+        one = isinstance(key, int)
+        assert type(got) is (DensityMatrix if one else matcore.DensityStack)
+        for f in DENSITY_FIELDS:
+            have = getattr(got, f)
+            assert not have.flags.writeable
+            have = [have] if one else list(have)
+            assert len(have) == len(rows)
+            for a, r in zip(have, rows):
+                assert np.array_equal(_bits(a), _bits(getattr(members[r], f)))
+    for x, m, want in zip(stack, inputs, members):
+        assert np.array_equal(_bits(x.matrix), _bits(_parent_from_matrix(m)[0]))
+        assert np.array_equal(_bits(x.eigenvectors), _bits(want.eigenvectors))
+
+
+def test_density_stack_arrays_are_read_only(rng):
+    stack = DensityMatrix.from_matrices(
+        np.stack([matcore.random_density(rng, 3, mix=0.1).matrix for _ in range(4)]))
+    parts = (stack, stack[0], stack[-1], stack[1:3], stack[np.array([True, False, True, False])],
+             stack[np.array([3, 1])], matcore.batch(rho=list(stack))[0],
+             matcore.batch(rho=stack[2])[0])
+    for part in parts:
+        for f in DENSITY_FIELDS:
+            a = getattr(part, f)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
+def test_batch_of_one_state_a_list_and_a_stack_gives_the_same_bits(rng):
+    stack = DensityMatrix.from_matrices(
+        np.stack([matcore.random_density(rng, 3, mix=0.1).matrix for _ in range(3)]))
+    members = list(stack)
+    alone, one = matcore.batch(rho=members[1])
+    listed, many = matcore.batch(rho=members)
+    assert one and not many
+    assert matcore.batch(rho=stack) == (stack, False)
+    for f in DENSITY_FIELDS:
+        want = getattr(stack, f)
+        assert np.array_equal(_bits(getattr(alone, f)), _bits(want[1:2]))
+        assert np.array_equal(_bits(getattr(listed, f)), _bits(want))
+    # a single state is viewed, not copied
+    assert np.shares_memory(alone.matrix, members[1].matrix)
+    # bipartite states: one becomes a family of one, a list one family, a family stays
+    bip = [BipartiteDensity(1, 3, x) for x in members]
+    (fam, one), (listed, many) = matcore.batch(rho=bip[0]), matcore.batch(rho=bip)
+    assert one and not many and (len(fam), len(listed)) == (1, 3)
+    assert np.array_equal(_bits(listed.state.eigenvalues), _bits(stack.eigenvalues))
+    family = BipartiteDensity(1, 3, stack)
+    assert matcore.batch(rho=family) == (family, False)
+    assert [x.state.matrix.tolist() for x in family] == [x.matrix.tolist() for x in members]
+    with pytest.raises(ValueError, match="different splits"):
+        matcore.batch(rho=[BipartiteDensity(1, 3, members[0]), BipartiteDensity(3, 1, members[1])])
 
 
 def test_hilbert_schmidt_stack_matches_successive_random_density_draws():

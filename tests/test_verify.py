@@ -56,7 +56,9 @@ def test_report_identical_to_one_build_per_matrix(monkeypatch, seed):
 
     def one_by_one(cls, stack):
         built.extend(stack)
-        return tuple(_single_matrix_density(cls, m) for m in stack)
+        members = [_single_matrix_density(cls, m) for m in stack]
+        return matcore.DensityStack(*(np.stack([getattr(x, f) for x in members])
+                                      for f in ("matrix", "eigenvalues", "eigenvectors")))
 
     monkeypatch.setattr(DensityMatrix, "from_matrices", classmethod(one_by_one))
     assert json.dumps(verify.run_suites("all", 20, seed)) == stacked
@@ -114,6 +116,22 @@ def test_verify_eigensolves_are_batched(monkeypatch):
     # = 5,000; it is now 2 * 128 + 840 = 1,096
     nodes = len(entropy._gauss_rule(verify.INTEGRAL_QUAD_POINTS)[0])
     assert sum(calls) > 2 * nodes + 840
+
+
+def test_verify_builds_few_member_densities(monkeypatch):
+    raw = DensityMatrix.__init__
+    built = []
+
+    def counting(self, *args):
+        built.append(1)
+        raw(self, *args)
+
+    monkeypatch.setattr(DensityMatrix, "__init__", counting)
+    verify.run_suites("all", 20, 5)
+    # the suites hold their states as DensityStacks (5 DensityMatrix builds
+    # today: integral-form's per-pair loop and decayed-state's I/2); one object
+    # per stack member made 1,018
+    assert len(built) <= 200
 
 
 def test_verify_kraus_maps_are_batched(monkeypatch):
