@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .matcore import BipartiteDensity, DensityMatrix
+from .matcore import BipartiteDensity
 
 ZERO_CLIP = 1e-18
 PINSKER_SLACK = 1e-12
@@ -242,8 +242,7 @@ def _gauss_rule(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wts
 
 
-def relative_entropy_integral_form(rho: DensityMatrix, sigma: DensityMatrix,
-                                   quad_points: int = 64) -> float:
+def relative_entropy_integral_form(rho, sigma, quad_points: int):
     """Relative entropy via the nested double integral of resolvent norms,
     D = int_0^1 int_0^s g(t) dt ds with g(t) = || rho - sigma ||^2_{omega_t},
     omega_t = (1-t) sigma + t rho.
@@ -254,8 +253,9 @@ def relative_entropy_integral_form(rho: DensityMatrix, sigma: DensityMatrix,
     4q - 2.  The rule is built by Golub-Welsch, once per node count.  A
     singular sigma is handled on its support: both states are compressed
     to supp(sigma) first, which keeps every omega_t positive definite.
-    All nodes share one eigensolve; the basis change V^H X V takes one
-    BLAS product X [V_1 ... V_n] and d broadcast rank-one terms for V^H.
+    Each support group shares one eigensolve over its pairs' nodes; the basis
+    change V^H X V takes one BLAS product X [V_1 ... V_n] per pair and d
+    broadcast rank-one terms for V^H.  An array for two sequences of states.
     """
     try:
         quad_points = operator.index(quad_points)
@@ -263,29 +263,32 @@ def relative_entropy_integral_form(rho: DensityMatrix, sigma: DensityMatrix,
         raise ValueError(f"quad_points must be an integer, got {quad_points!r}") from None
     if quad_points < 8:
         raise ValueError("quad_points must be at least 8")
-    rhos, sigmas, _ = matcore.batch(rho=rho, sigma=sigma)
-    (_, compressed, ws, leak), = matcore.support_blocks(rhos.matrix, sigmas,
-                                                        ENTROPY_SUPPORT_RTOL)
-    if leak is not None and leak[0]:
-        raise ValueError("support violation: ker(sigma) is not contained in ker(rho)")
-    r, s = rho.matrix, sigma.matrix
-    if ws.shape[1] < sigma.dim:
-        # off supp(sigma) every omega_t is singular and its log-mean weights 0/0
-        r, s = compressed[0], np.diag(ws[0])
+    rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
     t, wts = _gauss_rule(quad_points)
-    omegas = (1.0 - t)[:, None, None] * s + t[:, None, None] * r
-    w, v = matcore.jacobi_eigh_batch(omegas)
-    del omegas
-    n, d = w.shape
-    # y[k, m] = (X V_m)[k, :], all nodes in one (d, d) @ (d, n d) product
-    y = (r - s) @ v.transpose(1, 0, 2).reshape(d, n * d)
-    y = y.reshape(d, n, d)
-    xt = v[:, 0, :, None].conj() * y[0, :, None, :]
-    for k in range(1, d):
-        xt += v[:, k, :, None].conj() * y[k, :, None, :]
-    del v, y
-    integrand = (np.abs(xt) ** 2 * _log_mean_weights(w)).sum(axis=(1, 2))
-    return float((wts * integrand).sum())
+    n = len(t)
+    out, leaks = np.empty(len(sigmas)), np.zeros(len(sigmas), dtype=bool)
+    for rows, compressed, ws, leak in matcore.support_blocks(rhos.matrix, sigmas,
+                                                             ENTROPY_SUPPORT_RTOL):
+        leaks[rows] = False if leak is None else leak
+        p, d = ws.shape
+        # off supp(sigma) every omega_t is singular and its log-mean weights 0/0
+        r, s = ((compressed, ws[:, :, None] * np.eye(d)) if d < sigmas.dim
+                else (rhos.matrix[rows], sigmas.matrix[rows]))
+        omegas = (1.0 - t)[:, None, None] * s[:, None] + t[:, None, None] * r[:, None]
+        w, v = matcore.jacobi_eigh_batch(omegas.reshape(p * n, d, d))
+        del omegas
+        # y[k, m] = (X_i V_m)[k, :] for node m of pair i: one (d, d) @ (d, n d) product per pair
+        y = (r - s) @ v.reshape(p, n, d, d).transpose(0, 2, 1, 3).reshape(p, d, n * d)
+        y = y.reshape(p, d, n, d).transpose(1, 0, 2, 3).reshape(d, p * n, d)
+        xt = v[:, 0, :, None].conj() * y[0, :, None, :]
+        for k in range(1, d):
+            xt += v[:, k, :, None].conj() * y[k, :, None, :]
+        del v, y
+        integrand = (np.abs(xt) ** 2 * _log_mean_weights(w)).sum(axis=(1, 2))
+        out[rows] = (wts * integrand.reshape(p, n)).sum(axis=1)
+    matcore._reject(leaks.tolist(), lambda i: (
+        "support violation: ker(sigma) is not contained in ker(rho)"))
+    return float(out[0]) if one else out
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,11 @@ def support_groups(w: np.ndarray, floor) -> list:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor major (matches BipartiteDensity order)."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Kronecker product, left factor major (matches BipartiteDensity order), of two
+    matrices or, pairwise, of two (n, ., .) stacks: the products np.kron makes."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:

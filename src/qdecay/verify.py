@@ -18,7 +18,6 @@ Reports are plain JSON-serializable dicts with deterministic content.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 
 import numpy as np
@@ -36,6 +35,9 @@ INTEGRAL_TOL = 1e-6
 # clsi-converse: the times and g-factor variants of the worked qubit-depolarizing table
 CLSI_TIMES = (1e-3, 1e-2, 1e-1, 1.0)
 CLSI_VARIANTS = ("theorem", "paper-example")
+# one object per process, so that bounds._clsi_tables builds its g factors and maps once
+CLSI_LINDBLADIAN = channels.replacement_lindbladian(channels.depolarizing_projection(2),
+                                                    bounds.EXAMPLE_DIAMOND, bounds.EXAMPLE_C)
 # weak replacement coupling keeps the (a, eps, m_tilde) triple feasible at
 # the sampled m_tilde floor for both suite times; see bounds.feasible_a_midpoint
 CLASSICAL_SUITE_TIMES = (0.01, 0.1)
@@ -227,61 +229,30 @@ def integral_form_suite():
     """Quadrature path vs eigendecomposition path for relative entropy."""
     def evaluate(g1, g2):
         rhos, sigmas = _pair(g1, g2, 0.1)
-        out = []
-        for de, rho, sigma in zip(entropy.unwrap(entropy.relative_entropy(rhos, sigmas)),
-                                  rhos, sigmas):
-            err = abs(de - entropy.relative_entropy_integral_form(
-                rho, sigma, INTEGRAL_QUAD_POINTS))
-            out.append([(-err, {"error": err} if err > INTEGRAL_TOL else None)])
-        return out
+        quad = entropy.relative_entropy_integral_form(rhos, sigmas, INTEGRAL_QUAD_POINTS)
+        errs = np.abs(entropy.unwrap(entropy.relative_entropy(rhos, sigmas)) - quad).tolist()
+        return [[(-err, {"error": err} if err > INTEGRAL_TOL else None)] for err in errs]
     return _draw_pair, evaluate, {"quadPoints": INTEGRAL_QUAD_POINTS, "tolerance": INTEGRAL_TOL}
-
-
-@functools.cache
-def _clsi_tables():
-    """The clsi suite's fixed data, built once per process: the Lindbladian,
-    the g factors per time and variant, and the fixed-point map followed by
-    the semigroup per time."""
-    lind = channels.replacement_lindbladian(channels.depolarizing_projection(2),
-                                            bounds.EXAMPLE_DIAMOND, bounds.EXAMPLE_C)
-    factors = tuple(
-        tuple(bounds.g_factor(bounds._replacement_weights(t, lind.pp_index, lind.diamond_upper)[0],
-                              lind.pp_index, variant=variant)[0]
-              for variant in CLSI_VARIANTS)
-        for t in CLSI_TIMES)
-    return lind, factors, (lind.fixed_point, *(lind.semigroup(t) for t in CLSI_TIMES))
 
 
 @_suite("clsi-converse", 1)
 def clsi_converse_suite():
     """Fixed-point converse for the qubit depolarizing semigroup, bare and
     with a dim-2 untouched auxiliary."""
-    lind, factors, maps = _clsi_tables()
-    # per kind: its name, dimension and how a map acts on a stack of its states
-    kinds = (("bare", 2, lambda m, r: m.apply_matrix(r)),
-             ("extended", 4, lambda m, r: channels.apply_on_factor(m, r, (2, 2), 0)))
+    lind = CLSI_LINDBLADIAN
+    kinds = (("bare", 2), ("extended", 4))
 
     def draw(sub, ks):
-        return tuple(_cn(sub, dim) for _, dim, _ in kinds)
+        return tuple(_cn(sub, dim) for _, dim in kinds)
 
     def evaluate(*gs):
         out = [[] for _ in gs[0]]
-        for (kind, _, apply), g in zip(kinds, gs):
+        for (kind, _), g in zip(kinds, gs):
             rhos = DensityMatrix.from_matrices(matcore.hilbert_schmidt(g, 0.0))
-            n = len(rhos)
-            built = DensityMatrix.from_matrices(
-                np.concatenate([apply(m, rhos.matrix) for m in maps]))
-            d_pre = entropy.unwrap(entropy.relative_entropy(rhos, built[:n]))
-            # each evolved state against its own E(rho), the first n of built
-            d_post = entropy.unwrap(entropy.relative_entropy(
-                built[n:], built[np.tile(np.arange(n), len(maps) - 1)]))
-            for i, pairs in enumerate(out):
-                for j, (t, g_t) in enumerate(zip(CLSI_TIMES, factors)):
-                    for variant, g_v in zip(CLSI_VARIANTS, g_t):
-                        post = d_post[j * n + i]
-                        bad = post < g_v * d_pre[i] - SLACK
-                        pairs.append((post - g_v * d_pre[i], {
-                            "t": t, "variant": variant, "kind": kind} if bad else None))
+            for pairs, reps in zip(out, bounds.clsi_converse_check(lind, rhos, CLSI_TIMES,
+                                                                   CLSI_VARIANTS)):
+                pairs.extend((rep.margin, None if rep.passed else {**rep.extra, "kind": kind})
+                             for rep in reps)
         return out
     return draw, evaluate, {"c": lind.pp_index, "diamond": lind.diamond_upper,
                             "times": list(CLSI_TIMES), "variants": list(CLSI_VARIANTS),

@@ -194,7 +194,7 @@ def test_g_factor_domain_errors():
 def test_clsi_converse_fixed_point_input():
     lind = qubit_depolarizing_lindbladian()
     rho = DensityMatrix.maximally_mixed(2)
-    rep = clsi_converse_check(lind, rho, 0.1)
+    rep, = clsi_converse_check(lind, rho, [0.1], ["theorem"])
     assert rep.passed
     assert rep.lhs < 1e-12 and rep.rhs < 1e-12
 
@@ -202,7 +202,7 @@ def test_clsi_converse_fixed_point_input():
 def test_clsi_converse_time_zero_equality(rng):
     lind = qubit_depolarizing_lindbladian()
     rho = matcore.random_density(rng, 2)
-    rep = clsi_converse_check(lind, rho, 0.0)
+    rep, = clsi_converse_check(lind, rho, [0.0], ["theorem"])
     assert rep.passed
     assert abs(rep.factor - 1.0) < 1e-6
     assert abs(rep.lhs - rep.rhs) < 1e-6 * max(1.0, rep.lhs)
@@ -210,11 +210,75 @@ def test_clsi_converse_time_zero_equality(rng):
 
 def test_clsi_converse_random_sample(rng):
     lind = qubit_depolarizing_lindbladian()
+    times, variants = (1e-3, 1e-1, 1.0), ("theorem", "paper-example")
     for _ in range(25):
         rho = matcore.random_density(rng, 2)
-        for t in (1e-3, 1e-1, 1.0):
-            for variant in ("theorem", "paper-example"):
-                assert clsi_converse_check(lind, rho, t, variant=variant).passed
+        reps = clsi_converse_check(lind, rho, times, variants)
+        # one report per (time, variant), time-major
+        assert [(rep.extra["t"], rep.extra["variant"]) for rep in reps] == [
+            (t, variant) for t in times for variant in variants]
+        assert [rep.name for rep in reps] == [f"clsi-converse[{v}]" for v in variants] * 3
+        assert all(rep.passed for rep in reps)
+
+
+def _report_fields(rep):
+    return (rep.name, _bits(rep.lhs), _bits(rep.rhs), _bits(rep.factor), rep.extra)
+
+
+def _bits(x):
+    return np.array(x, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("aux", [1, 2])
+def test_clsi_converse_stack_bit_equal_to_per_member_calls(rng, aux):
+    # aux = 1 is the suite's bare kind, aux = 2 its extended kind
+    lind = qubit_depolarizing_lindbladian()
+    times, variants = (0.0, 1e-17, 0.1), ("theorem", "paper-example")
+    rhos = DensityMatrix.from_matrices(np.stack(
+        [matcore.random_density(rng, 2 * aux).matrix for _ in range(7)]))
+    stacked = clsi_converse_check(lind, rhos, times, variants)
+    assert len(stacked) == len(rhos)
+    for rho, reps in zip(rhos, stacked):
+        assert len(reps) == len(times) * len(variants)
+        alone = clsi_converse_check(lind, rho, times, variants)
+        assert list(map(_report_fields, reps)) == list(map(_report_fields, alone))
+    listed = clsi_converse_check(lind, list(rhos), times, variants)
+    assert [list(map(_report_fields, r)) for r in listed] == [
+        list(map(_report_fields, r)) for r in stacked]
+
+
+def test_clsi_converse_extended_kind_matches_extended_map(rng):
+    # a state on C^2 x C^2 is acted on in its left factor: the same check on
+    # the Lindbladian of (E x Id), built by SuperOperator.tensor_identity
+    lind = qubit_depolarizing_lindbladian()
+    e_ext = channels.ConditionalExpectation(4, lind.fixed_point.tensor_identity(2).matrix)
+    lind_ext = replacement_lindbladian(e_ext, diamond_upper=0.75, pp_index=4.0)
+    times, variants = (1e-2, 1.0), ("theorem",)
+    for _ in range(5):
+        rho = matcore.random_density(rng, 4)
+        for rep, oracle in zip(clsi_converse_check(lind, rho, times, variants),
+                               clsi_converse_check(lind_ext, rho, times, variants)):
+            assert rep.factor == oracle.factor
+            assert rep.lhs == pytest.approx(oracle.lhs, rel=1e-10, abs=1e-14)
+            assert rep.rhs == pytest.approx(oracle.rhs, rel=1e-10, abs=1e-14)
+
+
+def test_clsi_converse_rejects_a_dimension_off_the_lindbladian(rng):
+    lind = qubit_depolarizing_lindbladian()
+    with pytest.raises(ValueError, match="state dimension 3 is not a multiple of the "
+                                         "Lindbladian's dimension 2"):
+        clsi_converse_check(lind, matcore.random_density(rng, 3), [0.1], ["theorem"])
+
+
+def test_clsi_converse_infinite_pre_entropy_raises_value_error():
+    # E(rho) = tr(rho) |0><0| is an idempotent trace-preserving map that is not
+    # faithful: D(I/2 || E(I/2)) is infinite
+    e00 = np.diag([1.0, 0.0]).astype(complex)
+    fix = channels.ConditionalExpectation(
+        2, np.outer(channels.vec(e00), channels.vec(np.eye(2)).conj()))
+    lind = replacement_lindbladian(fix, diamond_upper=0.75, pp_index=4.0)
+    with pytest.raises(ValueError, match="relative entropy is infinite"):
+        clsi_converse_check(lind, DensityMatrix.maximally_mixed(2), [0.1], ["theorem"])
 
 
 def test_replacement_converse_factor_no_replacement():
@@ -615,8 +679,8 @@ def test_zeta_and_eps_exact_at_small_times():
     g, tau_star = g_factor(-math.expm1(-3e-17), 4.0)
     assert tau_star > 1e-12
     # the clsi check optimizes at the exact zeta, not at 0 (where g = 1)
-    rep = clsi_converse_check(qubit_depolarizing_lindbladian(),
-                              DensityMatrix.diagonal([0.9, 0.1]), 1e-17)
+    rep, = clsi_converse_check(qubit_depolarizing_lindbladian(),
+                               DensityMatrix.diagonal([0.9, 0.1]), [1e-17], ["theorem"])
     assert rep.factor == g < 1.0
 
 

@@ -244,7 +244,7 @@ def test_weighted_norm_matches_quadrature_oracle(rng):
 
 def test_integral_form_same_state(rng):
     rho = matcore.random_density(rng, 2, mix=0.2)
-    assert relative_entropy_integral_form(rho, rho) < 1e-12
+    assert relative_entropy_integral_form(rho, rho, 64) < 1e-12
 
 
 def test_integral_form_matches_eigen_path(rng):
@@ -261,14 +261,14 @@ def test_integral_form_commuting_pair(rng):
     p = matcore.random_probability_vector(rng, 3, floor=0.05)
     q = matcore.random_probability_vector(rng, 3, floor=0.05)
     rho, sigma = DensityMatrix.diagonal(p), DensityMatrix.diagonal(q)
-    assert abs(relative_entropy_integral_form(rho, sigma)
+    assert abs(relative_entropy_integral_form(rho, sigma, 64)
                - relative_entropy(rho, sigma).unwrap()) < 1e-6
 
 
 def test_integral_form_rejects_support_violation():
     with pytest.raises(ValueError, match="support"):
         relative_entropy_integral_form(DensityMatrix.pure([0, 1]),
-                                       DensityMatrix.pure([1, 0]))
+                                       DensityMatrix.pure([1, 0]), 64)
 
 
 def test_integral_form_rank_deficient_sigma(rng):
@@ -285,7 +285,7 @@ def test_integral_form_rank_deficient_sigma(rng):
         assert abs(di - relative_entropy(rho, sigma).unwrap()) < 1e-10
     assert min(values) > 1e-6
     with pytest.raises(ValueError, match="support"):
-        relative_entropy_integral_form(matcore.random_density(rng, 3, mix=0.1), sigma)
+        relative_entropy_integral_form(matcore.random_density(rng, 3, mix=0.1), sigma, 64)
 
 
 def test_relative_entropies_reject_a_dimension_mismatch(rng):
@@ -293,7 +293,7 @@ def test_relative_entropies_reject_a_dimension_mismatch(rng):
     sigma = matcore.random_density(rng, 3, mix=0.1)
     for run in (lambda: relative_entropy(rho, sigma),
                 lambda: relative_entropy([rho, rho], [sigma, sigma]),
-                lambda: relative_entropy_integral_form(rho, sigma),
+                lambda: relative_entropy_integral_form(rho, sigma, 64),
                 lambda: pinsker_check(rho, sigma),
                 lambda: entropy.gaorouze_sandwich_check(rho, sigma)):
         with pytest.raises(ValueError, match="rho has dim 2, sigma has dim 3"):
@@ -428,6 +428,53 @@ def test_integral_form_one_eigensolve_on_distinct_nodes(rng, monkeypatch):
     monkeypatch.setattr(matcore, "jacobi_eigh_batch", counting_solve)
     relative_entropy_integral_form(rho, sigma, 64)
     assert stacks == [128]  # the rule's 2q nodes
+
+
+def _in_plane(rng, plane):
+    """A random density supported on the span of plane's columns."""
+    k = plane.shape[1]
+    return DensityMatrix.from_matrix(
+        plane @ matcore.random_density(rng, k, mix=0.1).matrix @ plane.conj().T)
+
+
+def test_integral_form_stack_bit_equal_to_per_pair_calls(rng, monkeypatch):
+    # full-rank and rank-2 sigmas interleaved: two support groups in one stack
+    plane = random_unitary(rng, 3)[:, :2]
+    pairs = [(matcore.random_density(rng, 3, mix=0.1), matcore.random_density(rng, 3, mix=0.1))
+             if i % 2 else (_in_plane(rng, plane), _in_plane(rng, plane)) for i in range(7)]
+    rhos, sigmas = ([pair[j] for pair in pairs] for j in (0, 1))
+    stacks = []
+    solve = matcore.jacobi_eigh_batch
+
+    def counting_solve(stack):
+        stacks.append(stack.shape)
+        return solve(stack)
+
+    for q in (16, 64):
+        alone = [relative_entropy_integral_form(r, s, q) for r, s in pairs]
+        assert all(type(x) is float for x in alone)
+        monkeypatch.setattr(matcore, "jacobi_eigh_batch", counting_solve)
+        stacked = relative_entropy_integral_form(rhos, sigmas, q)
+        monkeypatch.setattr(matcore, "jacobi_eigh_batch", solve)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (7,)
+        assert stacked.view(np.uint64).tolist() == np.array(alone).view(np.uint64).tolist()
+        # one eigensolve per support group, over its pairs' 2q nodes each
+        assert sorted(stacks) == sorted([(3 * 2 * q, 3, 3), (4 * 2 * q, 2, 2)])
+        stacks.clear()
+
+
+def test_integral_form_names_the_leaking_stack_member(rng):
+    plane = random_unitary(rng, 3)[:, :2]
+    off = DensityMatrix.from_matrix(np.outer(plane[:, 0], plane[:, 0].conj()))
+    inside = _in_plane(rng, plane)
+    full = matcore.random_density(rng, 3, mix=0.1)
+    leaking = matcore.random_density(rng, 3, mix=0.1)
+    # each member in its own support group: the leak is member 0 of its group
+    with pytest.raises(ValueError, match=r"^stack member 2: support violation: "
+                                         r"ker\(sigma\) is not contained in ker\(rho\)$"):
+        relative_entropy_integral_form([full, off, leaking], [full, inside, off], 16)
+    with pytest.raises(ValueError, match=r"^support violation: ker\(sigma\)"):
+        relative_entropy_integral_form(leaking, off, 16)
 
 
 @pytest.mark.parametrize("d", [6, 8])

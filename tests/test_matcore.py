@@ -105,6 +105,22 @@ def test_tensor_basis_projectors():
     assert np.array_equal(out, expect)
 
 
+def test_tensor_bit_equal_to_kron_on_matrices_and_stacks():
+    gen = np.random.default_rng(17)
+    for _ in range(200):
+        m, n, p, q = gen.integers(1, 5, size=4).tolist()
+        a = gen.normal(size=(3, m, n)) + 1j * gen.normal(size=(3, m, n))
+        b = gen.normal(size=(3, p, q)) + 1j * gen.normal(size=(3, p, q))
+        for x, y in ((a[0], b[0]), (a[0].real, b[0]), (a[0], b[0].real)):
+            out, expect = matcore.tensor(x, y), np.kron(x, y)
+            assert out.dtype == expect.dtype and out.shape == expect.shape
+            assert out.tobytes() == expect.tobytes()
+        # two stacks pair up member by member
+        out = matcore.tensor(a, b)
+        assert out.shape == (3, m * p, n * q)
+        assert all(out[i].tobytes() == np.kron(a[i], b[i]).tobytes() for i in range(3))
+
+
 def test_partial_trace_product_states(rng):
     ra = matcore.random_density(rng, 2)
     rb = matcore.random_density(rng, 3)

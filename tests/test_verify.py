@@ -17,13 +17,17 @@ def test_clsi_tables_built_once_per_process(monkeypatch):
         return g_factor(*args, **kwargs)
 
     monkeypatch.setattr(bounds, "g_factor", counting_g_factor)
-    verify._clsi_tables.cache_clear()
+    bounds._clsi_tables.cache_clear()
     first = verify.clsi_converse_suite(2, 5)
     assert len(calls) == len(verify.CLSI_TIMES) * len(verify.CLSI_VARIANTS) == 8
     second = verify.clsi_converse_suite(2, 5)
     assert len(calls) == 8
     assert first == second
-    assert not any(m.matrix.flags.writeable for m in verify._clsi_tables()[2])
+    _, maps = bounds._clsi_tables(verify.CLSI_LINDBLADIAN, verify.CLSI_TIMES,
+                                  verify.CLSI_VARIANTS)
+    assert len(calls) == 8
+    assert len(maps) == 1 + len(verify.CLSI_TIMES)
+    assert not any(m.matrix.flags.writeable for m in maps)
 
 
 def _single_matrix_density(cls, m):
@@ -128,10 +132,33 @@ def test_verify_builds_few_member_densities(monkeypatch):
 
     monkeypatch.setattr(DensityMatrix, "__init__", counting)
     verify.run_suites("all", 20, 5)
-    # the suites hold their states as DensityStacks (5 DensityMatrix builds
-    # today: integral-form's per-pair loop and decayed-state's I/2); one object
-    # per stack member made 1,018
-    assert len(built) <= 200
+    # the suites hold their states as DensityStacks: the one DensityMatrix
+    # built is decayed-state's I/2.  One object per stack member made 1,018,
+    # and integral-form's per-pair loop 4 more
+    assert len(built) == 1
+
+
+def test_verify_calls_each_library_check_once_per_batch(monkeypatch):
+    calls = {"integral": [], "clsi": []}
+    raw_integral, raw_clsi = entropy.relative_entropy_integral_form, bounds.clsi_converse_check
+
+    def integral(rho, sigma, quad_points):
+        calls["integral"].append(len(rho))
+        return raw_integral(rho, sigma, quad_points)
+
+    def clsi(lind, rho, times, variants):
+        calls["clsi"].append((rho.dim, len(rho)))
+        return raw_clsi(lind, rho, times, variants)
+
+    monkeypatch.setattr(entropy, "relative_entropy_integral_form", integral)
+    monkeypatch.setattr(bounds, "clsi_converse_check", clsi)
+    verify.run_suites("all", 20, 5)
+    # integral-form runs 2 samples, one per residue class (d = 2, 3); clsi-converse
+    # runs 5 samples of one class, one call per kind (bare d = 2, extended d = 4)
+    assert calls == {"integral": [1, 1], "clsi": [(2, 5), (4, 5)]}
+    verify.run_suites(["integral-form", "clsi-converse"], 2 * verify.CHUNK, 5)
+    assert calls["integral"][2:] == [verify.CHUNK // 2] * 4
+    assert calls["clsi"][2:] == [(2, verify.CHUNK), (4, verify.CHUNK)] * 2
 
 
 def test_verify_kraus_maps_are_batched(monkeypatch):
