@@ -131,20 +131,22 @@ def feasible_a_midpoint(eps: float, m_tilde: float) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Both sides of one bound evaluation; pass means lhs >= rhs - PASS_SLACK."""
+    """Both sides of a bound on n states at each of its cells (a time, or a (time,
+    variant) pair), as (n, cells) arrays; extra holds the cells' labels and the
+    per-state values.  A cell passes when lhs >= rhs - PASS_SLACK."""
 
     name: str
-    lhs: float
-    rhs: float
-    factor: float
+    lhs: np.ndarray
+    rhs: np.ndarray
+    factor: np.ndarray
     extra: dict
 
     @property
-    def passed(self) -> bool:
+    def passed(self) -> np.ndarray:
         return self.lhs >= self.rhs - PASS_SLACK
 
     @property
-    def margin(self) -> float:
+    def margin(self) -> np.ndarray:
         return self.lhs - self.rhs
 
 
@@ -158,12 +160,12 @@ def _clsi_tables(lind: Lindbladian, times: tuple, variants: tuple) -> tuple:
 
 
 def clsi_converse_check(lind: Lindbladian, rho, times: Sequence[float],
-                        variants: Sequence[str]):
+                        variants: Sequence[str]) -> BoundReport:
     """D(Phi^t rho || E rho) >= g(1 - e^{-t c ||L||}, c) D(rho || E rho), both sides
-    exact; one report per (time, variant), time-major, both named in its extra.  The
-    maps act on the left factor of a state of dimension k lind.dim.  For a sequence
-    of states, a list of each state's reports."""
-    rhos, one = matcore.batch(rho=rho)
+    exact, on states as batch takes them; one cell per (time, variant), time-major,
+    labelled by extra's t and variant.  The maps act on the left factor of a state
+    of dimension k lind.dim."""
+    rhos, _ = matcore.batch(rho=rho)
     k, rest = divmod(rhos.dim, lind.dim)
     if rest:
         raise ValueError(f"state dimension {rhos.dim} is not a multiple of the "
@@ -176,12 +178,11 @@ def clsi_converse_check(lind: Lindbladian, rho, times: Sequence[float],
     # each evolved state against its own E(rho), the first n of built
     d_post = entropy.unwrap(entropy.relative_entropy(
         built[n:], built[np.tile(np.arange(n), len(times))]))
-    cells = [(t, variant) for t in times for variant in variants]
-    out = [[BoundReport(f"clsi-converse[{v}]", d_post[j // len(variants) * n + i], g * pre, g,
-                        {"t": t, "variant": v})
-            for j, ((t, v), g) in enumerate(zip(cells, factors))]
-           for i, pre in enumerate(d_pre)]
-    return out[0] if one else out
+    lhs = np.repeat(d_post.reshape(len(times), n).T, len(variants), axis=1)
+    factor = np.tile(factors, (n, 1))
+    return BoundReport("clsi-converse", lhs, factor * d_pre[:, None], factor,
+                       {"t": [t for t in times for _ in variants],
+                        "variant": list(variants) * len(times)})
 
 
 def classical_converse_factor(eps: float, m_tilde: float, g_tilde: float, a: float,
@@ -218,39 +219,35 @@ def _check_commuting(*mats: np.ndarray) -> None:
                 raise ValueError(f"matrices {i} and {j} do not commute: |[.,.]| = {dev:.3e}")
 
 
-def _branch_report(name: str, eps: float, m_tilde: float, g_tilde: float, lhs: float,
-                   pre: float, pre_key: str) -> BoundReport:
-    """Report lhs against factor * pre on the branch that pre selects, with a
-    at the midpoint of its feasible interval."""
-    a = feasible_a_midpoint(eps, m_tilde)
-    branch = "large-D" if pre >= a * m_tilde ** 2 / 2.0 else "small-D"
-    factor = classical_converse_factor(eps, m_tilde, g_tilde, a, branch)
-    return BoundReport(name=f"{name}[{branch}]", lhs=lhs, rhs=factor * pre, factor=factor,
-                       extra={"branch": branch, pre_key: pre})
-
-
-def _converse_reports(name: str, eps: list, m_tilde: np.ndarray, g_tilde: np.ndarray,
-                      post: list, pre: list, pre_key: str, one: bool):
-    """Per sample, its branch report at each eps: m_tilde, g_tilde and pre hold
-    one value per sample, post one per (eps, sample) pair, eps-major."""
-    n = len(pre)
-    out = [tuple(_branch_report(name, e, m, g, post[j * n + i], pre[i], pre_key)
-                 for j, e in enumerate(eps))
-           for i, (m, g) in enumerate(zip(m_tilde.tolist(), g_tilde.tolist()))]
-    return out[0] if one else out
+def _converse_report(name: str, times: Sequence[float], eps: list, m_tilde: np.ndarray,
+                     g_tilde: np.ndarray, post: np.ndarray, pre: np.ndarray,
+                     pre_key: str) -> BoundReport:
+    """post against factor * pre, per sample and time, on the branch that pre selects,
+    with a at the midpoint of its feasible interval: m_tilde, g_tilde and pre hold one
+    value per sample, post one per (eps, sample) pair, eps-major."""
+    branch, factor = [], []
+    for m, g, p in zip(m_tilde.tolist(), g_tilde.tolist(), pre.tolist()):
+        for e in eps:
+            a = feasible_a_midpoint(e, m)
+            branch.append("large-D" if p >= a * m ** 2 / 2.0 else "small-D")
+            factor.append(classical_converse_factor(e, m, g, a, branch[-1]))
+    shape = (len(pre), len(eps))
+    factor = np.reshape(factor, shape)
+    return BoundReport(name, post.reshape(len(eps), -1).T, factor * pre[:, None], factor,
+                       {"t": list(times), "branch": np.reshape(branch, shape), pre_key: pre})
 
 
 def classical_converse_check(e: ConditionalExpectation, rho, sigma, times: Sequence[float],
-                             c: float, diamond: float):
-    """Commuting-state converse under the replacement semigroup, one report
-    per time; m_tilde and g_tilde come from sigma and E(sigma).
+                             c: float, diamond: float) -> BoundReport:
+    """Commuting-state converse under the replacement semigroup on pairs of states
+    (as batch takes them), one cell per time; m_tilde and g_tilde come from sigma
+    and E(sigma).
 
     Noise keeps amplitude 1 - eps on the state and mixes in the
     shared fixed point E(rho) = E(sigma) with weight eps; the exact decayed
-    relative entropy is compared against the branch factor.  For two
-    equal-length sequences of states, a list of the per-time reports.
+    relative entropy is compared against the branch factor.
     """
-    rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
+    rhos, sigmas, _ = matcore.batch(rho=rho, sigma=sigma)
     r, s = rhos.matrix, sigmas.matrix
     n = len(r)
     images = DensityMatrix.from_matrices(e.apply_matrix(np.concatenate([r, s])))
@@ -268,13 +265,13 @@ def classical_converse_check(e: ConditionalExpectation, rho, sigma, times: Seque
         [(1 - p) * x + p * e_x for x, e_x in ((r, er), (s, es)) for p in eps]))
     d_post = entropy.unwrap(entropy.relative_entropy(mixed[:len(eps) * n],
                                                      mixed[len(eps) * n:]))
-    return _converse_reports("classical-converse", eps, m_tilde, g_tilde, d_post, d_pre,
-                             "dPre", one)
+    return _converse_report("classical-converse", times, eps, m_tilde, g_tilde, d_post, d_pre,
+                            "dPre")
 
 
 def smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma):
     """m_tilde: smallest nonzero eigenvalue of sigma (+) E(sigma), the latter as
-    its k x k block on supp(sigma); an array of them for two sequences of states."""
+    its k x k block on supp(sigma); an array of them for two stacks of states."""
     sigmas, e_sigmas, one = matcore.batch(sigma=sigma, e_sigma=e_sigma)
     out = np.empty(len(sigmas))
     for rows, block, ws, _ in matcore.support_blocks(e_sigmas.matrix, sigmas,
@@ -286,16 +283,15 @@ def smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma):
 
 
 def mutual_info_converse_check(e_on_b: ConditionalExpectation, rho, times: Sequence[float],
-                               c: float, diamond: float):
-    """Mutual-information converse for classical-classical states under
-    replacement noise on the B side, one report per time.
+                               c: float, diamond: float) -> BoundReport:
+    """Mutual-information converse for classical-classical states (one, or a
+    family) under replacement noise on the B side, one cell per time.
 
     m_tilde and g_tilde are computed from the pre-noise marginals; the
     underlying comparison is the commuting-state converse applied to
-    sigma = rho_A x rho_B.  For a sequence of states of one split, a list
-    of the per-time reports.
+    sigma = rho_A x rho_B.
     """
-    states, one = matcore.batch(rho=rho)
+    states, _ = matcore.batch(rho=rho)
     da, db = states.dim_a, states.dim_b
     joints = states.state.matrix
     n = len(joints)
@@ -313,17 +309,18 @@ def mutual_info_converse_check(e_on_b: ConditionalExpectation, rho, times: Seque
     m_tilde = smallest_nonzero_eigenvalue_direct_sum(built[:n], built[n:])
     g_tilde = matcore.loewner_min_coefficient(e_rho_b.matrix, rho_b, False)
     eps = [_replacement_weights(t, c, diamond)[1] for t in times]
-    i_pre = entropy.mutual_information(states).tolist()
+    i_pre = entropy.mutual_information(states)
     mixed = DensityMatrix.from_matrices(np.concatenate([(1 - p) * joints + p * e_joint
                                                         for p in eps]))
-    i_post = entropy.mutual_information(BipartiteDensity(da, db, mixed)).tolist()
-    return _converse_reports("mutual-info-converse", eps, m_tilde, g_tilde, i_post, i_pre,
-                             "iPre", one)
+    i_post = entropy.mutual_information(BipartiteDensity(da, db, mixed))
+    return _converse_report("mutual-info-converse", times, eps, m_tilde, g_tilde, i_post,
+                            i_pre, "iPre")
 
 
-def _per_pair(eps, zeta, pairs: int, one: bool) -> tuple:
-    """eps and zeta as sequences; a ValueError unless each has one entry per state pair."""
-    eps, zeta = ([eps], [zeta]) if one else (eps, zeta)
+def _per_pair(eps, zeta, pairs: int) -> tuple:
+    """eps and zeta (numbers for one pair) as lists; a ValueError unless each has one
+    entry per state pair."""
+    eps, zeta = (np.ravel(x).tolist() for x in (eps, zeta))
     if not len(eps) == len(zeta) == pairs:
         raise ValueError(f"need one eps and one zeta per state pair: {pairs} pairs, "
                          f"{len(eps)} eps, {len(zeta)} zeta")
@@ -331,15 +328,15 @@ def _per_pair(eps, zeta, pairs: int, one: bool) -> tuple:
 
 
 def decayed_state_bound_check(rho, sigma, theta_dens: DensityMatrix, omega: DensityMatrix,
-                              eps, zeta, c: float):
+                              eps, zeta, c: float) -> BoundReport:
     """Partial-replacement comparison
     D((1-eps) rho + eps theta || (1-eps) sigma + eps theta)
       >= (zeta / (c eps)) ((1-eps)/(1-zeta))^2
          D((1-zeta) rho + zeta omega || (1-zeta) sigma + zeta omega)
-    for theta <= c omega and eps >= zeta.  For equal-length sequences of rho,
-    sigma, eps and zeta, with theta and omega shared, a list of reports."""
-    rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
-    eps, zeta = _per_pair(eps, zeta, len(rhos), one)
+    for theta <= c omega and eps >= zeta, on pairs rho, sigma (as batch takes
+    them) with one eps and one zeta each, theta and omega shared; one cell."""
+    rhos, sigmas, _ = matcore.batch(rho=rho, sigma=sigma)
+    eps, zeta = _per_pair(eps, zeta, len(rhos))
     check = matcore.loewner_min_coefficient(theta_dens, omega, strict=True)
     if not check <= c * (1 + 1e-9):
         raise ValueError(f"order precondition fails: smallest valid c is {check!r}")
@@ -352,22 +349,19 @@ def decayed_state_bound_check(rho, sigma, theta_dens: DensityMatrix, omega: Dens
                      (np.array(zeta)[:, None, None], omega)) for xs in (rhos, sigmas)]))
     lhs = entropy.unwrap(entropy.relative_entropy(built[:n], built[n:2 * n]))
     d_rhs = entropy.unwrap(entropy.relative_entropy(built[2 * n:3 * n], built[3 * n:]))
-    out = []
-    for e, z, left, right in zip(eps, zeta, lhs, d_rhs):
-        factor = (z / (c * e)) * ((1 - e) / (1 - z)) ** 2
-        out.append(BoundReport(name="decayed-state", lhs=left, rhs=factor * right,
-                               factor=factor, extra={"dRhs": right}))
-    return out[0] if one else out
+    factor = np.array([[(z / (c * e)) * ((1 - e) / (1 - z)) ** 2] for e, z in zip(eps, zeta)])
+    return BoundReport("decayed-state", lhs[:, None], factor * d_rhs[:, None], factor,
+                       {"dRhs": d_rhs})
 
 
-def origcompare_check(rho, sigma, omega, eps, zeta):
+def origcompare_check(rho, sigma, omega, eps, zeta) -> BoundReport:
     """Upper comparison of the original relative entropy by the mixed one:
     D(rho||sigma) <= (1/(1-eps)^2) (1 + eps (g/(1-zeta) - 1))
                      D((1-eps) rho + eps omega || (1-eps) sigma + eps omega)
-    under rho >= (1-zeta) sigma.  For equal-length sequences of the states,
-    eps and zeta, a list of reports."""
-    rhos, sigmas, omegas, one = matcore.batch(rho=rho, sigma=sigma, omega=omega)
-    eps, zeta = _per_pair(eps, zeta, len(rhos), one)
+    under rho >= (1-zeta) sigma, on triples of states (as batch takes them) with
+    one eps and one zeta each; one cell."""
+    rhos, sigmas, omegas, _ = matcore.batch(rho=rho, sigma=sigma, omega=omega)
+    eps, zeta = _per_pair(eps, zeta, len(rhos))
     if not all(0.0 <= e < 1.0 and 0.0 <= z < 1.0 for e, z in zip(eps, zeta)):
         raise ValueError("eps and zeta must lie in [0, 1)")
     r, s, o = rhos.matrix, sigmas.matrix, omegas.matrix
@@ -380,10 +374,8 @@ def origcompare_check(rho, sigma, omega, eps, zeta):
     n = len(r)
     mixed = DensityMatrix.from_matrices(np.concatenate([(1 - e_a) * x + e_a * o for x in (r, s)]))
     d_mixed = entropy.unwrap(entropy.relative_entropy(mixed[:n], mixed[n:]))
-    out = []
-    for e, z, g_i, orig, mix in zip(eps, zeta, g.tolist(), d_orig, d_mixed):
-        factor = (1.0 + e * (g_i / (1 - z) - 1.0)) / (1 - e) ** 2
-        # report in lhs >= rhs form: factor * D_mixed >= D_orig
-        out.append(BoundReport(name="origcompare", lhs=factor * mix, rhs=orig, factor=factor,
-                               extra={"dOrig": orig, "dMixed": mix}))
-    return out[0] if one else out
+    factor = np.array([[(1.0 + e * (g_i / (1 - z) - 1.0)) / (1 - e) ** 2]
+                       for e, z, g_i in zip(eps, zeta, g.tolist())])
+    # report in lhs >= rhs form: factor * D_mixed >= D_orig
+    return BoundReport("origcompare", factor * d_mixed[:, None], d_orig[:, None], factor,
+                       {"dOrig": d_orig, "dMixed": d_mixed})

@@ -194,8 +194,7 @@ def apply_on_factor(channel, m: np.ndarray, dims, which: int) -> np.ndarray:
 
 def apply_to_b(channel, rho):
     """Apply a KrausChannel or SuperOperator to the B factor of a bipartite
-    density; for a family or a sequence of bipartite densities of one split,
-    the family of the images, built as one stack."""
+    density; for a family of them, the family of the images, built as one stack."""
     states, one = matcore.batch(rho=rho)
     out = apply_on_factor(channel, states.state.matrix, (states.dim_a, states.dim_b), 1)
     built = BipartiteDensity(states.dim_a, out.shape[-1] // states.dim_a,

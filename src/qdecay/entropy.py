@@ -54,7 +54,7 @@ class EntropyValue:
 
 def von_neumann_entropy(rho):
     """H(rho) = -sum lambda_i ln lambda_i, with 0 ln 0 = 0; an array of them
-    for a sequence of states."""
+    for a stack of states."""
     rhos, one = matcore.batch(rho=rho)
     w = rhos.eigenvalues
     out = np.empty(len(w))
@@ -68,8 +68,8 @@ def relative_entropy(rho, sigma):
     """Umegaki relative entropy tr rho (ln rho - ln sigma).
 
     Computed on supp(sigma); if rho carries weight outside supp(sigma)
-    the result is the infinite flag.  For two equal-length sequences of
-    states, an array of the values, inf for the flag.
+    the result is the infinite flag.  For two stacks of states (as batch
+    takes them), an array of the values, inf for the flag.
     """
     rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
     out = np.empty(len(sigmas))
@@ -85,11 +85,11 @@ def relative_entropy(rho, sigma):
     return EntropyValue.infinite() if out[0] == math.inf else EntropyValue(float(out[0]))
 
 
-def unwrap(values: np.ndarray) -> list[float]:
-    """Relative entropies as floats; an infinite one raises as EntropyValue.unwrap."""
+def unwrap(values: np.ndarray) -> np.ndarray:
+    """Relative entropies as they are; an infinite one raises as EntropyValue.unwrap."""
     if math.inf in values:
         EntropyValue.infinite().unwrap()
-    return values.tolist()
+    return values
 
 
 def _nonnegative(values: np.ndarray, what: str) -> np.ndarray:
@@ -103,7 +103,7 @@ def _nonnegative(values: np.ndarray, what: str) -> np.ndarray:
 def mutual_information(rho):
     """I[A:B] = S(A) + S(B) - S(AB) from the cached joint spectrum and the two
     marginals; no product state is formed whose tiny eigenvalues could be cut.
-    An array of them for a sequence of states of one split."""
+    An array of them for a family of states."""
     states, one = matcore.batch(rho=rho)
     a, b = map(von_neumann_entropy, BipartiteDensity.marginals(states))
     value = _nonnegative(a + b - von_neumann_entropy(states.state), "mutual information")
@@ -146,38 +146,40 @@ def f_almost_concavity(eps: float, m_tilde: float) -> float:
 
 @dataclass(frozen=True)
 class PinskerReport:
-    relative_entropy: float
-    trace_distance: float          # ||rho - sigma||_1
-    basic_bound: float             # 0.5 * ||.||_1^2
-    commuting: bool
-    refined_bound: float | None    # max{-ln(1 - ||.||_1^2/4), basic} when commuting
-    basic_holds: bool
-    refined_holds: bool | None
+    """Both Pinsker forms on n pairs of states, one entry per pair."""
+
+    relative_entropy: np.ndarray
+    trace_distance: np.ndarray     # ||rho - sigma||_1
+    basic_bound: np.ndarray        # 0.5 * ||.||_1^2
+    commuting: np.ndarray
+    refined_bound: np.ndarray      # max{-ln(1 - ||.||_1^2/4), basic} when commuting, else nan
 
     @property
-    def passed(self) -> bool:
-        return self.basic_holds and (self.refined_holds is not False)
+    def basic_holds(self) -> np.ndarray:
+        return self.relative_entropy >= self.basic_bound - PINSKER_SLACK
+
+    @property
+    def refined_holds(self) -> np.ndarray:
+        """Whether the refined form holds, False where the pair does not commute."""
+        return self.relative_entropy >= self.refined_bound - PINSKER_SLACK
+
+    @property
+    def passed(self) -> np.ndarray:
+        return self.basic_holds & (self.refined_holds | ~self.commuting)
 
 
-def pinsker_check(rho, sigma):
+def pinsker_check(rho, sigma) -> PinskerReport:
     """Evaluate both sides of the Pinsker bound and, for commuting pairs,
-    of its refinement max{ -ln(1 - ||.||_1^2 / 4), ||.||_1^2 / 2 }; a list of
-    reports for two equal-length sequences of states."""
-    rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
+    of its refinement max{ -ln(1 - ||.||_1^2 / 4), ||.||_1^2 / 2 }, on pairs
+    of states as batch takes them."""
+    rhos, sigmas, _ = matcore.batch(rho=rho, sigma=sigma)
     r, s = rhos.matrix, sigmas.matrix
     comm = np.maximum.reduce(np.abs(r @ s - s @ r), axis=(1, 2)) <= matcore.COMMUTE_ATOL
-    out = []
-    for dval, tn, c in zip(relative_entropy(rhos, sigmas).tolist(),
-                           matcore.trace_norm(r - s).tolist(), comm.tolist()):
-        basic = 0.5 * tn * tn
-        refined = refined_holds = None
-        if c:
-            arg = 1.0 - 0.25 * tn * tn
-            refined = math.inf if arg <= 0 else max(-math.log(arg), basic)
-            refined_holds = dval >= refined - PINSKER_SLACK
-        out.append(PinskerReport(dval, tn, basic, c, refined,
-                                 dval >= basic - PINSKER_SLACK, refined_holds))
-    return out[0] if one else out
+    tn = matcore.trace_norm(r - s)
+    basic = 0.5 * tn * tn
+    refined = [(math.inf if arg <= 0 else max(-math.log(arg), b)) if c else math.nan
+               for arg, b, c in zip((1.0 - 0.25 * tn * tn).tolist(), basic.tolist(), comm)]
+    return PinskerReport(relative_entropy(rhos, sigmas), tn, basic, comm, np.array(refined))
 
 
 def _log_mean_weights(w: np.ndarray) -> np.ndarray:
@@ -205,11 +207,10 @@ def weighted_norm_sq(x: np.ndarray, omega):
     Closed form in omega's eigenbasis: sum_ij |X_ij|^2 (ln a_i - ln a_j)/(a_i - a_j).
     X's rows off supp(omega) make the integral divergent, returning inf, once
     an entry exceeds SUPPORT_RTOL max(1, max |X|): X = rho - sigma is not PSD,
-    so support_blocks' trace test does not apply.  An array for n pairs (x, omega).
+    so support_blocks' trace test does not apply.  An array for n pairs (x, omega),
+    as batch takes them.
     """
-    omegas, one = matcore.batch(omega=omega)
-    x = matcore.as_hermitian(np.asarray(x)[None] if one else x)
-    matcore.check_stack(x=x, omega=omegas)
+    x, omegas, one = matcore.batch(x=x, omega=omega)
     ws, vs = omegas.eigenvalues, omegas.eigenvectors
     xt = vs.conj().transpose(0, 2, 1) @ x @ vs
     scale = np.maximum(1.0, np.maximum.reduce(np.abs(x), axis=(1, 2)))
@@ -255,7 +256,7 @@ def relative_entropy_integral_form(rho, sigma, quad_points: int):
     to supp(sigma) first, which keeps every omega_t positive definite.
     Each support group shares one eigensolve over its pairs' nodes; the basis
     change V^H X V takes one BLAS product X [V_1 ... V_n] per pair and d
-    broadcast rank-one terms for V^H.  An array for two sequences of states.
+    broadcast rank-one terms for V^H.  An array for two stacks of states.
     """
     try:
         quad_points = operator.index(quad_points)
@@ -293,31 +294,36 @@ def relative_entropy_integral_form(rho, sigma, quad_points: int):
 
 @dataclass(frozen=True)
 class SandwichReport:
-    order_coefficient: float    # smallest c with rho <= c sigma
-    norm_sq: float              # || rho - sigma ||^2 weighted by sigma resolvents
-    lower: float                # kappa(c) * norm_sq
-    relative_entropy: float
-    upper: float                # norm_sq
-    lower_slack: float
-    upper_slack: float
+    """The Gao-Rouze sandwich on n pairs of states, one entry per pair; the
+    upper side is norm_sq."""
+
+    order_coefficient: np.ndarray   # smallest c >= 1 with rho <= c sigma
+    norm_sq: np.ndarray             # || rho - sigma ||^2 weighted by sigma resolvents
+    lower: np.ndarray               # kappa(c) * norm_sq
+    relative_entropy: np.ndarray
 
     @property
-    def passed(self) -> bool:
-        return self.lower_slack >= -1e-10 and self.upper_slack >= -1e-10
+    def lower_slack(self) -> np.ndarray:
+        return self.relative_entropy - self.lower
+
+    @property
+    def upper_slack(self) -> np.ndarray:
+        return self.norm_sq - self.relative_entropy
+
+    @property
+    def passed(self) -> np.ndarray:
+        return (self.lower_slack >= -1e-10) & (self.upper_slack >= -1e-10)
 
 
-def gaorouze_sandwich_check(rho, sigma):
+def gaorouze_sandwich_check(rho, sigma) -> SandwichReport:
     """Two-sided comparison kappa(c) ||rho-sigma||^2_sigma <= D(rho||sigma)
-    <= ||rho-sigma||^2_sigma for order-comparable pairs rho <= c sigma; a list
-    of reports for two equal-length sequences of states."""
-    rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
+    <= ||rho-sigma||^2_sigma for order-comparable pairs rho <= c sigma, on
+    pairs of states as batch takes them."""
+    rhos, sigmas, _ = matcore.batch(rho=rho, sigma=sigma)
     cs = matcore.loewner_min_coefficient(rhos.matrix, sigmas, True)
     if not np.isfinite(cs).all():
         raise ValueError("incomparable pair: rho has weight outside supp(sigma)")
+    cs = np.maximum(cs, 1.0)
     n2s = weighted_norm_sq(rhos.matrix - sigmas.matrix, sigmas)
-    out = []
-    for c, n2, d in zip(cs.tolist(), n2s.tolist(), unwrap(relative_entropy(rhos, sigmas))):
-        c = max(c, 1.0)
-        lower = kappa(c) * n2
-        out.append(SandwichReport(c, n2, lower, d, n2, d - lower, n2 - d))
-    return out[0] if one else out
+    lower = np.array([kappa(c) * n2 for c, n2 in zip(cs.tolist(), n2s.tolist())])
+    return SandwichReport(cs, n2s, lower, unwrap(relative_entropy(rhos, sigmas)))

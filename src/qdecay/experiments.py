@@ -55,10 +55,6 @@ class SweepResult:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
 
-    def column(self, name: str) -> list:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
-
 
 def rho_theta_lambda(theta: float, lam: float, d: int = 2) -> DensityMatrix:
     """(1 - lam) |psi_theta><psi_theta| + lam I/d with the rotated pure state

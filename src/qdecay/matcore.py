@@ -129,10 +129,9 @@ def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarra
 def trace_norm(m: np.ndarray):
     """Sum of absolute eigenvalues of a Hermitian matrix; an array of them for
     an (n, d, d) stack."""
-    m = np.asarray(m)
-    w, _ = jacobi_eigh_batch(as_hermitian(m if m.ndim == 3 else m[None]))
-    out = np.abs(w).sum(axis=1)
-    return out if m.ndim == 3 else float(out[0])
+    m, one = batch(m=m)
+    out = np.abs(jacobi_eigh_batch(m)[0]).sum(axis=1)
+    return float(out[0]) if one else out
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -155,10 +154,10 @@ class DensityMatrix:
 
     @classmethod
     def from_matrices(cls, stack) -> "DensityStack":
-        """The DensityStack of an (n, d, d) stack's matrices (() for none), from one
-        eigensolve; each is accepted or rejected as from_matrix alone would judge it."""
+        """The DensityStack of an (n, d, d) stack's matrices, from one eigensolve; each
+        is accepted or rejected as from_matrix alone would judge it."""
         if len(stack) == 0:
-            return ()
+            raise ValueError("stack has no matrices: a DensityStack holds at least one state")
         h = as_hermitian(stack)
         if h.ndim != 3:
             raise ValueError(f"expected a stack of square matrices, got shape {h.shape}")
@@ -275,58 +274,43 @@ class BipartiteDensity:
         return s.__dict__["_marginals"]
 
 
-def _stacked(states):
-    """One state (viewed), a stack or family, or a sequence of states (stacked once)
-    as a stack or family."""
-    if isinstance(states, DensityMatrix):
-        return DensityStack(states.matrix[None], states.eigenvalues[None],
-                            states.eigenvectors[None])
-    if isinstance(states, DensityStack) or isinstance(getattr(states, "state", None), DensityStack):
-        return states
-    if isinstance(states, BipartiteDensity):
-        return BipartiteDensity(states.dim_a, states.dim_b, _stacked(states.state))
-    if isinstance(states[0], BipartiteDensity):
-        a, b = states[0].dim_a, states[0].dim_b
-        if any((s.dim_a, s.dim_b) != (a, b) for s in states):
-            raise ValueError("states of different splits")
-        return BipartiteDensity(a, b, _stacked([s.state for s in states]))
-    return DensityStack(*(np.stack(x) for x in zip(
-        *[(s.matrix, s.eigenvalues, s.eigenvectors) for s in states])))
+def _stacked(name: str, x):
+    """One state (viewed) as a stack of one, a stack or family as it is, and one matrix
+    or an (n, d, d) array as a stack validated by as_hermitian; else a ValueError."""
+    if isinstance(x, DensityMatrix):
+        return DensityStack(x.matrix[None], x.eigenvalues[None], x.eigenvectors[None])
+    if isinstance(x, DensityStack) or isinstance(getattr(x, "state", None), DensityStack):
+        return x
+    if isinstance(x, BipartiteDensity):
+        return BipartiteDensity(x.dim_a, x.dim_b, _stacked(name, x.state))
+    if isinstance(x, np.ndarray):
+        h = as_hermitian(x)
+        return h if h.ndim == 3 else h[None]
+    raise ValueError(f"{name} is a {type(x).__name__}, not a state, a stack or a matrix "
+                     "array: build a stack of states with DensityMatrix.from_matrices")
 
 
 def batch(**named) -> tuple:
-    """Each keyword argument (one state, a DensityStack or BipartiteDensity family,
-    or a sequence of states) as a stack or family, then whether the first was one
-    state.  Several arguments must have one length, and every member the dimension
-    of the first; a ValueError names where they differ."""
-    (first, x), *_ = named.items()
-    # a stack counts as one member here: its members share its dimension
-    seqs = [y if isinstance(y, (list, tuple)) else [y] for y in named.values()]
-    for name, ys in zip(named, seqs if len(seqs) > 1 else ()):
-        for k, y in enumerate(ys):
-            if y.dim != seqs[0][0].dim:
-                raise ValueError(f"dimension mismatch: {first} has dim {seqs[0][0].dim}, "
-                                 f"{name} has dim {y.dim} (member {k})")
-    out = [_stacked(y) for y in named.values()]
-    for name, y in zip(named, out):
-        if len(y) != len(out[0]):
-            raise ValueError(f"length mismatch: {first} has {len(out[0])} states, "
-                             f"{name} has {len(y)}")
-    return (*out, isinstance(getattr(x, "state", x), DensityMatrix))
-
-
-def check_stack(**named) -> None:
-    """The first keyword argument, an (n, d, d) stack, must have one matrix per
-    state of the second, a DensityStack (or a stacked EigenDecomposition) of
-    dimension d; a ValueError in batch's wording names where they differ."""
-    (xname, x), (name, states) = named.items()
-    n, d = states.eigenvalues.shape
-    if len(x) != n:
-        raise ValueError(f"length mismatch: {xname} has {len(x)} matrices, "
-                         f"{name} has {n} states")
-    if x.shape[1:] != (d, d):
-        raise ValueError(f"dimension mismatch: {xname} has dim {x.shape[-1]}, "
-                         f"{name} has dim {d} (member 0)")
+    """Each keyword argument (one state or one matrix, a DensityStack or BipartiteDensity
+    family, or an (n, d, d) matrix array) as a stack, then whether the first was one
+    state or one matrix.  Several arguments must have one length and one dimension; a
+    ValueError names where they differ."""
+    out = [_stacked(name, y) for name, y in named.items()]
+    (first, x, xs), *rest = [
+        (name, getattr(getattr(y, "state", y), "matrix", y),
+         "matrices" if isinstance(y, np.ndarray) else "states") for name, y in zip(named, out)]
+    if not len(x):
+        raise ValueError(f"{first} has no {xs}: a batch holds at least one")
+    for name, y, ys in rest:
+        if y.shape[-1] != x.shape[-1]:
+            raise ValueError(f"dimension mismatch: {first} has dim {x.shape[-1]}, "
+                             f"{name} has dim {y.shape[-1]}")
+        if len(y) != len(x):
+            raise ValueError(f"length mismatch: {first} has {len(x)} {xs}, "
+                             f"{name} has {len(y)} {ys}")
+    one = named[first]
+    return (*out, isinstance(getattr(one, "state", one), DensityMatrix)
+            or isinstance(one, np.ndarray) and one.ndim == 2)
 
 
 def support_blocks(x: np.ndarray, sigmas, rtol: float):
@@ -353,16 +337,13 @@ def loewner_min_coefficient(rho, sigma, strict: bool = False):
     rho and sigma must be PSD: DensityMatrix instances or Hermitian arrays
     (sigma's support is read off its spectrum).  When strict is set, weight
     of rho outside supp(sigma) (support_blocks' trace test) makes the answer
-    infinite; otherwise rho is compressed to supp(sigma).  For an (n, d, d)
-    stack rho and n states sigma (a DensityStack or a sequence), an array,
-    with one eigensolve per support size.
+    infinite; otherwise rho is compressed to supp(sigma).  For stacks of n (as
+    batch takes them), an array, with one eigensolve per support size.
     """
-    one = isinstance(sigma, (DensityMatrix, np.ndarray))
-    if one:
-        rho = (rho.matrix if isinstance(rho, DensityMatrix) else as_hermitian(rho))[None]
-    sigma = (EigenDecomposition(*jacobi_eigh_batch(as_hermitian(sigma)[None]))
-             if isinstance(sigma, np.ndarray) else batch(sigma=sigma)[0])
-    check_stack(rho=rho, sigma=sigma)
+    rho, sigma, one = batch(rho=rho, sigma=sigma)
+    rho = getattr(rho, "matrix", rho)
+    if isinstance(sigma, np.ndarray):
+        sigma = EigenDecomposition(*jacobi_eigh_batch(sigma))
     out = np.empty(len(rho))
     for rows, compressed, ws, leak in support_blocks(rho, sigma, SUPPORT_RTOL):
         # generalized eigenvalue problem on supp(sigma): g = lmax(S^-1/2 R S^-1/2)

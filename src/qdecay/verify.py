@@ -107,6 +107,14 @@ def replay(suite: str, seed: int, counter: int) -> list:
     return _pairs(draw, evaluate, seed, range(counter, counter + 1))[0]
 
 
+def _report_pairs(rep: bounds.BoundReport, *labels: str, **record) -> list:
+    """Per sample, the (margin, violation) pair of each cell of a report; a failed
+    cell's violation holds its labels, read from rep.extra, then record."""
+    return [[(m, None if ok else {**{k: rep.extra[k][j] for k in labels}, **record})
+             for j, (m, ok) in enumerate(zip(margins, passed))]
+            for margins, passed in zip(rep.margin.tolist(), rep.passed.tolist())]
+
+
 def _cn(sub: Rng, d: int) -> np.ndarray:
     return matcore.random_complex_normal(sub, (d, d))
 
@@ -159,13 +167,13 @@ def pinsker_suite():
             _in_eigenbases(h, p, q), matcore.hilbert_schmidt(g1, 0.0),
             matcore.hilbert_schmidt(g2, 0.05)]))
         rho_rows = np.r_[:n, 2 * n:3 * n]
-        reps = entropy.pinsker_check(states[rho_rows], states[rho_rows + n])
-        return [[(c.relative_entropy - c.basic_bound,
-                  None if c.passed else {"kind": "commuting"}),
-                 (c.relative_entropy - (c.refined_bound or 0.0), None),
-                 (g.relative_entropy - g.basic_bound,
-                  None if g.basic_holds else {"kind": "general"})]
-                for c, g in zip(reps[:n], reps[n:])]
+        rep = entropy.pinsker_check(states[rho_rows], states[rho_rows + n])
+        basic = (rep.relative_entropy - rep.basic_bound).tolist()
+        refined = (rep.relative_entropy - np.where(rep.commuting, rep.refined_bound, 0.0)).tolist()
+        passed, holds = rep.passed.tolist(), rep.basic_holds.tolist()
+        return [[(basic[i], None if passed[i] else {"kind": "commuting"}), (refined[i], None),
+                 (basic[n + i], None if holds[n + i] else {"kind": "general"})]
+                for i in range(n)]
     return draw, evaluate, None
 
 
@@ -184,7 +192,7 @@ def almost_concavity_suite():
         states = DensityMatrix.from_matrices(_in_eigenbases(
             h, w * rho1 + (1 - w) * rho2, rho1, rho2, w * sigma1 + (1 - w) * sigma2,
             sigma1, sigma2))
-        d = entropy.unwrap(entropy.relative_entropy(states[:3 * n], states[3 * n:]))
+        d = entropy.unwrap(entropy.relative_entropy(states[:3 * n], states[3 * n:])).tolist()
         out = []
         for i, (s1, s2, pi) in enumerate(zip(sigma1, sigma2, p.tolist())):
             lhs, d1, d2 = d[i], d[n + i], d[2 * n + i]
@@ -199,8 +207,9 @@ def almost_concavity_suite():
 def gaorouze_suite():
     """Order-to-entropy sandwich on comparable full-rank pairs."""
     def evaluate(g1, g2):
-        return [[(rep.lower_slack, None if rep.passed else {}), (rep.upper_slack, None)]
-                for rep in entropy.gaorouze_sandwich_check(*_pair(g1, g2, 0.1))]
+        rep = entropy.gaorouze_sandwich_check(*_pair(g1, g2, 0.1))
+        return [[(lower, None if ok else {}), (upper, None)] for lower, upper, ok in zip(
+            rep.lower_slack.tolist(), rep.upper_slack.tolist(), rep.passed.tolist())]
     return _draw_pair, evaluate, None
 
 
@@ -246,29 +255,21 @@ def clsi_converse_suite():
         return tuple(_cn(sub, dim) for _, dim in kinds)
 
     def evaluate(*gs):
-        out = [[] for _ in gs[0]]
-        for (kind, _), g in zip(kinds, gs):
-            rhos = DensityMatrix.from_matrices(matcore.hilbert_schmidt(g, 0.0))
-            for pairs, reps in zip(out, bounds.clsi_converse_check(lind, rhos, CLSI_TIMES,
-                                                                   CLSI_VARIANTS)):
-                pairs.extend((rep.margin, None if rep.passed else {**rep.extra, "kind": kind})
-                             for rep in reps)
-        return out
+        kinds_pairs = [_report_pairs(bounds.clsi_converse_check(
+            lind, DensityMatrix.from_matrices(matcore.hilbert_schmidt(g, 0.0)), CLSI_TIMES,
+            CLSI_VARIANTS), "t", "variant", kind=kind) for (kind, _), g in zip(kinds, gs)]
+        return [sum(pairs, []) for pairs in zip(*kinds_pairs)]
     return draw, evaluate, {"c": lind.pp_index, "diamond": lind.diamond_upper,
                             "times": list(CLSI_TIMES), "variants": list(CLSI_VARIANTS),
                             "extended": True}
 
 
-def _converse_pairs(reports, branches: dict) -> list:
-    """(margin, violation) pairs of each sample's per-time converse reports,
-    counting each report's branch."""
-    out = []
-    for reps in reports:
-        for rep in reps:
-            branches[rep.extra["branch"]] += 1
-        out.append([(rep.margin, None if rep.passed else {"t": t})
-                    for t, rep in zip(CLASSICAL_SUITE_TIMES, reps)])
-    return out
+def _converse_pairs(rep: bounds.BoundReport, branches: dict) -> list:
+    """The (margin, violation) pairs of a per-time converse report, counting the
+    branch of each of its cells."""
+    for branch in rep.extra["branch"].ravel().tolist():
+        branches[branch] += 1
+    return _report_pairs(rep, "t")
 
 
 @_suite("classical", 1)
@@ -328,10 +329,8 @@ def decayed_state_suite():
 
     def evaluate(h, p, q, zeta, eps):
         states = DensityMatrix.from_matrices(_in_eigenbases(h, p, q))
-        return [[(rep.margin, None if rep.passed else {})]
-                for rep in bounds.decayed_state_bound_check(
-                    states[:len(h)], states[len(h):], mixed, mixed, eps.tolist(),
-                    zeta.tolist(), 1.0)]
+        return _report_pairs(bounds.decayed_state_bound_check(
+            states[:len(h)], states[len(h):], mixed, mixed, eps, zeta, 1.0))
     return draw, evaluate, None
 
 
@@ -356,8 +355,7 @@ def origcompare_suite():
         omegas = built[np.where(own, len(s0) - 1 + np.cumsum(own), np.arange(len(s0)))]
         z = zeta[:, None, None]
         rhos = DensityMatrix.from_matrices((1 - z) * sigmas.matrix + z * _diagonals(w0))
-        return [[(rep.margin, None if rep.passed else {})] for rep in bounds.origcompare_check(
-            rhos, sigmas, omegas, eps.tolist(), zeta.tolist())]
+        return _report_pairs(bounds.origcompare_check(rhos, sigmas, omegas, eps, zeta))
     return draw, evaluate, None
 
 
@@ -371,7 +369,7 @@ def data_processing_suite():
 
     def evaluate(g1, g2, dep, deph, lam, p):
         rhos, sigmas = _pair(g1, g2, 0.02)
-        d_pre = entropy.unwrap(entropy.relative_entropy(rhos, sigmas))
+        d_pre = entropy.unwrap(entropy.relative_entropy(rhos, sigmas)).tolist()
         out = [[] for _ in range(len(rhos))]
         # one family of channels per constructor, member i acting on sample i
         for idx, ch in enumerate((channels.depolarizing(2, dep), channels.dephasing_y(deph),
@@ -379,7 +377,7 @@ def data_processing_suite():
             images = DensityMatrix.from_matrices(
                 np.concatenate([ch.apply_matrix(xs.matrix) for xs in (rhos, sigmas)]))
             d_post = entropy.unwrap(entropy.relative_entropy(images[:len(rhos)],
-                                                             images[len(rhos):]))
+                                                             images[len(rhos):])).tolist()
             for pairs, pre, post in zip(out, d_pre, d_post):
                 pairs.append((pre - post, {"channel": idx} if post > pre + SLACK else None))
         return out

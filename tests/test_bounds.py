@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import random_unitary, stack_of
 from qdecay import bounds, channels, entropy, matcore
 from qdecay.bounds import (
     InfeasibleParamsError,
@@ -194,18 +194,19 @@ def test_g_factor_domain_errors():
 def test_clsi_converse_fixed_point_input():
     lind = qubit_depolarizing_lindbladian()
     rho = DensityMatrix.maximally_mixed(2)
-    rep, = clsi_converse_check(lind, rho, [0.1], ["theorem"])
-    assert rep.passed
-    assert rep.lhs < 1e-12 and rep.rhs < 1e-12
+    rep = clsi_converse_check(lind, rho, [0.1], ["theorem"])
+    assert rep.lhs.shape == (1, 1)
+    assert rep.passed.all()
+    assert (rep.lhs < 1e-12).all() and (rep.rhs < 1e-12).all()
 
 
 def test_clsi_converse_time_zero_equality(rng):
     lind = qubit_depolarizing_lindbladian()
     rho = matcore.random_density(rng, 2)
-    rep, = clsi_converse_check(lind, rho, [0.0], ["theorem"])
-    assert rep.passed
-    assert abs(rep.factor - 1.0) < 1e-6
-    assert abs(rep.lhs - rep.rhs) < 1e-6 * max(1.0, rep.lhs)
+    rep = clsi_converse_check(lind, rho, [0.0], ["theorem"])
+    assert rep.passed.all()
+    assert abs(rep.factor.item() - 1.0) < 1e-6
+    assert abs(rep.lhs.item() - rep.rhs.item()) < 1e-6 * max(1.0, rep.lhs.item())
 
 
 def test_clsi_converse_random_sample(rng):
@@ -213,16 +214,20 @@ def test_clsi_converse_random_sample(rng):
     times, variants = (1e-3, 1e-1, 1.0), ("theorem", "paper-example")
     for _ in range(25):
         rho = matcore.random_density(rng, 2)
-        reps = clsi_converse_check(lind, rho, times, variants)
-        # one report per (time, variant), time-major
-        assert [(rep.extra["t"], rep.extra["variant"]) for rep in reps] == [
+        rep = clsi_converse_check(lind, rho, times, variants)
+        # one cell per (time, variant), time-major
+        assert rep.lhs.shape == rep.rhs.shape == rep.factor.shape == (1, 6)
+        assert list(zip(rep.extra["t"], rep.extra["variant"])) == [
             (t, variant) for t in times for variant in variants]
-        assert [rep.name for rep in reps] == [f"clsi-converse[{v}]" for v in variants] * 3
-        assert all(rep.passed for rep in reps)
+        assert rep.name == "clsi-converse"
+        assert rep.passed.all()
 
 
-def _report_fields(rep):
-    return (rep.name, _bits(rep.lhs), _bits(rep.rhs), _bits(rep.factor), rep.extra)
+def _report_fields(rep, i):
+    """Name, row i's bits and extra: a per-state array's row i, the labels as they are."""
+    extra = {k: (_bits(v[i]) if v.dtype.kind == "f" else v[i].tolist())
+             if isinstance(v, np.ndarray) else v for k, v in rep.extra.items()}
+    return (rep.name, _bits(rep.lhs[i]), _bits(rep.rhs[i]), _bits(rep.factor[i]), extra)
 
 
 def _bits(x):
@@ -237,14 +242,13 @@ def test_clsi_converse_stack_bit_equal_to_per_member_calls(rng, aux):
     rhos = DensityMatrix.from_matrices(np.stack(
         [matcore.random_density(rng, 2 * aux).matrix for _ in range(7)]))
     stacked = clsi_converse_check(lind, rhos, times, variants)
-    assert len(stacked) == len(rhos)
-    for rho, reps in zip(rhos, stacked):
-        assert len(reps) == len(times) * len(variants)
+    assert stacked.lhs.shape == (len(rhos), len(times) * len(variants))
+    for i, rho in enumerate(rhos):
         alone = clsi_converse_check(lind, rho, times, variants)
-        assert list(map(_report_fields, reps)) == list(map(_report_fields, alone))
-    listed = clsi_converse_check(lind, list(rhos), times, variants)
-    assert [list(map(_report_fields, r)) for r in listed] == [
-        list(map(_report_fields, r)) for r in stacked]
+        assert _report_fields(stacked, i) == _report_fields(alone, 0)
+    restacked = clsi_converse_check(lind, stack_of(list(rhos)), times, variants)
+    assert [_report_fields(restacked, i) for i in range(len(rhos))] == [
+        _report_fields(stacked, i) for i in range(len(rhos))]
 
 
 def test_clsi_converse_extended_kind_matches_extended_map(rng):
@@ -256,11 +260,11 @@ def test_clsi_converse_extended_kind_matches_extended_map(rng):
     times, variants = (1e-2, 1.0), ("theorem",)
     for _ in range(5):
         rho = matcore.random_density(rng, 4)
-        for rep, oracle in zip(clsi_converse_check(lind, rho, times, variants),
-                               clsi_converse_check(lind_ext, rho, times, variants)):
-            assert rep.factor == oracle.factor
-            assert rep.lhs == pytest.approx(oracle.lhs, rel=1e-10, abs=1e-14)
-            assert rep.rhs == pytest.approx(oracle.rhs, rel=1e-10, abs=1e-14)
+        rep = clsi_converse_check(lind, rho, times, variants)
+        oracle = clsi_converse_check(lind_ext, rho, times, variants)
+        assert (rep.factor == oracle.factor).all()
+        assert rep.lhs == pytest.approx(oracle.lhs, rel=1e-10, abs=1e-14)
+        assert rep.rhs == pytest.approx(oracle.rhs, rel=1e-10, abs=1e-14)
 
 
 def test_clsi_converse_rejects_a_dimension_off_the_lindbladian(rng):
@@ -339,17 +343,17 @@ def test_classical_factor_feasibility_interval():
 def test_classical_converse_check_equal_states():
     e = depolarizing_projection(2)
     sigma = DensityMatrix.diagonal([0.6, 0.4])
-    rep, = classical_converse_check(e, sigma, sigma, (0.01,), 4.0, 0.02)
-    assert rep.passed and rep.lhs < 1e-12
+    rep = classical_converse_check(e, sigma, sigma, (0.01,), 4.0, 0.02)
+    assert rep.passed.all() and (rep.lhs < 1e-12).all()
 
 
 def test_classical_converse_check_worked_pair():
     e = depolarizing_projection(2)
     rho = DensityMatrix.diagonal([0.7, 0.3])
     sigma = DensityMatrix.diagonal([0.5, 0.5])
-    rep, = classical_converse_check(e, rho, sigma, (0.01,), 4.0, 0.02)
-    assert rep.passed
-    assert rep.extra["branch"] == "large-D"
+    rep = classical_converse_check(e, rho, sigma, (0.01,), 4.0, 0.02)
+    assert rep.passed.all()
+    assert rep.extra["branch"].tolist() == [["large-D"]]
 
 
 def test_classical_converse_check_rejects_noncommuting():
@@ -365,7 +369,7 @@ def test_classical_converse_check_rejects_a_length_mismatch():
     rho = DensityMatrix.diagonal([0.7, 0.3])
     sigma = DensityMatrix.diagonal([0.5, 0.5])
     with pytest.raises(ValueError, match="rho has 2 states, sigma has 1"):
-        classical_converse_check(e, [rho, rho], [sigma], (0.01,), 4.0, 0.02)
+        classical_converse_check(e, stack_of([rho, rho]), stack_of([sigma]), (0.01,), 4.0, 0.02)
 
 
 def test_classical_converse_check_rejects_mismatched_images():
@@ -382,9 +386,9 @@ def test_mutual_info_converse_product_state(rng):
     pb = matcore.random_probability_vector(rng, 2, floor=0.2)
     joint = BipartiteDensity.from_matrix(
         np.diag(np.kron(pa, pb).astype(complex)), 2, 2)
-    rep, = mutual_info_converse_check(e, joint, (0.01,), 4.0, 5e-4)
-    assert rep.passed
-    assert rep.lhs < 1e-10 and abs(rep.rhs) < 1e-10
+    rep = mutual_info_converse_check(e, joint, (0.01,), 4.0, 5e-4)
+    assert rep.passed.all()
+    assert (rep.lhs < 1e-10).all() and (abs(rep.rhs) < 1e-10).all()
 
 
 def test_mutual_info_converse_correlated_bits():
@@ -393,10 +397,10 @@ def test_mutual_info_converse_correlated_bits():
     # joint rank-deficient; keep a small leak for full support)
     cells = np.array([0.48, 0.02, 0.02, 0.48])
     joint = BipartiteDensity.from_matrix(np.diag(cells.astype(complex)), 2, 2)
-    rep, = mutual_info_converse_check(e, joint, (0.01,), 4.0, 5e-4)
-    assert rep.passed
-    assert rep.factor < 1.0
-    assert rep.lhs <= rep.extra["iPre"] + 1e-12
+    rep = mutual_info_converse_check(e, joint, (0.01,), 4.0, 5e-4)
+    assert rep.passed.all()
+    assert (rep.factor < 1.0).all()
+    assert (rep.lhs <= rep.extra["iPre"][:, None] + 1e-12).all()
 
 
 def test_mutual_info_converse_builds_each_marginal_once(monkeypatch):
@@ -416,9 +420,9 @@ def test_mutual_info_converse_builds_each_marginal_once(monkeypatch):
         cells = np.array([0.4, 0.1, 0.15, 0.35])
         joint = BipartiteDensity.from_matrix(np.diag(cells.astype(complex)), 2, 2)
         built.clear()
-        reports = mutual_info_converse_check(depolarizing_projection(2), joint,
-                                             (0.01, 0.1), 4.0, 5e-4)
-        return len(built), [repr(r) for r in reports]
+        report = mutual_info_converse_check(depolarizing_projection(2), joint,
+                                            (0.01, 0.1), 4.0, 5e-4)
+        return len(built), _report_fields(report, 0)
 
     monkeypatch.setattr(DensityMatrix, "from_matrices", classmethod(counting))
     cached, cached_out = count_one_check()
@@ -440,11 +444,13 @@ def test_mutual_info_converse_extends_e_once_per_call(monkeypatch):
     cells = np.array([[0.4, 0.1, 0.15, 0.35], [0.25, 0.25, 0.3, 0.2], [0.3, 0.2, 0.2, 0.3]])
     joints = [BipartiteDensity.from_matrix(np.diag(c.astype(complex)), 2, 2) for c in cells]
     e = depolarizing_projection(2)
-    want = [repr(mutual_info_converse_check(e, j, (0.01, 0.1), 4.0, 5e-4)) for j in joints]
+    want = [_report_fields(mutual_info_converse_check(e, j, (0.01, 0.1), 4.0, 5e-4), 0)
+            for j in joints]
+    family = BipartiteDensity(2, 2, stack_of([j.state for j in joints]))
     monkeypatch.setattr(channels, "apply_on_factor", counting)
-    got = mutual_info_converse_check(e, joints, (0.01, 0.1), 4.0, 5e-4)
+    got = mutual_info_converse_check(e, family, (0.01, 0.1), 4.0, 5e-4)
     assert calls == [(3, 4, 4)]
-    assert [repr(r) for r in got] == want
+    assert [_report_fields(got, i) for i in range(len(joints))] == want
 
 
 def test_mutual_info_converse_rejects_quantum_input():
@@ -505,7 +511,8 @@ def test_decayed_state_needs_one_weight_per_pair():
     sigma = DensityMatrix.diagonal([0.4, 0.6])
     mixed = DensityMatrix.maximally_mixed(2)
     with pytest.raises(ValueError, match="2 pairs, 1 eps, 1 zeta"):
-        decayed_state_bound_check([rho, rho], [sigma, sigma], mixed, mixed, [0.3], [0.2], 1.0)
+        decayed_state_bound_check(stack_of([rho, rho]), stack_of([sigma, sigma]), mixed, mixed,
+                                  [0.3], [0.2], 1.0)
 
 
 def test_origcompare_needs_one_weight_per_pair():
@@ -513,7 +520,7 @@ def test_origcompare_needs_one_weight_per_pair():
     rho = DensityMatrix.from_matrix(0.7 * sigma.matrix + 0.3 * np.eye(2) / 2)
     omega = DensityMatrix.diagonal([0.2, 0.8])
     with pytest.raises(ValueError, match="2 pairs, 1 eps, 1 zeta"):
-        origcompare_check([rho, rho], [sigma, sigma], [omega, omega], [0.3], [0.2])
+        origcompare_check(*(stack_of([x, x]) for x in (rho, sigma, omega)), [0.3], [0.2])
 
 
 def test_origcompare_no_mixing_is_equality(rng):
@@ -566,15 +573,16 @@ def test_mutual_info_converse_exactly_correlated_bits():
     e = depolarizing_projection(2)
     cells = np.array([0.5, 0.0, 0.0, 0.5])
     joint = BipartiteDensity.from_matrix(np.diag(cells.astype(complex)), 2, 2)
-    rep, = mutual_info_converse_check(e, joint, (0.01,), 4.0, 5e-4)
-    assert rep.passed
-    ratio = rep.lhs / rep.extra["iPre"]
-    assert rep.factor < ratio <= 1.0 + 1e-12
+    rep = mutual_info_converse_check(e, joint, (0.01,), 4.0, 5e-4)
+    assert rep.passed.all()
+    ratio = rep.lhs.item() / rep.extra["iPre"].item()
+    assert rep.factor.item() < ratio <= 1.0 + 1e-12
 
 
 def _parent_branch_report(name, eps, m_tilde, g_tilde, post, pre, pre_key):
     """The branch report with its formulas inline: a at the midpoint of its
-    feasible interval, the branch that pre selects and its factor."""
+    feasible interval, the branch that pre selects and its factor; as _cell_fields
+    gives it."""
     m = m_tilde
     f = entropy.f_almost_concavity(eps, m)
     a = 0.5 * (2.0 * f / ((1.0 - eps) * m ** 2) + 1.0)
@@ -583,8 +591,8 @@ def _parent_branch_report(name, eps, m_tilde, g_tilde, post, pre, pre_key):
     else:
         branch = "small-D"
         factor = (1.0 - a) * (1.0 - eps) ** 2 / ((1.0 - eps) * (1.0 - a) + eps * g_tilde)
-    return bounds.BoundReport(name=f"{name}[{branch}]", lhs=post, rhs=factor * pre,
-                              factor=factor, extra={"branch": branch, pre_key: pre})
+    return _cell_fields(f"{name}[{branch}]", {"branch": branch, pre_key: pre},
+                        post, factor * pre, factor, pre)
 
 
 def _parent_classical_check(e, rho, sigma, t, c, diamond, m_tilde, g_tilde):
@@ -625,12 +633,18 @@ def _parent_mutual_info_check(e_on_b, rho, t, c, diamond):
                                  "iPre")
 
 
-def _report_bits(rep):
-    """Name, extra keys and the bit patterns of every float in a report."""
+def _cell_fields(name, extra, *floats):
+    return (name, sorted(extra.items()), np.array(floats, dtype=float).view(np.uint64).tolist())
+
+
+def _report_bits(rep, j):
+    """Cell j of a one-state converse report as one report of the single-time form
+    was: its name with the branch, its extra items and the bit patterns of lhs, rhs,
+    factor and the pre value."""
     pre_key = "dPre" if "dPre" in rep.extra else "iPre"
-    floats = [rep.lhs, rep.rhs, rep.factor, rep.extra[pre_key]]
-    return (rep.name, sorted(rep.extra.items()),
-            np.array(floats, dtype=float).view(np.uint64).tolist())
+    branch, pre = rep.extra["branch"][0, j], rep.extra[pre_key][0]
+    return _cell_fields(f"{rep.name}[{branch}]", {"branch": branch, pre_key: pre},
+                        rep.lhs[0, j], rep.rhs[0, j], rep.factor[0, j], pre)
 
 
 def test_multi_time_converse_checks_bit_identical_to_single_time_form():
@@ -650,21 +664,20 @@ def test_multi_time_converse_checks_bit_identical_to_single_time_form():
         e_sigma = e.apply(sigma)
         m_tilde = bounds.smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma)
         g_tilde = matcore.loewner_min_coefficient(e_sigma, sigma)
-        reps = classical_converse_check(e, rho, sigma, times, 4.0, 0.02)
-        assert len(reps) == len(times)
-        for t, rep in zip(times, reps):
-            assert _report_bits(rep) == _report_bits(
-                _parent_classical_check(e, rho, sigma, t, 4.0, 0.02, m_tilde, g_tilde))
-            seen["classical"].add(rep.extra["branch"])
+        rep = classical_converse_check(e, rho, sigma, times, 4.0, 0.02)
+        assert rep.lhs.shape == (1, len(times))
+        for j, t in enumerate(times):
+            assert _report_bits(rep, j) == _parent_classical_check(
+                e, rho, sigma, t, 4.0, 0.02, m_tilde, g_tilde)
+            seen["classical"].add(rep.extra["branch"][0, j])
 
         cells = matcore.random_probability_vector(sub, 4, floor=0.16)
         joint = BipartiteDensity.from_matrix(np.diag(cells.astype(complex)), 2, 2)
-        reps = mutual_info_converse_check(e, joint, times, 4.0, 5e-4)
-        assert len(reps) == len(times)
-        for t, rep in zip(times, reps):
-            assert _report_bits(rep) == _report_bits(
-                _parent_mutual_info_check(e, joint, t, 4.0, 5e-4))
-            seen["mutual-info"].add(rep.extra["branch"])
+        rep = mutual_info_converse_check(e, joint, times, 4.0, 5e-4)
+        assert rep.lhs.shape == (1, len(times))
+        for j, t in enumerate(times):
+            assert _report_bits(rep, j) == _parent_mutual_info_check(e, joint, t, 4.0, 5e-4)
+            seen["mutual-info"].add(rep.extra["branch"][0, j])
     assert seen == {"classical": {"large-D", "small-D"},
                     "mutual-info": {"large-D", "small-D"}}
 
@@ -679,9 +692,9 @@ def test_zeta_and_eps_exact_at_small_times():
     g, tau_star = g_factor(-math.expm1(-3e-17), 4.0)
     assert tau_star > 1e-12
     # the clsi check optimizes at the exact zeta, not at 0 (where g = 1)
-    rep, = clsi_converse_check(qubit_depolarizing_lindbladian(),
-                               DensityMatrix.diagonal([0.9, 0.1]), [1e-17], ["theorem"])
-    assert rep.factor == g < 1.0
+    rep = clsi_converse_check(qubit_depolarizing_lindbladian(),
+                              DensityMatrix.diagonal([0.9, 0.1]), [1e-17], ["theorem"])
+    assert rep.factor.item() == g < 1.0
 
 
 def _m_tilde_oracle(sigma, e_sigma, mpmath):

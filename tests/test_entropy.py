@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import random_unitary, stack_of
 from qdecay import channels, entropy, matcore
 from qdecay.entropy import (
     binary_entropy,
@@ -292,7 +292,7 @@ def test_relative_entropies_reject_a_dimension_mismatch(rng):
     rho = matcore.random_density(rng, 2, mix=0.1)
     sigma = matcore.random_density(rng, 3, mix=0.1)
     for run in (lambda: relative_entropy(rho, sigma),
-                lambda: relative_entropy([rho, rho], [sigma, sigma]),
+                lambda: relative_entropy(stack_of([rho, rho]), stack_of([sigma, sigma])),
                 lambda: relative_entropy_integral_form(rho, sigma, 64),
                 lambda: pinsker_check(rho, sigma),
                 lambda: entropy.gaorouze_sandwich_check(rho, sigma)):
@@ -303,17 +303,52 @@ def test_relative_entropies_reject_a_dimension_mismatch(rng):
 def test_relative_entropy_checks_every_member_dimension(rng):
     r2, s2 = (matcore.random_density(rng, 2, mix=0.1) for _ in range(2))
     r3 = matcore.random_density(rng, 3, mix=0.1)
-    with pytest.raises(ValueError, match=r"rho has dim 2, rho has dim 3 \(member 1\)"):
+    # the members of a stack share its dimension; a list of states is no batch form
+    with pytest.raises(ValueError, match="^rho is a list, not a state"):
         relative_entropy([r2, r3], [s2, r3])
-    with pytest.raises(ValueError, match=r"rho has dim 2, sigma has dim 3 \(member 1\)"):
-        relative_entropy([r2, r2], [s2, r3])
+    with pytest.raises(ValueError, match="^dimension mismatch: rho has dim 2, sigma has dim 3$"):
+        relative_entropy(stack_of([r2, s2]), stack_of([r3, r3]))
 
 
 def test_relative_entropy_rejects_sequences_of_two_lengths(rng):
     rho = matcore.random_density(rng, 2, mix=0.1)
     sigma = matcore.random_density(rng, 2, mix=0.1)
     with pytest.raises(ValueError, match="rho has 2 states, sigma has 1"):
-        relative_entropy([rho, rho], [sigma])
+        relative_entropy(stack_of([rho, rho]), stack_of([sigma]))
+
+
+def test_relative_entropy_of_empty_lists_names_the_argument():
+    # a list was read as a sequence of states: an empty one raised IndexError
+    with pytest.raises(ValueError, match="^rho is a list, .*DensityMatrix.from_matrices$"):
+        relative_entropy([], [])
+
+
+def test_pinsker_and_sandwich_reports_hold_one_entry_per_pair(rng):
+    pairs = [(matcore.random_density(rng, 3, mix=0.1), matcore.random_density(rng, 3, mix=0.1))
+             for _ in range(4)]
+    pairs.append((DensityMatrix.diagonal([0.4, 0.5, 0.1]),
+                  DensityMatrix.diagonal([0.2, 0.3, 0.5])))
+    rhos, sigmas = (stack_of([pair[j] for pair in pairs]) for j in (0, 1))
+    fields = {pinsker_check: ("relative_entropy", "trace_distance", "basic_bound",
+                              "refined_bound", "basic_holds", "refined_holds", "passed"),
+              entropy.gaorouze_sandwich_check: ("order_coefficient", "norm_sq", "lower",
+                                                "relative_entropy", "lower_slack",
+                                                "upper_slack", "passed")}
+    for check, names in fields.items():
+        stacked = check(rhos, sigmas)
+        for name in names:
+            got = getattr(stacked, name)
+            assert got.shape == (len(pairs),)
+            for i, (rho, sigma) in enumerate(pairs):
+                want = getattr(check(rho, sigma), name)
+                assert want.shape == (1,)
+                assert _bits(got[i]) == _bits(want[0])
+    rep = pinsker_check(rhos, sigmas)
+    # only the diagonal pair commutes; the refined form applies to it alone
+    assert rep.commuting.tolist() == [False] * 4 + [True]
+    assert np.isnan(rep.refined_bound[:4]).all() and not rep.refined_holds[:4].any()
+    assert rep.passed.all()
+    assert not hasattr(entropy.gaorouze_sandwich_check(rhos, sigmas), "upper")
 
 
 def test_integral_form_rejects_few_nodes(rng):
@@ -442,7 +477,7 @@ def test_integral_form_stack_bit_equal_to_per_pair_calls(rng, monkeypatch):
     plane = random_unitary(rng, 3)[:, :2]
     pairs = [(matcore.random_density(rng, 3, mix=0.1), matcore.random_density(rng, 3, mix=0.1))
              if i % 2 else (_in_plane(rng, plane), _in_plane(rng, plane)) for i in range(7)]
-    rhos, sigmas = ([pair[j] for pair in pairs] for j in (0, 1))
+    rhos, sigmas = (stack_of([pair[j] for pair in pairs]) for j in (0, 1))
     stacks = []
     solve = matcore.jacobi_eigh_batch
 
@@ -472,7 +507,8 @@ def test_integral_form_names_the_leaking_stack_member(rng):
     # each member in its own support group: the leak is member 0 of its group
     with pytest.raises(ValueError, match=r"^stack member 2: support violation: "
                                          r"ker\(sigma\) is not contained in ker\(rho\)$"):
-        relative_entropy_integral_form([full, off, leaking], [full, inside, off], 16)
+        relative_entropy_integral_form(stack_of([full, off, leaking]),
+                                       stack_of([full, inside, off]), 16)
     with pytest.raises(ValueError, match=r"^support violation: ker\(sigma\)"):
         relative_entropy_integral_form(leaking, off, 16)
 
@@ -685,7 +721,7 @@ def _mixed_stack(rng, d):
 
 @pytest.mark.parametrize("d", [3, 8])
 def test_stacked_functionals_bit_equal_to_each_row_alone(rng, d):
-    rhos, sigmas = _mixed_stack(rng, d)
+    rhos, sigmas = map(stack_of, _mixed_stack(rng, d))
     values = entropy.relative_entropy(rhos, sigmas)
     assert values[2] == math.inf
     leak = relative_entropy(rhos[2], sigmas[2])
@@ -712,8 +748,7 @@ def test_stacked_functionals_bit_equal_to_each_row_alone(rng, d):
 @pytest.mark.parametrize("dims", [(2, 2), (2, 4)])
 def test_stacked_mutual_information_bit_equal_to_each_state_alone(rng, dims):
     rhos, sigmas = _mixed_stack(rng, dims[0] * dims[1])
-    states = [BipartiteDensity(*dims, x) for x in rhos + sigmas]
-    stacked = entropy.mutual_information(states)
+    stacked = entropy.mutual_information(BipartiteDensity(*dims, stack_of(rhos + sigmas)))
     for i, x in enumerate(rhos + sigmas):
         alone = mutual_information(BipartiteDensity(*dims, x))
         assert _bits(stacked[i]) == _bits(alone)

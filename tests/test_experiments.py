@@ -61,18 +61,18 @@ def test_omega_mutual_info_identity_grid():
 
 def test_sudden_decay_no_noise_has_unit_ratio():
     sweep = exp.sudden_decay_sweep((1e-2, 1e-3, 1e-4), 0.0, 2, "depolarizing")
-    assert all(abs(r - 1.0) < 1e-12 for r in sweep.column("ratio"))
+    assert all(abs(row[3] - 1.0) < 1e-12 for row in sweep.rows)  # ratio
 
 
 def test_sudden_decay_ratio_prediction():
     sweep = exp.sudden_decay_sweep(exp.theta_logspace(1e-3, 1e-6, 4), 0.1, 2, "depolarizing")
-    ratios = sweep.column("ratio")
+    ratios = [row[3] for row in sweep.rows]
     assert 0.41 <= ratios[-1] / ratios[0] <= 0.62
 
 
 def test_sudden_decay_log_product_bounded():
     sweep = exp.sudden_decay_sweep(exp.theta_logspace(1e-3, 1e-6, 4), 0.1, 2, "depolarizing")
-    vals = sweep.column("ratio_times_log_inv_theta")
+    vals = [row[4] for row in sweep.rows]  # ratio_times_log_inv_theta
     assert (max(vals) - min(vals)) / min(vals) < 0.25
 
 
@@ -81,7 +81,7 @@ def test_sudden_decay_dephasing_variant_matches_depolarizing():
     # depolarizing, so the sweeps coincide
     for noise in ("depolarizing", "dephasing-y"):
         sweep = exp.sudden_decay_sweep(exp.theta_logspace(1e-3, 1e-5, 3), 0.2, 2, noise)
-        vals = sweep.column("ratio_times_log_inv_theta")
+        vals = [row[4] for row in sweep.rows]  # ratio_times_log_inv_theta
         assert (max(vals) - min(vals)) / min(vals) < 0.25
     a = exp.sudden_decay_sweep((1e-3,), 0.2, 2, "depolarizing")
     b = exp.sudden_decay_sweep((1e-3,), 0.2, 2, "dephasing-y")
@@ -199,8 +199,8 @@ def test_expansion_consistency_deviation_is_the_expansion_error(theta, d):
     # correction, not eigensolver round-off
     rep = exp.expansion_consistency_check(theta, 0.1, d)
     assert rep["relative_deviation"] <= 10 * theta ** 2 + 1e-15
-    assert rep["exact"] == exp.sudden_decay_sweep(
-        (theta,), 0.1, d, "depolarizing").column("d_post")[0]
+    (_, _, d_post, _, _), = exp.sudden_decay_sweep((theta,), 0.1, d, "depolarizing").rows
+    assert rep["exact"] == d_post
 
 
 def test_expansion_coefficient_vanishes_at_full_noise():
@@ -213,14 +213,14 @@ def test_expansion_coefficient_vanishes_at_full_noise():
 def test_group_fragility_pauli_z_ratio_growth():
     g = channels.GroupLindbladian.from_generators([Z], [1.0])
     sweep = exp.group_fragility_demo(g, 0.01, [1e-2, 1e-6])
-    ratios = sweep.column("ratio_pre_over_post")
+    ratios = [row[3] for row in sweep.rows]  # ratio_pre_over_post
     assert ratios[1] > 2.0 * ratios[0]
 
 
 def test_group_fragility_monotone_in_theta():
     g = channels.GroupLindbladian.from_generators([X, Z], [0.5, 0.5])
     sweep = exp.group_fragility_demo(g, 0.05, [1e-2, 1e-3, 1e-4, 1e-5])
-    ratios = sweep.column("ratio_pre_over_post")
+    ratios = [row[3] for row in sweep.rows]  # ratio_pre_over_post
     assert all(b >= a * 0.95 for a, b in zip(ratios, ratios[1:]))
 
 
@@ -268,7 +268,7 @@ def test_group_fragility_coherence_pair_is_the_first_killed_in_row_major_order()
 def test_group_fragility_time_zero_unit_ratios():
     g = channels.GroupLindbladian.from_generators([Z], [1.0])
     sweep = exp.group_fragility_demo(g, 0.0, [1e-2, 1e-4])
-    assert all(abs(r - 1.0) < 1e-6 for r in sweep.column("ratio_pre_over_post"))
+    assert all(abs(row[3] - 1.0) < 1e-6 for row in sweep.rows)  # ratio_pre_over_post
 
 
 def test_group_fragility_reports_nan_where_i_post_rounds_to_zero():
@@ -334,7 +334,7 @@ def test_private_rate_dominant_keep_branch():
 
 def test_private_rate_vanishes_with_theta():
     sweep = exp.private_rate_lower_bound(0.5, 0.1, (1e-1, 1e-3, 1e-5), "dephasing-y")
-    bounds_col = sweep.column("rate_lower_bound")
+    bounds_col = [row[3] for row in sweep.rows]  # rate_lower_bound
     assert abs(bounds_col[-1]) < abs(bounds_col[0])
     assert abs(bounds_col[-1]) < 1e-8
 
@@ -393,7 +393,7 @@ def test_private_rate_depolarizing_weak_keep_has_no_positive_bound():
     # rho_B) form lost i_env below theta = 1e-6 and printed a bound of 2.9e-13
     sweep = exp.private_rate_lower_bound(0.01, 0.01, DEFAULT_RATE_GRID, "depolarizing")
     assert not sweep.metadata["positiveFound"]
-    assert all(i_env > 0 for i_env in sweep.column("i_env"))
+    assert all(i_env > 0 for _, _, i_env, _ in sweep.rows)
 
 
 # ---- closed-form sweeps against independent references ------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import random_unitary, stack_of
 from qdecay import entropy, matcore
 from qdecay.matcore import BipartiteDensity, DensityMatrix
 from qdecay.rng import Rng
@@ -423,8 +423,10 @@ def test_from_matrices_outputs_are_read_only(rng):
 
 
 def test_from_matrices_empty_and_shape_checks():
-    assert DensityMatrix.from_matrices([]) == ()
-    assert DensityMatrix.from_matrices(np.zeros((0, 2, 2))) == ()
+    # a DensityStack holds at least one state: no matrices is an error, not ()
+    for empty in ([], np.zeros((0, 2, 2))):
+        with pytest.raises(ValueError, match="^stack has no matrices"):
+            DensityMatrix.from_matrices(empty)
     assert matcore.as_hermitian(np.zeros((0, 2, 2))).shape == (0, 2, 2)
     with pytest.raises(ValueError, match="stack of square matrices"):
         DensityMatrix.from_matrices(np.eye(2) / 2)
@@ -469,8 +471,8 @@ def test_density_stack_arrays_are_read_only(rng):
     stack = DensityMatrix.from_matrices(
         np.stack([matcore.random_density(rng, 3, mix=0.1).matrix for _ in range(4)]))
     parts = (stack, stack[0], stack[-1], stack[1:3], stack[np.array([True, False, True, False])],
-             stack[np.array([3, 1])], matcore.batch(rho=list(stack))[0],
-             matcore.batch(rho=stack[2])[0])
+             stack[np.array([3, 1])], matcore.batch(rho=stack[2])[0],
+             matcore.batch(rho=BipartiteDensity(1, 3, stack[1]))[0].state)
     for part in parts:
         for f in DENSITY_FIELDS:
             a = getattr(part, f)
@@ -479,30 +481,32 @@ def test_density_stack_arrays_are_read_only(rng):
                 a[0] = 0
 
 
-def test_batch_of_one_state_a_list_and_a_stack_gives_the_same_bits(rng):
+def test_batch_of_one_state_and_a_stack_gives_the_same_bits(rng):
     stack = DensityMatrix.from_matrices(
         np.stack([matcore.random_density(rng, 3, mix=0.1).matrix for _ in range(3)]))
     members = list(stack)
     alone, one = matcore.batch(rho=members[1])
-    listed, many = matcore.batch(rho=members)
+    restacked, many = matcore.batch(rho=stack_of(members))
     assert one and not many
     assert matcore.batch(rho=stack) == (stack, False)
     for f in DENSITY_FIELDS:
         want = getattr(stack, f)
         assert np.array_equal(_bits(getattr(alone, f)), _bits(want[1:2]))
-        assert np.array_equal(_bits(getattr(listed, f)), _bits(want))
+        assert np.array_equal(_bits(getattr(restacked, f)), _bits(want))
     # a single state is viewed, not copied
     assert np.shares_memory(alone.matrix, members[1].matrix)
-    # bipartite states: one becomes a family of one, a list one family, a family stays
-    bip = [BipartiteDensity(1, 3, x) for x in members]
-    (fam, one), (listed, many) = matcore.batch(rho=bip[0]), matcore.batch(rho=bip)
-    assert one and not many and (len(fam), len(listed)) == (1, 3)
-    assert np.array_equal(_bits(listed.state.eigenvalues), _bits(stack.eigenvalues))
+    # bipartite states: one becomes a family of one, a family stays
+    fam, one = matcore.batch(rho=BipartiteDensity(1, 3, members[0]))
+    assert one and len(fam) == 1
+    assert np.array_equal(_bits(fam.state.eigenvalues), _bits(stack.eigenvalues[:1]))
     family = BipartiteDensity(1, 3, stack)
     assert matcore.batch(rho=family) == (family, False)
     assert [x.state.matrix.tolist() for x in family] == [x.matrix.tolist() for x in members]
-    with pytest.raises(ValueError, match="different splits"):
-        matcore.batch(rho=[BipartiteDensity(1, 3, members[0]), BipartiteDensity(3, 1, members[1])])
+    # a list of states, or of bipartite states, is no batch form
+    bip = [BipartiteDensity(1, 3, members[0]), BipartiteDensity(3, 1, members[1])]
+    for listed in (members, bip):
+        with pytest.raises(ValueError, match="^rho is a list, .*DensityMatrix.from_matrices$"):
+            matcore.batch(rho=listed)
 
 
 def test_hilbert_schmidt_stack_matches_successive_random_density_draws():
@@ -537,7 +541,7 @@ STACK_MISMATCHES = {
     "one-matrix": (lambda a: a[None], "length mismatch: .* has 1 matrices, .* has 2 states"),
     "three-matrices": (lambda a: np.stack([a] * 3), "length mismatch: .* has 3 matrices"),
     "dimension": (lambda a: np.stack([np.eye(3) / 3] * 2),
-                  r"dimension mismatch: .* has dim 3, .* has dim 2 \(member 0\)"),
+                  r"dimension mismatch: .* has dim 3, .* has dim 2$"),
 }
 
 
@@ -549,4 +553,41 @@ def test_stack_against_states_must_match(fn, case):
     a, b, c = (matcore.random_density(r.substream(k), 2) for k in range(3))
     make, msg = STACK_MISMATCHES[case]
     with pytest.raises(ValueError, match=msg):
-        fn(make(a.matrix), [b, c])
+        fn(make(a.matrix), stack_of([b, c]))
+
+
+@pytest.mark.parametrize("bad", [[], (), None, 0.5, "rho"],
+                         ids=["list", "tuple", "None", "float", "str"])
+def test_inputs_that_are_no_batch_form_name_their_argument(rng, bad):
+    rho = matcore.random_density(rng, 2)
+    kind = type(bad).__name__
+    calls = {"rho": lambda: entropy.relative_entropy(bad, rho),
+             "sigma": lambda: entropy.relative_entropy(rho, bad),
+             "omega": lambda: entropy.weighted_norm_sq(rho.matrix, bad),
+             "m": lambda: matcore.trace_norm(bad)}
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"^{name} is a {kind}, not a state, a stack or "
+                                             "a matrix array: .*DensityMatrix.from_matrices$"):
+            call()
+
+
+def test_an_empty_stack_is_no_batch(rng):
+    # from_matrices refuses no matrices; an empty slice of a stack is refused by batch
+    stack = DensityMatrix.from_matrices(matcore.random_density(rng, 2).matrix[None])
+    with pytest.raises(ValueError, match="^rho has no states: a batch holds at least one$"):
+        entropy.relative_entropy(stack[1:], stack[1:])
+    with pytest.raises(ValueError, match="^m has no matrices"):
+        matcore.trace_norm(np.zeros((0, 2, 2)))
+
+
+def test_loewner_validates_a_stack_as_it_does_one_matrix(rng):
+    # |M - M^dagger| = 1e-9 is outside HERMITIAN_ATOL: one matrix was rejected, while
+    # the same matrix in a stack was read as it was
+    sigma = matcore.random_density(rng, 2, mix=0.1)
+    m = np.array([[0.5, 0.2 + 1e-9], [0.2, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+        matcore.loewner_min_coefficient(m, sigma)
+    with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+        matcore.loewner_min_coefficient(m[None], stack_of([sigma]))
+    with pytest.raises(ValueError, match="^stack member 1: matrix is not Hermitian"):
+        matcore.loewner_min_coefficient(np.stack([sigma.matrix, m]), stack_of([sigma, sigma]))

@@ -138,6 +138,21 @@ def test_verify_builds_few_member_densities(monkeypatch):
     assert len(built) == 1
 
 
+def test_verify_builds_one_report_per_check_call(monkeypatch):
+    built = []
+    for cls in (bounds.BoundReport, entropy.PinskerReport, entropy.SandwichReport):
+        def counting(self, *args, raw=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            raw(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    verify.run_suites("all", 20, 5)
+    # one report per check call and residue class: pinsker and gaorouze 2 each (d = 2, 3),
+    # clsi-converse 2 (bare and extended), the other four converse checks 1 each.  One
+    # report per state (and time) made 240
+    assert sorted(built) == sorted(["PinskerReport"] * 2 + ["SandwichReport"] * 2
+                                   + ["BoundReport"] * 6)
+
+
 def test_verify_calls_each_library_check_once_per_batch(monkeypatch):
     calls = {"integral": [], "clsi": []}
     raw_integral, raw_clsi = entropy.relative_entropy_integral_form, bounds.clsi_converse_check
