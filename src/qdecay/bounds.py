@@ -211,12 +211,12 @@ def classical_converse_factor(eps: float, m_tilde: float, g_tilde: float, a: flo
     raise ValueError(f"unknown branch {branch!r}")
 
 
-def _check_commuting(*mats: np.ndarray) -> None:
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            dev = float(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]).max())
-            if dev > matcore.COMMUTE_ATOL:
-                raise ValueError(f"matrices {i} and {j} do not commute: |[.,.]| = {dev:.3e}")
+def _check_commuting(a: np.ndarray, b: np.ndarray) -> None:
+    """A ValueError, naming the stack member, unless each pair of the two matrices or
+    (n, d, d) stacks commutes."""
+    dev = np.ravel(matcore.commutator_max(a, b)).tolist()
+    matcore._reject([x > matcore.COMMUTE_ATOL for x in dev], lambda i: (
+        f"states do not commute: max |[A, B]| = {dev[i]:.3e}"))
 
 
 def _converse_report(name: str, times: Sequence[float], eps: list, m_tilde: np.ndarray,
@@ -254,9 +254,9 @@ def classical_converse_check(e: ConditionalExpectation, rho, sigma, times: Seque
     er, es = images.matrix[:n], images.matrix[n:]
     _check_commuting(r, s)
     _check_commuting(r, er)
-    img_dev = float(matcore.trace_norm(er - es).max())
-    if img_dev > 1e-10:
-        raise ValueError(f"E(rho) != E(sigma): trace distance {img_dev:.3e}")
+    img_dev = matcore.trace_norm(er - es).tolist()
+    matcore._reject([x > 1e-10 for x in img_dev], lambda i: (
+        f"E(rho) != E(sigma): trace distance {img_dev[i]:.3e}"))
     d_pre = entropy.unwrap(entropy.relative_entropy(rhos, sigmas))
     m_tilde = smallest_nonzero_eigenvalue_direct_sum(sigmas, images[n:])
     g_tilde = matcore.loewner_min_coefficient(es, sigmas, False)
@@ -274,8 +274,8 @@ def smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma):
     its k x k block on supp(sigma); an array of them for two stacks of states."""
     sigmas, e_sigmas, one = matcore.batch(sigma=sigma, e_sigma=e_sigma)
     out = np.empty(len(sigmas))
-    for rows, block, ws, _ in matcore.support_blocks(e_sigmas.matrix, sigmas,
-                                                     matcore.SUPPORT_RTOL):
+    for rows, block, ws, _ in matcore.support_blocks(
+            e_sigmas.matrix, sigmas.eigenvalues, sigmas.eigenvectors, matcore.SUPPORT_RTOL):
         w = matcore.jacobi_eigh_batch(matcore.as_hermitian(block))[0]
         floor = matcore.SUPPORT_RTOL * np.maximum(w[:, -1:], np.finfo(float).tiny)
         out[rows] = np.minimum(ws[:, 0], np.where(w > floor, w, math.inf).min(axis=1))
@@ -295,15 +295,16 @@ def mutual_info_converse_check(e_on_b: ConditionalExpectation, rho, times: Seque
     da, db = states.dim_a, states.dim_b
     joints = states.state.matrix
     n = len(joints)
-    if float(np.abs(joints[:, ~np.eye(da * db, dtype=bool)]).max()) > 1e-10:
-        raise ValueError("input is not classical-classical (off-diagonal weight present)")
+    off = np.maximum.reduce(np.abs(joints[:, ~np.eye(da * db, dtype=bool)]), axis=1)
+    matcore._reject((off > 1e-10).tolist(), lambda i: (
+        "input is not classical-classical (off-diagonal weight present)"))
     rho_a, rho_b = BipartiteDensity.marginals(states)
     e_rho_b = DensityMatrix.from_matrices(e_on_b.apply_matrix(rho_b.matrix))
     # the bound applies only when (Id x E)(rho) = rho_A x omega for some omega
     e_joint = channels.apply_on_factor(e_on_b, joints, (da, db), 1)
     target = matcore.tensor(rho_a.matrix, e_rho_b.matrix)
-    if float(np.abs(e_joint - target).max()) > 1e-9:
-        raise ValueError("(Id x E)(rho) is not of product form rho_A x omega")
+    matcore._reject((np.maximum.reduce(np.abs(e_joint - target), axis=(1, 2)) > 1e-9).tolist(),
+                    lambda i: "(Id x E)(rho) is not of product form rho_A x omega")
     built = DensityMatrix.from_matrices(
         np.concatenate([matcore.tensor(rho_a.matrix, rho_b.matrix), target]))
     m_tilde = smallest_nonzero_eigenvalue_direct_sum(built[:n], built[n:])
@@ -340,8 +341,8 @@ def decayed_state_bound_check(rho, sigma, theta_dens: DensityMatrix, omega: Dens
     check = matcore.loewner_min_coefficient(theta_dens, omega, strict=True)
     if not check <= c * (1 + 1e-9):
         raise ValueError(f"order precondition fails: smallest valid c is {check!r}")
-    if not all(0.0 < z <= e < 1.0 for e, z in zip(eps, zeta)):
-        raise ValueError("need 0 < zeta <= eps < 1")
+    matcore._reject([not 0.0 < z <= e < 1.0 for e, z in zip(eps, zeta)],
+                    lambda i: "need 0 < zeta <= eps < 1")
     n = len(rhos)
     built = DensityMatrix.from_matrices(np.concatenate([
         (1 - w) * xs.matrix + w * y.matrix
@@ -362,13 +363,13 @@ def origcompare_check(rho, sigma, omega, eps, zeta) -> BoundReport:
     one eps and one zeta each; one cell."""
     rhos, sigmas, omegas, _ = matcore.batch(rho=rho, sigma=sigma, omega=omega)
     eps, zeta = _per_pair(eps, zeta, len(rhos))
-    if not all(0.0 <= e < 1.0 and 0.0 <= z < 1.0 for e, z in zip(eps, zeta)):
-        raise ValueError("eps and zeta must lie in [0, 1)")
+    matcore._reject([not (0.0 <= e < 1.0 and 0.0 <= z < 1.0) for e, z in zip(eps, zeta)],
+                    lambda i: "eps and zeta must lie in [0, 1)")
     r, s, o = rhos.matrix, sigmas.matrix, omegas.matrix
     e_a, z_a = (np.array(x)[:, None, None] for x in (eps, zeta))
-    wmin = float(matcore.jacobi_eigh_batch(matcore.as_hermitian(r - (1 - z_a) * s))[0][:, 0].min())
-    if wmin < -1e-10:
-        raise ValueError(f"precondition rho >= (1-zeta) sigma fails by {wmin!r}")
+    wmin = matcore.jacobi_eigh_batch(matcore.as_hermitian(r - (1 - z_a) * s))[0][:, 0].tolist()
+    matcore._reject([w < -1e-10 for w in wmin], lambda i: (
+        f"precondition rho >= (1-zeta) sigma fails by {wmin[i]!r}"))
     g = matcore.loewner_min_coefficient(o, sigmas, False)
     d_orig = entropy.unwrap(entropy.relative_entropy(rhos, sigmas))
     n = len(r)

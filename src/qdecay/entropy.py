@@ -73,8 +73,8 @@ def relative_entropy(rho, sigma):
     """
     rhos, sigmas, one = matcore.batch(rho=rho, sigma=sigma)
     out = np.empty(len(sigmas))
-    for rows, compressed, ws, leak in matcore.support_blocks(rhos.matrix, sigmas,
-                                                             ENTROPY_SUPPORT_RTOL):
+    for rows, compressed, ws, leak in matcore.support_blocks(
+            rhos.matrix, sigmas.eigenvalues, sigmas.eigenvectors, ENTROPY_SUPPORT_RTOL):
         tr_log = (np.diagonal(compressed, axis1=1, axis2=2) * np.log(ws)).sum(axis=1).real
         if leak is not None:
             tr_log[leak] = -math.inf
@@ -174,7 +174,7 @@ def pinsker_check(rho, sigma) -> PinskerReport:
     of states as batch takes them."""
     rhos, sigmas, _ = matcore.batch(rho=rho, sigma=sigma)
     r, s = rhos.matrix, sigmas.matrix
-    comm = np.maximum.reduce(np.abs(r @ s - s @ r), axis=(1, 2)) <= matcore.COMMUTE_ATOL
+    comm = matcore.commutator_max(r, s) <= matcore.COMMUTE_ATOL
     tn = matcore.trace_norm(r - s)
     basic = 0.5 * tn * tn
     refined = [(math.inf if arg <= 0 else max(-math.log(arg), b)) if c else math.nan
@@ -268,8 +268,8 @@ def relative_entropy_integral_form(rho, sigma, quad_points: int):
     t, wts = _gauss_rule(quad_points)
     n = len(t)
     out, leaks = np.empty(len(sigmas)), np.zeros(len(sigmas), dtype=bool)
-    for rows, compressed, ws, leak in matcore.support_blocks(rhos.matrix, sigmas,
-                                                             ENTROPY_SUPPORT_RTOL):
+    for rows, compressed, ws, leak in matcore.support_blocks(
+            rhos.matrix, sigmas.eigenvalues, sigmas.eigenvectors, ENTROPY_SUPPORT_RTOL):
         leaks[rows] = False if leak is None else leak
         p, d = ws.shape
         # off supp(sigma) every omega_t is singular and its log-mean weights 0/0

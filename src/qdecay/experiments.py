@@ -45,15 +45,12 @@ class SweepResult:
             lines.append(",".join(_fmt17(x) for x in row))
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "columns": list(self.columns),
             "rows": [[_fmt17(x) for x in row] for row in self.rows],
             "metadata": self.metadata,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
+        }, sort_keys=True, indent=1)
 
 
 def rho_theta_lambda(theta: float, lam: float, d: int = 2) -> DensityMatrix:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -59,11 +59,6 @@ def _reject(bad: list, message: Callable[[int], str]) -> None:
         raise ValueError((f"stack member {i}: " if len(bad) > 1 else "") + message(i))
 
 
-class EigenDecomposition(NamedTuple):
-    eigenvalues: np.ndarray  # real, ascending
-    eigenvectors: np.ndarray  # unitary, columns match eigenvalues
-
-
 def jacobi_eigh_batch(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a stack of Hermitian matrices.
 
@@ -83,11 +78,11 @@ def jacobi_eigh_batch(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(A)
 
 
-def eigh(h: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a single Hermitian matrix, eigenvalues ascending."""
-    h = as_hermitian(h)
-    w, v = jacobi_eigh_batch(h[None])
-    return EigenDecomposition(w[0], v[0])
+def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (eigenvalues, eigenvectors) of a single Hermitian matrix,
+    eigenvalues ascending, as jacobi_eigh_batch returns a stack's."""
+    w, v = jacobi_eigh_batch(as_hermitian(h)[None])
+    return w[0], v[0]
 
 
 def support_groups(w: np.ndarray, floor) -> list:
@@ -101,6 +96,12 @@ def support_groups(w: np.ndarray, floor) -> list:
         return [(slice(None), keep[0])]
     counts = np.array(keep)
     return [(counts == k, k) for k in sorted(set(keep))]
+
+
+def commutator_max(a: np.ndarray, b: np.ndarray):
+    """max |AB - BA| over the entries, of two matrices or of each pair of two (n, d, d)
+    stacks; A and B count as commuting when it is at most COMMUTE_ATOL."""
+    return np.maximum.reduce(np.abs(a @ b - b @ a), axis=(-2, -1))
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -275,14 +276,19 @@ class BipartiteDensity:
 
 
 def _stacked(name: str, x):
-    """One state (viewed) as a stack of one, a stack or family as it is, and one matrix
-    or an (n, d, d) array as a stack validated by as_hermitian; else a ValueError."""
+    """One state (viewed) as a stack of one, a stack or family as it is, and, under the
+    keywords that take matrices (trace_norm's m, weighted_norm_sq's x and
+    loewner_min_coefficient's a and b), one matrix or an (n, d, d) array as a stack
+    validated by as_hermitian; else a ValueError."""
     if isinstance(x, DensityMatrix):
         return DensityStack(x.matrix[None], x.eigenvalues[None], x.eigenvectors[None])
     if isinstance(x, DensityStack) or isinstance(getattr(x, "state", None), DensityStack):
         return x
     if isinstance(x, BipartiteDensity):
         return BipartiteDensity(x.dim_a, x.dim_b, _stacked(name, x.state))
+    if isinstance(x, np.ndarray) and name not in ("m", "x", "a", "b"):
+        raise ValueError(f"{name} is an array of shape {x.shape}, not a state or a stack: "
+                         "build a stack of states with DensityMatrix.from_matrices")
     if isinstance(x, np.ndarray):
         h = as_hermitian(x)
         return h if h.ndim == 3 else h[None]
@@ -313,14 +319,13 @@ def batch(**named) -> tuple:
             or isinstance(one, np.ndarray) and one.ndim == 2)
 
 
-def support_blocks(x: np.ndarray, sigmas, rtol: float):
-    """Per group of rows of the (n, d, d) stack x whose sigma keeps k eigenvalues
-    above rtol times its largest: the rows, V_k^dagger x V_k on those k
-    eigenvectors, the k eigenvalues, and per row whether x has weight outside
-    supp(sigma), tr x - tr(V_k^dagger x V_k) > SUPPORT_RTOL max(1, max |x|),
-    or None when k = d.  That weight test holds for PSD x only.  sigmas is a
-    DensityStack, or a stacked EigenDecomposition."""
-    ws, vs = sigmas.eigenvalues, sigmas.eigenvectors
+def support_blocks(x: np.ndarray, ws: np.ndarray, vs: np.ndarray, rtol: float):
+    """Per group of rows of the (n, d, d) stack x whose sigma, of ascending eigenvalues
+    ws (n, d) and eigenvectors vs (n, d, d), keeps k eigenvalues above rtol times its
+    largest: the rows, V_k^dagger x V_k on those k eigenvectors, the k eigenvalues,
+    and per row whether x has weight outside supp(sigma),
+    tr x - tr(V_k^dagger x V_k) > SUPPORT_RTOL max(1, max |x|), or None when k = d.
+    That weight test holds for PSD x only."""
     d = ws.shape[1]
     for rows, k in support_groups(ws, rtol * np.maximum(ws[:, -1:], np.finfo(float).tiny)):
         v = vs[rows, :, d - k:]
@@ -331,22 +336,21 @@ def support_blocks(x: np.ndarray, sigmas, rtol: float):
         yield rows, compressed, ws[rows, d - k:], leak
 
 
-def loewner_min_coefficient(rho, sigma, strict: bool = False):
-    """Smallest g with g*sigma - P_sigma rho P_sigma >= 0.
+def loewner_min_coefficient(a, b, strict: bool = False):
+    """Smallest g with g*b - P_b a P_b >= 0, P_b the projector onto supp(b).
 
-    rho and sigma must be PSD: DensityMatrix instances or Hermitian arrays
-    (sigma's support is read off its spectrum).  When strict is set, weight
-    of rho outside supp(sigma) (support_blocks' trace test) makes the answer
-    infinite; otherwise rho is compressed to supp(sigma).  For stacks of n (as
-    batch takes them), an array, with one eigensolve per support size.
+    a and b must be PSD: states or Hermitian matrices (b's support is read
+    off its spectrum).  When strict is set, weight of a outside supp(b)
+    (support_blocks' trace test) makes the answer infinite; otherwise a is
+    compressed to supp(b).  For stacks of n (as batch takes them), an array,
+    with one eigensolve per support size.
     """
-    rho, sigma, one = batch(rho=rho, sigma=sigma)
-    rho = getattr(rho, "matrix", rho)
-    if isinstance(sigma, np.ndarray):
-        sigma = EigenDecomposition(*jacobi_eigh_batch(sigma))
-    out = np.empty(len(rho))
-    for rows, compressed, ws, leak in support_blocks(rho, sigma, SUPPORT_RTOL):
-        # generalized eigenvalue problem on supp(sigma): g = lmax(S^-1/2 R S^-1/2)
+    a, b, one = batch(a=a, b=b)
+    a = getattr(a, "matrix", a)
+    spectra = jacobi_eigh_batch(b) if isinstance(b, np.ndarray) else (b.eigenvalues, b.eigenvectors)
+    out = np.empty(len(a))
+    for rows, compressed, ws, leak in support_blocks(a, *spectra, SUPPORT_RTOL):
+        # generalized eigenvalue problem on supp(b): g = lmax(B^-1/2 A B^-1/2)
         scale = 1.0 / np.sqrt(ws)
         whitened = scale[:, :, None] * compressed * scale[:, None, :]
         g = jacobi_eigh_batch(as_hermitian(whitened, atol=1e-8))[0][:, -1]

@@ -380,6 +380,19 @@ def test_classical_converse_check_rejects_mismatched_images():
         classical_converse_check(e, rho, sigma, (0.01,), 2.0, 0.02)
 
 
+def test_classical_converse_check_names_the_failing_member():
+    # it named rho and sigma "matrices 0 and 1", and gave the stack's largest distance
+    e = channels.pinching(2)
+    sigma = DensityMatrix.diagonal([0.6, 0.4])
+    sigmas = stack_of([sigma, sigma])
+    bad = {"^stack member 1: states do not commute: max": DensityMatrix.pure([1, 1]),
+           r"^stack member 1: E\(rho\) != E\(sigma\): trace distance 2.000e-01$":
+               DensityMatrix.diagonal([0.7, 0.3])}
+    for msg, rho in bad.items():
+        with pytest.raises(ValueError, match=msg):
+            classical_converse_check(e, stack_of([sigma, rho]), sigmas, (0.01,), 2.0, 0.02)
+
+
 def test_mutual_info_converse_product_state(rng):
     e = depolarizing_projection(2)
     pa = matcore.random_probability_vector(rng, 2, floor=0.2)
@@ -460,6 +473,10 @@ def test_mutual_info_converse_rejects_quantum_input():
     joint = BipartiteDensity.from_matrix(np.outer(bell, bell.conj()), 2, 2)
     with pytest.raises(ValueError, match="classical"):
         mutual_info_converse_check(e, joint, (0.01,), 4.0, 2.0)
+    classical = DensityMatrix.diagonal([0.4, 0.1, 0.1, 0.4])
+    family = BipartiteDensity(2, 2, stack_of([classical, joint.state]))
+    with pytest.raises(ValueError, match="^stack member 1: input is not classical-classical"):
+        mutual_info_converse_check(e, family, (0.01,), 4.0, 2.0)
 
 
 def test_decayed_state_same_mixture_factor():
@@ -504,6 +521,15 @@ def test_decayed_state_order_precondition():
     with pytest.raises(ValueError, match="order precondition"):
         decayed_state_bound_check(rho, sigma, theta, omega,
                                   eps=0.5, zeta=0.2, c=1.5)
+
+
+def test_decayed_state_weights_name_the_failing_pair():
+    rho = DensityMatrix.diagonal([0.8, 0.2])
+    sigma = DensityMatrix.diagonal([0.4, 0.6])
+    mixed = DensityMatrix.maximally_mixed(2)
+    with pytest.raises(ValueError, match="^stack member 1: need 0 < zeta <= eps < 1$"):
+        decayed_state_bound_check(stack_of([rho, rho]), stack_of([sigma, sigma]), mixed, mixed,
+                                  [0.3, 0.1], [0.2, 0.2], 1.0)
 
 
 def test_decayed_state_needs_one_weight_per_pair():
@@ -558,6 +584,19 @@ def test_origcompare_precondition():
     rho = DensityMatrix.diagonal([0.05, 0.95])
     with pytest.raises(ValueError, match="precondition"):
         origcompare_check(rho, sigma, sigma, eps=0.1, zeta=0.1)
+
+
+def test_origcompare_names_the_failing_member():
+    # it named no member, and gave the stack's smallest eigenvalue
+    sigma = DensityMatrix.diagonal([0.6, 0.4])
+    rho = DensityMatrix.diagonal([0.05, 0.95])
+    triple = [stack_of([x, x]) for x in (sigma, sigma, sigma)]
+    with pytest.raises(ValueError, match=r"^stack member 1: eps and zeta must lie in \[0, 1\)$"):
+        origcompare_check(*triple, [0.1, 1.0], [0.1, 0.1])
+    triple[0] = stack_of([sigma, rho])
+    with pytest.raises(ValueError, match=r"^stack member 1: precondition rho >= \(1-zeta\) "
+                                         r"sigma fails by -0\.4"):
+        origcompare_check(*triple, [0.1, 0.1], [0.1, 0.1])
 
 
 def test_params_from_semigroup_invariants():

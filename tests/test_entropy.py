@@ -323,6 +323,31 @@ def test_relative_entropy_of_empty_lists_names_the_argument():
         relative_entropy([], [])
 
 
+# one call of each kind that takes states, with matrix arrays where the states belong;
+# each ended in AttributeError ('matrix', 'eigenvalues' or '__dict__')
+ARRAY_AS_STATE = {
+    "pair": lambda a, b: relative_entropy(a, b),
+    "one": lambda a, b: von_neumann_entropy(a),
+    "bipartite": lambda a, b: mutual_information(a),
+    "integral-form": lambda a, b: relative_entropy_integral_form(a, b, 8),
+    "pinsker": lambda a, b: pinsker_check(a, b),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_AS_STATE))
+def test_a_matrix_array_where_a_state_belongs_is_named(kind):
+    call = ARRAY_AS_STATE[kind]
+    state = DensityMatrix.maximally_mixed(4)
+    for m in (state.matrix, np.stack([state.matrix] * 2)):
+        with pytest.raises(ValueError, match=(
+                rf"^rho is an array of shape \({', '.join(map(str, m.shape))}\), not a state "
+                "or a stack: build a stack of states with DensityMatrix.from_matrices$")):
+            call(m, state)
+    if kind in ("pair", "integral-form", "pinsker"):
+        with pytest.raises(ValueError, match=r"^sigma is an array of shape \(4, 4\), not a state"):
+            call(state, state.matrix)
+
+
 def test_pinsker_and_sandwich_reports_hold_one_entry_per_pair(rng):
     pairs = [(matcore.random_density(rng, 3, mix=0.1), matcore.random_density(rng, 3, mix=0.1))
              for _ in range(4)]
