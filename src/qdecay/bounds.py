@@ -105,7 +105,8 @@ def g_factor(zeta: float, c: float, variant: str = "theorem") -> tuple[float, fl
     return max(g, 0.0), tau_star
 
 
-# the worked qubit-depolarizing example L = Id - E: c = 4, ||L||_diamond <= 3/4
+# the worked qubit-depolarizing example L = Id - E_dep: c = 4 and the example's 3/4, which
+# is half of ||L||_diamond = 1.5 in the trace-norm convention (channels.diamond_norm_bracket)
 EXAMPLE_C, EXAMPLE_DIAMOND = 4.0, 0.75
 
 

@@ -74,9 +74,6 @@ class Rng:
         second value discarded so each output depends on two counters only.
         The logarithm is math.log per value: numpy's differs in the last bit
         on some inputs, while its cos and sqrt agree with math's."""
-        if isinstance(self.seed, int) and n <= 8:  # one stream, few values: skip numpy's setup
-            return np.array([math.sqrt(-2.0 * math.log(self.uniform_open()))
-                             * math.cos(2.0 * math.pi * self.uniform()) for _ in range(n)])
         ks = np.arange(self._counter + 1, self._counter + 1 + 2 * n, dtype=np.uint64)
         self._counter += 2 * n
         w = mix64(np.asarray(self.seed, dtype=np.uint64)[..., None] + ks * _GAMMA)

@@ -14,6 +14,7 @@ from qdecay.channels import (
     dephasing_y,
     depolarizing,
     depolarizing_projection,
+    diamond_norm_bracket,
     diamond_norm_estimate,
     expm_taylor,
     fixed_point_projection,
@@ -244,20 +245,85 @@ def test_complement_of_complement_preserves_information(rng):
         assert abs(i_direct - i_cc) < 1e-8
 
 
+def _id_minus(e):
+    return SuperOperator(e.dim, np.eye(e.dim ** 2, dtype=complex) - e.matrix)
+
+
+def _from_choi(j, d):
+    """The superoperator of Choi matrix j: choi_matrix's reshuffle, inverted."""
+    return SuperOperator(d, j.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d))
+
+
 def test_diamond_zero_map():
     zero = SuperOperator(2, np.zeros((4, 4), dtype=complex))
     assert diamond_norm_estimate(zero) == 0.0
+    assert diamond_norm_bracket(zero) == (0.0, 0.0)
 
 
 def test_diamond_identity():
     assert abs(diamond_norm_estimate(identity_superoperator(2)) - 1.0) < 1e-9
+    for end in diamond_norm_bracket(identity_superoperator(2)):
+        assert abs(end - 1.0) < 1e-9
 
 
 def test_diamond_rejects_a_map_that_does_not_preserve_hermiticity(rng):
     # rho -> i rho, and a random superoperator: neither Choi matrix is Hermitian
     for m in (1j * np.eye(4), matcore.random_complex_normal(rng, (4, 4))):
-        with pytest.raises(ValueError, match="not Hermiticity-preserving"):
-            diamond_norm_estimate(SuperOperator(2, m))
+        for diamond in (diamond_norm_estimate, diamond_norm_bracket):
+            with pytest.raises(ValueError, match="not Hermiticity-preserving"):
+                diamond(SuperOperator(2, m))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_diamond_bracket_closed_forms(d):
+    # ||Id - E||_diamond = 2 (1 - 1/d^2) for E_dep and 2 (1 - 1/d) for the pinching
+    for e, want in ((depolarizing_projection(d), 2 * (1 - 1 / d ** 2)),
+                    (pinching(d), 2 * (1 - 1 / d))):
+        lower, upper = diamond_norm_bracket(_id_minus(e))
+        assert abs(lower - want) < 1e-14 and abs(upper - want) < 1e-14
+
+
+def test_diamond_bracket_closes_on_group_generators():
+    clock = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
+    shift = np.roll(np.eye(4, dtype=complex), 1, axis=0)
+    for gens in ([X, Z], [clock, shift]):
+        lind = group_lindbladian(GroupLindbladian.from_generators(gens, [0.5, 0.5]))
+        for delta in (lind.generator, _id_minus(lind.fixed_point)):
+            lower, upper = diamond_norm_bracket(delta)
+            assert abs(upper - lower) < 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_diamond_bracket_contains_every_pure_input(rng, d):
+    omega = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
+    for _ in range(4):
+        g = matcore.random_complex_normal(rng, (d * d, d * d))
+        delta = _from_choi(g + g.conj().T, d)  # a random Hermiticity-preserving map
+        lower, upper = diamond_norm_bracket(delta)
+        assert lower <= upper
+        out = channels.apply_on_factor(delta, np.outer(omega, omega.conj()), (d, d), 0)
+        assert abs(lower - matcore.trace_norm(out)) < 1e-12
+        psi = matcore.random_complex_normal(rng, (32, d * d))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        outs = channels.apply_on_factor(delta, psi[:, :, None] * psi[:, None, :].conj(), (d, d), 0)
+        assert matcore.trace_norm(outs).max() <= upper + 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_diamond_bracket_upper_end_is_exact_on_cp_maps(rng, d):
+    # a CP map's diamond norm is ||sum K^dag K||_inf, the top of Tr_out J; sum K K^dag,
+    # the top of Tr_in J, differs
+    ks = matcore.random_complex_normal(rng, (3, d, d))
+    delta = SuperOperator(d, sum(np.kron(k.conj(), k) for k in ks))
+    top = np.linalg.eigvalsh(sum(k.conj().T @ k for k in ks))[-1]
+    assert abs(diamond_norm_bracket(delta)[1] - top) < 1e-12 * top
+    assert abs(np.linalg.eigvalsh(sum(k @ k.conj().T for k in ks))[-1] - top) > 1e-3 * top
+
+
+def test_worked_example_diamond_is_half_the_bracket():
+    # EXAMPLE_DIAMOND = 3/4 is half of ||Id - E_dep||_diamond in the trace-norm convention
+    for end in diamond_norm_bracket(_id_minus(depolarizing_projection(2))):
+        assert abs(2 * bounds.EXAMPLE_DIAMOND - end) < 1e-12
 
 
 def test_conditional_expectation_is_a_superoperator():
@@ -271,6 +337,8 @@ def test_diamond_replacement_generator():
     delta = SuperOperator(2, np.eye(4, dtype=complex) - e.superop.matrix)
     est = diamond_norm_estimate(delta)
     assert abs(est - 1.5) < 1e-6
+    for end in diamond_norm_bracket(delta):
+        assert abs(end - 1.5) < 1e-6
 
 
 def test_fixed_point_projection_depolarizing_generator():
@@ -500,28 +568,25 @@ def test_cp_order_bit_equal_to_its_own_solver():
     assert [i for i, v in enumerate(values) if v == math.inf] == [3, 8, 13, len(pairs) - 1]
 
 
-def test_diamond_ascent_diagonalizes_each_output_once(monkeypatch):
-    e = depolarizing_projection(2)
-    delta = SuperOperator(2, np.eye(4, dtype=complex) - e.superop.matrix)
+def test_diamond_bracket_makes_two_eigensolves_and_no_factor_apply(monkeypatch):
+    delta = _id_minus(depolarizing_projection(3))
     raw_apply, raw_eig = channels.apply_on_factor, matcore.jacobi_eigh_batch
-    calls = {"output": 0, "witness": 0, "eig": 0}
+    calls = {"apply": 0, "eig": []}
 
     def apply(channel, m, dims, which):
-        calls["output" if channel is delta else "witness"] += 1
+        calls["apply"] += 1
         return raw_apply(channel, m, dims, which)
 
     def eig(stack):
-        calls["eig"] += 1
+        calls["eig"].append(stack.shape)
         return raw_eig(stack)
 
     monkeypatch.setattr(channels, "apply_on_factor", apply)
     monkeypatch.setattr(matcore, "jacobi_eigh_batch", eig)
-    assert abs(diamond_norm_estimate(delta) - 1.5) < 1e-6
-    # one output per iterate: the start of each restart and each candidate
-    # from a witness; every output and witness is diagonalized once
-    assert calls["witness"] >= channels.DIAMOND_RESTARTS
-    assert calls["output"] <= calls["witness"] + channels.DIAMOND_RESTARTS
-    assert calls["eig"] == calls["output"] + calls["witness"]
+    for end in diamond_norm_bracket(delta):
+        assert abs(end - 16 / 9) < 1e-14
+    # the d^2 x d^2 Choi matrix, then the d x d reduced |J|
+    assert calls == {"apply": 0, "eig": [(1, 9, 9), (1, 3, 3)]}
 
 
 def test_operator_lists_are_read_only_arrays():
