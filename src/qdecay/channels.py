@@ -22,8 +22,6 @@ from .matcore import BipartiteDensity, DensityMatrix
 
 KRAUS_COMPLETENESS_ATOL = 1e-10
 IDEMPOTENCE_ATOL = 1e-10
-EXPM_TAYLOR_ORDER = 12
-EXPM_SQUARING_THRESHOLD = 0.5
 FIXED_POINT_GAP_TOL = 1e-8
 
 
@@ -32,23 +30,13 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
 
 
-def expm_taylor(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring over a truncated Taylor
-    series; works for arbitrary (non-Hermitian) square matrices."""
-    m = np.asarray(m, dtype=complex)
-    norm = float(np.linalg.norm(m, 1))
-    squarings = 0
-    if norm > EXPM_SQUARING_THRESHOLD:
-        squarings = int(math.ceil(math.log2(norm / EXPM_SQUARING_THRESHOLD)))
-        m = m / (2.0 ** squarings)
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for k in range(1, EXPM_TAYLOR_ORDER + 1):
-        term = term @ m / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
+def expm_taylor(generator: np.ndarray, t: float) -> np.ndarray:
+    """exp(-t G) = V diag(e^(-t w)) V^dag from one eigensolve of a generator G that is
+    Hermitian as a superoperator; its kernel (|w| <= FIXED_POINT_GAP_TOL, as in
+    fixed_point_projection) keeps weight exactly 1 at every t.  The name predates the
+    spectral form: perfbench/tracing.py wraps it by this name until ROADMAP item 1."""
+    w, v = matcore.eigh(generator)
+    return (v * np.exp(-t * (w * (np.abs(w) > FIXED_POINT_GAP_TOL)))) @ v.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +226,7 @@ def dephasing_y(lam) -> KrausChannel:
 
 @dataclass(frozen=True, eq=False)
 class ConditionalExpectation(SuperOperator):
-    """Idempotent trace-preserving projection onto a fixed-point subalgebra."""
+    """Hilbert-Schmidt orthogonal trace-preserving projection onto a fixed-point subalgebra."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -249,6 +237,8 @@ class ConditionalExpectation(SuperOperator):
         tr = vec(np.eye(self.dim))  # trace-preserving: vec(I)^dag E = vec(I)^dag
         if not float(np.abs(tr @ m - tr).max()) <= 1e-9:
             raise ValueError("conditional expectation is not trace-preserving")
+        if not float(np.abs(m - m.conj().T).max()) <= 1e-9:
+            raise ValueError("conditional expectation is not self-adjoint")
 
     @property
     def superop(self) -> SuperOperator:
@@ -280,7 +270,8 @@ def replacement_semigroup(e: ConditionalExpectation, t: float) -> SuperOperator:
 
 @dataclass(frozen=True, eq=False)
 class Lindbladian:
-    """Generator L of the semigroup exp(-t L), with its fixed-point data.
+    """Generator L of the semigroup exp(-t L), with its fixed-point data; L is Hermitian
+    as a superoperator (Id - E and group generators are), so semigroup(t) is one eigensolve.
 
     diamond_upper bounds ||L||_diamond from above; diamond_norm_bracket(generator)
     certifies it in the trace-norm convention, in which the worked example's
@@ -298,23 +289,18 @@ class Lindbladian:
         return self.generator.dim
 
     def semigroup(self, t: float) -> SuperOperator:
-        if not t >= 0:
-            raise ValueError("time must be nonnegative")
-        return SuperOperator(self.dim, expm_taylor(-t * self.generator.matrix))
+        if not 0 <= t < math.inf:
+            raise ValueError("time must be nonnegative and finite")
+        return SuperOperator(self.dim, expm_taylor(self.generator.matrix, t))
 
 
-def replacement_lindbladian(e: ConditionalExpectation, diamond_upper: float | None = None,
-                            pp_index: float | None = None) -> Lindbladian:
-    """L = Id - E; ||L||_diamond <= 2 by triangle inequality since Id and E
-    both have diamond norm one."""
+def replacement_lindbladian(e: ConditionalExpectation, diamond_upper: float,
+                            pp_index: float) -> Lindbladian:
+    """L = Id - E; diamond_upper = 2 always holds, by the triangle inequality, since
+    Id and E both have diamond norm one."""
     d = e.dim
     gen = SuperOperator(d, np.eye(d * d, dtype=complex) - e.matrix)
-    return Lindbladian(
-        generator=gen,
-        fixed_point=e,
-        diamond_upper=2.0 if diamond_upper is None else diamond_upper,
-        pp_index=pimsner_popa_index(e) if pp_index is None else pp_index,
-    )
+    return Lindbladian(gen, e, diamond_upper, pp_index)
 
 
 @dataclass(frozen=True, eq=False)

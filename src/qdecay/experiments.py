@@ -220,7 +220,7 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
     phi_t = lind.semigroup(t)
     rows = []
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    grid = [float(theta) for theta in theta_grid]
+    grid = _theta_grid(theta_grid)
     for thetas in (grid[k:k + SWEEP_CHUNK] for k in range(0, len(grid), SWEEP_CHUNK)):
         big = np.zeros((len(thetas), 2 * d, 2 * d), dtype=complex)
         for flag, sign in ((0, 1.0), (1, -1.0)):  # flag 0 carries +theta, flag 1 -theta

@@ -274,17 +274,6 @@ def test_clsi_converse_rejects_a_dimension_off_the_lindbladian(rng):
         clsi_converse_check(lind, matcore.random_density(rng, 3), [0.1], ["theorem"])
 
 
-def test_clsi_converse_infinite_pre_entropy_raises_value_error():
-    # E(rho) = tr(rho) |0><0| is an idempotent trace-preserving map that is not
-    # faithful: D(I/2 || E(I/2)) is infinite
-    e00 = np.diag([1.0, 0.0]).astype(complex)
-    fix = channels.ConditionalExpectation(
-        2, np.outer(channels.vec(e00), channels.vec(np.eye(2)).conj()))
-    lind = replacement_lindbladian(fix, diamond_upper=0.75, pp_index=4.0)
-    with pytest.raises(ValueError, match="relative entropy is infinite"):
-        clsi_converse_check(lind, DensityMatrix.maximally_mixed(2), [0.1], ["theorem"])
-
-
 def test_replacement_converse_factor_no_replacement():
     assert abs(g_factor(0.0, 2.0)[0] - 1.0) < 1e-6
 

@@ -16,7 +16,6 @@ from qdecay.channels import (
     depolarizing_projection,
     diamond_norm_bracket,
     diamond_norm_estimate,
-    expm_taylor,
     fixed_point_projection,
     group_lindbladian,
     identity_channel,
@@ -27,7 +26,6 @@ from qdecay.channels import (
     replacement_semigroup,
 )
 from qdecay.matcore import BipartiteDensity, DensityMatrix
-from qdecay.rng import Rng
 from qdecay.experiments import flagged_channel, omega_theta_lambda, rho_theta_lambda
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -94,6 +92,14 @@ def test_conditional_expectation_rejects_non_idempotent():
         ConditionalExpectation(ch.dim, ch.matrix)
 
 
+def test_conditional_expectation_rejects_a_non_self_adjoint_projection():
+    # rho -> tr(rho) |0><0| is idempotent and trace-preserving but not unital, so
+    # not Hilbert-Schmidt self-adjoint, and Id - E would not be a Hermitian generator
+    e00 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="conditional expectation is not self-adjoint"):
+        ConditionalExpectation(2, np.outer(channels.vec(e00), channels.vec(np.eye(2)).conj()))
+
+
 def test_group_lindbladian_pauli_z_fixed_point():
     lind = group_lindbladian(GroupLindbladian.from_generators([Z], [1.0]))
     assert np.abs(lind.fixed_point.superop.matrix - pinching(2).superop.matrix).max() < 1e-10
@@ -111,13 +117,13 @@ def test_group_lindbladian_pauli_group_depolarizes():
 
 
 def test_semigroup_time_zero(rng):
-    lind = replacement_lindbladian(depolarizing_projection(2))
+    lind = replacement_lindbladian(depolarizing_projection(2), 2.0, 4.0)
     rho = matcore.random_density(rng, 2)
     assert np.abs(lind.semigroup(0.0).apply(rho).matrix - rho.matrix).max() < 1e-12
 
 
 def test_semigroup_long_time_limit():
-    lind = replacement_lindbladian(depolarizing_projection(3))
+    lind = replacement_lindbladian(depolarizing_projection(3), 2.0, 9.0)
     out = lind.semigroup(1e3).apply(DensityMatrix.pure([1, 0, 0]))
     assert np.abs(out.matrix - np.eye(3) / 3).max() < 1e-8
 
@@ -133,7 +139,7 @@ def test_semigroup_composition(rng):
 
 
 def test_semigroup_rejects_negative_time():
-    lind = replacement_lindbladian(depolarizing_projection(2))
+    lind = replacement_lindbladian(depolarizing_projection(2), 2.0, 4.0)
     with pytest.raises(ValueError):
         lind.semigroup(-0.1)
 
@@ -147,10 +153,9 @@ def test_replacement_semigroup_time_zero():
 def test_replacement_semigroup_matches_expm():
     e = pinching(2)
     t = 0.37
-    gen = np.eye(4, dtype=complex) - e.superop.matrix
-    direct = expm_taylor(-t * gen)
+    direct = replacement_lindbladian(e, 2.0, 2.0).semigroup(t).matrix
     closed = replacement_semigroup(e, t).matrix
-    assert np.abs(direct - closed).max() < 1e-10
+    assert np.abs(direct - closed).max() < 1e-14
 
 
 def test_replacement_semigroup_long_time_is_projection():
@@ -441,7 +446,7 @@ def test_kraus_completeness_validation():
 
 def test_lindbladian_generator_annihilates_trace(rng):
     for lind in (
-        replacement_lindbladian(depolarizing_projection(2)),
+        replacement_lindbladian(depolarizing_projection(2), 2.0, 4.0),
         group_lindbladian(GroupLindbladian.from_generators([X, Z], [0.5, 0.5])),
     ):
         for _ in range(20):
@@ -458,31 +463,32 @@ def test_lindbladian_fixed_point_absorbs_semigroup(rng):
         assert np.abs(comp - e).max() < 1e-8
 
 
-def _expm_oracle_inputs():
-    """Random complex matrices at d = 2, 4, 8 scaled to 1-norms from 0.1 to 5,
-    and the replacement and group Lindbladian generators at t = 0.3 and 3."""
-    rng = Rng(4242)
-    out = []
-    for d in (2, 4, 8):
-        for norm in (0.1, 0.5, 1.0, 2.5, 5.0):
-            g = matcore.random_complex_normal(rng, (d, d))
-            out.append(g * (norm / np.linalg.norm(g, 1)))
-    lindbladians = (replacement_lindbladian(depolarizing_projection(2)),
-                    replacement_lindbladian(pinching(3)),
-                    group_lindbladian(GroupLindbladian.from_generators([X, Z], [0.5, 0.5])),
-                    group_lindbladian(GroupLindbladian.from_generators([X, Y, Z], [0.2, 0.3, 0.5])))
-    for lind in lindbladians:
-        for t in (0.3, 3.0):
-            out.append(-t * lind.generator.matrix)
-    return out
+def _generator_families():
+    """The Lindbladians the lab builds: the groups {X, Z}, {X, Y, Z} at (0.2, 0.3, 0.5)
+    and the d = 4 clock and shift, and Id - E for E_dep at d = 2, 3 and the d = 3 pinching."""
+    clock = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
+    shift = np.roll(np.eye(4, dtype=complex), 1, axis=0)
+    groups = (([X, Z], [0.5, 0.5]), ([X, Y, Z], [0.2, 0.3, 0.5]), ([clock, shift], [0.5, 0.5]))
+    return ([group_lindbladian(GroupLindbladian.from_generators(*g)) for g in groups]
+            + [replacement_lindbladian(e, 2.0, c) for e, c in (
+                (depolarizing_projection(2), 4.0), (depolarizing_projection(3), 9.0),
+                (pinching(3), 3.0))])
 
 
 def test_expm_taylor_matches_scipy_expm():
     scipy_linalg = pytest.importorskip("scipy.linalg")
-    for m in _expm_oracle_inputs():
-        want = scipy_linalg.expm(m)
-        got = expm_taylor(m)
-        assert np.abs(got - want).max() <= 1e-13 * max(1.0, float(np.abs(want).max()))
+    for lind in _generator_families():
+        for t in (1e-6, 0.3, 1.7, 10.0):
+            want = scipy_linalg.expm(-t * lind.generator.matrix)
+            got = lind.semigroup(t).matrix
+            assert np.abs(got - want).max() <= 1e-14 * max(1.0, float(np.abs(want).max()))
+
+
+def test_semigroup_at_long_times_is_the_fixed_point():
+    # the kernel keeps weight 1 and every other mode e^(-t w) underflows to 0
+    for lind in _generator_families():
+        for t in (1e3, 1e10, 1e15, 1e300):
+            assert np.abs(lind.semigroup(t).matrix - lind.fixed_point.matrix).max() <= 1e-14
 
 
 def test_superoperator_checks_the_input_dimension():
@@ -654,7 +660,7 @@ def test_array_holding_dataclasses_compare_by_identity():
               lambda: depolarizing(2, 0.1),
               lambda: SuperOperator(2, np.eye(4, dtype=complex)),
               depolarizing_projection,
-              lambda: replacement_lindbladian(e),
+              lambda: replacement_lindbladian(e, 2.0, 4.0),
               lambda: GroupLindbladian.from_generators([X, Z], [0.5, 0.5]))
     for build in builds:
         obj, twin = (build(2) if build is depolarizing_projection else build() for _ in "ab")

@@ -62,11 +62,15 @@ def test_relative_entropy_pinched_closed_form():
 
 
 def test_relative_entropy_infinite_flag():
-    d = relative_entropy(DensityMatrix.pure([0, 1]), DensityMatrix.pure([1, 0]))
+    # |1><1| leaks entirely out of supp |0><0|
+    rho, sigma = DensityMatrix.pure([0, 1]), DensityMatrix.pure([1, 0])
+    d = relative_entropy(rho, sigma)
     assert not d.finite
     assert math.isinf(float(d))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="relative entropy is infinite"):
         d.unwrap()
+    with pytest.raises(ValueError, match="relative entropy is infinite"):
+        entropy.unwrap(relative_entropy(stack_of([rho]), stack_of([sigma])))
 
 
 def test_relative_entropy_nonnegative_random(rng):

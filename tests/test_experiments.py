@@ -265,6 +265,15 @@ def test_group_fragility_coherence_pair_is_the_first_killed_in_row_major_order()
         assert json.loads(sweep.to_json())["metadata"]["coherencePair"] == pair
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([-0.1], "theta values must lie in"), ([3.0], "theta values must lie in"),
+    ([], "theta grid is empty"), ([math.nan], "theta values must lie in")])
+def test_group_fragility_rejects_a_bad_theta_grid(grid, message):
+    g = channels.GroupLindbladian.from_generators([X, Z], [0.5, 0.5])
+    with pytest.raises(ValueError, match=message):
+        exp.group_fragility_demo(g, 0.3, grid)
+
+
 def test_group_fragility_time_zero_unit_ratios():
     g = channels.GroupLindbladian.from_generators([Z], [1.0])
     sweep = exp.group_fragility_demo(g, 0.0, [1e-2, 1e-4])

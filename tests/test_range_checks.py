@@ -1,5 +1,6 @@
 """Range checks reject NaN with the message they give any other value outside
-the range: each check is written so that a NaN comparison fails it."""
+the range: each check is written so that a NaN comparison fails it.  A range
+with a finite end rejects inf the same way."""
 
 import math
 
@@ -16,7 +17,8 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def _semigroup(t):
-    return channels.replacement_lindbladian(channels.depolarizing_projection(2)).semigroup(t)
+    lind = channels.replacement_lindbladian(channels.depolarizing_projection(2), 2.0, 4.0)
+    return lind.semigroup(t)
 
 
 def _decayed_state(c):
@@ -35,6 +37,8 @@ CASES = {
     "replacement_semigroup": (lambda: channels.replacement_semigroup(channels.pinching(2), NAN),
                               "time must be nonnegative"),
     "lindbladian_semigroup": (lambda: _semigroup(NAN), "time must be nonnegative"),
+    "lindbladian_semigroup-inf": (lambda: _semigroup(math.inf),
+                                  "time must be nonnegative and finite"),
     "from_generators-probs": (
         lambda: channels.GroupLindbladian.from_generators([X, Z], [NAN, 0.5]),
         "probabilities must be nonnegative and sum to 1"),

@@ -45,3 +45,18 @@ def test_converse_checks_are_traced_as_bound_checks():
     checks = {attr for _, attr, span, _ in _load_tracing().targets(MODS)
               if span == "bounds.checks"}
     assert {"classical_converse_check", "mutual_info_converse_check"} <= checks
+
+
+def test_semigroup_goes_through_the_traced_exponential_once(monkeypatch):
+    # the channels.expm span wraps channels.expm_taylor; a semigroup that bypassed
+    # it would read 0 there
+    raw, calls = channels.expm_taylor, []
+
+    def counted(generator, t):
+        calls.append(t)
+        return raw(generator, t)
+
+    monkeypatch.setattr(channels, "expm_taylor", counted)
+    lind = channels.replacement_lindbladian(channels.depolarizing_projection(2), 2.0, 4.0)
+    lind.semigroup(0.3)
+    assert calls == [0.3]
