@@ -89,8 +89,8 @@ def g_factor(zeta: float, c: float, variant: str = "theorem") -> tuple[float, fl
     """
     if not 0.0 <= zeta < 1.0:
         raise ValueError(f"zeta must lie in [0, 1), got {zeta!r}")
-    if not c > 1.0:
-        raise ValueError(f"c must exceed 1, got {c!r}")
+    if not 1.0 < c < math.inf:
+        raise ValueError(f"c must exceed 1 and be finite, got {c!r}")
     if variant == "theorem":
         denom = entropy.kappa(c)
     elif variant == "paper-example":
@@ -136,7 +136,6 @@ class BoundReport:
     variant) pair), as (n, cells) arrays; extra holds the cells' labels and the
     per-state values.  A cell passes when lhs >= rhs - PASS_SLACK."""
 
-    name: str
     lhs: np.ndarray
     rhs: np.ndarray
     factor: np.ndarray
@@ -181,7 +180,7 @@ def clsi_converse_check(lind: Lindbladian, rho, times: Sequence[float],
         built[n:], built[np.tile(np.arange(n), len(times))]))
     lhs = np.repeat(d_post.reshape(len(times), n).T, len(variants), axis=1)
     factor = np.tile(factors, (n, 1))
-    return BoundReport("clsi-converse", lhs, factor * d_pre[:, None], factor,
+    return BoundReport(lhs, factor * d_pre[:, None], factor,
                        {"t": [t for t in times for _ in variants],
                         "variant": list(variants) * len(times)})
 
@@ -220,24 +219,6 @@ def _check_commuting(a: np.ndarray, b: np.ndarray) -> None:
         f"states do not commute: max |[A, B]| = {dev[i]:.3e}"))
 
 
-def _converse_report(name: str, times: Sequence[float], eps: list, m_tilde: np.ndarray,
-                     g_tilde: np.ndarray, post: np.ndarray, pre: np.ndarray,
-                     pre_key: str) -> BoundReport:
-    """post against factor * pre, per sample and time, on the branch that pre selects,
-    with a at the midpoint of its feasible interval: m_tilde, g_tilde and pre hold one
-    value per sample, post one per (eps, sample) pair, eps-major."""
-    branch, factor = [], []
-    for m, g, p in zip(m_tilde.tolist(), g_tilde.tolist(), pre.tolist()):
-        for e in eps:
-            a = feasible_a_midpoint(e, m)
-            branch.append("large-D" if p >= a * m ** 2 / 2.0 else "small-D")
-            factor.append(classical_converse_factor(e, m, g, a, branch[-1]))
-    shape = (len(pre), len(eps))
-    factor = np.reshape(factor, shape)
-    return BoundReport(name, post.reshape(len(eps), -1).T, factor * pre[:, None], factor,
-                       {"t": list(times), "branch": np.reshape(branch, shape), pre_key: pre})
-
-
 def classical_converse_check(e: ConditionalExpectation, rho, sigma, times: Sequence[float],
                              c: float, diamond: float) -> BoundReport:
     """Commuting-state converse under the replacement semigroup on pairs of states
@@ -266,8 +247,18 @@ def classical_converse_check(e: ConditionalExpectation, rho, sigma, times: Seque
         [(1 - p) * x + p * e_x for x, e_x in ((r, er), (s, es)) for p in eps]))
     d_post = entropy.unwrap(entropy.relative_entropy(mixed[:len(eps) * n],
                                                      mixed[len(eps) * n:]))
-    return _converse_report("classical-converse", times, eps, m_tilde, g_tilde, d_post, d_pre,
-                            "dPre")
+    # per sample and time, the branch that dPre selects, with a at the midpoint of its
+    # feasible interval
+    branch, factor = [], []
+    for m, g, pre in zip(m_tilde.tolist(), g_tilde.tolist(), d_pre.tolist()):
+        for p in eps:
+            a = feasible_a_midpoint(p, m)
+            branch.append("large-D" if pre >= a * m ** 2 / 2.0 else "small-D")
+            factor.append(classical_converse_factor(p, m, g, a, branch[-1]))
+    factor = np.reshape(factor, (n, len(eps)))
+    return BoundReport(d_post.reshape(len(eps), n).T, factor * d_pre[:, None], factor,
+                       {"t": list(times), "branch": np.reshape(branch, factor.shape),
+                        "dPre": d_pre})
 
 
 def smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma):
@@ -286,37 +277,27 @@ def smallest_nonzero_eigenvalue_direct_sum(sigma, e_sigma):
 def mutual_info_converse_check(e_on_b: ConditionalExpectation, rho, times: Sequence[float],
                                c: float, diamond: float) -> BoundReport:
     """Mutual-information converse for classical-classical states (one, or a
-    family) under replacement noise on the B side, one cell per time.
+    family) under replacement noise on the B side, one cell per time: the
+    commuting-state converse for rho against sigma = rho_A x rho_B under Id x E.
 
-    m_tilde and g_tilde are computed from the pre-noise marginals; the
-    underlying comparison is the commuting-state converse applied to
-    sigma = rho_A x rho_B.
+    D(rho || rho_A x rho_B) = I(A:B), and Id x E keeps rho_A, so each mixed sigma is
+    the product of its mixed state's marginals and the decayed divergence is the
+    decayed mutual information.  (Id x E)(sigma) = rho_A x E(rho_B) gives m_tilde, and
+    g_tilde equals that of E(rho_B) against rho_B; the check's E(rho) = E(sigma) test
+    is the product form (Id x E)(rho) = rho_A x E(rho_B) the bound needs.
     """
     states, _ = matcore.batch(rho=rho)
-    da, db = states.dim_a, states.dim_b
-    joints = states.state.matrix
-    n = len(joints)
-    off = np.maximum.reduce(np.abs(joints[:, ~np.eye(da * db, dtype=bool)]), axis=1)
+    d = states.dim_a * states.dim_b
+    off = np.maximum.reduce(np.abs(states.state.matrix[:, ~np.eye(d, dtype=bool)]), axis=1)
     matcore._reject((off > 1e-10).tolist(), lambda i: (
         "input is not classical-classical (off-diagonal weight present)"))
+    # Id x E from the d^2 matrix units: column l d + k holds vec((Id x E)(|k><l|))
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d).transpose(0, 2, 1)
+    images = channels.apply_on_factor(e_on_b, units, (states.dim_a, states.dim_b), 1)
+    e_ab = ConditionalExpectation(d, images.transpose(0, 2, 1).reshape(d * d, d * d).T)
     rho_a, rho_b = BipartiteDensity.marginals(states)
-    e_rho_b = DensityMatrix.from_matrices(e_on_b.apply_matrix(rho_b.matrix))
-    # the bound applies only when (Id x E)(rho) = rho_A x omega for some omega
-    e_joint = channels.apply_on_factor(e_on_b, joints, (da, db), 1)
-    target = matcore.tensor(rho_a.matrix, e_rho_b.matrix)
-    matcore._reject((np.maximum.reduce(np.abs(e_joint - target), axis=(1, 2)) > 1e-9).tolist(),
-                    lambda i: "(Id x E)(rho) is not of product form rho_A x omega")
-    built = DensityMatrix.from_matrices(
-        np.concatenate([matcore.tensor(rho_a.matrix, rho_b.matrix), target]))
-    m_tilde = smallest_nonzero_eigenvalue_direct_sum(built[:n], built[n:])
-    g_tilde = matcore.loewner_min_coefficient(e_rho_b.matrix, rho_b, False)
-    eps = [_replacement_weights(t, c, diamond)[1] for t in times]
-    i_pre = entropy.mutual_information(states)
-    mixed = DensityMatrix.from_matrices(np.concatenate([(1 - p) * joints + p * e_joint
-                                                        for p in eps]))
-    i_post = entropy.mutual_information(BipartiteDensity(da, db, mixed))
-    return _converse_report("mutual-info-converse", times, eps, m_tilde, g_tilde, i_post,
-                            i_pre, "iPre")
+    sigmas = DensityMatrix.from_matrices(matcore.tensor(rho_a.matrix, rho_b.matrix))
+    return classical_converse_check(e_ab, states.state, sigmas, times, c, diamond)
 
 
 def _per_pair(eps, zeta, pairs: int) -> tuple:
@@ -352,7 +333,7 @@ def decayed_state_bound_check(rho, sigma, theta_dens: DensityMatrix, omega: Dens
     lhs = entropy.unwrap(entropy.relative_entropy(built[:n], built[n:2 * n]))
     d_rhs = entropy.unwrap(entropy.relative_entropy(built[2 * n:3 * n], built[3 * n:]))
     factor = np.array([[(z / (c * e)) * ((1 - e) / (1 - z)) ** 2] for e, z in zip(eps, zeta)])
-    return BoundReport("decayed-state", lhs[:, None], factor * d_rhs[:, None], factor,
+    return BoundReport(lhs[:, None], factor * d_rhs[:, None], factor,
                        {"dRhs": d_rhs})
 
 
@@ -379,5 +360,5 @@ def origcompare_check(rho, sigma, omega, eps, zeta) -> BoundReport:
     factor = np.array([[(1.0 + e * (g_i / (1 - z) - 1.0)) / (1 - e) ** 2]
                        for e, z, g_i in zip(eps, zeta, g.tolist())])
     # report in lhs >= rhs form: factor * D_mixed >= D_orig
-    return BoundReport("origcompare", factor * d_mixed[:, None], d_orig[:, None], factor,
+    return BoundReport(factor * d_mixed[:, None], d_orig[:, None], factor,
                        {"dOrig": d_orig, "dMixed": d_mixed})

@@ -298,6 +298,9 @@ def replacement_lindbladian(e: ConditionalExpectation, diamond_upper: float,
                             pp_index: float) -> Lindbladian:
     """L = Id - E; diamond_upper = 2 always holds, by the triangle inequality, since
     Id and E both have diamond norm one."""
+    if not (0 < diamond_upper < math.inf and 1 <= pp_index < math.inf):
+        raise ValueError(f"need finite diamond_upper > 0 and pp_index >= 1, got "
+                         f"{diamond_upper!r} and {pp_index!r}")
     d = e.dim
     gen = SuperOperator(d, np.eye(d * d, dtype=complex) - e.matrix)
     return Lindbladian(gen, e, diamond_upper, pp_index)

@@ -83,28 +83,22 @@ def _convert_units(result: exp.SweepResult, units: str, columns) -> exp.SweepRes
 
 
 def cmd_sudden_decay(args) -> int:
-    try:
-        grid = exp.theta_logspace(args.theta_max, args.theta_min, args.points)
-        result = exp.sudden_decay_sweep(grid, args.lam, args.dim, args.noise)
-    except ValueError as err:
-        return _error(err, 2)
+    grid = exp.theta_logspace(args.theta_max, args.theta_min, args.points)
+    result = exp.sudden_decay_sweep(grid, args.lam, args.dim, args.noise)
     result = _convert_units(result, args.units, ("d_pre", "d_post"))
     _write_output(_sweep_text(result, args.format), args.out)
     return 0
 
 
 def cmd_g_table(args) -> int:
-    try:
-        times = [float(x) for x in args.t.split(",") if x]
-        if not times or not all(0.0 < t < math.inf for t in times):
-            raise ValueError("need positive finite comma-separated times")
-        zetas = [bounds._replacement_weights(t, bounds.EXAMPLE_C, bounds.EXAMPLE_DIAMOND)[0]
-                 for t in times]
-        if max(zetas) == 1.0:
-            raise ValueError(f"t = {max(times)!r} is too large: "
-                             "zeta = 1 - exp(-3 t) rounds to 1")
-    except ValueError as err:
-        return _error(err, 2)
+    times = [float(x) for x in args.t.split(",") if x]
+    if not times or not all(0.0 < t < math.inf for t in times):
+        raise ValueError("need positive finite comma-separated times")
+    zetas = [bounds._replacement_weights(t, bounds.EXAMPLE_C, bounds.EXAMPLE_DIAMOND)[0]
+             for t in times]
+    if max(zetas) == 1.0:
+        raise ValueError(f"t = {max(times)!r} is too large: "
+                         "zeta = 1 - exp(-3 t) rounds to 1")
     rows = []
     for t, zeta in zip(times, zetas):
         g, tau = bounds.g_factor(zeta, bounds.EXAMPLE_C, variant=args.variant)
@@ -119,12 +113,9 @@ def cmd_g_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        seed = _seed_from_env(args.seed)
-        if args.samples < 1:
-            raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    except ValueError as err:
-        return _error(err, 2)
+    seed = _seed_from_env(args.seed)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     names = "all" if args.suite == "all" else [args.suite]
     try:
         report = verify.run_suites(names, args.samples, seed)
@@ -142,11 +133,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_private_rate(args) -> int:
-    try:
-        grid = exp.theta_logspace(args.theta_max, args.theta_min, args.points)
-        result = exp.private_rate_lower_bound(args.p, args.lam, grid, args.noise)
-    except ValueError as err:
-        return _error(err, 2)
+    grid = exp.theta_logspace(args.theta_max, args.theta_min, args.points)
+    result = exp.private_rate_lower_bound(args.p, args.lam, grid, args.noise)
     result = _convert_units(result, args.units,
                             ("i_kept", "i_env", "rate_lower_bound"))
     _write_output(_sweep_text(result, args.format), args.out)
@@ -215,13 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:  # before any work, so that a long run cannot end unwritten
-        _check_out_dir(args.out)
-    except ValueError as err:
-        return _error(err, 2)
+    # bad flags and unwritable --out paths exit 2; the path is checked before any work,
+    # so that a long run cannot end unwritten
     try:
+        _check_out_dir(args.out)
         return args.func(args)
-    except OSError as err:  # an --out path that cannot be written
+    except (ValueError, OSError) as err:
         return _error(err, 2)
 
 

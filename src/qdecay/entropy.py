@@ -34,10 +34,13 @@ ENTROPY_SUPPORT_RTOL = 64 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class EntropyValue:
-    """Relative entropy result; infinite is an explicit flag, not a float."""
+    """Relative entropy result; value inf is the infinite one, which unwrap refuses."""
 
     value: float
-    finite: bool = True
+
+    @property
+    def finite(self) -> bool:
+        return self.value != math.inf
 
     def unwrap(self) -> float:
         if not self.finite:
@@ -45,11 +48,7 @@ class EntropyValue:
         return self.value
 
     def __float__(self) -> float:
-        return self.value if self.finite else math.inf
-
-    @staticmethod
-    def infinite() -> "EntropyValue":
-        return EntropyValue(math.inf, finite=False)
+        return self.value
 
 
 def von_neumann_entropy(rho):
@@ -82,13 +81,13 @@ def relative_entropy(rho, sigma):
     out = _nonnegative(-von_neumann_entropy(rhos) - out, "relative entropy")
     if not one:
         return out
-    return EntropyValue.infinite() if out[0] == math.inf else EntropyValue(float(out[0]))
+    return EntropyValue(float(out[0]))
 
 
 def unwrap(values: np.ndarray) -> np.ndarray:
     """Relative entropies as they are; an infinite one raises as EntropyValue.unwrap."""
     if math.inf in values:
-        EntropyValue.infinite().unwrap()
+        EntropyValue(math.inf).unwrap()
     return values
 
 
@@ -121,8 +120,8 @@ def binary_entropy(p: float) -> float:
 
 def kappa(c: float) -> float:
     """kappa(c) = (c ln c - c + 1) / (c - 1)^2 for c > 1; limit 1/2 at c = 1."""
-    if not c >= 1.0:
-        raise ValueError(f"kappa requires c >= 1, got {c!r}")
+    if not 1.0 <= c < math.inf:
+        raise ValueError(f"kappa requires c >= 1 and finite, got {c!r}")
     d = c - 1.0
     if d < 1e-4:
         # series around c = 1 avoids cancellation in the quotient

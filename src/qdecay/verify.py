@@ -73,6 +73,8 @@ def _pairs(draw, evaluate, seed: int, ks: range) -> list:
 def _run(name: str, samples: int, seed: int) -> dict:
     """Run one suite and build its report: each violation is recorded with its
     counter k, and the report keeps the smallest margin."""
+    if not samples >= 1:
+        raise ValueError(f"a suite runs at least 1 sample, got {samples!r}")
     parts, period = _PARTS[name]
     draw, evaluate, params = parts()
     violations = []
@@ -417,6 +419,8 @@ def run_suites(names, samples: int, seed: int) -> dict:
     aggregate = names in ("all", ["all"], ("all",))
     if aggregate:
         names = list(SUITES)
+    if not names:
+        raise ValueError("no suite named: give suite names or 'all'")
     reports = []
     for name in names:
         if name not in SUITES:

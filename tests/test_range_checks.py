@@ -16,9 +16,13 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 
+def _replacement(diamond_upper, pp_index):
+    return channels.replacement_lindbladian(channels.depolarizing_projection(2),
+                                            diamond_upper, pp_index)
+
+
 def _semigroup(t):
-    lind = channels.replacement_lindbladian(channels.depolarizing_projection(2), 2.0, 4.0)
-    return lind.semigroup(t)
+    return _replacement(2.0, 4.0).semigroup(t)
 
 
 def _decayed_state(c):
@@ -28,8 +32,10 @@ def _decayed_state(c):
 
 CASES = {
     "g_factor-c": (lambda: bounds.g_factor(0.5, NAN), "c must exceed 1"),
+    "g_factor-c-inf": (lambda: bounds.g_factor(0.5, math.inf), "c must exceed 1"),
     "g_factor-zeta": (lambda: bounds.g_factor(NAN, 4.0), "zeta must lie in"),
     "kappa": (lambda: entropy.kappa(NAN), "kappa requires c >= 1"),
+    "kappa-inf": (lambda: entropy.kappa(math.inf), "kappa requires c >= 1"),
     "replacement_weights-t": (lambda: bounds._replacement_weights(NAN, 4.0, 0.75), "need t >= 0"),
     "replacement_weights-c": (lambda: bounds._replacement_weights(0.1, NAN, 0.75), "need t >= 0"),
     "replacement_weights-diamond": (lambda: bounds._replacement_weights(0.1, 4.0, NAN),
@@ -37,6 +43,14 @@ CASES = {
     "replacement_semigroup": (lambda: channels.replacement_semigroup(channels.pinching(2), NAN),
                               "time must be nonnegative"),
     "lindbladian_semigroup": (lambda: _semigroup(NAN), "time must be nonnegative"),
+    "replacement_lindbladian-diamond": (lambda: _replacement(NAN, 4.0), "diamond_upper > 0"),
+    "replacement_lindbladian-diamond-inf": (lambda: _replacement(math.inf, 4.0),
+                                            "diamond_upper > 0"),
+    "replacement_lindbladian-diamond-negative": (lambda: _replacement(-1.0, 0.5),
+                                                 "diamond_upper > 0"),
+    "replacement_lindbladian-pp_index": (lambda: _replacement(2.0, NAN), "pp_index >= 1"),
+    "replacement_lindbladian-pp_index-inf": (lambda: _replacement(2.0, math.inf),
+                                             "pp_index >= 1"),
     "lindbladian_semigroup-inf": (lambda: _semigroup(math.inf),
                                   "time must be nonnegative and finite"),
     "from_generators-probs": (
