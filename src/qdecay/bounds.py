@@ -77,7 +77,7 @@ def _g_objective(zeta: float, denom: float) -> Callable[[float], float]:
     return objective
 
 
-def g_factor(zeta: float, c: float, variant: str = "theorem") -> tuple[float, float]:
+def g_factor(zeta: float, c: float, variant: str) -> tuple[float, float]:
     """Optimized decay-converse factor
     g(zeta, c) = sup_tau (1-zeta)^2 tau / (tau + zeta) * (1 - tau (1 - ln tau)/kappa)
     returned as (g, tau_star).
@@ -165,6 +165,8 @@ def clsi_converse_check(lind: Lindbladian, rho, times: Sequence[float],
     exact, on states as batch takes them; one cell per (time, variant), time-major,
     labelled by extra's t and variant.  The maps act on the left factor of a state
     of dimension k lind.dim."""
+    if not len(times):
+        raise ValueError("need at least one time")
     rhos, _ = matcore.batch(rho=rho)
     k, rest = divmod(rhos.dim, lind.dim)
     if rest:
@@ -229,6 +231,8 @@ def classical_converse_check(e: ConditionalExpectation, rho, sigma, times: Seque
     shared fixed point E(rho) = E(sigma) with weight eps; the exact decayed
     relative entropy is compared against the branch factor.
     """
+    if not len(times):
+        raise ValueError("need at least one time")
     rhos, sigmas, _ = matcore.batch(rho=rho, sigma=sigma)
     r, s = rhos.matrix, sigmas.matrix
     n = len(r)

@@ -1,12 +1,12 @@
 """Quantum channels, Lindbladians and their order structure.
 
-Channels live in two interchangeable forms: a Kraus list and a square
-superoperator matrix in the column-stacking convention
-vec(A rho B) = (B^T kron A) vec(rho).  On top of these sit conditional
-expectations (idempotent channels), Lindbladian generators with their
-fixed-point projections, Choi matrices and the completely positive
-order, Stinespring complements, and a two-sided bracket on the diamond
-norm from the Choi matrix.
+A map is a KrausChannel (a Kraus list, or a family of them) or a square
+SuperOperator (column-stacking: vec(A rho B) = (B^T kron A) vec(rho)), each
+built directly, never converted; apply_matrix, apply_on_factor and choi_matrix
+take either.  On top of these sit conditional expectations (idempotent
+channels), Lindbladian generators with their fixed-point projections, Choi
+matrices and the completely positive order, Stinespring complements, and a
+two-sided bracket on the diamond norm from the Choi matrix.
 """
 
 from __future__ import annotations
@@ -87,18 +87,6 @@ class KrausChannel:
             out += k @ m @ k.conj().swapaxes(-1, -2)
         return out
 
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        self._one()  # a family has no single image of one state
-        return DensityMatrix.from_matrix(self.apply_matrix(rho.matrix))
-
-    def to_superoperator(self) -> "SuperOperator":
-        if self.dim_in != self.dim_out:
-            raise ValueError("square superoperator form needs dim_in == dim_out")
-        out = np.zeros((self.dim_in ** 2, self.dim_in ** 2), dtype=complex)
-        for k in self._one():
-            out += np.kron(k.conj(), k)
-        return SuperOperator(self.dim_in, out)
-
 
 @dataclass(frozen=True, eq=False)
 class SuperOperator:
@@ -124,12 +112,6 @@ class SuperOperator:
         v = m.reshape((-1,) + m.shape[-2:]).transpose(0, 2, 1).reshape(-1, self.dim ** 2, 1)
         return (self.matrix @ v).reshape(m.shape).swapaxes(-1, -2)
 
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix.from_matrix(self.apply_matrix(rho.matrix))
-
-    def compose(self, other: "SuperOperator") -> "SuperOperator":
-        return SuperOperator(self.dim, self.matrix @ other.matrix)
-
     def tensor_identity(self, aux_dim: int) -> "SuperOperator":
         """This map on the left factor, identity on a right auxiliary factor."""
         d, a = self.dim, aux_dim
@@ -140,10 +122,6 @@ class SuperOperator:
         j8 = np.einsum("lkji,mn,op->lmkojnip", m4, eye, eye)
         da = d * a
         return SuperOperator(da, j8.reshape(da * da, da * da))
-
-
-def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel.from_kraus([np.eye(d, dtype=complex)])
 
 
 def identity_superoperator(d: int) -> SuperOperator:
@@ -246,26 +224,10 @@ class ConditionalExpectation(SuperOperator):
         return self
 
 
-def pinching(d: int) -> ConditionalExpectation:
-    """Conditional expectation deleting off-diagonal entries in the
-    computational basis: its superoperator keeps the d diagonal entries of vec(rho)."""
-    return ConditionalExpectation(d, np.diag(np.eye(d, dtype=complex).reshape(-1)))
-
-
 def depolarizing_projection(d: int) -> ConditionalExpectation:
     """Projection onto the trivial algebra: rho -> tr(rho) I/d."""
     m = np.outer(vec(np.eye(d, dtype=complex) / d), vec(np.eye(d, dtype=complex)).conj())
     return ConditionalExpectation(d, m)
-
-
-def replacement_semigroup(e: ConditionalExpectation, t: float) -> SuperOperator:
-    """exp(-t (Id - E)) = e^-t Id + (1 - e^-t) E, exactly."""
-    if not t >= 0:
-        raise ValueError("time must be nonnegative")
-    d = e.dim
-    # the weight on E through expm1: 1 - e^-t cancels at small t
-    return SuperOperator(d, math.exp(-t) * np.eye(d * d, dtype=complex)
-                         - math.expm1(-t) * e.matrix)
 
 
 @dataclass(frozen=True, eq=False)

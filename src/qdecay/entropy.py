@@ -47,9 +47,6 @@ class EntropyValue:
             raise ValueError("relative entropy is infinite")
         return self.value
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def von_neumann_entropy(rho):
     """H(rho) = -sum lambda_i ln lambda_i, with 0 ln 0 = 0; an array of them

@@ -53,32 +53,6 @@ class SweepResult:
         }, sort_keys=True, indent=1)
 
 
-def rho_theta_lambda(theta: float, lam: float, d: int = 2) -> DensityMatrix:
-    """(1 - lam) |psi_theta><psi_theta| + lam I/d with the rotated pure state
-    cos(theta)|0> + sin(theta)|1> living on the first two levels."""
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda {lam!r} outside [0, 1]")
-    c, s = math.cos(theta), math.sin(theta)
-    m = (lam / d) * np.eye(d, dtype=complex)
-    m[0, 0] += (1 - lam) * c * c
-    m[0, 1] += (1 - lam) * c * s
-    m[1, 0] += (1 - lam) * c * s
-    m[1, 1] += (1 - lam) * s * s
-    return DensityMatrix.from_matrix(m)
-
-
-def omega_theta_lambda(theta: float, lam: float, d: int = 2) -> BipartiteDensity:
-    """Classical-quantum pair: flag 0 marks +theta, flag 1 marks -theta."""
-    rp = rho_theta_lambda(theta, lam, d).matrix
-    rm = rho_theta_lambda(-theta, lam, d).matrix
-    big = np.zeros((2 * d, 2 * d), dtype=complex)
-    big[:d, :d] = 0.5 * rp
-    big[d:, d:] = 0.5 * rm
-    return BipartiteDensity.from_matrix(big, 2, d)
-
-
 def _theta_grid(grid) -> tuple:
     """Validate a sweep's theta grid: non-empty, every theta in
     [THETA_MIN, pi/4], strictly decreasing.  Returns it as a tuple of floats."""
@@ -153,50 +127,6 @@ def _pinching_divergence(s: float, lam: float, d: int) -> float:
             - (b + delta) * math.log1p(delta / b))
 
 
-def expansion_quadratic_coefficient(lam: float, d: int = 2) -> float:
-    """Leading-order coefficient K(lam, d) in
-    D(rho_{theta,lam} || pinch(rho_{theta,lam})) = K theta^2 + O(theta^4):
-    K = (1 - lam) * ln( (1 - lam (d-1)/d) / (lam/d) ).
-
-    Derivation: the pinched state differs from the spectrum of
-    rho_{theta,lam} by moving weight (1-lam) sin^2(theta) from the top
-    eigenvalue 1 - lam (d-1)/d down to lam/d, and the first-order entropy
-    response is the log-ratio of the two levels.
-    """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lambda must lie in (0, 1]")
-    if lam == 1.0:
-        return 0.0
-    a = 1.0 - lam * (d - 1) / d
-    b = lam / d
-    return (1.0 - lam) * math.log(a / b)
-
-
-def expansion_consistency_check(theta: float, lam: float, d: int = 2) -> dict:
-    """Compare the exact post-noise relative entropy, from its closed form,
-    against its quadratic coefficient times theta^2; meaningful for theta <= 1e-3."""
-    if not theta <= 1e-3:
-        raise ValueError("consistency check is a small-angle statement; need theta <= 1e-3")
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    coeff = expansion_quadratic_coefficient(lam, d)
-    exact = _pinching_divergence(math.sin(theta) ** 2, lam, d)
-    predicted = coeff * theta * theta
-    if predicted == 0.0:
-        rel = 0.0 if exact == 0.0 else math.inf
-    else:
-        rel = abs(exact - predicted) / predicted
-    return {
-        "theta": theta,
-        "lambda": lam,
-        "dim": d,
-        "exact": exact,
-        "coefficient": coeff,
-        "predicted": predicted,
-        "relative_deviation": rel,
-    }
-
-
 def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResult:
     """Fragility of mutual information under a group-generator semigroup.
 
@@ -247,7 +177,7 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
         rows=tuple(rows), metadata=meta)
 
 
-def flagged_channel(lam, p, noise: str = "dephasing-y") -> KrausChannel:
+def flagged_channel(lam, p, noise: str) -> KrausChannel:
     """Flagged combination: with probability p the input passes through
     unchanged behind flag 0; with probability 1-p the output is the
     Stinespring complement of the noise channel behind flag 1.  The flag

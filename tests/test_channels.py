@@ -3,6 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    apply,
+    diagonal,
+    identity_channel,
+    omega_theta_lambda,
+    pinching,
+    pure,
+    replacement_semigroup,
+    rho_theta_lambda,
+    to_superoperator,
+)
 from qdecay import bounds, channels, entropy, matcore
 from qdecay.channels import (
     ConditionalExpectation,
@@ -18,15 +29,12 @@ from qdecay.channels import (
     diamond_norm_estimate,
     fixed_point_projection,
     group_lindbladian,
-    identity_channel,
     identity_superoperator,
     pimsner_popa_index,
-    pinching,
     replacement_lindbladian,
-    replacement_semigroup,
 )
 from qdecay.matcore import BipartiteDensity, DensityMatrix
-from qdecay.experiments import flagged_channel, omega_theta_lambda, rho_theta_lambda
+from qdecay.experiments import flagged_channel
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -35,26 +43,26 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 def test_apply_identity(rng):
     rho = matcore.random_density(rng, 3)
-    out = identity_channel(3).apply(rho)
+    out = apply(identity_channel(3), rho)
     assert np.abs(out.matrix - rho.matrix).max() < 1e-12
 
 
 def test_apply_full_depolarizing():
-    out = depolarizing(3, 1.0).apply(DensityMatrix.pure([1, 0, 0]))
+    out = apply(depolarizing(3, 1.0), pure([1, 0, 0]))
     assert np.abs(out.matrix - np.eye(3) / 3).max() < 1e-12
 
 
 def test_kraus_and_superoperator_paths_agree(rng):
     for lam in (0.0, 0.3, 0.9):
         ch = depolarizing(2, lam)
-        sup = ch.to_superoperator()
+        sup = to_superoperator(ch)
         for _ in range(20):
             rho = matcore.random_density(rng, 2)
-            assert np.abs(ch.apply(rho).matrix - sup.apply(rho).matrix).max() < 1e-12
+            assert np.abs(apply(ch, rho).matrix - apply(sup, rho).matrix).max() < 1e-12
 
 
 def test_depolarizing_qubit_spectrum():
-    out = depolarizing(2, 0.3).apply(DensityMatrix.pure([1, 0]))
+    out = apply(depolarizing(2, 0.3), pure([1, 0]))
     assert np.allclose(np.sort(out.eigenvalues), [0.15, 0.85], atol=1e-12)
 
 
@@ -65,14 +73,14 @@ def test_depolarizing_domain():
 
 def test_pinching_leaves_diagonal_fixed(rng):
     p = matcore.random_probability_vector(rng, 3)
-    rho = DensityMatrix.diagonal(p)
-    out = pinching(3).apply(rho)
+    rho = diagonal(p)
+    out = apply(pinching(3), rho)
     assert np.abs(out.matrix - rho.matrix).max() < 1e-12
 
 
 def test_pinching_of_rotated_pure_state():
     theta = 0.4
-    out = pinching(2).apply(rho_theta_lambda(theta, 0.0))
+    out = apply(pinching(2), rho_theta_lambda(theta, 0.0))
     expect = np.diag([math.cos(theta) ** 2, math.sin(theta) ** 2])
     assert np.abs(out.matrix - expect).max() < 1e-12
 
@@ -81,13 +89,13 @@ def test_pinching_idempotent_on_random_inputs(rng):
     e = pinching(3)
     for _ in range(20):
         rho = matcore.random_density(rng, 3)
-        once = e.apply(rho)
-        twice = e.apply(once)
+        once = apply(e, rho)
+        twice = apply(e, once)
         assert np.abs(once.matrix - twice.matrix).max() < 1e-12
 
 
 def test_conditional_expectation_rejects_non_idempotent():
-    ch = depolarizing(2, 0.5).to_superoperator()
+    ch = to_superoperator(depolarizing(2, 0.5))
     with pytest.raises(ValueError, match="idempotent"):
         ConditionalExpectation(ch.dim, ch.matrix)
 
@@ -119,12 +127,12 @@ def test_group_lindbladian_pauli_group_depolarizes():
 def test_semigroup_time_zero(rng):
     lind = replacement_lindbladian(depolarizing_projection(2), 2.0, 4.0)
     rho = matcore.random_density(rng, 2)
-    assert np.abs(lind.semigroup(0.0).apply(rho).matrix - rho.matrix).max() < 1e-12
+    assert np.abs(apply(lind.semigroup(0.0), rho).matrix - rho.matrix).max() < 1e-12
 
 
 def test_semigroup_long_time_limit():
     lind = replacement_lindbladian(depolarizing_projection(3), 2.0, 9.0)
-    out = lind.semigroup(1e3).apply(DensityMatrix.pure([1, 0, 0]))
+    out = apply(lind.semigroup(1e3), pure([1, 0, 0]))
     assert np.abs(out.matrix - np.eye(3) / 3).max() < 1e-8
 
 
@@ -133,7 +141,7 @@ def test_semigroup_composition(rng):
     for _ in range(5):
         s = rng.uniform(0.0, 1.5)
         t = rng.uniform(0.0, 1.5)
-        lhs = lind.semigroup(s).compose(lind.semigroup(t)).matrix
+        lhs = lind.semigroup(s).matrix @ lind.semigroup(t).matrix
         rhs = lind.semigroup(s + t).matrix
         assert np.abs(lhs - rhs).max() < 1e-10
 
@@ -199,7 +207,7 @@ def test_choi_depolarizing_family_psd_and_trace():
 
 
 def test_cp_order_self_is_one():
-    ch = depolarizing(2, 0.3).to_superoperator()
+    ch = to_superoperator(depolarizing(2, 0.3))
     assert abs(cp_order_coefficient(ch, ch) - 1.0) < 1e-9
 
 
@@ -225,7 +233,7 @@ def test_pimsner_popa_values():
 
 def test_complement_of_unitary_is_constant(rng):
     comp = complementary_channel(identity_channel(2))
-    outs = [comp.apply(matcore.random_density(rng, 2)).matrix for _ in range(5)]
+    outs = [apply(comp, matcore.random_density(rng, 2)).matrix for _ in range(5)]
     for o in outs[1:]:
         assert np.abs(o - outs[0]).max() < 1e-12
 
@@ -381,7 +389,7 @@ def test_channel_outputs_valid_densities(rng):
         d = 2 + rng.integer(3)
         rho = matcore.random_density(rng, d)
         lam = rng.uniform()
-        out = depolarizing(d, lam).apply(rho)
+        out = apply(depolarizing(d, lam), rho)
         assert out.eigenvalues[0] >= 0
         assert abs(np.trace(out.matrix).real - 1) < 1e-9
 
@@ -392,13 +400,13 @@ def test_data_processing_all_constructors(rng):
         sigma = matcore.random_density(rng, 2, mix=0.02)
         d_pre = entropy.relative_entropy(rho, sigma).unwrap()
         for ch in (depolarizing(2, rng.uniform()), dephasing_y(rng.uniform())):
-            d_post = entropy.relative_entropy(ch.apply(rho), ch.apply(sigma)).unwrap()
+            d_post = entropy.relative_entropy(apply(ch, rho), apply(ch, sigma)).unwrap()
             assert d_post <= d_pre + 1e-10
 
 
 def test_extension_preserves_channel_structure(rng):
     # (Phi tensor Id) acts as Phi on the left factor of product states
-    sup = depolarizing(2, 0.4).to_superoperator()
+    sup = to_superoperator(depolarizing(2, 0.4))
     ext = sup.tensor_identity(3)
     ra = matcore.random_density(rng, 2)
     rb = matcore.random_density(rng, 3)
@@ -409,7 +417,7 @@ def test_extension_preserves_channel_structure(rng):
 
 
 def test_apply_on_factor_matches_extended_maps(rng):
-    maps = (depolarizing(2, 0.4).to_superoperator(), pinching(2),
+    maps = (to_superoperator(depolarizing(2, 0.4)), pinching(2),
             complementary_channel(depolarizing(2, 0.3)))  # last one is 2 -> 5
     units = np.eye(3)
     for m in maps:
@@ -432,7 +440,7 @@ def test_apply_on_factor_matches_extended_maps(rng):
 
 
 def test_apply_on_factor_rejects_dimension_mismatch():
-    sup = depolarizing(2, 0.4).to_superoperator()
+    sup = to_superoperator(depolarizing(2, 0.4))
     with pytest.raises(ValueError, match="dim"):
         channels.apply_on_factor(sup, np.eye(6), (3, 2), 0)
     with pytest.raises(ValueError, match="dim"):
@@ -493,13 +501,13 @@ def test_semigroup_at_long_times_is_the_fixed_point():
 
 def test_superoperator_checks_the_input_dimension():
     e = depolarizing_projection(2)
-    for apply in (lambda: e.superop.apply_matrix(np.eye(3) / 3),
-                  lambda: e.apply(DensityMatrix.maximally_mixed(3)),
-                  lambda: bounds.classical_converse_check(
-                      e, DensityMatrix.maximally_mixed(3), DensityMatrix.maximally_mixed(3),
-                      (0.1,), 4.0, 0.02)):
+    for call in (lambda: e.superop.apply_matrix(np.eye(3) / 3),
+                 lambda: apply(e, DensityMatrix.maximally_mixed(3)),
+                 lambda: bounds.classical_converse_check(
+                     e, DensityMatrix.maximally_mixed(3), DensityMatrix.maximally_mixed(3),
+                     (0.1,), 4.0, 0.02)):
         with pytest.raises(ValueError, match="expects dim 2"):
-            apply()
+            call()
 
 
 def test_kraus_channel_checks_the_input_shape():
@@ -508,14 +516,14 @@ def test_kraus_channel_checks_the_input_shape():
         with pytest.raises(ValueError, match=r"channel expects dim 2, got shape \("):
             dep.apply_matrix(m)
     with pytest.raises(ValueError, match="channel expects dim 2"):
-        dep.apply(DensityMatrix.maximally_mixed(3))
+        apply(dep, DensityMatrix.maximally_mixed(3))
 
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_maps_on_a_stack_match_each_matrix_bit_for_bit(rng, d):
     dep = depolarizing(d, 0.3)
     maps = (dep, complementary_channel(dep),  # the complement maps d to d^2 + 1
-            dep.to_superoperator(), pinching(d))
+            to_superoperator(dep), pinching(d))
     mats = np.stack([matcore.random_density(rng, d).matrix for _ in range(5)])
     joints = np.stack([matcore.random_density(rng, 3 * d).matrix for _ in range(5)])
 
@@ -629,7 +637,8 @@ def test_depolarizing_matches_a_loop_oracle_bit_for_bit(d, lam):
 
 def test_complement_of_the_complement_returns_the_operators_bit_for_bit():
     from qdecay.experiments import flagged_channel
-    for ch in (depolarizing(3, 0.3), dephasing_y(0.4), flagged_channel(0.2, 0.3),
+    for ch in (depolarizing(3, 0.3), dephasing_y(0.4),
+               flagged_channel(0.2, 0.3, "dephasing-y"),
                flagged_channel(0.2, 0.3, "depolarizing"), identity_channel(2)):
         again = complementary_channel(complementary_channel(ch))
         assert (again.dim_in, again.dim_out) == (ch.dim_in, ch.dim_out)
@@ -667,7 +676,8 @@ def test_array_holding_dataclasses_compare_by_identity():
         assert obj == obj and obj != twin
         assert obj in [twin, obj] and twin not in [obj]
         assert hash(obj) == hash(obj) and len({obj, twin, obj}) == 2
-    a, b = (BipartiteDensity.from_matrix(np.eye(4, dtype=complex) / 4, 2, 2) for _ in "ab")
+    a, b = (BipartiteDensity(2, 2, DensityMatrix.from_matrix(np.eye(4, dtype=complex) / 4))
+            for _ in "ab")
     assert a == BipartiteDensity(2, 2, a.state) and a != b
     assert hash(a) == hash(BipartiteDensity(2, 2, a.state))
 
@@ -685,7 +695,7 @@ FAMILIES = {
     "depolarizing-one": (lambda lam: depolarizing(3, lam), [(0.5,)]),
     "dephasing_y": (dephasing_y, [(0.0,), (0.4,), (1.0,), (1e-17,)]),
     "dephasing_y-one": (dephasing_y, [(1.0,)]),
-    "flagged-dephasing": (flagged_channel,
+    "flagged-dephasing": (lambda lam, p: flagged_channel(lam, p, "dephasing-y"),
                           [(0.0, 0.3), (0.2, 1.0), (0.9, 0.6), (1e-17, 1.0), (0.0, 1.0)]),
     "flagged-depolarizing": (_flagged_depolarizing,
                              [(1e-17, 1.0), (0.2, 0.3), (0.9, 0.05), (0.0, 0.5), (0.0, 1.0)]),
@@ -744,11 +754,11 @@ def test_family_images_match_member_images_bit_for_bit(rng, case):
     (lambda: dephasing_y(np.array([-0.1, 0.3])),
      r"^stack member 0: dephasing strength -0.1 outside \[0, 1\]$"),
     (lambda: dephasing_y(np.array([0.1, math.nan])), r"^stack member 1: dephasing strength nan"),
-    (lambda: flagged_channel(np.array([0.1, 0.2]), np.array([0.5, 0.0])),
+    (lambda: flagged_channel(np.array([0.1, 0.2]), np.array([0.5, 0.0]), "dephasing-y"),
      r"^stack member 1: flag probability must lie in \(0, 1\]$"),
     (lambda: _flagged_depolarizing(np.array([0.1, 0.2]), np.array([math.nan, 0.5])),
      r"^stack member 0: flag probability must lie in \(0, 1\]$"),
-    (lambda: flagged_channel(np.array([0.1, 1.0]), np.array([0.5, 0.5])),
+    (lambda: flagged_channel(np.array([0.1, 1.0]), np.array([0.5, 0.5]), "dephasing-y"),
      r"^stack member 1: noise strength must lie in \[0, 1\)$"),
     (lambda: _flagged_depolarizing(np.array([math.nan, 0.1]), np.array([0.5, 0.5])),
      r"^stack member 0: noise strength must lie in \[0, 1\)$"),
@@ -762,8 +772,8 @@ def test_family_range_checks_name_the_member(call, message):
 @pytest.mark.parametrize("case", ["apply", "to_superoperator", "apply_on_factor", "choi_matrix"])
 def test_single_channel_operations_refuse_a_family(case):
     family = depolarizing(2, np.array([0.1, 0.5, 0.9]))
-    call = {"apply": lambda: family.apply(DensityMatrix.maximally_mixed(2)),
-            "to_superoperator": family.to_superoperator,
+    call = {"apply": lambda: apply(family, DensityMatrix.maximally_mixed(2)),
+            "to_superoperator": lambda: to_superoperator(family),
             "apply_on_factor": lambda: channels.apply_on_factor(family, np.eye(4) / 4, (2, 2), 0),
             "choi_matrix": lambda: channels.choi_matrix(family)}[case]
     with pytest.raises(ValueError, match="a family of 3 channels is not one map"):

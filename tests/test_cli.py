@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import rho_theta_lambda
 from qdecay import bounds, entropy, matcore
 from qdecay import experiments as exp
 from qdecay.cli import main
@@ -272,8 +273,8 @@ def test_sweeps_at_dim_64_build_no_channel_and_solve_no_eigenproblem(tmp_path, c
     for line in lines[1:]:
         theta, d_pre, d_post, _, _ = (float(x) for x in line.split(","))
         # the matrix path's oracle: N psi is rho_theta_lambda, pinched to its diagonal
-        for got, state in ((d_pre, exp.rho_theta_lambda(theta, 0.0, 64)),
-                           (d_post, exp.rho_theta_lambda(theta, 0.1, 64))):
+        for got, state in ((d_pre, rho_theta_lambda(theta, 0.0, 64)),
+                           (d_post, rho_theta_lambda(theta, 0.1, 64))):
             pinched = matcore.DensityMatrix.from_matrix(np.diag(np.diagonal(state.matrix)))
             assert math.isclose(got, entropy.relative_entropy(state, pinched).unwrap(),
                                 rel_tol=1e-7)

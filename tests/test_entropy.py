@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary, stack_of
-from qdecay import channels, entropy, matcore
+from oracles import apply, diagonal, omega_theta_lambda, pinching, pure, rho_theta_lambda
+from qdecay import entropy, matcore
 from qdecay.entropy import (
     binary_entropy,
     f_almost_concavity,
@@ -17,7 +18,6 @@ from qdecay.entropy import (
     weighted_norm_sq,
 )
 from qdecay.matcore import BipartiteDensity, DensityMatrix
-from qdecay.experiments import omega_theta_lambda, rho_theta_lambda
 
 
 def pinched(rho):
@@ -25,7 +25,7 @@ def pinched(rho):
 
 
 def test_entropy_pure_state():
-    assert von_neumann_entropy(DensityMatrix.pure([1, 1j])) < 1e-12
+    assert von_neumann_entropy(pure([1, 1j])) < 1e-12
 
 
 def test_entropy_maximally_mixed():
@@ -48,7 +48,7 @@ def test_relative_entropy_self_is_zero(rng):
 
 
 def test_relative_entropy_pure_vs_mixed():
-    d = relative_entropy(DensityMatrix.pure([1, 0]), DensityMatrix.maximally_mixed(2))
+    d = relative_entropy(pure([1, 0]), DensityMatrix.maximally_mixed(2))
     assert abs(d.unwrap() - math.log(2)) < 1e-12
 
 
@@ -63,10 +63,10 @@ def test_relative_entropy_pinched_closed_form():
 
 def test_relative_entropy_infinite_flag():
     # |1><1| leaks entirely out of supp |0><0|
-    rho, sigma = DensityMatrix.pure([0, 1]), DensityMatrix.pure([1, 0])
+    rho, sigma = pure([0, 1]), pure([1, 0])
     d = relative_entropy(rho, sigma)
     assert not d.finite
-    assert math.isinf(float(d))
+    assert math.isinf(d.value)
     with pytest.raises(ValueError, match="relative entropy is infinite"):
         d.unwrap()
     with pytest.raises(ValueError, match="relative entropy is infinite"):
@@ -87,14 +87,14 @@ def test_relative_entropy_nonnegative_random(rng):
 def test_mutual_information_product_state(rng):
     ra = matcore.random_density(rng, 2)
     rb = matcore.random_density(rng, 3)
-    bip = BipartiteDensity.from_matrix(matcore.tensor(ra.matrix, rb.matrix), 2, 3)
+    bip = BipartiteDensity(2, 3, DensityMatrix.from_matrix(matcore.tensor(ra.matrix, rb.matrix)))
     assert mutual_information(bip) < 1e-10
 
 
 def test_mutual_information_bell_pair():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / math.sqrt(2)
-    bip = BipartiteDensity.from_matrix(np.outer(bell, bell.conj()), 2, 2)
+    bip = BipartiteDensity(2, 2, DensityMatrix.from_matrix(np.outer(bell, bell.conj())))
     assert abs(mutual_information(bip) - 2 * math.log(2)) < 1e-10
 
 
@@ -123,7 +123,7 @@ def test_mutual_information_data_processing_partial_trace(rng):
         big = BipartiteDensity(2, 4, rho)
         i_full = mutual_information(big)
         red = matcore.partial_trace(rho.matrix, 4, 2, "A")  # drop last qubit
-        small = BipartiteDensity.from_matrix(red, 2, 2)
+        small = BipartiteDensity(2, 2, DensityMatrix.from_matrix(red))
         assert mutual_information(small) <= i_full + 1e-10
 
 
@@ -155,8 +155,8 @@ def test_pinsker_equal_states(rng):
 
 
 def test_pinsker_pure_vs_mixed_closed_forms():
-    rho = DensityMatrix.diagonal([1.0, 0.0])
-    sigma = DensityMatrix.diagonal([0.5, 0.5])
+    rho = diagonal([1.0, 0.0])
+    sigma = diagonal([0.5, 0.5])
     rep = pinsker_check(rho, sigma)
     assert abs(rep.relative_entropy - math.log(2)) < 1e-12
     assert abs(rep.trace_distance - 1.0) < 1e-12
@@ -170,7 +170,7 @@ def test_pinsker_random_commuting(rng):
     for k in range(300):
         p = matcore.random_probability_vector(rng, 3, floor=0.01)
         q = matcore.random_probability_vector(rng, 3, floor=0.01)
-        rep = pinsker_check(DensityMatrix.diagonal(p), DensityMatrix.diagonal(q))
+        rep = pinsker_check(diagonal(p), diagonal(q))
         assert rep.passed
 
 
@@ -203,7 +203,7 @@ def test_weighted_norm_zero_operator():
 
 
 def test_weighted_norm_outside_support_is_infinite():
-    omega = DensityMatrix.diagonal([1.0, 0.0])
+    omega = diagonal([1.0, 0.0])
     x = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     assert math.isinf(weighted_norm_sq(x, omega))
 
@@ -264,15 +264,15 @@ def test_integral_form_matches_eigen_path(rng):
 def test_integral_form_commuting_pair(rng):
     p = matcore.random_probability_vector(rng, 3, floor=0.05)
     q = matcore.random_probability_vector(rng, 3, floor=0.05)
-    rho, sigma = DensityMatrix.diagonal(p), DensityMatrix.diagonal(q)
+    rho, sigma = diagonal(p), diagonal(q)
     assert abs(relative_entropy_integral_form(rho, sigma, 64)
                - relative_entropy(rho, sigma).unwrap()) < 1e-6
 
 
 def test_integral_form_rejects_support_violation():
     with pytest.raises(ValueError, match="support"):
-        relative_entropy_integral_form(DensityMatrix.pure([0, 1]),
-                                       DensityMatrix.pure([1, 0]), 64)
+        relative_entropy_integral_form(pure([0, 1]),
+                                       pure([1, 0]), 64)
 
 
 def test_integral_form_rank_deficient_sigma(rng):
@@ -355,8 +355,8 @@ def test_a_matrix_array_where_a_state_belongs_is_named(kind):
 def test_pinsker_and_sandwich_reports_hold_one_entry_per_pair(rng):
     pairs = [(matcore.random_density(rng, 3, mix=0.1), matcore.random_density(rng, 3, mix=0.1))
              for _ in range(4)]
-    pairs.append((DensityMatrix.diagonal([0.4, 0.5, 0.1]),
-                  DensityMatrix.diagonal([0.2, 0.3, 0.5])))
+    pairs.append((diagonal([0.4, 0.5, 0.1]),
+                  diagonal([0.2, 0.3, 0.5])))
     rhos, sigmas = (stack_of([pair[j] for pair in pairs]) for j in (0, 1))
     fields = {pinsker_check: ("relative_entropy", "trace_distance", "basic_bound",
                               "refined_bound", "basic_holds", "refined_holds", "passed"),
@@ -453,7 +453,7 @@ def test_integral_form_matches_full_tensor_rule(rng, d, q):
               matcore.random_density(rng, d, mix=0.1)) for _ in range(3)]
     p = matcore.random_probability_vector(rng, d, floor=0.05)
     r = matcore.random_probability_vector(rng, d, floor=0.05)
-    pairs.append((DensityMatrix.diagonal(p), DensityMatrix.diagonal(r)))
+    pairs.append((diagonal(p), diagonal(r)))
     degenerate = _nearly_degenerate_pair(rng, d)
     pairs.append(degenerate)
     for rho, sigma in pairs:
@@ -684,8 +684,8 @@ def test_one_eigensolve_per_call(monkeypatch, rng):
     node count, is built before counting."""
     rho = matcore.random_density(rng, 3, mix=0.1)
     sigma = matcore.random_density(rng, 3, mix=0.1)
-    singular = DensityMatrix.diagonal([0.5, 0.5, 0.0])
-    inside = DensityMatrix.diagonal([0.3, 0.7, 0.0])
+    singular = diagonal([0.5, 0.5, 0.0])
+    inside = diagonal([0.3, 0.7, 0.0])
     m = rho.matrix.copy()
     entropy._gauss_rule(16)
     raw = matcore.jacobi_eigh_batch
@@ -761,7 +761,7 @@ def test_stacked_functionals_bit_equal_to_each_row_alone(rng, d):
         entropy.unwrap(values)
     assert np.isfinite(np.delete(values, 2)).all()
     for i, (rho, sigma) in enumerate(zip(rhos, sigmas)):
-        alone = float(relative_entropy(rho, sigma))
+        alone = relative_entropy(rho, sigma).value
         assert _bits(values[i]) == _bits(alone) == _bits(_parent_relative_entropy(rho, sigma))
     x = np.stack([r.matrix - s.matrix for r, s in zip(rhos, sigmas)])
     norms = entropy.weighted_norm_sq(x, sigmas)
@@ -787,8 +787,8 @@ def test_stacked_mutual_information_bit_equal_to_each_state_alone(rng, dims):
 def test_pinched_pure_state_keeps_its_tiny_eigenvalue(theta):
     # E psi = diag(cos^2, sin^2) has sin^2(theta) ~ 1e-13, below the Loewner rank
     # rule (matcore.SUPPORT_RTOL); ENTROPY_SUPPORT_RTOL keeps it in the support
-    psi = DensityMatrix.pure([math.cos(theta), math.sin(theta)])
-    got = relative_entropy(psi, channels.pinching(2).apply(psi))
+    psi = pure([math.cos(theta), math.sin(theta)])
+    got = relative_entropy(psi, apply(pinching(2), psi))
     assert math.isclose(got.unwrap(), binary_entropy(math.sin(theta) ** 2), rel_tol=1e-4)
 
 
@@ -798,14 +798,14 @@ def test_one_leak_rule(delta):
     # directions: the entropies and strict Loewner share one leak test, so they
     # agree on whether it counts (the Frobenius norm of the off-support block
     # let 1.2e-12 pass as finite)
-    sigma = DensityMatrix.diagonal([0.5, 0.5, 0.0, 0.0])
+    sigma = diagonal([0.5, 0.5, 0.0, 0.0])
     inside = (1.0 - delta) * np.array([[0.6, 0.2j], [-0.2j, 0.4]])
     m = np.zeros((4, 4), dtype=complex)
     m[:2, :2] = inside
     m[2, 2] = m[3, 3] = delta / 2
     rho = DensityMatrix.from_matrix(m)
     leaks = delta > matcore.SUPPORT_RTOL
-    assert (float(relative_entropy(rho, sigma)) == math.inf) == leaks
+    assert (relative_entropy(rho, sigma).value == math.inf) == leaks
     assert (matcore.loewner_min_coefficient(rho, sigma, strict=True) == math.inf) == leaks
     assert math.isfinite(matcore.loewner_min_coefficient(rho, sigma))
     if leaks:

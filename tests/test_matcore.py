@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary, stack_of
+from oracles import diagonal, pure
 from qdecay import entropy, matcore
 from qdecay.matcore import BipartiteDensity, DensityMatrix
 from qdecay.rng import Rng
@@ -137,12 +138,21 @@ def test_partial_trace_bell_pair():
     assert np.abs(red - np.eye(2) / 2).max() < 1e-12
 
 
+def test_bipartite_marginals_and_the_keep_check():
+    bip = BipartiteDensity(2, 2, DensityMatrix.from_matrix(
+        np.diag([0.4, 0.1, 0.15, 0.35]).astype(complex)))
+    rho_a = BipartiteDensity.marginals(bip)[0]
+    assert np.array_equal(rho_a.matrix[0], np.diag([0.5, 0.5]).astype(complex))
+    with pytest.raises(ValueError, match="keep"):
+        matcore.partial_trace(bip.state.matrix, 2, 2, "C")
+
+
 def test_partial_trace_preserves_trace_and_positivity(rng):
     for _ in range(200):
         rho = matcore.random_density(rng, 6)
         bip = BipartiteDensity(2, 3, rho)
-        for keep in ("A", "B"):
-            red = bip.marginal(keep)
+        for marginal in BipartiteDensity.marginals(bip):
+            red = marginal[0]
             assert abs(np.trace(red.matrix).real - 1) < 1e-10
             assert red.eigenvalues[0] >= 0
 
@@ -150,10 +160,10 @@ def test_partial_trace_preserves_trace_and_positivity(rng):
 def test_trace_norm_examples(rng):
     rho = matcore.random_density(rng, 3)
     assert matcore.trace_norm(rho.matrix - rho.matrix) == 0
-    e0 = DensityMatrix.pure([1, 0]).matrix
-    e1 = DensityMatrix.pure([0, 1]).matrix
+    e0 = pure([1, 0]).matrix
+    e1 = pure([0, 1]).matrix
     assert abs(matcore.trace_norm(e0 - e1) - 2) < 1e-12
-    plus = DensityMatrix.pure([1, 1]).matrix
+    plus = pure([1, 1]).matrix
     assert abs(matcore.trace_norm(plus - np.eye(2) / 2) - 1) < 1e-12
 
 
@@ -163,9 +173,9 @@ def test_loewner_same_state(rng):
 
 
 def test_loewner_pure_vs_mixed():
-    pure = DensityMatrix.pure([1, 0])
+    psi = pure([1, 0])
     mixed = DensityMatrix.maximally_mixed(2)
-    assert abs(matcore.loewner_min_coefficient(pure, mixed) - 2) < 1e-10
+    assert abs(matcore.loewner_min_coefficient(psi, mixed) - 2) < 1e-10
 
 
 def test_loewner_commuting_diagonal_ratio(rng):
@@ -173,13 +183,13 @@ def test_loewner_commuting_diagonal_ratio(rng):
         p = matcore.random_probability_vector(rng, 3, floor=0.05)
         q = matcore.random_probability_vector(rng, 3, floor=0.05)
         got = matcore.loewner_min_coefficient(
-            DensityMatrix.diagonal(p), DensityMatrix.diagonal(q))
+            diagonal(p), diagonal(q))
         assert abs(got - (p / q).max()) < 1e-9
 
 
 def test_loewner_strict_infinite_outside_support():
-    rho = DensityMatrix.pure([0, 1])
-    sigma = DensityMatrix.pure([1, 0])
+    rho = pure([0, 1])
+    sigma = pure([1, 0])
     assert matcore.loewner_min_coefficient(rho, sigma, strict=True) == math.inf
 
 
@@ -343,17 +353,6 @@ def test_random_complex_normal_matches_entry_by_entry_draws(d):
         assert got.shape == shape and got.dtype == complex
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert a._counter == b._counter
-
-
-def test_bipartite_marginal_built_once():
-    bip = BipartiteDensity.from_matrix(np.diag([0.4, 0.1, 0.15, 0.35]).astype(complex), 2, 2)
-    rho_a = bip.marginal("A")
-    assert bip.marginal("A") is rho_a
-    assert bip.marginal("B") is bip.marginal("B")
-    assert np.array_equal(rho_a.matrix, np.diag([0.5, 0.5]).astype(complex))
-    assert bip == BipartiteDensity(2, 2, bip.state)
-    with pytest.raises(ValueError, match="keep"):
-        bip.marginal("C")
 
 
 def _bits(a):

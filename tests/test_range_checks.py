@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from qdecay import bounds, channels, entropy
-from qdecay import experiments as exp
+from oracles import expansion_consistency_check, pinching, replacement_semigroup
+from qdecay import bounds, channels, entropy, verify
 from qdecay.matcore import DensityMatrix
 
 NAN = math.nan
@@ -31,16 +31,16 @@ def _decayed_state(c):
 
 
 CASES = {
-    "g_factor-c": (lambda: bounds.g_factor(0.5, NAN), "c must exceed 1"),
-    "g_factor-c-inf": (lambda: bounds.g_factor(0.5, math.inf), "c must exceed 1"),
-    "g_factor-zeta": (lambda: bounds.g_factor(NAN, 4.0), "zeta must lie in"),
+    "g_factor-c": (lambda: bounds.g_factor(0.5, NAN, "theorem"), "c must exceed 1"),
+    "g_factor-c-inf": (lambda: bounds.g_factor(0.5, math.inf, "theorem"), "c must exceed 1"),
+    "g_factor-zeta": (lambda: bounds.g_factor(NAN, 4.0, "theorem"), "zeta must lie in"),
     "kappa": (lambda: entropy.kappa(NAN), "kappa requires c >= 1"),
     "kappa-inf": (lambda: entropy.kappa(math.inf), "kappa requires c >= 1"),
     "replacement_weights-t": (lambda: bounds._replacement_weights(NAN, 4.0, 0.75), "need t >= 0"),
     "replacement_weights-c": (lambda: bounds._replacement_weights(0.1, NAN, 0.75), "need t >= 0"),
     "replacement_weights-diamond": (lambda: bounds._replacement_weights(0.1, 4.0, NAN),
                                     "need t >= 0"),
-    "replacement_semigroup": (lambda: channels.replacement_semigroup(channels.pinching(2), NAN),
+    "replacement_semigroup": (lambda: replacement_semigroup(pinching(2), NAN),
                               "time must be nonnegative"),
     "lindbladian_semigroup": (lambda: _semigroup(NAN), "time must be nonnegative"),
     "replacement_lindbladian-diamond": (lambda: _replacement(NAN, 4.0), "diamond_upper > 0"),
@@ -60,9 +60,13 @@ CASES = {
         lambda: channels.GroupLindbladian.from_generators([X, NAN * Z], [0.5, 0.5]),
         "not unitary"),
     "from_kraus": (lambda: channels.KrausChannel.from_kraus([NAN * np.eye(2)]), "completeness"),
-    "expansion_consistency_check": (lambda: exp.expansion_consistency_check(NAN, 0.1),
+    "expansion_consistency_check": (lambda: expansion_consistency_check(NAN, 0.1),
                                     "small-angle"),
     "decayed_state_bound_check": (lambda: _decayed_state(NAN), "order precondition fails"),
+    "run_suites-zero": (lambda: verify.run_suites("all", 0, 1), "at least 1 sample"),
+    "run_suites-negative": (lambda: verify.run_suites("all", -3, 1), "at least 1 sample"),
+    "run_suites-fraction": (lambda: verify.run_suites(["pinsker"], 2.5, 1), "at least 1 sample"),
+    "run_suites-nan": (lambda: verify.run_suites(["pinsker"], NAN, 1), "at least 1 sample"),
 }
 
 

@@ -208,7 +208,8 @@ def _per_sample_data_processing(g1, g2, dep, deph, lam, p):
     for idx, chans in enumerate((
             [channels.depolarizing(2, x) for x in dep.tolist()],
             [channels.dephasing_y(x) for x in deph.tolist()],
-            [experiments.flagged_channel(a, b) for a, b in zip(lam.tolist(), p.tolist())])):
+            [experiments.flagged_channel(a, b, "dephasing-y")
+             for a, b in zip(lam.tolist(), p.tolist())])):
         images = DensityMatrix.from_matrices(
             [ch.apply_matrix(x.matrix) for xs in (rhos, sigmas) for ch, x in zip(chans, xs)])
         d_post = entropy.unwrap(entropy.relative_entropy(images[:len(rhos)], images[len(rhos):]))
