@@ -167,6 +167,8 @@ def clsi_converse_check(lind: Lindbladian, rho, times: Sequence[float],
     of dimension k lind.dim."""
     if not len(times):
         raise ValueError("need at least one time")
+    if not len(variants):
+        raise ValueError("need at least one variant")
     rhos, _ = matcore.batch(rho=rho)
     k, rest = divmod(rhos.dim, lind.dim)
     if rest:

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channels, entropy
 from .channels import GroupLindbladian, KrausChannel
-from .matcore import BipartiteDensity, DensityMatrix
+from .matcore import DensityMatrix
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -71,6 +72,10 @@ def theta_logspace(theta_max: float, theta_min: float, points: int) -> tuple:
     for name, value in (("theta_max", theta_max), ("theta_min", theta_min)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    try:
+        points = operator.index(points)
+    except TypeError:
+        raise ValueError(f"points must be an integer, got {points!r}") from None
     if points < 1:
         raise ValueError(f"points must be at least 1, got {points!r}")
     if points > MAX_THETA_POINTS:
@@ -92,6 +97,10 @@ def sudden_decay_sweep(theta_grid, lam: float, dim: int, noise: str) -> SweepRes
     psi under dephasing-y is (1 - lam/2) psi + (lam/2)(I - psi): the same levels.
     """
     thetas = _theta_grid(theta_grid)
+    try:
+        dim = operator.index(dim)
+    except TypeError:
+        raise ValueError(f"dimension must be an integer, got {dim!r}") from None
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
     if lam > 1.0 or not (lam == 0.0 or lam / dim >= np.finfo(float).tiny):
@@ -137,6 +146,14 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
     every theta), so once the semigroup has mixed any weight toward the
     fixed point the distinguishing information loses its ln(1/theta)
     enhancement and the pre/post ratio grows without bound as theta -> 0.
+
+    The flag state (1/2) sum_f |f><f| x rho_f is classical on the flag, so its
+    mutual information is the Holevo quantity S(rho_bar) - [S(rho_+) + S(rho_-)]/2,
+    rho_bar = (rho_+ + rho_-)/2, on d x d states only.  Before the noise rho_+- =
+    chi_+-theta are pure and rho_bar has spectrum cos^2(theta/2), sin^2(theta/2),
+    so i_pre = h(sin^2(theta/2)) exactly.  i_post, of size theta^2, is a difference
+    of entropies of size 1: its relative error grows as theta^-2 (about 1e-3 at
+    theta = 1e-6), and the ratio is NaN where it rounds to 0.
     """
     lind = channels.group_lindbladian(g)
     d = lind.dim
@@ -152,18 +169,19 @@ def group_fragility_demo(g: GroupLindbladian, t: float, theta_grid) -> SweepResu
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     grid = _theta_grid(theta_grid)
     for thetas in (grid[k:k + SWEEP_CHUNK] for k in range(0, len(grid), SWEEP_CHUNK)):
-        big = np.zeros((len(thetas), 2 * d, 2 * d), dtype=complex)
-        for flag, sign in ((0, 1.0), (1, -1.0)):  # flag 0 carries +theta, flag 1 -theta
-            vec = np.zeros((len(thetas), d), dtype=complex)
-            vec[:, i] = inv_sqrt2
-            vec[:, j] = [inv_sqrt2 * complex(math.cos(x), sign * math.sin(x)) for x in thetas]
-            block = slice(flag * d, (flag + 1) * d)
-            big[:, block, block] = 0.5 * (vec[:, :, None] * vec[:, None, :].conj())
-        omegas = BipartiteDensity(2, d, DensityMatrix.from_matrices(big))
-        i_pres, i_posts = (entropy.mutual_information(xs).tolist()
-                           for xs in (omegas, channels.apply_to_b(phi_t, omegas)))
-        rows.extend((theta, a, b, a / b if b > 0 else math.nan)  # i_post can round to 0
-                    for theta, a, b in zip(thetas, i_pres, i_posts))
+        n = len(thetas)
+        vec = np.zeros((2 * n, d), dtype=complex)  # chi_+theta, then chi_-theta
+        vec[:, i] = inv_sqrt2
+        vec[:, j] = [inv_sqrt2 * complex(math.cos(x), sign * math.sin(x))
+                     for sign in (1.0, -1.0) for x in thetas]
+        rho = phi_t.apply_matrix(vec[:, :, None] * vec[:, None, :].conj())
+        s = entropy.von_neumann_entropy(DensityMatrix.from_matrices(
+            np.concatenate([rho, 0.5 * (rho[:n] + rho[n:])])))
+        i_posts = entropy._nonnegative(s[2 * n:] - 0.5 * (s[:n] + s[n:2 * n]),
+                                       "mutual information").tolist()
+        for theta, b in zip(thetas, i_posts):
+            a = entropy.binary_entropy(math.sin(theta / 2.0) ** 2)
+            rows.append((theta, a, b, a / b if b > 0 else math.nan))  # i_post can round to 0
     meta = {
         "experiment": "group-fragility",
         "t": t,

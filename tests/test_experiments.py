@@ -155,17 +155,19 @@ def test_sweeps_check_their_settings_in_order():
 
 def test_sweeps_apply_the_map_once_per_slice(monkeypatch):
     thetas = tuple(np.logspace(-1, -6, exp.SWEEP_CHUNK + 6))  # two slices
-    raw_factor = channels.apply_on_factor
+    raw_apply = channels.SuperOperator.apply_matrix
     calls = []
 
-    def factor(channel, m, dims, which):
+    def apply_matrix(self, m):
         calls.append(np.shape(m))
-        return raw_factor(channel, m, dims, which)
+        return raw_apply(self, m)
 
-    monkeypatch.setattr(channels, "apply_on_factor", factor)
+    monkeypatch.setattr(channels.SuperOperator, "apply_matrix", apply_matrix)
     group = channels.GroupLindbladian.from_generators([X, Z], [0.5, 0.5])
     assert len(exp.group_fragility_demo(group, 0.3, thetas).rows) == len(thetas)
-    assert [shape[0] for shape in calls] == [exp.SWEEP_CHUNK, len(thetas) - exp.SWEEP_CHUNK]
+    # one call per slice, on the stack of its +theta and -theta flag states
+    assert [shape[0] for shape in calls] == [2 * exp.SWEEP_CHUNK,
+                                             2 * (len(thetas) - exp.SWEEP_CHUNK)]
 
 
 def test_group_fragility_eigensolves_do_not_grow_with_the_slice(monkeypatch):
@@ -498,6 +500,58 @@ def test_sweeps_match_mpmath_from_pi_over_4_to_theta_min():
                         # the bound is a difference: its error is relative to its terms
                         assert abs(bound - float(p * k - (1 - p) * leak)) <= (
                             ORACLE_RTOL * float(p * k + (1 - p) * leak)), ("bound",) + where
+
+
+# the fragility demo's two benchmark groups: {X, Z} at d = 2 and clock/shift at d = 4
+FRAGILITY_GROUPS = {
+    "pauli-xz": [X, Z],
+    "clock-shift": [np.diag(np.exp(2j * np.pi * np.arange(4) / 4)),
+                    np.roll(np.eye(4, dtype=complex), 1, axis=0)],
+}
+FRAGILITY_TIMES = (0.05, 0.3)
+# i_pre = h(sin^2(theta/2)) is a closed form: within 2.4e-16 at every theta checked
+FRAGILITY_PRE_RTOL = 1e-15
+# i_post, of size theta^2, is a difference of O(1) entropies, so its relative error
+# grows as theta^-2: at most 2.2e-15 / theta^2 for {X, Z} on 121 thetas from pi/4 to
+# 1e-3 at both times (1.1e-9 at theta = 1e-3); the tolerance, this / theta^2, is 2.3x that
+FRAGILITY_POST_RTOL_THETA2 = 5e-15
+
+
+@pytest.mark.parametrize("name", sorted(FRAGILITY_GROUPS))
+def test_group_fragility_i_pre_matches_mpmath(name):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    gens = FRAGILITY_GROUPS[name]
+    g = channels.GroupLindbladian.from_generators(gens, [1.0 / len(gens)] * len(gens))
+    thetas = tuple(float(t) for t in np.logspace(-1, -12, 23))
+    with mp.workdps(50):
+        for t in FRAGILITY_TIMES:
+            for theta, i_pre, _, _ in exp.group_fragility_demo(g, t, thetas).rows:
+                half = mp.sin(mp.mpf(theta) / 2) ** 2
+                want = _mp_entropy(mp, [half, 1 - half])
+                assert abs(i_pre - want) <= FRAGILITY_PRE_RTOL * want, (name, t, theta)
+
+
+def test_group_fragility_i_post_matches_the_pauli_closed_form():
+    # {X, Z} at equal weights shrinks the Bloch vector (cos theta, +-sin theta, 0) to
+    # (e^-t cos theta, +-e^-2t sin theta, 0), and the mean to (e^-t cos theta, 0, 0):
+    # i_post = H(e^-t cos theta) - H(|r|), H(r) = h((1 - r)/2)
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    g = channels.GroupLindbladian.from_generators([X, Z], [0.5, 0.5])
+    thetas = (math.pi / 4,) + tuple(float(t) for t in np.logspace(-1, -3, 9))
+
+    def bloch_entropy(r):
+        return _mp_entropy(mp, [(1 - r) / 2, (1 + r) / 2])
+
+    with mp.workdps(50):
+        for t in FRAGILITY_TIMES:
+            x, y = mp.exp(-mp.mpf(t)), mp.exp(-2 * mp.mpf(t))
+            for theta, _, i_post, _ in exp.group_fragility_demo(g, t, thetas).rows:
+                c, s = mp.cos(mp.mpf(theta)), mp.sin(mp.mpf(theta))
+                want = bloch_entropy(x * c) - bloch_entropy(mp.sqrt((x * c) ** 2 + (y * s) ** 2))
+                tol = FRAGILITY_POST_RTOL_THETA2 / theta ** 2
+                assert abs(i_post - want) <= tol * want, (t, theta, i_post, want)
 
 
 # the matrix path: states, Kraus channels and Stinespring complements, eigensolved.

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import expansion_consistency_check, pinching, replacement_semigroup
 from qdecay import bounds, channels, entropy, verify
+from qdecay import experiments as exp
 from qdecay.matcore import DensityMatrix
 
 NAN = math.nan
@@ -67,6 +68,20 @@ CASES = {
     "run_suites-negative": (lambda: verify.run_suites("all", -3, 1), "at least 1 sample"),
     "run_suites-fraction": (lambda: verify.run_suites(["pinsker"], 2.5, 1), "at least 1 sample"),
     "run_suites-nan": (lambda: verify.run_suites(["pinsker"], NAN, 1), "at least 1 sample"),
+    "clsi_converse_check-no-variants": (
+        lambda: bounds.clsi_converse_check(_replacement(2.0, 4.0),
+                                           DensityMatrix.from_matrix(np.eye(2) / 2), [0.1], []),
+        "^need at least one variant$"),
+    "sudden_decay_sweep-dim-fraction": (
+        lambda: exp.sudden_decay_sweep([1e-2], 0.1, 2.5, "depolarizing"),
+        "dimension must be an integer"),
+    "sudden_decay_sweep-dim-nan": (
+        lambda: exp.sudden_decay_sweep([1e-2], 0.1, NAN, "depolarizing"),
+        "dimension must be an integer"),
+    "theta_logspace-points-fraction": (lambda: exp.theta_logspace(1e-2, 1e-6, 2.5),
+                                       "points must be an integer"),
+    "theta_logspace-points-nan": (lambda: exp.theta_logspace(1e-2, 1e-6, NAN),
+                                  "points must be an integer"),
 }
 
 

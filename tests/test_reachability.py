@@ -16,12 +16,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qdecay"
 
+TRACED = "perfbench/tracing.py wraps it by name until the benchmark drops it (ROADMAP item 1)"
 # module.qualname of each function that the run does not enter, and why it stays
 ALLOWED = {
-    "channels.SuperOperator.tensor_identity":
-        "perfbench/tracing.py wraps it by name until the benchmark drops it (ROADMAP item 1)",
-    "rng.Rng.integer":
-        "perfbench/tracing.py wraps it by name until the benchmark drops it (ROADMAP item 1)",
+    "channels.SuperOperator.tensor_identity": TRACED,
+    "rng.Rng.integer": TRACED,
+    "channels.apply_to_b": TRACED,
+    "entropy.mutual_information": TRACED,
     "verify.replay": "re-evaluates one recorded violation; ROADMAP item 6 builds on it",
     "channels.KrausChannel._one":
         "guards the Kraus branches of apply_on_factor and choi_matrix, which the commands "
